@@ -34,11 +34,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz of the SQL parser, the JSONL stream decoders, and the ILP
-# solver's brute-force cross-check, on top of the checked-in corpora (go's
+# Short fuzz of the SQL parser, ingest's statement splitting (pipelined
+# reader vs the line-at-a-time reference), the JSONL stream decoders, and the
+# ILP solver's brute-force cross-check, on top of the checked-in corpora (go's
 # -fuzz takes one target per invocation).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
+	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/ingest/
 	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzDecodeSpans -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzILPSolve -fuzztime=5s ./internal/ilp/

@@ -74,7 +74,8 @@ type ScaleResult struct {
 
 // logStream lazily emits n timestamped SQL statements ("RFC3339\tSQL\n"),
 // cycling the base slice, so the million-line log is never materialized —
-// the reader side of the O(distinct templates) memory claim.
+// the reader side of the O(distinct templates) memory claim. Each Read fills
+// p, so the ingest timing is not spent in one Read call per line.
 type logStream struct {
 	base []string
 	t0   time.Time
@@ -83,19 +84,26 @@ type logStream struct {
 }
 
 func (ls *logStream) Read(p []byte) (int, error) {
-	if len(ls.buf) == 0 {
-		if ls.i >= ls.n {
-			return 0, io.EOF
+	n := 0
+	for n < len(p) {
+		if len(ls.buf) == 0 {
+			if ls.i >= ls.n {
+				break
+			}
+			ts := ls.t0.Add(time.Duration(ls.i) * time.Second)
+			ls.buf = ts.AppendFormat(ls.buf[:0], time.RFC3339)
+			ls.buf = append(ls.buf, '\t')
+			ls.buf = append(ls.buf, ls.base[ls.i%len(ls.base)]...)
+			ls.buf = append(ls.buf, '\n')
+			ls.i++
 		}
-		ts := ls.t0.Add(time.Duration(ls.i) * time.Second)
-		ls.buf = ts.AppendFormat(ls.buf[:0], time.RFC3339)
-		ls.buf = append(ls.buf, '\t')
-		ls.buf = append(ls.buf, ls.base[ls.i%len(ls.base)]...)
-		ls.buf = append(ls.buf, '\n')
-		ls.i++
+		k := copy(p[n:], ls.buf)
+		ls.buf = ls.buf[k:]
+		n += k
 	}
-	n := copy(p, ls.buf)
-	ls.buf = ls.buf[n:]
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
 	return n, nil
 }
 

@@ -26,10 +26,27 @@
 // statement-size cap, or EOF) reverts to line-oriented interpretation and
 // each buffered line counts as one skipped statement, exactly as the legacy
 // line-per-query parser would have counted it.
+//
+// Each reader streams through two stages. A scan goroutine owns the
+// bufio.Scanner and does only the stateless work for a line: trim, drop
+// comments, mark blank lines, and split off the timestamp prefix. It copies
+// about 2k lines at a time into a batch arena, with offsets per line. The
+// calling goroutine folds the batches in order and does all the stateful
+// work itself: text-memo lookups, parsing, folding, ID allocation, the
+// multi-line buffer, resync and skips. Because that work stays sequential
+// and in line order, IDs, fold order, timestamps, Stats and error text are
+// exactly those of a line-at-a-time reader (the package's tests keep one as
+// the oracle). Batches are recycled through a free list local to the call,
+// and the scan goroutine has exited before Reader, File or Dir returns.
+//
+// A line already in the text memo costs no allocation: it is probed as
+// bytes in the arena. Strings are made only for a statement's first
+// occurrence (parsed, then memoized) and for lines buffered into a
+// multi-line statement.
 package ingest
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -287,16 +304,10 @@ func (f *folder) adopt(q *workload.Query, text string, ts time.Time) {
 // which entry it folds into. Bad-text memo hits are not reported: only
 // attempt (which knows the text is a complete statement) may act on them —
 // a probe seeing a previously-failed line must still treat it as a possible
-// multi-line statement head.
-func (f *folder) memoGood(text string) (int, bool) {
-	if f.textMemo == nil {
-		return 0, false
-	}
-	i, ok := f.textMemo[text]
-	if !ok || i < 0 {
-		return 0, false
-	}
-	return i, true
+// multi-line statement head. The string(text) map key does not allocate.
+func (f *folder) memoGood(text []byte) (int, bool) {
+	i, ok := f.textMemo[string(text)]
+	return i, ok && i >= 0
 }
 
 // foldHit folds one more occurrence into an existing entry, consuming an ID.
@@ -310,25 +321,25 @@ func (f *folder) foldHit(i int) {
 	}
 }
 
-// attempt parses one complete statement text, folding or skipping it.
-func (f *folder) attempt(text string, ts time.Time) {
-	if f.textMemo != nil {
-		if i, ok := f.textMemo[text]; ok {
-			if i < 0 {
-				f.skip()
-			} else {
-				f.foldHit(i)
-			}
-			return
+// attempt parses one complete statement text, folding or skipping it. Only
+// a memo miss copies text into a string.
+func (f *folder) attempt(text []byte, ts time.Time) {
+	if i, ok := f.textMemo[string(text)]; ok {
+		if i < 0 {
+			f.skip()
+		} else {
+			f.foldHit(i)
 		}
+		return
 	}
-	q, err := f.parser.Parse(text)
+	s := string(text)
+	q, err := f.parser.Parse(s)
 	if err != nil {
-		f.memoizeBad(text)
+		f.memoizeBad(s)
 		f.skip()
 		return
 	}
-	f.adopt(q, text, ts)
+	f.adopt(q, s, ts)
 }
 
 func (f *folder) memoizeBad(text string) {
@@ -337,120 +348,139 @@ func (f *folder) memoizeBad(text string) {
 	}
 }
 
-// splitTimestamp strips the optional wlgen "RFC3339<TAB>" prefix.
-func splitTimestamp(line string) (time.Time, string) {
-	if i := strings.IndexByte(line, '\t'); i > 0 {
-		if ts, err := time.Parse(time.RFC3339, line[:i]); err == nil {
-			return ts, line[i+1:]
-		}
+// consume streams one reader through the two-stage pipeline: scanLines
+// trims, drops comments and splits timestamps on its own goroutine, and
+// this goroutine folds the batches in order (see the package comment). The
+// scan goroutine has exited by the time consume returns.
+func (f *folder) consume(r io.Reader) error {
+	full := make(chan *batch, pipelineBatches)
+	free := make(chan *batch, pipelineBatches)
+	for i := 0; i < pipelineBatches; i++ {
+		free <- &batch{}
 	}
-	return time.Time{}, line
+	done := make(chan struct{})
+	go scanLines(r, f.opts.maxBytes(), full, free, done)
+	// On every return, panics included, stop the scan goroutine and wait for
+	// it to close full: the caller may close r as soon as consume returns.
+	defer func() {
+		close(done)
+		for range full {
+		}
+	}()
+
+	var p pending
+	for b := range full {
+		for _, l := range b.lines {
+			f.line(&p, b.arena, l)
+		}
+		if b.err != nil {
+			return fmt.Errorf("ingest: reading workload: %w", b.err)
+		}
+		free <- b
+	}
+	f.flushAsSkips(&p)
+	return nil
 }
 
-// consume streams one reader through the statement scanner. See the package
-// comment for the grammar; the scanner state is the pending multi-line
-// buffer, empty between statements.
-func (f *folder) consume(r io.Reader) error {
-	max := f.opts.maxBytes()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), max)
+// pending is the fold stage's scanner state: the unterminated multi-line
+// statement being accumulated, empty between statements.
+type pending struct {
+	lines []string
+	ts    time.Time
+	bytes int
+}
 
-	var buf []string // pending unterminated statement lines
-	var bufTS time.Time
-	bufBytes := 0
-	// flushAsSkips abandons the pending buffer: no terminator appeared, so
-	// each buffered line is retroactively one failed line-oriented attempt.
-	flushAsSkips := func() {
-		for range buf {
+// flushAsSkips abandons the pending buffer: no terminator appeared, so each
+// buffered line is retroactively one failed line-oriented attempt.
+func (f *folder) flushAsSkips(p *pending) {
+	for range p.lines {
+		f.skip()
+	}
+	p.lines, p.bytes = nil, 0
+}
+
+var semicolon = []byte(";")
+
+// line folds one scanned line. It allocates only for a statement's first
+// occurrence (parsed and memoized) and for multi-line buffering: a line
+// already in the text memo is probed straight from the batch arena.
+func (f *folder) line(p *pending, arena []byte, l scanned) {
+	text := arena[l.start:l.end]
+	if len(text) == 0 {
+		f.flushAsSkips(p)
+		return
+	}
+	sql := arena[l.sql:l.end]
+	if len(p.lines) == 0 {
+		if body, ok := bytes.CutSuffix(sql, semicolon); ok {
+			f.attempt(bytes.TrimSpace(body), l.ts)
+			return
+		}
+		// Single-line compatibility probe: the wlgen format has no
+		// terminators, so a line that parses on its own is a statement.
+		if i, ok := f.memoGood(sql); ok {
+			f.foldHit(i)
+			return
+		}
+		s := string(sql)
+		if q, err := f.parser.Parse(s); err == nil {
+			f.adopt(q, s, l.ts)
+			return
+		}
+		// Not standalone-parseable: begin a multi-line accumulation.
+		p.lines = append(p.lines, s)
+		p.ts = l.ts
+		p.bytes = len(s)
+		return
+	}
+	// Accumulating: a ';' line completes the statement.
+	if body, ok := bytes.CutSuffix(text, semicolon); ok {
+		buffered := append(p.lines, string(bytes.TrimSpace(body)))
+		p.lines, p.bytes = nil, 0
+		joined := strings.TrimSpace(strings.Join(buffered, "\n"))
+		if i, ok := f.textMemo[joined]; ok && i >= 0 {
+			f.foldHit(i)
+			return
+		}
+		if q, err := f.parser.Parse(joined); err == nil {
+			f.adopt(q, joined, p.ts)
+			return
+		}
+		f.memoizeBad(joined)
+		// The joined text is not a statement: revert to line-oriented
+		// interpretation so a garbage head can't swallow a parseable
+		// terminator line. The accumulated lines each failed their
+		// standalone probes (skips); the terminator line gets its own
+		// attempt.
+		for range buffered[:len(buffered)-1] {
 			f.skip()
 		}
-		buf, bufBytes = nil, 0
+		f.attempt(bytes.TrimSpace(bytes.TrimSuffix(sql, semicolon)), l.ts)
+		return
 	}
-
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			flushAsSkips()
-			continue
-		}
-		if strings.HasPrefix(line, "--") {
-			continue
-		}
-		if len(buf) == 0 {
-			ts, sql := splitTimestamp(line)
-			if body, ok := strings.CutSuffix(sql, ";"); ok {
-				f.attempt(strings.TrimSpace(body), ts)
-				continue
-			}
-			// Single-line compatibility probe: the wlgen format has no
-			// terminators, so a line that parses on its own is a statement.
-			if i, ok := f.memoGood(sql); ok {
-				f.foldHit(i)
-				continue
-			}
-			if q, err := f.parser.Parse(sql); err == nil {
-				f.adopt(q, sql, ts)
-				continue
-			}
-			// Not standalone-parseable: begin a multi-line accumulation.
-			buf = append(buf, sql)
-			bufTS = ts
-			bufBytes = len(sql)
-			continue
-		}
-		// Accumulating: a ';' line completes the statement.
-		if body, ok := strings.CutSuffix(line, ";"); ok {
-			pending := append(buf, strings.TrimSpace(body))
-			buf, bufBytes = nil, 0
-			text := strings.TrimSpace(strings.Join(pending, "\n"))
-			if i, ok := f.memoGood(text); ok {
-				f.foldHit(i)
-				continue
-			}
-			if q, err := f.parser.Parse(text); err == nil {
-				f.adopt(q, text, bufTS)
-				continue
-			}
-			f.memoizeBad(text)
-			// The joined text is not a statement: revert to line-oriented
-			// interpretation so a garbage head can't swallow a parseable
-			// terminator line. The accumulated lines each failed their
-			// standalone probes (skips); the terminator line gets its own
-			// attempt.
-			for range pending[:len(pending)-1] {
-				f.skip()
-			}
-			ts, sql := splitTimestamp(line)
-			body = strings.TrimSpace(strings.TrimSuffix(sql, ";"))
-			f.attempt(body, ts)
-			continue
-		}
-		// Resync probe: a line that parses standalone means the pending
-		// buffer was garbage, not the head of a multi-line statement — flush
-		// it as per-line skips so one bad line can't swallow the rest of a
-		// terminator-less log.
-		ts, sql := splitTimestamp(line)
-		if i, ok := f.memoGood(sql); ok {
-			flushAsSkips()
-			f.foldHit(i)
-			continue
-		}
-		if q, err := f.parser.Parse(sql); err == nil {
-			flushAsSkips()
-			f.adopt(q, sql, ts)
-			continue
-		}
-		buf = append(buf, line)
-		bufBytes += len(line) + 1
-		if bufBytes > max {
-			flushAsSkips()
-		}
+	// Resync probe: a line that parses standalone means the pending buffer
+	// was garbage, not the head of a multi-line statement — flush it as
+	// per-line skips so one bad line can't swallow the rest of a
+	// terminator-less log.
+	if i, ok := f.memoGood(sql); ok {
+		f.flushAsSkips(p)
+		f.foldHit(i)
+		return
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("ingest: reading workload: %w", err)
+	// One copy serves both uses: the probe parses the statement after the
+	// timestamp, but a continuation line is buffered whole.
+	whole := string(text)
+	s := whole[l.sql-l.start:]
+	if q, err := f.parser.Parse(s); err == nil {
+		f.flushAsSkips(p)
+		f.adopt(q, s, l.ts)
+		return
 	}
-	flushAsSkips()
-	return nil
+	p.lines = append(p.lines, whole)
+	p.bytes += len(whole) + 1
+	if p.bytes > f.opts.maxBytes() {
+		f.flushAsSkips(p)
+	}
 }
 
 // finish assembles the folded workload and final stats.

@@ -248,8 +248,17 @@ func (h *RunHandle) finish() {
 	close(h.done)
 }
 
-// Status returns the run's current state.
-func (h *RunHandle) Status() RunStatus { return RunStatus(h.core.State()) }
+// Status returns the run's current state. A run reports a terminal state
+// only once Done is closed: until its instrumentation is complete it stays
+// StatusRunning, so a caller that sees "done" can read the spans at once.
+func (h *RunHandle) Status() RunStatus {
+	select {
+	case <-h.done:
+		return RunStatus(h.core.State())
+	default:
+		return StatusRunning
+	}
+}
 
 // Cancel aborts the run. Idempotent; a no-op once finished.
 func (h *RunHandle) Cancel() { h.core.Cancel() }
