@@ -26,9 +26,9 @@
 // Quickstart:
 //
 //	s := cliffguard.Warehouse(1)              // a star-schema warehouse
-//	db := cliffguard.NewVertica(s)            // columnar engine simulator
-//	nominal := cliffguard.NewVerticaDesigner(db, 512<<20)
-//	guard, err := cliffguard.New(nominal, db, s, cliffguard.Options{Gamma: 0.002})
+//	eng, err := cliffguard.OpenEngine(cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Schema: s})
+//	nominal := eng.NominalDesigner(512 << 20) // the engine's own designer
+//	guard, err := cliffguard.New(nominal, eng, s, cliffguard.Options{Gamma: 0.002})
 //	design, err := guard.Design(ctx, w)       // w: *cliffguard.Workload
 //
 // The loop is observable: attach an Observer (a JSONL event sink, a terminal
@@ -49,7 +49,6 @@ import (
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/designer"
 	"cliffguard/internal/distance"
-	"cliffguard/internal/engine"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/portfolio"
 	"cliffguard/internal/rowsim"
@@ -96,10 +95,11 @@ type (
 	// Options configure the CliffGuard loop; Gamma is the robustness knob.
 	// Use Options.WithObserver / Options.WithMetrics to attach
 	// instrumentation, Options.Validate to reject nonsensical values, and
-	// Options.Normalized to clamp them to defaults instead. Set
-	// DisableEvalFastPath to bypass the incremental-evaluation memo (the
-	// unit-cost cache and evaluation-pass replay); designs, traces, and
-	// events are bit-identical either way.
+	// Options.Normalized to clamp them to defaults instead. Parallelism
+	// bounds the one worker pool that samples and scores the neighborhood;
+	// designs, traces, and events are bit-identical at any value.
+	// DisableEvalFastPath bypasses the incremental-evaluation memo (the
+	// unit-cost cache and evaluation-pass replay), also bit-identically.
 	Options = core.Options
 	// Guard is the CliffGuard robust designer (Algorithm 2 of the paper).
 	Guard = core.CliffGuard
@@ -117,7 +117,9 @@ type (
 	QuadraticMetric = distance.Quadratic
 	// Sampler draws Gamma-neighborhood workloads (Algorithm 4). New and
 	// NewWithMetric build one internally; construct one directly (NewSampler)
-	// to tune Parallelism or DisableFastPath.
+	// to tune Parallelism. The landing follows the metric's type: a
+	// QuadraticMetric lands in closed form, any other metric verifies and
+	// bisects.
 	Sampler = sample.Sampler
 
 	// VerticaDB is the columnar (sorted-projection) engine simulator.
@@ -300,8 +302,7 @@ const (
 // NewSampler returns a Gamma-neighborhood sampler over the schema's default
 // template mutator. The zero Sampler fields mean the paper defaults; set
 // Parallelism to bound the worker pool (0 = GOMAXPROCS — results are
-// bit-identical at any parallelism) or DisableFastPath to force the legacy
-// verify/bisect landing for quadratic metrics.
+// bit-identical at any parallelism).
 func NewSampler(m Metric, s *Schema) *Sampler {
 	return sample.New(m, sample.NewMutator(s))
 }
@@ -322,54 +323,6 @@ func GenerateData(s *Schema, maxRows int, seed int64) *Dataset {
 
 // NewParser returns a SQL parser bound to the schema.
 func NewParser(s *Schema) *Parser { return sqlparse.NewParser(s) }
-
-// NewVertica opens a cost-model-only columnar engine over the schema.
-//
-// Deprecated: use OpenEngine(EngineSpec{Kind: EngineVertica, Schema: s}),
-// the one spec-driven constructor for every engine. This wrapper routes
-// through it and unwraps the simulator.
-func NewVertica(s *Schema) *VerticaDB {
-	return mustEngine(EngineSpec{Kind: engine.KindVertica, Schema: s}).Unwrap().(*VerticaDB)
-}
-
-// NewVerticaWithData opens a columnar engine whose executor runs against the
-// dataset.
-//
-// Deprecated: use OpenEngine(EngineSpec{Kind: EngineVertica, Data: data}).
-func NewVerticaWithData(data *Dataset) *VerticaDB {
-	return mustEngine(EngineSpec{Kind: engine.KindVertica, Data: data}).Unwrap().(*VerticaDB)
-}
-
-// NewVerticaDesigner returns the DBD-style nominal projection designer (the
-// paper's ExistingDesigner for Vertica) with the given storage budget.
-//
-// Deprecated: use Engine.NominalDesigner on an OpenEngine-opened engine.
-func NewVerticaDesigner(db *VerticaDB, budgetBytes int64) Designer {
-	return vertsim.NewDesigner(db, budgetBytes)
-}
-
-// NewRowStore opens a cost-model-only row-store engine over the schema.
-//
-// Deprecated: use OpenEngine(EngineSpec{Kind: EngineRowStore, Schema: s}).
-func NewRowStore(s *Schema) *RowStoreDB {
-	return mustEngine(EngineSpec{Kind: engine.KindRowStore, Schema: s}).Unwrap().(*RowStoreDB)
-}
-
-// NewRowStoreWithData opens a row-store engine whose executor runs against
-// the dataset.
-//
-// Deprecated: use OpenEngine(EngineSpec{Kind: EngineRowStore, Data: data}).
-func NewRowStoreWithData(data *Dataset) *RowStoreDB {
-	return mustEngine(EngineSpec{Kind: engine.KindRowStore, Data: data}).Unwrap().(*RowStoreDB)
-}
-
-// NewRowStoreDesigner returns the DBMS-X-style nominal index/matview
-// designer with the given storage budget.
-//
-// Deprecated: use Engine.NominalDesigner on an OpenEngine-opened engine.
-func NewRowStoreDesigner(db *RowStoreDB, budgetBytes int64) Designer {
-	return rowsim.NewDesigner(db, budgetBytes)
-}
 
 // NewPortfolio returns a designer portfolio racing the members concurrently
 // on each input workload; the best design by worst-case cost wins (ties
@@ -392,32 +345,6 @@ func NewAutoAdminDesigner(cost CostModel, provider CandidateProvider, budgetByte
 // reports whether it is provably optimal (the node budget held).
 func NewILPDesigner(cost CostModel, provider CandidateProvider, budgetBytes int64) *ILPDesigner {
 	return portfolio.NewILPDesigner(cost, provider, budgetBytes)
-}
-
-// NewApproxEngine opens the approximate-query engine simulator, whose
-// physical designs are stratified samples.
-//
-// Deprecated: use OpenEngine(EngineSpec{Kind: EngineApprox, Schema: s}).
-func NewApproxEngine(s *Schema) *ApproxDB {
-	return mustEngine(EngineSpec{Kind: engine.KindApprox, Schema: s}).Unwrap().(*ApproxDB)
-}
-
-// NewSampleDesigner returns the BlinkDB-style nominal stratified-sample
-// designer with the given storage budget.
-//
-// Deprecated: use Engine.NominalDesigner on an OpenEngine-opened engine.
-func NewSampleDesigner(db *ApproxDB, budgetBytes int64) Designer {
-	return aqesim.NewDesigner(db, budgetBytes)
-}
-
-// mustEngine backs the deprecated engine constructors: their specs are
-// constructed here and can never fail validation.
-func mustEngine(spec EngineSpec) Engine {
-	eng, err := engine.Open(spec)
-	if err != nil {
-		panic(err)
-	}
-	return eng
 }
 
 // NewEuclidean returns the paper's delta_euclidean workload distance for a

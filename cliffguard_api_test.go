@@ -7,6 +7,16 @@ import (
 	"cliffguard"
 )
 
+// openEngine opens an engine through the facade's one engine constructor.
+func openEngine(t *testing.T, spec cliffguard.EngineSpec) cliffguard.Engine {
+	t.Helper()
+	eng, err := cliffguard.OpenEngine(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // TestPublicAPIRoundTrip walks the whole public surface: schema, parser,
 // workload, both engines, nominal designers, the designable filter, and the
 // CliffGuard guard itself.
@@ -37,8 +47,9 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	w := cliffguard.NewWorkload(q1, q2)
 
 	// Columnar engine path.
-	vdb := cliffguard.NewVertica(s)
-	nominal := cliffguard.NewVerticaDesigner(vdb, 64<<20)
+	veng := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Schema: s})
+	vdb := veng.Unwrap().(*cliffguard.VerticaDB)
+	nominal := veng.NominalDesigner(64 << 20)
 	nd, err := nominal.Design(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +84,9 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 
 	// Row-store engine path.
-	rdb := cliffguard.NewRowStore(s)
-	rnominal := cliffguard.NewRowStoreDesigner(rdb, 32<<20)
+	reng := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineRowStore, Schema: s})
+	rdb := reng.Unwrap().(*cliffguard.RowStoreDB)
+	rnominal := reng.NominalDesigner(32 << 20)
 	rrd, err := rnominal.Design(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +120,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPublicAPIExecutors checks the data-backed engine constructors.
+// TestPublicAPIExecutors checks data-backed engines.
 func TestPublicAPIExecutors(t *testing.T) {
 	s := cliffguard.Warehouse(1)
 	data := cliffguard.GenerateData(s, 10_000, 3)
@@ -119,12 +131,12 @@ func TestPublicAPIExecutors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vdb := cliffguard.NewVerticaWithData(data)
+	vdb := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Data: data}).Unwrap().(*cliffguard.VerticaDB)
 	vres, err := vdb.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rdb := cliffguard.NewRowStoreWithData(data)
+	rdb := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineRowStore, Data: data}).Unwrap().(*cliffguard.RowStoreDB)
 	rres, err := rdb.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +182,9 @@ func TestApproxEngineAPI(t *testing.T) {
 	}
 	w := cliffguard.NewWorkload(q)
 
-	db := cliffguard.NewApproxEngine(s)
-	nominal := cliffguard.NewSampleDesigner(db, 256<<20)
+	eng := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineApprox, Schema: s})
+	db := eng.Unwrap().(*cliffguard.ApproxDB)
+	nominal := eng.NominalDesigner(256 << 20)
 	d, err := nominal.Design(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@
 // ablation; see DESIGN.md Section 5), SAMPLER (the closed-form landing fast
 // path), EVAL (the incremental-evaluation fast path), PORTFOLIO (the
 // designer race: advisor vs AutoAdmin vs ILP-exact), SCALE (the
-// million-query streaming-ingestion and shard-fanout experiment), and ONLINE
+// million-query streaming-ingestion experiment), and ONLINE
 // (the sliding-window drift-detect + warm-started re-design experiment).
 package main
 
@@ -471,21 +471,11 @@ func (r *runner) run(id string) (map[string]float64, map[string]float64) {
 		vals["compression"] = res.Compression
 		vals["fold_identical"] = b2f(res.FoldIdentical)
 		vals["counters_match"] = b2f(res.CountersMatch)
-		vals["shard1_match"] = b2f(res.Shard1Match)
-		vals["shard2_match"] = b2f(res.Shard2Match)
-		vals["shard4_match"] = b2f(res.Shard4Match)
 		vals["iterations"] = float64(res.Iterations)
 		vals["pooled_cost_calls"] = float64(res.PooledCostCalls)
-		vals["shard_cost_calls"] = float64(res.ShardCostCalls)
 		info = map[string]float64{
 			"ingest_ms": res.IngestMs, "design_ms": res.DesignMs,
 			"heap_mb": res.HeapMB, "sys_mb": res.SysMB,
-			// Warm-shard satellite: informational so the gated value set —
-			// and with it the existing baseline — keeps its shape; the
-			// equivalence bit still rides along for inspection.
-			"warm_shard_cost_calls": float64(res.WarmShardCostCalls),
-			"warm_shard_warm_hits":  float64(res.WarmShardWarmHits),
-			"warm_shard_match":      b2f(res.WarmShardMatch),
 		}
 	case "ONLINE":
 		res, err := bench.OnlineBench(r.set("R1"), r.gammaV, r.seed)

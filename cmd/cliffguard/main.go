@@ -45,7 +45,6 @@ func main() {
 		samples = flag.Int("samples", 40, "Gamma-neighborhood sample count")
 		iters   = flag.Int("iterations", 12, "robust-move iterations")
 		par     = flag.Int("parallelism", 0, "neighborhood-evaluation workers (0 = NumCPU)")
-		shards  = flag.Int("shards", 0, "shard-fanout neighborhood evaluation: contiguous shards with private unit-cost memos (0 = pooled -parallelism workers; any value is bit-identical)")
 		verbose = flag.Bool("v", false, "print the per-iteration trace")
 		outJSON = flag.String("out", "", "also write the design as JSON to this file")
 
@@ -203,8 +202,7 @@ func main() {
 	} else {
 		opts := cliffguard.Options{
 			Gamma: *gamma, Samples: *samples, Iterations: *iters, Seed: *seed,
-			Parallelism: *par, Shards: *shards,
-			Portfolio: members[1:], MemberTimeout: *memberTimeout,
+			Parallelism: *par, Portfolio: members[1:], MemberTimeout: *memberTimeout,
 		}.WithObserver(observer).WithMetrics(reg)
 		guard, gerr := cliffguard.New(members[0], db, s, opts)
 		if gerr != nil {

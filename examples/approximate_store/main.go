@@ -38,9 +38,12 @@ func main() {
 		parse("SELECT payment_type, COUNT(*), MAX(total) FROM sales WHERE loyalty_tier = 'v1' GROUP BY payment_type"),
 	)
 
-	db := cliffguard.NewApproxEngine(s)
+	db, err := cliffguard.OpenEngine(cliffguard.EngineSpec{Kind: cliffguard.EngineApprox, Schema: s})
+	if err != nil {
+		log.Fatal(err)
+	}
 	budget := int64(128) << 20
-	nominal := cliffguard.NewSampleDesigner(db, budget)
+	nominal := db.NominalDesigner(budget)
 
 	nominalDesign, err := nominal.Design(ctx, past)
 	if err != nil {

@@ -26,9 +26,12 @@ func main() {
 	fmt.Printf("calibrated month-over-month drift (delta_euclidean): %.4f..%.4f\n\n",
 		minF(set.AchievedDrift), maxF(set.AchievedDrift))
 
-	db := cliffguard.NewVertica(s)
+	db, err := cliffguard.OpenEngine(cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Schema: s})
+	if err != nil {
+		log.Fatal(err)
+	}
 	budget := int64(2560) << 20
-	nominal := cliffguard.NewVerticaDesigner(db, budget)
+	nominal := db.NominalDesigner(budget)
 	guard, err := cliffguard.New(nominal, db, s, cliffguard.Options{
 		Gamma: 0.002, Samples: 40, Iterations: 12, Seed: 7,
 	})
@@ -68,7 +71,7 @@ func main() {
 }
 
 // perQuery returns the mean per-query latency of the workload under the design.
-func perQuery(db *cliffguard.VerticaDB, w *cliffguard.Workload, d *cliffguard.Design) float64 {
+func perQuery(db cliffguard.CostModel, w *cliffguard.Workload, d *cliffguard.Design) float64 {
 	total, err := cliffguard.WorkloadCost(context.Background(), db, w, d)
 	if err != nil {
 		log.Fatal(err)

@@ -29,8 +29,12 @@ func main() {
 	w := cliffguard.NewWorkload(q)
 
 	// Columnar engine: design, then execute with and without it.
-	vdb := cliffguard.NewVerticaWithData(data)
-	vdes := cliffguard.NewVerticaDesigner(vdb, 512<<20)
+	veng, err := cliffguard.OpenEngine(cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Data: data})
+	if err != nil {
+		log.Fatal(err)
+	}
+	vdb := veng.Unwrap().(*cliffguard.VerticaDB)
+	vdes := veng.NominalDesigner(512 << 20)
 	vdesign, err := vdes.Design(ctx, w)
 	if err != nil {
 		log.Fatal(err)
@@ -53,8 +57,12 @@ func main() {
 	}
 
 	// Row-store engine: same story with indices/materialized views.
-	rdb := cliffguard.NewRowStoreWithData(data)
-	rdes := cliffguard.NewRowStoreDesigner(rdb, 256<<20)
+	reng, err := cliffguard.OpenEngine(cliffguard.EngineSpec{Kind: cliffguard.EngineRowStore, Data: data})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rdb := reng.Unwrap().(*cliffguard.RowStoreDB)
+	rdes := reng.NominalDesigner(256 << 20)
 	rdesign, err := rdes.Design(ctx, w)
 	if err != nil {
 		log.Fatal(err)

@@ -63,10 +63,13 @@ func main() {
 		parse("SELECT order_id, total, unit_price FROM orders WHERE customer_id = 977 ORDER BY total DESC LIMIT 100"),
 	)
 
-	db := cliffguard.NewVertica(s)
+	db, err := cliffguard.OpenEngine(cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Schema: s})
+	if err != nil {
+		log.Fatal(err)
+	}
 	budget := int64(96) << 20
 
-	nominal := cliffguard.NewVerticaDesigner(db, budget)
+	nominal := db.NominalDesigner(budget)
 	nominalDesign, err := nominal.Design(ctx, past)
 	if err != nil {
 		log.Fatal(err)

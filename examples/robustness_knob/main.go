@@ -22,9 +22,12 @@ func main() {
 	}
 	current, next := set.Months[3], set.Months[4]
 
-	db := cliffguard.NewVertica(s)
+	db, err := cliffguard.OpenEngine(cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Schema: s})
+	if err != nil {
+		log.Fatal(err)
+	}
 	budget := int64(2560) << 20
-	nominal := cliffguard.NewVerticaDesigner(db, budget)
+	nominal := db.NominalDesigner(budget)
 
 	fmt.Println("Gamma    | this month | next month | structures")
 	fmt.Println("---------+------------+------------+-----------")

@@ -253,16 +253,14 @@ func WriteOnlineCSV(w io.Writer, r *OnlineResult) error {
 	return cw.Error()
 }
 
-// WriteScaleCSV exports the SCALE million-query streaming-ingestion and
-// shard-fanout experiment.
+// WriteScaleCSV exports the SCALE million-query streaming-ingestion
+// experiment.
 func WriteScaleCSV(w io.Writer, r *ScaleResult) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"workload", "log_lines", "base_lines",
 		"streamed", "skipped", "templates", "frozen_len", "compression",
 		"fold_identical", "counters_match",
-		"shard1_match", "shard2_match", "shard4_match", "iterations",
-		"pooled_cost_calls", "shard_cost_calls",
-		"warm_shard_cost_calls", "warm_shard_warm_hits", "warm_shard_match",
+		"iterations", "pooled_cost_calls",
 		"ingest_ms", "design_ms", "heap_mb", "sys_mb"}); err != nil {
 		return err
 	}
@@ -271,11 +269,7 @@ func WriteScaleCSV(w io.Writer, r *ScaleResult) error {
 		strconv.Itoa(r.Streamed), strconv.Itoa(r.Skipped),
 		strconv.Itoa(r.Templates), strconv.Itoa(r.FrozenLen), f(r.Compression),
 		strconv.FormatBool(r.FoldIdentical), strconv.FormatBool(r.CountersMatch),
-		strconv.FormatBool(r.Shard1Match), strconv.FormatBool(r.Shard2Match),
-		strconv.FormatBool(r.Shard4Match), strconv.Itoa(r.Iterations),
-		strconv.FormatUint(r.PooledCostCalls, 10), strconv.FormatUint(r.ShardCostCalls, 10),
-		strconv.FormatUint(r.WarmShardCostCalls, 10), strconv.FormatUint(r.WarmShardWarmHits, 10),
-		strconv.FormatBool(r.WarmShardMatch),
+		strconv.Itoa(r.Iterations), strconv.FormatUint(r.PooledCostCalls, 10),
 		f(r.IngestMs), f(r.DesignMs), f(r.HeapMB), f(r.SysMB),
 	}); err != nil {
 		return err

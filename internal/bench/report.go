@@ -162,19 +162,16 @@ func PrintPortfolio(w io.Writer, r *PortfolioResult) {
 }
 
 // PrintScale renders the SCALE million-query experiment: the streaming
-// compression counters, the fold-identity and shard-equivalence bits, and
-// the informational ingest/design wall-clock and memory columns.
+// compression counters, the fold-identity bit, the design's cost-model calls,
+// and the informational ingest/design wall-clock and memory columns.
 func PrintScale(w io.Writer, r *ScaleResult) {
 	fmt.Fprintf(w, "%-10s %9s %9s %9s %9s %10s %12s\n",
 		"Workload", "Lines", "Streamed", "Skipped", "Templates", "Frozen", "Compression")
 	fmt.Fprintf(w, "%-10s %9d %9d %9d %9d %10d %11.1fx\n",
 		r.Workload, r.LogLines, r.Streamed, r.Skipped, r.Templates, r.FrozenLen, r.Compression)
-	fmt.Fprintf(w, "equivalence: fold=%v counters=%v shards(1/2/4)=%v/%v/%v (iters=%d)\n",
-		r.FoldIdentical, r.CountersMatch, r.Shard1Match, r.Shard2Match, r.Shard4Match, r.Iterations)
-	fmt.Fprintf(w, "cost-model calls: pooled %d, 4-shard %d (private memos recost shared queries)\n",
-		r.PooledCostCalls, r.ShardCostCalls)
-	fmt.Fprintf(w, "warm 4-shard: %d calls (%d warm hits), match=%v (pre-seeded from the pooled run's generation)\n",
-		r.WarmShardCostCalls, r.WarmShardWarmHits, r.WarmShardMatch)
+	fmt.Fprintf(w, "equivalence: fold=%v counters=%v (iters=%d)\n",
+		r.FoldIdentical, r.CountersMatch, r.Iterations)
+	fmt.Fprintf(w, "cost-model calls: %d\n", r.PooledCostCalls)
 	fmt.Fprintf(w, "wall-clock: ingest %.1f ms, design %.1f ms; memory: heap %.1f MiB, sys %.1f MiB (informational)\n",
 		r.IngestMs, r.DesignMs, r.HeapMB, r.SysMB)
 }

@@ -38,7 +38,8 @@ type SamplerResult struct {
 
 // SamplerBench runs the sampler micro-experiment behind the PR 4 fast path:
 // draws one n-sample Gamma-neighborhood of the set's first month twice —
-// closed-form landing on, then off (DisableFastPath) — at parallelism 1 with
+// closed-form landing on, then off (the metric's distance.Quadratic methods
+// hidden, which selects the legacy landing) — at parallelism 1 with
 // identical seeds, and reports the Distance-evaluation counters plus the
 // wall-clock ratio. Both runs must agree on every sampled workload within
 // 1e-12, so the landing-error column doubles as an end-to-end equivalence
@@ -51,10 +52,13 @@ func SamplerBench(set *wlgen.Set, gamma float64, draws int, seed int64) (*Sample
 	w0 := set.Months[0]
 	metric := distance.NewEuclidean(s.NumColumns())
 
-	run := func(disable bool) ([]*workload.Workload, *obs.Metrics, float64, error) {
-		sampler := sample.New(metric, sample.NewMutator(s))
+	run := func(legacy bool) ([]*workload.Workload, *obs.Metrics, float64, error) {
+		var m distance.Metric = metric
+		if legacy {
+			m = struct{ distance.Metric }{metric}
+		}
+		sampler := sample.New(m, sample.NewMutator(s))
 		sampler.Parallelism = 1
-		sampler.DisableFastPath = disable
 		sampler.Metrics = obs.NewMetrics()
 		// Fresh clone per run: neither run may inherit the other's frozen
 		// vectors, so cold-cache work is measured symmetrically.

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"cliffguard/internal/core"
-	"cliffguard/internal/designer"
 	"cliffguard/internal/distance"
-	"cliffguard/internal/evalcache"
 	"cliffguard/internal/ingest"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/sample"
@@ -22,9 +20,9 @@ import (
 
 // SCALE experiment shape: a million-statement log streamed through the
 // template-compressing ingestion, then a robust design of the folded
-// workload at several shard counts. The log cycles the R1 first-month
-// queries, so the distinct-template count — and with it every gated value —
-// is a pure function of the workload seed.
+// workload. The log cycles the R1 first-month queries, so the
+// distinct-template count — and with it every gated value — is a pure
+// function of the workload seed.
 const (
 	scaleBenchLogLines   = 1_000_000
 	scaleBenchSamples    = 16
@@ -46,27 +44,13 @@ type ScaleResult struct {
 	FrozenLen     int  // distinct template keys of the folded frequency vector
 	FoldIdentical bool // folded FrozenVectors bit-identical to the expected weighted workload's
 	CountersMatch bool // obs ingest_* counters agree with the ingestion stats
-	Iterations    int  // robust-loop iterations actually run (all runs agree)
+	Iterations    int  // robust-loop iterations actually run
 
-	PooledCostCalls uint64 // evaluation-layer cost-model calls, pooled evaluator at parallelism 1
-	ShardCostCalls  uint64 // same, shard-fanout evaluator at 4 shards (private memos recost shared queries)
-
-	Shard1Match bool // shards=1 designs+traces bit-identical to pooled p=1
-	Shard2Match bool
-	Shard4Match bool
-
-	// Warm-shard satellite (informational: reported in the benchrunner Info
-	// block, not gated, so the BENCH_SCALE baseline needn't change shape): a
-	// second 4-shard run importing the pooled run's exported unit-cost
-	// generation. The shard-private memos pre-seed from the generation on
-	// first miss, so shared queries stop being re-costed once per shard.
-	WarmShardCostCalls uint64 // cost-model calls, 4 shards with warm-start import
-	WarmShardWarmHits  uint64 // unit costs served from the imported generation
-	WarmShardMatch     bool   // warm 4-shard designs+traces bit-identical to pooled
+	PooledCostCalls uint64 // evaluation-layer cost-model calls of the design run
 
 	// Wall-clock and memory (informational, never gated).
 	IngestMs    float64
-	DesignMs    float64 // pooled reference run
+	DesignMs    float64 // robust design of the folded workload
 	Compression float64 // LogLines / Templates
 	HeapMB      float64 // runtime.MemStats.HeapInuse after ingestion, MiB
 	SysMB       float64 // runtime.MemStats.Sys after ingestion, MiB
@@ -110,10 +94,8 @@ func (ls *logStream) Read(p []byte) (int, error) {
 // ScaleBench runs the million-query-scale experiment: stream a
 // scaleBenchLogLines-statement log (the set's first-month queries, cycled)
 // through the template-compressing ingestion, check the folded workload's
-// frequency vectors bit-match the expected weighted workload, then run the
-// same fixed-seed robust design with the pooled evaluator (parallelism 1)
-// and the shard-fanout evaluator at 1, 2, and 4 shards, requiring
-// bit-identical designs and traces throughout.
+// frequency vectors bit-match the expected weighted workload, then run a
+// fixed-seed robust design of the folded workload at parallelism 1.
 func ScaleBench(set *wlgen.Set, gamma float64, seed int64) (*ScaleResult, error) {
 	s := set.Config.Schema
 	if len(set.Months) == 0 || set.Months[0].Len() == 0 {
@@ -188,97 +170,28 @@ func ScaleBench(set *wlgen.Set, gamma float64, seed int64) (*ScaleResult, error)
 	}
 	res.FoldIdentical = frozenEqual(folded, expected)
 
-	// Phase 2: the same robust design at pooled parallelism 1 (reference)
-	// and shard counts 1, 2, 4. Designs and traces must be bit-identical.
-	type runOut struct {
-		design   *designer.Design
-		traces   []core.Trace
-		calls    uint64
-		warmHits uint64
-		ms       float64
-		gen      *evalcache.Generation
-	}
-	run := func(shards int, warm *evalcache.Generation, export bool) (*runOut, error) {
-		db := vertsim.Open(s)
-		nominal := vertsim.NewDesigner(db, VerticaBudget)
-		metric := distance.NewEuclidean(s.NumColumns())
-		sampler := sample.New(metric, sample.NewMutator(s))
-		counting := &countingCost{inner: db}
-		cg := core.New(nominal, counting, sampler, core.Options{
-			Gamma:            gamma,
-			Samples:          scaleBenchSamples,
-			Iterations:       scaleBenchIterations,
-			Seed:             seed,
-			Parallelism:      1,
-			Shards:           shards,
-			WarmStart:        warm,
-			ExportGeneration: export,
-		})
-		target := folded.Clone()
-		start := time.Now()
-		h := cg.Start(context.Background(), target)
-		d, traces, err := h.Await(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		return &runOut{
-			design: d, traces: traces,
-			calls:    counting.calls.Load(),
-			warmHits: h.Stats().WarmHits,
-			ms:       float64(time.Since(start).Microseconds()) / 1000,
-			gen:      h.Generation(),
-		}, nil
-	}
-	pooled, err := run(0, nil, true)
+	// Phase 2: a fixed-seed robust design of the folded workload.
+	db := vertsim.Open(s)
+	nominal := vertsim.NewDesigner(db, VerticaBudget)
+	metric := distance.NewEuclidean(s.NumColumns())
+	sampler := sample.New(metric, sample.NewMutator(s))
+	counting := &countingCost{inner: db}
+	cg := core.New(nominal, counting, sampler, core.Options{
+		Gamma:       gamma,
+		Samples:     scaleBenchSamples,
+		Iterations:  scaleBenchIterations,
+		Seed:        seed,
+		Parallelism: 1,
+	})
+	target := folded.Clone()
+	start = time.Now()
+	_, traces, err := cg.DesignWithTrace(context.Background(), target)
 	if err != nil {
-		return nil, fmt.Errorf("bench: scale pooled run: %w", err)
+		return nil, fmt.Errorf("bench: scale design run: %w", err)
 	}
-	res.Iterations = len(pooled.traces)
-	res.PooledCostCalls = pooled.calls
-	res.DesignMs = pooled.ms
-
-	match := func(o *runOut) bool {
-		if o.design.Fingerprint() != pooled.design.Fingerprint() ||
-			o.design.String() != pooled.design.String() ||
-			len(o.traces) != len(pooled.traces) {
-			return false
-		}
-		for i := range o.traces {
-			if o.traces[i] != pooled.traces[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for _, sh := range []int{1, 2, 4} {
-		o, err := run(sh, nil, false)
-		if err != nil {
-			return nil, fmt.Errorf("bench: scale run at %d shards: %w", sh, err)
-		}
-		switch sh {
-		case 1:
-			res.Shard1Match = match(o)
-		case 2:
-			res.Shard2Match = match(o)
-		case 4:
-			res.Shard4Match = match(o)
-			res.ShardCostCalls = o.calls
-		}
-	}
-
-	// Warm-shard pass: re-run the 4-shard configuration with the pooled run's
-	// exported generation imported. Every unit cost the pooled run scored is
-	// available to every shard's private memo by content hash, so the cold
-	// run's per-shard re-costing of shared queries collapses to memo hits —
-	// while the trajectory stays bit-identical (imported values are the exact
-	// model outputs).
-	warm, err := run(4, pooled.gen, false)
-	if err != nil {
-		return nil, fmt.Errorf("bench: scale warm 4-shard run: %w", err)
-	}
-	res.WarmShardCostCalls = warm.calls
-	res.WarmShardWarmHits = warm.warmHits
-	res.WarmShardMatch = match(warm)
+	res.DesignMs = float64(time.Since(start).Microseconds()) / 1000
+	res.Iterations = len(traces)
+	res.PooledCostCalls = counting.calls.Load()
 	return res, nil
 }
 

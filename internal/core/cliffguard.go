@@ -132,15 +132,12 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 
 	// Line 2: sample the Gamma-neighborhood. The sampler fans its draws
 	// across the same worker budget as neighborhood evaluation; results are
-	// bit-identical at any parallelism (per-draw RNG substreams). In sharded
-	// mode the shard count IS the worker budget, so it drives the sampler too.
-	if opts.Shards > 0 {
-		cg.Sampler.Parallelism = opts.Shards
-	} else {
-		cg.Sampler.Parallelism = opts.Parallelism
-	}
+	// bit-identical at any parallelism (per-draw RNG substreams). The run
+	// works on its own copy, so concurrent runs never write cg.Sampler.
+	sampler := *cg.Sampler
+	sampler.Parallelism = opts.Parallelism
 	sampleStart := em.clock()
-	neighborhood, err := cg.Sampler.Neighborhood(rng, w0, opts.Gamma, opts.Samples)
+	neighborhood, err := sampler.Neighborhood(rng, w0, opts.Gamma, opts.Samples)
 	if err != nil {
 		return nil, nil, stats, nil, fmt.Errorf("core: sampling Gamma-neighborhood: %w", err)
 	}
@@ -225,7 +222,7 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 
 		// Robust local move: merge and re-design. The move reads the same
 		// unit-cost memo the ranking pass just filled.
-		moved := cg.moveWorkload(ctx, w0, moveTargets, d, alpha, ev.moveMemo())
+		moved := cg.moveWorkload(ctx, w0, moveTargets, d, alpha, ev.units)
 		cand, err := cg.invokeNominal(ctx, em, nominal, iter, moved)
 		if err != nil {
 			return nil, nil, stats, nil, fmt.Errorf("core: nominal design on moved workload: %w", err)
@@ -270,7 +267,7 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 	// the per-iteration harvests already exported.
 	ev.harvest()
 	stats.FinalWorst = worst
-	stats.WarmHits = ev.warmHitsTotal()
+	stats.WarmHits = ev.warmHits()
 	if em.met != nil && stats.WarmHits > 0 {
 		em.met.EvalWarmHits.Add(stats.WarmHits)
 	}

@@ -42,15 +42,8 @@ import (
 // 2 x |distinct queries| regardless of iteration count.
 type runEval struct {
 	cg     *CliffGuard
-	units  *evalcache.Cache        // nil when the fast path is disabled or sharded
+	units  *evalcache.Cache        // nil when the fast path is disabled
 	scores map[uint64][]evalResult // design fingerprint -> index-aligned pass results
-
-	// Sharded mode (Options.Shards > 0): one private unit-cost memo per
-	// shard worker instead of the shared units cache. shards is the
-	// configured count; shardUnits is nil when the fast path is disabled
-	// (the sharded fan-out still runs, uncached).
-	shards     int
-	shardUnits []*evalcache.Cache
 
 	// Cross-run generation handoff (Options.WarmStart/ExportGeneration): gen
 	// accumulates the run's export — harvested before every retain eviction
@@ -62,27 +55,13 @@ type runEval struct {
 // newRunEval builds the run's evaluator. With DisableEvalFastPath both
 // caches stay nil and score degenerates to the legacy full pass.
 func (cg *CliffGuard) newRunEval(opts Options) *runEval {
-	re := &runEval{cg: cg, shards: opts.Shards}
+	re := &runEval{cg: cg}
 	if !opts.DisableEvalFastPath {
 		re.scores = make(map[uint64][]evalResult)
-		if re.shards > 0 {
-			re.shardUnits = make([]*evalcache.Cache, re.shards)
-			for k := range re.shardUnits {
-				re.shardUnits[k] = evalcache.New()
-				// Every shard-private memo shares the imported generation:
-				// queries the shards have in common are pre-seeded instead of
-				// re-costed once per shard.
-				re.shardUnits[k].SetWarm(opts.WarmStart)
-			}
-			if opts.Metrics != nil {
-				opts.Metrics.RegisterCache("evalcache", shardStats(re.shardUnits))
-			}
-		} else {
-			re.units = evalcache.New()
-			re.units.SetWarm(opts.WarmStart)
-			if opts.Metrics != nil {
-				opts.Metrics.RegisterCache("evalcache", re.units.Stats)
-			}
+		re.units = evalcache.New()
+		re.units.SetWarm(opts.WarmStart)
+		if opts.Metrics != nil {
+			opts.Metrics.RegisterCache("evalcache", re.units.Stats)
 		}
 		if opts.ExportGeneration {
 			re.gen = evalcache.NewGeneration()
@@ -95,38 +74,18 @@ func (cg *CliffGuard) newRunEval(opts Options) *runEval {
 // generation. Called before each retain eviction and once at run end; a no-op
 // unless Options.ExportGeneration armed the export.
 func (re *runEval) harvest() {
-	if re.gen == nil {
-		return
-	}
-	if re.units != nil {
+	if re.gen != nil {
 		re.units.ExportInto(re.gen)
 	}
-	for _, c := range re.shardUnits {
-		c.ExportInto(re.gen)
-	}
 }
 
-// warmHitsTotal sums warm-generation hits across the run's memos.
-func (re *runEval) warmHitsTotal() uint64 {
-	var n uint64
-	if re.units != nil {
-		n += re.units.WarmHits()
+// warmHits counts the unit costs the run's memo served from the imported
+// generation.
+func (re *runEval) warmHits() uint64 {
+	if re.units == nil {
+		return 0
 	}
-	for _, c := range re.shardUnits {
-		n += c.WarmHits()
-	}
-	return n
-}
-
-// moveMemo returns the unit-cost memo moveWorkload should read: the shared
-// cache, or shard 0's private memo in sharded mode. A sharded memo holds only
-// shard 0's queries, so some lookups miss and recompute — bit-identical
-// either way, because memoized costs are the exact model outputs.
-func (re *runEval) moveMemo() *evalcache.Cache {
-	if re.shardUnits != nil {
-		return re.shardUnits[0]
-	}
-	return re.units
+	return re.units.WarmHits()
 }
 
 // score evaluates the neighborhood under d, replaying the memoized pass when
@@ -140,12 +99,7 @@ func (re *runEval) score(ctx context.Context, neighborhood []*workload.Workload,
 			return cached
 		}
 	}
-	var res []evalResult
-	if re.shards > 0 {
-		res = re.cg.evalNeighborhoodSharded(ctx, neighborhood, d, em, iter, phase, re.shardUnits, re.shards)
-	} else {
-		res = re.cg.evalNeighborhood(ctx, neighborhood, d, em, iter, phase, re.units)
-	}
+	res := re.cg.evalNeighborhood(ctx, neighborhood, d, em, iter, phase, re.units)
 	if re.scores != nil && cacheableResults(res) {
 		re.scores[d.Fingerprint()] = res
 	}
@@ -189,12 +143,7 @@ func (re *runEval) retain(incumbent, candidate *designer.Design) {
 			delete(re.scores, fp)
 		}
 	}
-	if re.units != nil {
-		re.units.Retain(fpI, fpC)
-	}
-	for _, c := range re.shardUnits {
-		c.Retain(fpI, fpC)
-	}
+	re.units.Retain(fpI, fpC)
 }
 
 // cacheableResults reports whether a pass may be memoized: per-workload

@@ -66,17 +66,6 @@ type Options struct {
 	// and traces for a fixed Seed: evaluation results are merged by
 	// neighborhood index, never by completion order.
 	Parallelism int
-	// Shards switches neighborhood evaluation to the shard-fanout evaluator:
-	// the sampled neighborhood is partitioned into Shards contiguous index
-	// ranges, each evaluated sequentially by its own worker with a private
-	// unit-cost memo, and results are merged by neighborhood index. Designs,
-	// traces and per-pass event multisets are bit-identical at any shard
-	// count (and to the pooled evaluator), because per-workload cost sums are
-	// always accumulated in item order within one worker and memoized unit
-	// costs are pure values. Shards also drives the sampler's draw
-	// parallelism when set. Zero or negative means the pooled
-	// Parallelism-bound evaluator (the historical behavior).
-	Shards int
 	// DisableAccumulation reverts to the paper's literal formulation where
 	// each robust move sees only the current iteration's worst neighbors
 	// (ablation knob; see the package comment for why accumulation is the
@@ -114,9 +103,7 @@ type Options struct {
 	// workload repeats almost no cost-model calls. Memoized values are the
 	// exact float64s the pure cost model returned, so designs, traces, and
 	// events are bit-identical warm vs cold — the generation MUST come from
-	// a run against the same cost model. In sharded mode every
-	// shard-private memo shares the generation, which also stops shards
-	// from re-costing the queries they share. nil disables the import;
+	// a run against the same cost model. nil disables the import;
 	// DisableEvalFastPath disables it too (there is no memo to warm).
 	WarmStart *evalcache.Generation
 	// ExportGeneration makes the run harvest its unit-cost memo into a
@@ -133,7 +120,7 @@ type Options struct {
 	// (false) memoizes unit costs per (query, design-fingerprint) and
 	// replays whole passes for already-scored designs; designs, traces, and
 	// JSONL events are bit-identical either way, so this is purely an escape
-	// hatch (mirroring sample.Sampler.DisableFastPath).
+	// hatch (the EVAL benchmark's uncached reference pass).
 	DisableEvalFastPath bool
 
 	// Observer receives the loop's typed instrumentation events
@@ -196,9 +183,6 @@ func (o Options) Validate() error {
 	if o.TopFraction < 0 || o.TopFraction > 1 {
 		return fmt.Errorf("core: TopFraction = %g, must lie in [0, 1] (0 = default)", o.TopFraction)
 	}
-	if o.Shards < 0 {
-		return fmt.Errorf("core: Shards = %d, must be >= 0 (0 = pooled evaluator)", o.Shards)
-	}
 	if o.InitialAlpha != 0 && !(o.InitialAlpha > AlphaMin && o.InitialAlpha <= AlphaMax) {
 		return fmt.Errorf("core: InitialAlpha = %g, must lie in (%g, %g] — the line search clamps alpha to [AlphaMin, AlphaMax] (0 = default)",
 			o.InitialAlpha, AlphaMin, AlphaMax)
@@ -248,9 +232,6 @@ func (o Options) Normalized() Options {
 	}
 	if o.MemberTimeout < 0 {
 		o.MemberTimeout = 0
-	}
-	if o.Shards < 0 {
-		o.Shards = 0
 	}
 	for _, m := range o.Portfolio {
 		if m == nil {

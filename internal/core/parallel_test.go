@@ -250,3 +250,53 @@ func TestWorkersResolution(t *testing.T) {
 		t.Errorf("negative parallelism: got %d, want NumCPU", got)
 	}
 }
+
+// TestConcurrentRunsShareGuard: two runs on one CliffGuard at the same time
+// must not race (each run samples with its own copy of the guard's sampler)
+// and must each return the design and trace of a sequential run. Run it
+// under -race.
+func TestConcurrentRunsShareGuard(t *testing.T) {
+	s := testSchema()
+	w := testWorkload(s, rand.New(rand.NewSource(13)), 10)
+	cg, _ := newGuard(s, Options{Gamma: 0.003, Samples: 8, Iterations: 3, Seed: 5, Parallelism: 2})
+
+	refD, refTraces, err := cg.DesignWithTrace(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type out struct {
+		d      *designer.Design
+		traces []Trace
+		err    error
+	}
+	outs := make([]out, 2)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d, traces, err := cg.DesignWithTrace(context.Background(), w)
+			outs[i] = out{d, traces, err}
+		}(i)
+	}
+	wg.Wait()
+	for i, o := range outs {
+		if o.err != nil {
+			t.Fatalf("run %d: %v", i, o.err)
+		}
+		if o.d.Fingerprint() != refD.Fingerprint() || o.d.String() != refD.String() {
+			t.Fatalf("run %d: design %s, want %s", i, o.d, refD)
+		}
+		if len(o.traces) != len(refTraces) {
+			t.Fatalf("run %d: %d traces, want %d", i, len(o.traces), len(refTraces))
+		}
+		for j := range refTraces {
+			if o.traces[j] != refTraces[j] {
+				t.Fatalf("run %d: trace %d = %+v, want %+v", i, j, o.traces[j], refTraces[j])
+			}
+		}
+	}
+	if cg.Sampler.Parallelism != 0 {
+		t.Fatalf("run wrote the guard's sampler: Parallelism = %d", cg.Sampler.Parallelism)
+	}
+}

@@ -33,7 +33,7 @@ type RunStats struct {
 	// strictly improving moves.
 	FinalWorst float64
 	// WarmHits counts evaluation-layer unit costs served from the imported
-	// Options.WarmStart generation (summed across shard memos).
+	// Options.WarmStart generation.
 	WarmHits uint64
 }
 

@@ -2,10 +2,8 @@
 // spec-driven entry point: Open(Spec) returns an Engine — a cost model plus
 // the engine-specific plumbing every caller previously had to wire by hand
 // (schema access, the nominal designer for a storage budget, metrics
-// instrumentation). The facade's historical constructors (NewVertica,
-// NewRowStore, NewApproxEngine and the *WithData variants) remain as thin
-// wrappers over Open, and everything built since the serving layer —
-// cliffguardd tenant configs, the cliffguard CLI, RunSpec — speaks Spec.
+// instrumentation). The facade's OpenEngine, cliffguardd tenant configs,
+// the cliffguard CLI and RunSpec all speak Spec.
 package engine
 
 import (

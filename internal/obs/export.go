@@ -93,7 +93,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	counter("cliffguard_online_redesigns_total", "Online re-design runs started.", m.OnlineRedesigns.Load())
 	counter("cliffguard_online_published_total", "Candidate designs published as the new incumbent.", m.OnlinePublished.Load())
 	counter("cliffguard_online_safety_rejected_total", "Candidates rejected by the safety acceptance rule.", m.OnlineSafetyRejected.Load())
-	labeledCounter("cliffguard_shard_evals_total", "Per-workload evaluations, per evaluator shard.", "shard", &m.ShardEvals)
 	counter("cliffguard_portfolio_runs_total", "Designer-portfolio invocations.", m.PortfolioRuns.Load())
 	counter("cliffguard_portfolio_member_errors_total", "Portfolio members that returned an error.", m.PortfolioMemberErrors.Load())
 	counter("cliffguard_portfolio_member_timeouts_total", "Portfolio members that exceeded their timeout.", m.PortfolioMemberTimeouts.Load())
@@ -265,7 +264,6 @@ func (m *Metrics) ExpvarFunc() expvar.Func {
 				"templates_compressed": m.IngestTemplatesCompressed.Load(),
 				"parse_skips":          m.IngestParseSkips.Load(),
 			},
-			"shard_evals":        m.ShardEvals.Snapshot(),
 			"eval_warm_hits":     m.EvalWarmHits.Load(),
 			"workload_add_skips": m.WorkloadAddSkips.Load(),
 			"online": map[string]any{
@@ -283,8 +281,8 @@ func (m *Metrics) ExpvarFunc() expvar.Func {
 				"member_timeouts": m.PortfolioMemberTimeouts.Load(),
 				"wins":            m.PortfolioWins.Snapshot(),
 			},
-			"pool_queue_depth": m.PoolQueueDepth.Load(),
-			"pool_workers_busy":      m.PoolWorkersBusy.Load(),
+			"pool_queue_depth":  m.PoolQueueDepth.Load(),
+			"pool_workers_busy": m.PoolWorkersBusy.Load(),
 			"latency": map[string]any{
 				"sample":    hist(&m.SampleLatency),
 				"eval":      hist(&m.EvalLatency),

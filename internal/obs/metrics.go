@@ -200,9 +200,6 @@ type Metrics struct {
 	OnlinePublished      Counter // candidate designs published as the new incumbent
 	OnlineSafetyRejected Counter // candidates rejected by the safety acceptance rule
 
-	// Sharded evaluator (internal/core, Options.Shards > 0).
-	ShardEvals LabeledCounter // per-workload evaluations, per shard index
-
 	// Designer-portfolio activity (internal/portfolio).
 	PortfolioRuns           Counter        // portfolio Design invocations
 	PortfolioMemberErrors   Counter        // member designers that returned an error
@@ -304,13 +301,11 @@ type MetricsSnapshot struct {
 	MovesRejected        uint64 `json:"moves_rejected"`
 	IterationsCompleted  uint64 `json:"iterations_completed"`
 
-	// Ingestion and shard-fanout families. Zero (and omitted) for runs that
-	// never stream a workload or shard the evaluator, so pre-existing
-	// snapshots keep their exact shape.
-	IngestQueriesStreamed     uint64            `json:"ingest_queries_streamed,omitempty"`
-	IngestTemplatesCompressed uint64            `json:"ingest_templates_compressed,omitempty"`
-	IngestParseSkips          uint64            `json:"ingest_parse_skips,omitempty"`
-	ShardEvals                map[string]uint64 `json:"shard_evals,omitempty"`
+	// Ingestion families. Zero (and omitted) for runs that never stream a
+	// workload, so pre-existing snapshots keep their exact shape.
+	IngestQueriesStreamed     uint64 `json:"ingest_queries_streamed,omitempty"`
+	IngestTemplatesCompressed uint64 `json:"ingest_templates_compressed,omitempty"`
+	IngestParseSkips          uint64 `json:"ingest_parse_skips,omitempty"`
 
 	// Warm-start and online-mode families. Zero (and omitted) for offline
 	// cold runs, so pre-existing snapshots keep their exact shape.
@@ -370,7 +365,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		IngestQueriesStreamed:     m.IngestQueriesStreamed.Load(),
 		IngestTemplatesCompressed: m.IngestTemplatesCompressed.Load(),
 		IngestParseSkips:          m.IngestParseSkips.Load(),
-		ShardEvals:                m.ShardEvals.Snapshot(),
 
 		EvalWarmHits:         m.EvalWarmHits.Load(),
 		WorkloadAddSkips:     m.WorkloadAddSkips.Load(),

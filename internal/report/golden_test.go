@@ -64,8 +64,11 @@ func goldenRun(t *testing.T) (events, spans *os.File) {
 	rec := cliffguard.NewSpanRecorder(sf)
 	reg := cliffguard.NewMetrics()
 
-	db := cliffguard.NewVertica(s)
-	nominal := cliffguard.NewVerticaDesigner(db, 256<<20)
+	db, err := cliffguard.OpenEngine(cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Schema: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nominal := db.NominalDesigner(256 << 20)
 	opts := cliffguard.Options{
 		Gamma: 0.002, Samples: 6, Iterations: 3, Seed: 7, Parallelism: 2,
 	}.WithObserver(cliffguard.MultiObserver(sink, rec)).WithMetrics(reg)

@@ -24,12 +24,12 @@ func BenchmarkSampleAt(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleAtLegacy is BenchmarkSampleAt with the closed-form landing
-// disabled: every draw pays the build-and-verify Distance evaluations.
+// BenchmarkSampleAtLegacy is BenchmarkSampleAt over a metric with its
+// Quadratic methods hidden: every draw pays the build-and-verify Distance
+// evaluations.
 func BenchmarkSampleAtLegacy(b *testing.B) {
 	s := testSchema()
-	sampler, _ := newTestSampler(s)
-	sampler.DisableFastPath = true
+	sampler := New(legacyMetric{distance.NewEuclidean(s.NumColumns())}, NewMutator(s))
 	rng := rand.New(rand.NewSource(1))
 	w0 := baseWorkload(s, rng, 20)
 	b.ResetTimer()

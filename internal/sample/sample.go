@@ -17,7 +17,11 @@
 // DESIGN.md "Closed-form blend landing") — so the verify/grow/bisect phase
 // and its up-to-80 Distance evaluations are skipped entirely. Non-quadratic
 // metrics (delta_latency) and non-disjoint perturbation sets (possible under
-// restricted clause masks) keep the verification-and-bisection fallback.
+// restricted clause masks) keep the verification-and-bisection fallback. The
+// landing is chosen by the metric's type alone: wrapping a quadratic metric
+// as struct{ distance.Metric } hides DistanceDisjoint and selects the
+// fallback, which is how tests and the SAMPLER benchmark reach the legacy
+// landing for comparison.
 //
 // Neighborhood fans its draws across a bounded worker pool, one derived RNG
 // substream per draw index, so the result is bit-identical at any
@@ -69,12 +73,6 @@ type Sampler struct {
 	// <= 0 means GOMAXPROCS; 1 runs on the caller's goroutine. Results are
 	// bit-identical at every setting (per-draw RNG substreams).
 	Parallelism int
-	// DisableFastPath forces the build-and-verify landing even for quadratic
-	// metrics. The closed form and the legacy path produce the same workload
-	// (the legacy path's first verification succeeds and returns the same
-	// blend); this switch exists for benchmarks and the property tests that
-	// prove exactly that.
-	DisableFastPath bool
 	// Metrics, when non-nil, counts draws, perturbation-set retries, failed
 	// draws, fast/slow-path landings, and sampler Distance evaluations.
 	Metrics *obs.Metrics
@@ -106,9 +104,6 @@ func (s *Sampler) SampleAt(rng *rand.Rand, w0 *workload.Workload, alpha float64)
 	}
 
 	quad, isQuad := s.Metric.(distance.Quadratic)
-	if s.DisableFastPath {
-		isQuad = false
-	}
 
 	// Find Q = {q1..qk}, Q disjoint from W0's templates, with
 	// delta(W0, Q) > alpha; grow k when unsuccessful. The frozen vector's

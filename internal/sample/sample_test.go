@@ -234,41 +234,3 @@ func TestMutatorEmptyInputs(t *testing.T) {
 		t.Error("k=0 should yield no candidates")
 	}
 }
-
-func TestSampleAtIntegral(t *testing.T) {
-	s := testSchema()
-	sampler, m := newTestSampler(s)
-	rng := rand.New(rand.NewSource(8))
-	w0 := baseWorkload(s, rng, 12)
-
-	// With a large enough alpha the integral variant lands within the
-	// quantization error of floor(c).
-	alpha := 0.01
-	w1, err := sampler.SampleAtIntegral(rng, w0, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Distance(w0, w1)
-	if got <= 0 || got > alpha*1.5 {
-		t.Errorf("integral sample landed at %g for alpha %g", got, alpha)
-	}
-	// All blend weights are integral multiples of the source weights (copies).
-	if w1.Len() <= w0.Len() {
-		t.Error("integral sample added no copies")
-	}
-	// alpha = 0 clones.
-	w2, err := sampler.SampleAtIntegral(rng, w0, 0)
-	if err != nil || m.Distance(w0, w2) != 0 {
-		t.Fatalf("alpha=0: %v", err)
-	}
-	// Errors mirror SampleAt.
-	if _, err := sampler.SampleAtIntegral(rng, &workload.Workload{}, 0.01); err == nil {
-		t.Error("empty workload should fail")
-	}
-	if _, err := sampler.SampleAtIntegral(rng, w0, -1); err == nil {
-		t.Error("negative alpha should fail")
-	}
-	if _, err := sampler.SampleAtIntegral(rng, w0, 9); !errors.Is(err, ErrNoPerturbation) {
-		t.Error("unreachable alpha should be ErrNoPerturbation")
-	}
-}

@@ -134,7 +134,7 @@ type RunRequest struct {
 	Iterations    int      `json:"iterations,omitempty"`
 	Seed          int64    `json:"seed,omitempty"`
 	Parallelism   int      `json:"parallelism,omitempty"`
-	Shards        int      `json:"shards,omitempty"`
+	Shards        int      `json:"shards,omitempty"` // deprecated alias of Parallelism, kept so older clients still decode
 	TopFraction   float64  `json:"top_fraction,omitempty"`
 	Metric        string   `json:"metric,omitempty"`
 	Designers     []string `json:"designers,omitempty"`
@@ -144,6 +144,9 @@ type RunRequest struct {
 func (r RunRequest) validate() error {
 	if r.Gamma <= 0 {
 		return fmt.Errorf("gamma must be > 0 (the nominal design needs no server)")
+	}
+	if r.Shards < 0 {
+		return fmt.Errorf("shards = %d, must be >= 0", r.Shards)
 	}
 	if _, err := resolveMetric(r.Metric, 1); err != nil {
 		return err
@@ -156,15 +159,20 @@ func (r RunRequest) validate() error {
 	return r.Options().Validate()
 }
 
-// options lowers the wire request to loop options.
+// Options lowers the wire request to loop options. A positive Shards stands
+// in for an unset Parallelism.
 func (r RunRequest) Options() core.Options {
 	var mt time.Duration
 	if r.MemberTimeout != "" {
 		mt, _ = time.ParseDuration(r.MemberTimeout)
 	}
+	par := r.Parallelism
+	if par == 0 && r.Shards > 0 {
+		par = r.Shards
+	}
 	return core.Options{
 		Gamma: r.Gamma, Samples: r.Samples, Iterations: r.Iterations,
-		Seed: r.Seed, Parallelism: r.Parallelism, Shards: r.Shards,
+		Seed: r.Seed, Parallelism: par,
 		TopFraction: r.TopFraction, MemberTimeout: mt,
 	}
 }

@@ -10,10 +10,9 @@ import (
 	"cliffguard/internal/sqlparse"
 )
 
-// The engine facade: one spec-driven constructor for every engine simulator.
-// OpenEngine(EngineSpec{Kind: "rowstore"}) replaces the historical
-// per-engine constructor pairs (NewVertica/NewVerticaWithData, ...), which
-// remain as thin deprecated wrappers over it.
+// The engine facade: one spec-driven constructor for every engine simulator,
+// e.g. OpenEngine(EngineSpec{Kind: "rowstore"}). Engine.NominalDesigner
+// returns the engine's own designer and Engine.Unwrap the simulator.
 type (
 	// EngineSpec declares which engine to open (kind, scale, optional
 	// explicit schema or dataset). The zero Kind means "vertica".
