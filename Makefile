@@ -36,14 +36,17 @@ race:
 
 # Short fuzz of the SQL parser, ingest's statement splitting (pipelined
 # reader vs the line-at-a-time reference), the JSONL stream decoders, the
-# ILP solver's brute-force cross-check, and the /v1 run-request decoder, on
-# top of the checked-in corpora (go's -fuzz takes one target per invocation).
+# ILP solver's brute-force cross-check, the pair-table designers (budget,
+# and Exact ILP vs brute force and the greedy designers), and the /v1
+# run-request decoder, on top of the checked-in corpora (go's -fuzz takes one
+# target per invocation).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/ingest/
 	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzDecodeSpans -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzILPSolve -fuzztime=5s ./internal/ilp/
+	$(GO) test -fuzz=FuzzPairTable -fuzztime=5s ./internal/portfolio/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=5s ./internal/serve/
 
 # Regression-lock the run-analysis math: the golden event stream must

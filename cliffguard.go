@@ -420,9 +420,7 @@ func WorkloadStats(w *Workload) workload.Stats { return workload.ComputeStats(w)
 
 // CandidateProvider is implemented by the engines' nominal designers: it
 // exposes the candidate structures a workload induces.
-type CandidateProvider interface {
-	Candidates(w *Workload) []Structure
-}
+type CandidateProvider = designer.CandidateProvider
 
 // FilterDesignable returns the sub-workload of queries that some ideal
 // (budget-unconstrained, single-query tailored) design speeds up by at least
@@ -440,7 +438,7 @@ func FilterDesignable(ctx context.Context, cm CostModel, provider CandidateProvi
 		key := it.Q.TemplateKey(workload.MaskSWGO)
 		ok, seen := cache[key]
 		if !seen {
-			ok = isDesignable(ctx, cm, provider, it.Q, factor)
+			ok = designer.Designable(ctx, cm, provider, it.Q, factor)
 			cache[key] = ok
 		}
 		if ok {
@@ -448,25 +446,4 @@ func FilterDesignable(ctx context.Context, cm CostModel, provider CandidateProvi
 		}
 	}
 	return out
-}
-
-func isDesignable(ctx context.Context, cm CostModel, provider CandidateProvider, q *Query, factor float64) bool {
-	base, err := cm.Cost(ctx, q, nil)
-	if err != nil {
-		return false
-	}
-	single := workload.New(q)
-	cands := provider.Candidates(single)
-	if len(cands) == 0 {
-		return false
-	}
-	ideal, err := designer.GreedySelect(ctx, cm, single, cands, 1<<62)
-	if err != nil {
-		return false
-	}
-	best, err := cm.Cost(ctx, q, ideal)
-	if err != nil || best <= 0 {
-		return false
-	}
-	return base/best >= factor
 }

@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -124,10 +123,39 @@ func (m *MajorityVote) Design(ctx context.Context, w *workload.Workload) (*desig
 }
 
 // CandidateProvider is implemented by nominal designers that can expose
-// their candidate structure pool (both engine designers do); the
-// OptimalLocalSearch baseline requires it.
-type CandidateProvider interface {
-	Candidates(w *workload.Workload) []designer.Structure
+// their candidate structure pool (both engine designers do); the local-search
+// baselines require it.
+type CandidateProvider = designer.CandidateProvider
+
+// localSearchUnion is the preamble the local-search baselines share: it
+// samples the Γ-neighborhood of w and unions it with w into a representative
+// expected workload, each neighbor normalized so no single sample dominates,
+// compressed by template. It also resolves the nominal designer's candidate
+// provider.
+func localSearchUnion(nominal designer.Designer, s *sample.Sampler, w *workload.Workload, gamma float64, samples int, seed int64) (*workload.Workload, CandidateProvider, error) {
+	if w == nil || w.Len() == 0 {
+		return nil, nil, errors.New("baselines: empty workload")
+	}
+	provider, ok := nominal.(CandidateProvider)
+	if !ok {
+		return nil, nil, fmt.Errorf("baselines: %s does not expose candidates", nominal.Name())
+	}
+	if samples <= 0 {
+		samples = 20
+	}
+	neighborhood, err := s.Neighborhood(rand.New(rand.NewSource(seed)), w, gamma, samples)
+	if err != nil {
+		return nil, nil, fmt.Errorf("baselines: local-search sampling: %w", err)
+	}
+	union := w.Scale(1)
+	for _, wn := range neighborhood {
+		t := wn.TotalWeight()
+		if t <= 0 {
+			continue
+		}
+		union = union.Union(wn.Scale(w.TotalWeight() / (t * float64(len(neighborhood)))))
+	}
+	return designer.CompressByTemplate(union), provider, nil
 }
 
 // OptimalLocalSearch samples the neighborhood, unions the neighbor queries
@@ -152,87 +180,17 @@ func (o *OptimalLocalSearch) Design(ctx context.Context, w *workload.Workload) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if w == nil || w.Len() == 0 {
-		return nil, errors.New("baselines: empty workload")
-	}
-	provider, ok := o.Nominal.(CandidateProvider)
-	if !ok {
-		return nil, fmt.Errorf("baselines: %s does not expose candidates", o.Nominal.Name())
-	}
-	samples := o.Samples
-	if samples <= 0 {
-		samples = 20
-	}
-	rng := rand.New(rand.NewSource(o.Seed))
-	neighborhood, err := o.Sampler.Neighborhood(rng, w, o.Gamma, samples)
+	union, provider, err := localSearchUnion(o.Nominal, o.Sampler, w, o.Gamma, o.Samples, o.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("baselines: local-search sampling: %w", err)
+		return nil, err
 	}
-
-	// Representative workload: the union of W0 and its neighbors, each
-	// normalized so no single sample dominates.
-	union := w.Scale(1)
-	for _, wn := range neighborhood {
-		t := wn.TotalWeight()
-		if t <= 0 {
-			continue
-		}
-		union = union.Union(wn.Scale(w.TotalWeight() / (t * float64(len(neighborhood)))))
+	t, err := designer.BuildPairTable(ctx, o.Cost, union, provider.Candidates(union))
+	if err != nil {
+		return nil, fmt.Errorf("baselines: local search: %w", err)
 	}
-	union = designer.CompressByTemplate(union)
-
-	candidates := provider.Candidates(union)
-	if len(candidates) == 0 {
-		return designer.NewDesign(), nil
-	}
-
-	// Build the ILP: per-query base costs and per-(query, structure) costs.
-	var queries []*workload.Query
-	var weights []float64
-	for _, it := range union.Items {
-		if _, err := o.Cost.Cost(ctx, it.Q, nil); err != nil {
-			continue // skip unsupported queries
-		}
-		queries = append(queries, it.Q)
-		weights = append(weights, it.Weight)
-	}
-	prob := &ilp.Problem{
-		Weights: weights,
-		Base:    make([]float64, len(queries)),
-		Cost:    make([][]float64, len(queries)),
-		Size:    make([]int64, len(candidates)),
-		Budget:  o.Budget,
-	}
-	for s, cand := range candidates {
-		prob.Size[s] = cand.SizeBytes()
-	}
-	for qi, q := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		base, err := o.Cost.Cost(ctx, q, nil)
-		if err != nil {
-			return nil, err
-		}
-		prob.Base[qi] = base
-		row := make([]float64, len(candidates))
-		for si, cand := range candidates {
-			c, err := o.Cost.Cost(ctx, q, designer.NewDesign(cand))
-			if err != nil {
-				row[si] = math.Inf(1)
-				continue
-			}
-			row[si] = c
-		}
-		prob.Cost[qi] = row
-	}
-	sol, err := ilp.Solve(prob, o.MaxILPNode)
+	sol, err := ilp.Solve(t.Problem(t.Indices(), o.Budget), o.MaxILPNode)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: ILP: %w", err)
 	}
-	chosen := make([]designer.Structure, 0, len(sol.Chosen))
-	for _, idx := range sol.Chosen {
-		chosen = append(chosen, candidates[idx])
-	}
-	return designer.NewDesign(chosen...), nil
+	return t.Design(sol.Chosen), nil
 }

@@ -2,9 +2,6 @@ package baselines
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"math/rand"
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/sample"
@@ -31,43 +28,9 @@ func (g *GreedyLocalSearch) Name() string { return "GreedyLocalSearch" }
 
 // Design implements designer.Designer.
 func (g *GreedyLocalSearch) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if w == nil || w.Len() == 0 {
-		return nil, errors.New("baselines: empty workload")
-	}
-	provider, ok := g.Nominal.(CandidateProvider)
-	if !ok {
-		return nil, fmt.Errorf("baselines: %s does not expose candidates", g.Nominal.Name())
-	}
-	samples := g.Samples
-	if samples <= 0 {
-		samples = 20
-	}
-	rng := rand.New(rand.NewSource(g.Seed))
-	neighborhood, err := g.Sampler.Neighborhood(rng, w, g.Gamma, samples)
+	union, provider, err := localSearchUnion(g.Nominal, g.Sampler, w, g.Gamma, g.Samples, g.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("baselines: greedy local-search sampling: %w", err)
+		return nil, err
 	}
-
-	union := w.Scale(1)
-	for _, wn := range neighborhood {
-		t := wn.TotalWeight()
-		if t <= 0 {
-			continue
-		}
-		union = union.Union(wn.Scale(w.TotalWeight() / (t * float64(len(neighborhood)))))
-	}
-	union = designer.CompressByTemplate(union)
-
-	// Skip queries the engine cannot cost (defensive; the sampler only
-	// produces in-schema queries).
-	filtered := &workload.Workload{}
-	for _, it := range union.Items {
-		if _, err := g.Cost.Cost(ctx, it.Q, nil); err == nil {
-			filtered.Add(it.Q, it.Weight)
-		}
-	}
-	return designer.GreedySelect(ctx, g.Cost, filtered, provider.Candidates(filtered), g.Budget)
+	return designer.GreedySelect(ctx, g.Cost, union, provider.Candidates(union), g.Budget)
 }

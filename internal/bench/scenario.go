@@ -226,31 +226,9 @@ func (sc *Scenario) Designable(q *workload.Query) bool {
 	if v, ok := sc.designableCache[key]; ok {
 		return v
 	}
-	ok := sc.isDesignable(q)
+	ok := designer.Designable(context.Background(), sc.Cost, sc.Provider, q, sc.MinSpeedup)
 	sc.designableCache[key] = ok
 	return ok
-}
-
-func (sc *Scenario) isDesignable(q *workload.Query) bool {
-	ctx := context.Background()
-	base, err := sc.Cost.Cost(ctx, q, nil)
-	if err != nil {
-		return false
-	}
-	single := workload.New(q)
-	cands := sc.Provider.Candidates(single)
-	if len(cands) == 0 {
-		return false
-	}
-	ideal, err := designer.GreedySelect(ctx, sc.Cost, single, cands, 1<<62)
-	if err != nil {
-		return false
-	}
-	best, err := sc.Cost.Cost(ctx, q, ideal)
-	if err != nil || best <= 0 {
-		return false
-	}
-	return base/best >= sc.MinSpeedup
 }
 
 // DesignableQueries filters a window to its designable queries.

@@ -246,97 +246,45 @@ func CompressByTemplate(w *workload.Workload) *workload.Workload {
 //
 // The loop exploits the engines' min-composition property — the cost of a
 // query under a design is the minimum of its per-structure access-path costs
-// — to evaluate candidates incrementally: each (query, structure) pair is
-// costed once, and a pick only lowers the per-query running minimum.
+// — to evaluate candidates incrementally over a PairTable: each (query,
+// structure) pair is costed once, and a pick only lowers the per-query
+// running minimum. Errors follow BuildPairTable's contract.
 func GreedySelect(ctx context.Context, cm CostModel, w *workload.Workload, candidates []Structure, budget int64) (*Design, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	design := NewDesign()
-	if len(candidates) == 0 {
-		return design, nil
+	t, err := BuildPairTable(ctx, cm, w, candidates)
+	if err != nil {
+		return nil, err
 	}
-	var structures []Structure
-	seen := make(map[string]bool, len(candidates))
-	for _, c := range candidates {
-		if c == nil || seen[c.Key()] {
-			continue
-		}
-		seen[c.Key()] = true
-		structures = append(structures, c)
+	cur := append([]float64(nil), t.Base...)
+	sel, err := t.Greedy(ctx, t.Indices(), make([]bool, len(t.Pool)), cur, 0, budget)
+	if err != nil {
+		return nil, err
 	}
-
-	nq := len(w.Items)
-	cur := make([]float64, nq)
-	for i, it := range w.Items {
-		c, err := cm.Cost(ctx, it.Q, nil)
-		if err != nil {
-			return nil, fmt.Errorf("costing %s: %w", it.Q, err)
-		}
-		cur[i] = c
-	}
-	// pair[s][q]: cost of query q with structure s alone.
-	pair := make([][]float64, len(structures))
-	for si, s := range structures {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row := make([]float64, nq)
-		d := NewDesign(s)
-		for qi, it := range w.Items {
-			c, err := cm.Cost(ctx, it.Q, d)
-			if err != nil {
-				return nil, fmt.Errorf("costing %s: %w", it.Q, err)
-			}
-			row[qi] = c
-		}
-		pair[si] = row
-	}
-
-	taken := make([]bool, len(structures))
-	used := int64(0)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bestIdx := -1
-		bestScore := 0.0
-		for si, s := range structures {
-			if taken[si] || used+s.SizeBytes() > budget {
-				continue
-			}
-			var gain float64
-			for qi, it := range w.Items {
-				if c := pair[si][qi]; c < cur[qi] {
-					gain += it.Weight * (cur[qi] - c)
-				}
-			}
-			if gain <= 0 {
-				continue
-			}
-			score := gain / float64(maxI64(s.SizeBytes(), 1))
-			if bestIdx < 0 || score > bestScore {
-				bestIdx, bestScore = si, score
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		taken[bestIdx] = true
-		design = design.With(structures[bestIdx])
-		used += structures[bestIdx].SizeBytes()
-		for qi := range cur {
-			if c := pair[bestIdx][qi]; c < cur[qi] {
-				cur[qi] = c
-			}
-		}
-	}
-	return design, nil
+	return t.Design(sel), nil
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+// Designable reports whether some ideal design — budget-unconstrained and
+// tailored to q alone — speeds q up by at least factor. Any cost-model
+// error, cancellation included, makes q non-designable.
+func Designable(ctx context.Context, cm CostModel, provider CandidateProvider, q *workload.Query, factor float64) bool {
+	base, err := cm.Cost(ctx, q, nil)
+	if err != nil {
+		return false
 	}
-	return b
+	single := workload.New(q)
+	cands := provider.Candidates(single)
+	if len(cands) == 0 {
+		return false
+	}
+	ideal, err := GreedySelect(ctx, cm, single, cands, 1<<62)
+	if err != nil {
+		return false
+	}
+	best, err := cm.Cost(ctx, q, ideal)
+	if err != nil || best <= 0 {
+		return false
+	}
+	return base/best >= factor
 }

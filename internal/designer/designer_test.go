@@ -260,6 +260,52 @@ func TestGreedySelectPropagatesErrors(t *testing.T) {
 	}
 }
 
+// callLog records every (query ID, design keys) Cost call in order.
+type callLog struct {
+	CostModel
+	calls []string
+}
+
+func (l *callLog) Cost(ctx context.Context, q *workload.Query, d *Design) (float64, error) {
+	keys := make([]string, 0, d.Len())
+	if d != nil {
+		for _, s := range d.Structures {
+			keys = append(keys, s.Key())
+		}
+	}
+	l.calls = append(l.calls, fmt.Sprintf("%d%v", q.ID, keys))
+	return l.CostModel.Cost(ctx, q, d)
+}
+
+// TestBuildPairTableOrder pins the parts of the table's contract the
+// designer-level tests cannot see: an empty pool makes no call, the pool
+// keeps first occurrences, and calls go base first, then structure outer,
+// query inner.
+func TestBuildPairTableOrder(t *testing.T) {
+	w := workload.New(mkQuery(1, 0), mkQuery(2, 1))
+	log := &callLog{CostModel: &tableCost{base: 10, serves: map[string]map[int64]float64{"b": {2: 3}}}}
+	tab, err := BuildPairTable(context.Background(), log, w, []Structure{nil})
+	if err != nil || len(log.calls) != 0 || len(tab.Queries) != 0 {
+		t.Fatalf("empty pool: %d calls, %d queries, err %v", len(log.calls), len(tab.Queries), err)
+	}
+	a := &fakeStructure{"a", 1}
+	b := &fakeStructure{"b", 2}
+	tab, err = BuildPairTable(context.Background(), log, w, []Structure{a, nil, b, &fakeStructure{"a", 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Pool) != 2 || tab.Pool[0] != a || tab.Pool[1] != b {
+		t.Fatalf("pool = %v", tab.Pool)
+	}
+	want := "[1[] 2[] 1[a] 2[a] 1[b] 2[b]]"
+	if got := fmt.Sprint(log.calls); got != want {
+		t.Fatalf("calls = %s, want %s", got, want)
+	}
+	if tab.Pair[1][1] != 3 || tab.Base[1] != 10 {
+		t.Fatalf("table = %v / %v", tab.Base, tab.Pair)
+	}
+}
+
 func TestFingerprintOrderIndependent(t *testing.T) {
 	a := &fakeStructure{"a", 10}
 	b := &fakeStructure{"b", 20}

@@ -23,13 +23,8 @@ import (
 	"cliffguard/internal/workload"
 )
 
-// CandidateProvider is implemented by the engines' nominal designers: it
-// exposes the candidate structure pool a workload induces. (Structurally
-// identical to baselines.CandidateProvider; redeclared here to keep the
-// package free of a baselines dependency.)
-type CandidateProvider interface {
-	Candidates(w *workload.Workload) []designer.Structure
-}
+// CandidateProvider exposes the candidate structure pool a workload induces.
+type CandidateProvider = designer.CandidateProvider
 
 // AutoAdmin is a candidate-pruning greedy designer in the classic
 // Chaudhuri/Narasayya AutoAdmin shape: select the best few candidates per
@@ -100,74 +95,29 @@ func (a *AutoAdmin) Design(ctx context.Context, w *workload.Workload) (*designer
 		return nil, errors.New("portfolio: AutoAdmin: empty workload")
 	}
 	cw := designer.CompressByTemplate(w)
-	pool := dedupe(a.Provider.Candidates(cw))
-	if len(pool) == 0 {
-		return designer.NewDesign(), nil
+	t, err := designer.BuildPairTable(ctx, a.Cost, cw, a.Provider.Candidates(cw))
+	if err != nil {
+		return nil, fmt.Errorf("portfolio: AutoAdmin: %w", err)
 	}
-
-	// Cost tables: base[q] and pair[s][q] (cost of query q with structure s
-	// alone). Queries outside the cost model's supported subset are dropped;
-	// per-(query, structure) errors mark the pair inapplicable (+Inf), the
-	// same convention as the ILP lowering.
-	var queries []*workload.Query
-	var weights []float64
-	var base []float64
-	for _, it := range cw.Items {
-		c, err := a.Cost.Cost(ctx, it.Q, nil)
-		if err != nil {
-			if errors.Is(err, designer.ErrUnsupported) {
-				continue
-			}
-			return nil, fmt.Errorf("portfolio: AutoAdmin: costing %s: %w", it.Q, err)
-		}
-		queries = append(queries, it.Q)
-		weights = append(weights, it.Weight)
-		base = append(base, c)
-	}
-	if len(queries) == 0 {
-		return designer.NewDesign(), nil
-	}
-	pair := make([][]float64, len(pool))
-	for si, s := range pool {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row := make([]float64, len(queries))
-		d := designer.NewDesign(s)
-		for qi, q := range queries {
-			c, err := a.Cost.Cost(ctx, q, d)
-			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return nil, ctxErr
-				}
-				row[qi] = math.Inf(1) // pair inapplicable; same convention as the ILP lowering
-				continue
-			}
-			row[qi] = c
-		}
-		pair[si] = row
-	}
-
-	pruned := a.pruneCandidates(pool, pair, base, weights)
-	return a.greedyKM(ctx, pool, pruned, pair, base, weights)
+	return a.greedyKM(ctx, t, t.Top(a.pruneCandidates(t), a.maxPool()))
 }
 
 // pruneCandidates is the AutoAdmin per-query candidate selection: each query
 // keeps its PerQuery best structures by standalone benefit, and the pruned
 // pool is their union in original candidate order (deterministic: benefit
-// ties keep the earlier candidate). If the union still exceeds MaxPool, the
-// structures with the highest total weighted benefit per byte survive.
-func (a *AutoAdmin) pruneCandidates(pool []designer.Structure, pair [][]float64, base, weights []float64) []int {
+// ties keep the earlier candidate). Design caps the union at MaxPool by
+// benefit per byte.
+func (a *AutoAdmin) pruneCandidates(t *designer.PairTable) []int {
 	m := a.perQuery()
-	keep := make([]bool, len(pool))
+	keep := make([]bool, len(t.Pool))
 	type scored struct {
 		si      int
 		benefit float64
 	}
-	for qi := range base {
+	for qi, base := range t.Base {
 		var best []scored
-		for si := range pool {
-			if b := base[qi] - pair[si][qi]; b > 0 {
+		for si, row := range t.Pair {
+			if b := base - row[qi]; b > 0 {
 				best = append(best, scored{si, b})
 			}
 		}
@@ -180,24 +130,10 @@ func (a *AutoAdmin) pruneCandidates(pool []designer.Structure, pair [][]float64,
 		}
 	}
 	var pruned []int
-	for si := range pool {
-		if keep[si] {
+	for si, k := range keep {
+		if k {
 			pruned = append(pruned, si)
 		}
-	}
-	if maxPool := a.maxPool(); len(pruned) > maxPool {
-		total := make([]float64, len(pool))
-		for _, si := range pruned {
-			for qi := range base {
-				if b := base[qi] - pair[si][qi]; b > 0 {
-					total[si] += weights[qi] * b
-				}
-			}
-			total[si] /= float64(maxI64(pool[si].SizeBytes(), 1))
-		}
-		sort.SliceStable(pruned, func(i, j int) bool { return total[pruned[i]] > total[pruned[j]] })
-		pruned = pruned[:maxPool]
-		sort.Ints(pruned)
 	}
 	return pruned
 }
@@ -212,69 +148,7 @@ func (a *AutoAdmin) pruneCandidates(pool []designer.Structure, pair [][]float64,
 // the completion. Seeds are enumerated in lexicographic index order and
 // improvements are strict, so ties always keep the earliest configuration —
 // deterministic by construction.
-func (a *AutoAdmin) greedyKM(ctx context.Context, pool []designer.Structure, pruned []int, pair [][]float64, base, weights []float64) (*designer.Design, error) {
-	nq := len(base)
-
-	objective := func(cur []float64) float64 {
-		var total float64
-		for qi := 0; qi < nq; qi++ {
-			total += weights[qi] * cur[qi]
-		}
-		return total
-	}
-	minInto := func(cur []float64, si int) {
-		for qi := 0; qi < nq; qi++ {
-			if c := pair[si][qi]; c < cur[qi] {
-				cur[qi] = c
-			}
-		}
-	}
-
-	// complete greedily extends a seed state by benefit per byte until the
-	// budget or the gains run out, returning the final objective and the
-	// seed's full configuration. Benefit ties keep the earliest pruned index.
-	complete := func(seed []int, cur []float64, used int64) (float64, []int) {
-		sel := append([]int(nil), seed...)
-		taken := make(map[int]bool, len(pruned))
-		for _, si := range seed {
-			taken[si] = true
-		}
-		for {
-			bestIdx := -1
-			bestScore := 0.0
-			for _, si := range pruned {
-				if taken[si] {
-					continue
-				}
-				sz := poolSize(pool, si)
-				if used+sz > a.Budget {
-					continue
-				}
-				var gain float64
-				for qi := 0; qi < nq; qi++ {
-					if c := pair[si][qi]; c < cur[qi] {
-						gain += weights[qi] * (cur[qi] - c)
-					}
-				}
-				if gain <= 0 {
-					continue
-				}
-				score := gain / float64(maxI64(sz, 1))
-				if bestIdx < 0 || score > bestScore {
-					bestIdx, bestScore = si, score
-				}
-			}
-			if bestIdx < 0 {
-				break
-			}
-			taken[bestIdx] = true
-			minInto(cur, bestIdx)
-			used += poolSize(pool, bestIdx)
-			sel = append(sel, bestIdx)
-		}
-		return objective(cur), sel
-	}
-
+func (a *AutoAdmin) greedyKM(ctx context.Context, t *designer.PairTable, pruned []int) (*designer.Design, error) {
 	var bestSel []int
 	bestObj := math.Inf(1)
 	var rec func(start int, chosen []int, used int64, cur []float64) error
@@ -282,58 +156,38 @@ func (a *AutoAdmin) greedyKM(ctx context.Context, pool []designer.Structure, pru
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if obj, sel := complete(chosen, append([]float64(nil), cur...), used); obj < bestObj {
+		taken := make([]bool, len(t.Pool))
+		for _, si := range chosen {
+			taken[si] = true
+		}
+		done := append([]float64(nil), cur...)
+		picks, err := t.Greedy(ctx, pruned, taken, done, used, a.Budget)
+		if err != nil {
+			return err
+		}
+		if obj := t.Objective(done); obj < bestObj {
 			bestObj = obj
-			bestSel = sel
+			bestSel = append(append([]int(nil), chosen...), picks...)
 		}
 		if len(chosen) >= a.seedSize() {
 			return nil
 		}
 		for i := start; i < len(pruned); i++ {
 			si := pruned[i]
-			sz := poolSize(pool, si)
+			sz := t.Pool[si].SizeBytes()
 			if used+sz > a.Budget {
 				continue
 			}
-			next := make([]float64, nq)
-			copy(next, cur)
-			minInto(next, si)
+			next := append([]float64(nil), cur...)
+			t.Lower(next, si)
 			if err := rec(i+1, append(chosen, si), used+sz, next); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := rec(0, nil, 0, append([]float64(nil), base...)); err != nil {
+	if err := rec(0, nil, 0, append([]float64(nil), t.Base...)); err != nil {
 		return nil, err
 	}
-
-	design := designer.NewDesign()
-	for _, si := range bestSel {
-		design = design.With(pool[si])
-	}
-	return design, nil
-}
-
-func poolSize(pool []designer.Structure, si int) int64 { return pool[si].SizeBytes() }
-
-// dedupe drops nil and duplicate-key structures, keeping first occurrences.
-func dedupe(in []designer.Structure) []designer.Structure {
-	seen := make(map[string]bool, len(in))
-	var out []designer.Structure
-	for _, s := range in {
-		if s == nil || seen[s.Key()] {
-			continue
-		}
-		seen[s.Key()] = true
-		out = append(out, s)
-	}
-	return out
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return t.Design(bestSel), nil
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/ilp"
@@ -87,111 +85,21 @@ func (d *ILPDesigner) DesignExact(ctx context.Context, w *workload.Workload) (*R
 		return nil, errors.New("portfolio: ILP: empty workload")
 	}
 	cw := designer.CompressByTemplate(w)
-	pool := dedupe(d.Provider.Candidates(cw))
-	if len(pool) == 0 {
-		return &Result{Design: designer.NewDesign(), Exact: true}, nil
-	}
-
-	// Base costs; unsupported queries drop out of the objective (they cost
-	// the same under every design).
-	var queries []*workload.Query
-	var weights []float64
-	var base []float64
-	for _, it := range cw.Items {
-		c, err := d.Cost.Cost(ctx, it.Q, nil)
-		if err != nil {
-			if errors.Is(err, designer.ErrUnsupported) {
-				continue
-			}
-			return nil, fmt.Errorf("portfolio: ILP: costing %s: %w", it.Q, err)
-		}
-		queries = append(queries, it.Q)
-		weights = append(weights, it.Weight)
-		base = append(base, c)
-	}
-	if len(queries) == 0 {
-		return &Result{Design: designer.NewDesign(), Exact: true}, nil
-	}
-
-	// Per-(query, structure) what-if costs; +Inf marks inapplicable pairs.
-	pair := make([][]float64, len(pool))
-	for si, s := range pool {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row := make([]float64, len(queries))
-		sd := designer.NewDesign(s)
-		for qi, q := range queries {
-			c, err := d.Cost.Cost(ctx, q, sd)
-			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return nil, ctxErr
-				}
-				row[qi] = math.Inf(1)
-				continue
-			}
-			row[qi] = c
-		}
-		pair[si] = row
-	}
-
-	keep := d.capPool(pool, pair, base, weights)
-
-	prob := &ilp.Problem{
-		Weights: weights,
-		Base:    base,
-		Cost:    make([][]float64, len(queries)),
-		Size:    make([]int64, len(keep)),
-		Budget:  d.Budget,
-	}
-	for ki, si := range keep {
-		prob.Size[ki] = pool[si].SizeBytes()
-	}
-	for qi := range queries {
-		row := make([]float64, len(keep))
-		for ki, si := range keep {
-			row[ki] = pair[si][qi]
-		}
-		prob.Cost[qi] = row
-	}
-	sol, err := ilp.Solve(prob, d.MaxNodes)
+	t, err := designer.BuildPairTable(ctx, d.Cost, cw, d.Provider.Candidates(cw))
 	if err != nil {
 		return nil, fmt.Errorf("portfolio: ILP: %w", err)
 	}
-	chosen := make([]designer.Structure, 0, len(sol.Chosen))
-	for _, ki := range sol.Chosen {
-		chosen = append(chosen, pool[keep[ki]])
+	if len(t.Queries) == 0 {
+		return &Result{Design: designer.NewDesign(), Exact: true}, nil
 	}
-	return &Result{
-		Design: designer.NewDesign(chosen...),
-		Exact:  sol.Exact,
-		Nodes:  sol.Nodes,
-	}, nil
-}
-
-// capPool returns the (sorted ascending) pool indices fed to the solver:
-// all of them when the pool fits MaxCandidates, otherwise the top
-// total-weighted-benefit-per-byte slice. Ties keep the earlier candidate.
-func (d *ILPDesigner) capPool(pool []designer.Structure, pair [][]float64, base, weights []float64) []int {
-	keep := make([]int, len(pool))
-	for i := range keep {
-		keep[i] = i
+	keep := t.Top(t.Indices(), d.maxCandidates())
+	sol, err := ilp.Solve(t.Problem(keep, d.Budget), d.MaxNodes)
+	if err != nil {
+		return nil, fmt.Errorf("portfolio: ILP: %w", err)
 	}
-	maxCand := d.maxCandidates()
-	if maxCand < 0 || len(keep) <= maxCand {
-		return keep
+	sel := make([]int, len(sol.Chosen))
+	for i, ki := range sol.Chosen {
+		sel[i] = keep[ki]
 	}
-	total := make([]float64, len(pool))
-	for si := range pool {
-		for qi := range base {
-			if b := base[qi] - pair[si][qi]; b > 0 {
-				total[si] += weights[qi] * b
-			}
-		}
-		total[si] /= float64(maxI64(pool[si].SizeBytes(), 1))
-	}
-	sort.SliceStable(keep, func(i, j int) bool { return total[keep[i]] > total[keep[j]] })
-	keep = keep[:maxCand]
-	sort.Ints(keep)
-	return keep
+	return &Result{Design: t.Design(sel), Exact: sol.Exact, Nodes: sol.Nodes}, nil
 }

@@ -79,7 +79,7 @@ func aggQueries() []*workload.Query {
 // total bytes).
 func oracleInstance(cost designer.CostModel, provider CandidateProvider, queries []*workload.Query) *portfoliotest.Instance {
 	w := designer.CompressByTemplate(workload.New(queries...))
-	pool := dedupe(provider.Candidates(w))
+	pool := designer.NewDesign(provider.Candidates(w)...).Structures
 	if len(pool) > portfoliotest.MaxPool {
 		pool = pool[:portfoliotest.MaxPool]
 	}

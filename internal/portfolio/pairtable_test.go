@@ -1,0 +1,258 @@
+package portfolio
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"cliffguard/internal/baselines"
+	"cliffguard/internal/designer"
+	"cliffguard/internal/portfolio/portfoliotest"
+	"cliffguard/internal/sample"
+	"cliffguard/internal/workload"
+)
+
+// tableModel is a min-composed fake what-if model. base holds each query's
+// empty-design cost by query ID (absent: ErrUnsupported under every design);
+// pair[key][id] lowers a query's cost when that structure is in the design;
+// unsup[key][id] makes the singleton design {key} ErrUnsupported for the
+// query (in a larger design the structure is simply not used); a hard key
+// fails every design holding it with errHard.
+type tableModel struct {
+	base  map[int64]float64
+	pair  map[string]map[int64]float64
+	unsup map[string]map[int64]bool
+	hard  map[string]bool
+}
+
+var errHard = errors.New("tableModel: hard failure")
+
+func (m *tableModel) Cost(_ context.Context, q *workload.Query, d *designer.Design) (float64, error) {
+	best, ok := m.base[q.ID]
+	if !ok {
+		return 0, designer.ErrUnsupported
+	}
+	if d == nil {
+		return best, nil
+	}
+	for _, s := range d.Structures {
+		if m.hard[s.Key()] {
+			return 0, errHard
+		}
+		if m.unsup[s.Key()][q.ID] {
+			if d.Len() == 1 {
+				return 0, designer.ErrUnsupported
+			}
+			continue
+		}
+		if c, ok := m.pair[s.Key()][q.ID]; ok && c < best {
+			best = c
+		}
+	}
+	return best, nil
+}
+
+// tq builds query id with a template of its own (CompressByTemplate keeps
+// it separate).
+func tq(id int64) *workload.Query {
+	return workload.FromSpec(id, time.Time{}, &workload.Spec{Table: "f", SelectCols: []int{int(id)}})
+}
+
+// fixedNominal is a nominal designer exposing a fixed candidate pool, as the
+// local-search baselines require.
+type fixedNominal struct{ portfoliotest.FixedProvider }
+
+func (fixedNominal) Name() string { return "fixed" }
+
+func (fixedNominal) Design(context.Context, *workload.Workload) (*designer.Design, error) {
+	return nil, errors.New("fixedNominal: not a designer")
+}
+
+type designFunc func(ctx context.Context, w *workload.Workload) (*designer.Design, error)
+
+func (f designFunc) Name() string { return "GreedySelect" }
+
+func (f designFunc) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
+	return f(ctx, w)
+}
+
+// pairTableDesigners returns every structure-selection designer built on
+// designer.PairTable, pinned to a fixed pool. The local-search baselines run
+// with Γ = 0, so their union workload is w with doubled weights.
+func pairTableDesigners(cm designer.CostModel, pool []designer.Structure, budget int64) []designer.Designer {
+	provider := portfoliotest.FixedProvider(pool)
+	return []designer.Designer{
+		designFunc(func(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
+			return designer.GreedySelect(ctx, cm, w, pool, budget)
+		}),
+		&AutoAdmin{Cost: cm, Provider: provider, Budget: budget},
+		&ILPDesigner{Cost: cm, Provider: provider, Budget: budget, MaxCandidates: -1},
+		&baselines.OptimalLocalSearch{Nominal: fixedNominal{provider}, Cost: cm,
+			Sampler: &sample.Sampler{}, Budget: budget, Samples: 2},
+		&baselines.GreedyLocalSearch{Nominal: fixedNominal{provider}, Cost: cm,
+			Sampler: &sample.Sampler{}, Budget: budget, Samples: 2},
+	}
+}
+
+// TestDesignersSharePairTableContract pins BuildPairTable's error contract
+// on every designer built on it: an unsupported query drops out, a hard
+// error on a singleton pair fails the design, and an unsupported pair never
+// serves its query.
+func TestDesignersSharePairTableContract(t *testing.T) {
+	ok, bad := tq(1), tq(2)
+	a, b := stubStructure{"a", 10}, stubStructure{"b", 10}
+	x, h := stubStructure{"x", 10}, stubStructure{"h", 10}
+	m := &tableModel{
+		base: map[int64]float64{1: 100},
+		// a would win if the unsupported query counted; b wins on ok alone.
+		pair:  map[string]map[int64]float64{"a": {1: 50, 2: 1}, "b": {1: 40}, "x": {1: 1}},
+		unsup: map[string]map[int64]bool{"x": {1: true}},
+		hard:  map[string]bool{"h": true},
+	}
+	ctx := context.Background()
+	cases := []struct {
+		name   string
+		w      *workload.Workload
+		pool   []designer.Structure
+		budget int64
+		want   *designer.Design // compared by fingerprint; nil means errHard
+	}{
+		{"unsupported query drops", workload.New(ok, bad), []designer.Structure{a, b}, 10, designer.NewDesign(b)},
+		{"without the unsupported query", workload.New(ok), []designer.Structure{a, b}, 10, designer.NewDesign(b)},
+		{"hard pair error fails", workload.New(ok), []designer.Structure{a, h}, 20, nil},
+		{"unsupported pair never serves", workload.New(ok), []designer.Structure{x, b}, 20, designer.NewDesign(b)},
+	}
+	for _, tc := range cases {
+		for _, d := range pairTableDesigners(m, tc.pool, tc.budget) {
+			got, err := d.Design(ctx, tc.w)
+			if tc.want == nil {
+				if !errors.Is(err, errHard) {
+					t.Errorf("%s / %s: err = %v, want errHard wrapped", tc.name, d.Name(), err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s / %s: %v", tc.name, d.Name(), err)
+				continue
+			}
+			if got.Fingerprint() != tc.want.Fingerprint() {
+				t.Errorf("%s / %s: design %v, want %v", tc.name, d.Name(), got, tc.want)
+			}
+		}
+	}
+}
+
+// fuzzBytes hands out fuzz input bytes, then zeros once exhausted.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return v
+}
+
+// FuzzPairTable builds small instances (at most 8 structures, 6 queries)
+// from fuzz bytes over a table-backed fake model and checks every designer
+// built on the pair table: each design fits the budget, and an Exact ILP
+// design attains the brute-force surrogate optimum and is no worse than
+// GreedySelect's or AutoAdmin's.
+func FuzzPairTable(f *testing.F) {
+	f.Add([]byte{4, 3, 128, 10, 20, 30, 40, 50, 1, 60, 2, 70, 3, 9, 17, 33, 65, 129, 200, 8, 100, 150})
+	f.Add([]byte{8, 6, 64, 1, 2, 3, 4, 5, 6, 7, 8, 90, 1, 80, 2, 0, 3, 70, 4, 60, 5, 50, 6})
+	f.Add([]byte{1, 1, 255, 7, 9, 9, 8})
+	f.Add([]byte{0, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		ns, nq := int(in.next())%9, 1+int(in.next())%6
+		budgetFrac := float64(in.next()) / 255
+		m := &tableModel{base: map[int64]float64{}, pair: map[string]map[int64]float64{},
+			unsup: map[string]map[int64]bool{}}
+		pool := make([]designer.Structure, ns)
+		var total int64
+		for s := range pool {
+			key := string(rune('a' + s))
+			pool[s] = stubStructure{key, 1 + int64(in.next())%100}
+			total += pool[s].SizeBytes()
+			m.pair[key], m.unsup[key] = map[int64]float64{}, map[int64]bool{}
+		}
+		budget := int64(budgetFrac * float64(total))
+		w := &workload.Workload{}
+		for qi := 0; qi < nq; qi++ {
+			id := int64(qi + 1)
+			w.Add(tq(id), 0.1+float64(in.next())/64)
+			if v := in.next(); v%10 != 0 { // one in ten queries is unsupported
+				m.base[id] = 10 + float64(v)
+			}
+			for s := range pool {
+				key := pool[s].Key()
+				switch v := in.next(); {
+				case v%8 == 0:
+					m.unsup[key][id] = true
+				case v%8 != 1: // v%8 == 1: the structure does not touch the query
+					m.pair[key][id] = m.base[id] * float64(v) / 200
+				}
+			}
+		}
+		ctx := context.Background()
+		for _, d := range pairTableDesigners(m, pool, budget) {
+			got, err := d.Design(ctx, w)
+			if err != nil {
+				t.Fatalf("%s: %v", d.Name(), err)
+			}
+			if got.SizeBytes() > budget {
+				t.Fatalf("%s: design of %d bytes exceeds budget %d", d.Name(), got.SizeBytes(), budget)
+			}
+		}
+
+		res, err := (&ILPDesigner{Cost: m, Provider: portfoliotest.FixedProvider(pool),
+			Budget: budget, MaxCandidates: -1}).DesignExact(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Exact {
+			return
+		}
+		// Objectives are the surrogate's (each query at its cheapest chosen
+		// structure or base): a singleton design whose pair is unsupported
+		// would drop that query from a plain workload evaluation.
+		table, err := designer.BuildPairTable(ctx, m, w, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objective := func(d *designer.Design) float64 {
+			cur := append([]float64(nil), table.Base...)
+			keys := d.Keys()
+			for si, s := range table.Pool {
+				if keys[s.Key()] {
+					table.Lower(cur, si)
+				}
+			}
+			return table.Objective(cur)
+		}
+		brute, err := portfoliotest.BruteForceObjective(table.Problem(table.Indices(), budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ilpObj := objective(res.Design)
+		if !approx(ilpObj, brute) {
+			t.Fatalf("Exact ILP objective %.12g, brute-force optimum %.12g", ilpObj, brute)
+		}
+		greedy, err := designer.GreedySelect(ctx, m, w, pool, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aa, err := (&AutoAdmin{Cost: m, Provider: portfoliotest.FixedProvider(pool), Budget: budget}).Design(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, d := range map[string]*designer.Design{"GreedySelect": greedy, "AutoAdmin": aa} {
+			if c := objective(d); ilpObj > c && !approx(ilpObj, c) {
+				t.Fatalf("Exact ILP objective %.12g, more than %s's %.12g", ilpObj, name, c)
+			}
+		}
+	})
+}

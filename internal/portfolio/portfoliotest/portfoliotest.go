@@ -117,46 +117,13 @@ func (in *Instance) Evaluate(ctx context.Context, d *designer.Design) (float64, 
 }
 
 // Problem lowers the instance to the surrogate ilp.Problem the same way
-// ILPDesigner does: Base from the no-design cost, Cost[q][s] from singleton
-// what-if calls, +Inf for inapplicable pairs, unsupported queries dropped.
+// ILPDesigner does, through designer.BuildPairTable over the whole pool.
 func (in *Instance) Problem(ctx context.Context) (*ilp.Problem, error) {
-	var weights, base []float64
-	var queries []*workload.Query
-	for _, it := range in.W.Items {
-		c, err := in.Cost.Cost(ctx, it.Q, nil)
-		if err != nil {
-			if errors.Is(err, designer.ErrUnsupported) {
-				continue
-			}
-			return nil, err
-		}
-		queries = append(queries, it.Q)
-		weights = append(weights, it.Weight)
-		base = append(base, c)
+	t, err := designer.BuildPairTable(ctx, in.Cost, in.W, in.Pool)
+	if err != nil {
+		return nil, err
 	}
-	p := &ilp.Problem{
-		Weights: weights,
-		Base:    base,
-		Cost:    make([][]float64, len(queries)),
-		Size:    make([]int64, len(in.Pool)),
-		Budget:  in.Budget,
-	}
-	for qi := range queries {
-		p.Cost[qi] = make([]float64, len(in.Pool))
-	}
-	for si, s := range in.Pool {
-		p.Size[si] = s.SizeBytes()
-		sd := designer.NewDesign(s)
-		for qi, q := range queries {
-			c, err := in.Cost.Cost(ctx, q, sd)
-			if err != nil {
-				p.Cost[qi][si] = math.Inf(1)
-				continue
-			}
-			p.Cost[qi][si] = c
-		}
-	}
-	return p, nil
+	return t.Problem(t.Indices(), in.Budget), nil
 }
 
 // BruteForceObjective computes the surrogate problem's true optimum by
