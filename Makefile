@@ -19,7 +19,10 @@ api-baseline:
 	LC_ALL=C $(GO) run ./tools/apicheck -routes > api/http.api
 	@echo "api/cliffguard.api + api/http.api refreshed; commit them together with the API change"
 
+# go vet, plus a gofmt check: any file gofmt would rewrite fails the gate.
 vet:
+	@drift=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$drift" ]; then echo "gofmt drift, run gofmt -w on:"; echo "$$drift"; exit 1; fi
 	$(GO) vet ./...
 
 build:

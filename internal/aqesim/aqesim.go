@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,6 +46,7 @@ type Sample struct {
 	Fraction float64
 
 	key  string
+	fp   uint64 // costcache.PathKey(key): the memo's path fingerprint
 	size int64
 }
 
@@ -93,6 +95,7 @@ func NewSample(s *schema.Schema, table string, strata []int, fraction float64) (
 		parts[i] = fmt.Sprintf("%d", c)
 	}
 	sm.key = fmt.Sprintf("sample:%s:strata=%s:f=%.4f", table, strings.Join(parts, ","), fraction)
+	sm.fp = costcache.PathKey(sm.key)
 	return sm, nil
 }
 
@@ -178,14 +181,13 @@ func (db *DB) answerable(q *workload.Query, sm *Sample) bool {
 	if len(spec.Aggs) == 0 {
 		return false // point/detail queries need exact rows
 	}
-	strata := sm.StrataSet()
 	for _, c := range spec.GroupBy {
-		if !strata.Has(c) {
+		if !slices.Contains(sm.Strata, c) {
 			return false
 		}
 	}
 	for _, p := range spec.Preds {
-		if !strata.Has(p.Col) {
+		if !slices.Contains(sm.Strata, p.Col) {
 			return false
 		}
 	}
@@ -199,20 +201,24 @@ func (db *DB) check(q *workload.Query) error {
 	if _, ok := db.Schema.Table(q.Spec.Table); !ok {
 		return fmt.Errorf("aqesim: unknown table %q: %w", q.Spec.Table, designer.ErrUnsupported)
 	}
-	for _, c := range q.Spec.ReferencedCols() {
-		if !db.Schema.ValidID(c) || db.Schema.Column(c).Table != q.Spec.Table {
-			return fmt.Errorf("aqesim: column %d outside anchor %q: %w", c, q.Spec.Table, designer.ErrUnsupported)
-		}
+	bad := -1
+	if q.EachRef(func(c int) bool {
+		bad = c
+		return db.Schema.ValidID(c) && db.Schema.Column(c).Table == q.Spec.Table
+	}) {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("aqesim: column %d outside anchor %q: %w", bad, q.Spec.Table, designer.ErrUnsupported)
 }
 
+// pathCost estimates latency of q via sample sm (nil = full table),
+// memoized per (query, path fingerprint) pair in the sharded cache.
 func (db *DB) pathCost(q *workload.Query, sm *Sample) float64 {
-	pathKey := ""
+	var path uint64
 	if sm != nil {
-		pathKey = sm.Key()
+		path = sm.fp
 	}
-	return db.memo.GetOrCompute(q, pathKey, func() float64 {
+	return db.memo.GetOrCompute(q, path, func() float64 {
 		return db.computePathCost(q, sm)
 	})
 }
@@ -225,9 +231,10 @@ func (db *DB) computePathCost(q *workload.Query, sm *Sample) float64 {
 		fraction = sm.Fraction
 	}
 	var width float64
-	for _, c := range q.Spec.ReferencedCols() {
+	q.EachRef(func(c int) bool {
 		width += float64(db.Schema.Column(c).Type.Width())
-	}
+		return true
+	})
 	scanned := math.Max(rows*fraction, 1)
 	sel := 1.0
 	for _, p := range q.Spec.Preds {

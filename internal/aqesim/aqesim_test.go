@@ -193,3 +193,32 @@ func TestCliffGuardOverSampleSelection(t *testing.T) {
 		t.Fatal("worst case regressed")
 	}
 }
+
+// TestMemoHitCostDoesNotAllocate: with every path memoized, Cost over a
+// design of answerable and unanswerable samples allocates nothing.
+func TestMemoHitCostDoesNotAllocate(t *testing.T) {
+	s := testSchema()
+	db := Open(s)
+	query := aggQuery(0, 2)
+	var structures []designer.Structure
+	for _, strata := range [][]int{{0, 2}, {0, 1, 2}, {1}, {0}} {
+		sm, err := NewSample(s, "f", strata, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		structures = append(structures, sm)
+	}
+	d := designer.NewDesign(structures...)
+	ctx := context.Background()
+	want, err := db.Cost(ctx, query, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if got, _ := db.Cost(ctx, query, d); got != want {
+			t.Fatalf("memo-hit cost %g, want %g", got, want)
+		}
+	}); n != 0 {
+		t.Fatalf("memo-hit Cost allocates %.0f times per call, want 0", n)
+	}
+}

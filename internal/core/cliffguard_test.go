@@ -252,7 +252,7 @@ func TestOptionsValidate(t *testing.T) {
 		{InitialAlpha: -1},
 		{InitialAlpha: AlphaMin},     // at the floor the line search could never shrink
 		{InitialAlpha: AlphaMax + 1}, // above the ceiling the clamp would silently override it
-		{LambdaSuccess: 0.5}, // must grow alpha
+		{LambdaSuccess: 0.5},         // must grow alpha
 		{LambdaSuccess: 1},
 		{LambdaFailure: 3}, // must shrink alpha
 		{LambdaFailure: -0.5},

@@ -1,6 +1,7 @@
 package costcache
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,23 +21,24 @@ func testQueries(n int) []*workload.Query {
 
 func TestLookupStore(t *testing.T) {
 	c := New()
+	pathP := PathKey("p")
 	qs := testQueries(3)
-	if _, ok := c.Lookup(qs[0], "p"); ok {
+	if _, ok := c.Lookup(qs[0], pathP); ok {
 		t.Fatal("empty cache should miss")
 	}
-	c.Store(qs[0], "p", 1.5)
-	if v, ok := c.Lookup(qs[0], "p"); !ok || v != 1.5 {
+	c.Store(qs[0], pathP, 1.5)
+	if v, ok := c.Lookup(qs[0], pathP); !ok || v != 1.5 {
 		t.Fatalf("got (%v, %v), want (1.5, true)", v, ok)
 	}
 	// Same query, different path; same path, different query.
-	if _, ok := c.Lookup(qs[0], "other"); ok {
+	if _, ok := c.Lookup(qs[0], PathKey("other")); ok {
 		t.Fatal("different path should miss")
 	}
-	if _, ok := c.Lookup(qs[1], "p"); ok {
+	if _, ok := c.Lookup(qs[1], pathP); ok {
 		t.Fatal("different query should miss")
 	}
-	c.Store(qs[0], "p", 2.5)
-	if v, _ := c.Lookup(qs[0], "p"); v != 2.5 {
+	c.Store(qs[0], pathP, 2.5)
+	if v, _ := c.Lookup(qs[0], pathP); v != 2.5 {
 		t.Fatalf("overwrite: got %v, want 2.5", v)
 	}
 	if c.Len() != 1 {
@@ -46,13 +48,14 @@ func TestLookupStore(t *testing.T) {
 
 func TestGetOrCompute(t *testing.T) {
 	c := New()
+	pathP := PathKey("p")
 	qs := testQueries(1)
 	calls := 0
 	compute := func() float64 { calls++; return 7 }
-	if v := c.GetOrCompute(qs[0], "p", compute); v != 7 {
+	if v := c.GetOrCompute(qs[0], pathP, compute); v != 7 {
 		t.Fatalf("got %v, want 7", v)
 	}
-	if v := c.GetOrCompute(qs[0], "p", compute); v != 7 {
+	if v := c.GetOrCompute(qs[0], pathP, compute); v != 7 {
 		t.Fatalf("cached: got %v, want 7", v)
 	}
 	if calls != 1 {
@@ -66,9 +69,9 @@ func TestGetOrCompute(t *testing.T) {
 func TestConcurrentHammer(t *testing.T) {
 	c := New()
 	qs := testQueries(32)
-	paths := []string{"", "p1", "p2", "p3"}
-	value := func(q *workload.Query, path string) float64 {
-		return float64(q.ID)*10 + float64(len(path))
+	paths := []uint64{0, PathKey("p1"), PathKey("p2"), PathKey("p3")}
+	value := func(q *workload.Query, path uint64) float64 {
+		return float64(q.ID)*10 + float64(path%7)
 	}
 	var computes atomic.Int64
 	var wg sync.WaitGroup
@@ -86,7 +89,7 @@ func TestConcurrentHammer(t *testing.T) {
 					return value(q, path)
 				})
 				if want := value(q, path); got != want {
-					t.Errorf("GetOrCompute(%d, %q) = %v, want %v", q.ID, path, got, want)
+					t.Errorf("GetOrCompute(%d, %#x) = %v, want %v", q.ID, path, got, want)
 					return
 				}
 			}
@@ -109,11 +112,34 @@ func TestShardSpread(t *testing.T) {
 	c := New()
 	used := make(map[*shard]bool)
 	for _, q := range testQueries(256) {
-		for _, path := range []string{"", "a", "bb"} {
+		for _, path := range []uint64{0, PathKey("a"), PathKey("bb")} {
 			used[c.shardFor(q, path)] = true
 		}
 	}
 	if len(used) < numShards/2 {
 		t.Fatalf("only %d of %d shards used", len(used), numShards)
+	}
+}
+
+// TestPathKey pins the fingerprint contract: deterministic, never the
+// structure-free path 0, and distinct for distinct structure keys.
+func TestPathKey(t *testing.T) {
+	if PathKey("proj:f:f:sort=1") != PathKey("proj:f:f:sort=1") {
+		t.Fatal("PathKey is not deterministic")
+	}
+	seen := make(map[uint64]string)
+	for i := 0; i < 10000; i++ {
+		k := fmt.Sprintf("proj:f:%x:sort=%d", i, i%13)
+		fp := PathKey(k)
+		if fp == 0 {
+			t.Fatalf("PathKey(%q) = 0, the structure-free path", k)
+		}
+		if prev, dup := seen[fp]; dup {
+			t.Fatalf("PathKey(%q) == PathKey(%q)", k, prev)
+		}
+		seen[fp] = k
+	}
+	if PathKey("") == 0 {
+		t.Fatal("PathKey of the empty key is 0")
 	}
 }

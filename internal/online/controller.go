@@ -108,8 +108,8 @@ type Result struct {
 	SafetyRejected bool
 	// IncumbentWorst and CandidateWorst are the worst-case costs the safety
 	// rule compared (NaN when there was no incumbent to compare against).
-	IncumbentWorst  float64
-	CandidateWorst  float64
+	IncumbentWorst float64
+	CandidateWorst float64
 	// WarmHits counts evaluation-layer unit costs the run served from the
 	// previous run's generation instead of the cost model.
 	WarmHits uint64

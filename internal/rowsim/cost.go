@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"cliffguard/internal/costcache"
@@ -93,7 +94,7 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	if err := db.check(q); err != nil {
 		return 0, err
 	}
-	best := db.pathCost(q, "", func() float64 { return db.scanCost(q) })
+	best := db.memo.GetOrCompute(q, 0, func() float64 { return db.scanCost(q) })
 	if d != nil {
 		for _, s := range d.Structures {
 			switch st := s.(type) {
@@ -155,16 +156,14 @@ func (db *DB) check(q *workload.Query) error {
 	if _, ok := db.Schema.Table(q.Spec.Table); !ok {
 		return fmt.Errorf("rowsim: unknown table %q: %w", q.Spec.Table, designer.ErrUnsupported)
 	}
-	for _, c := range q.Spec.ReferencedCols() {
-		if !db.Schema.ValidID(c) || db.Schema.Column(c).Table != q.Spec.Table {
-			return fmt.Errorf("rowsim: column %d outside anchor %q: %w", c, q.Spec.Table, designer.ErrUnsupported)
-		}
+	bad := -1
+	if q.EachRef(func(c int) bool {
+		bad = c
+		return db.Schema.ValidID(c) && db.Schema.Column(c).Table == q.Spec.Table
+	}) {
+		return nil
 	}
-	return nil
-}
-
-func (db *DB) pathCost(q *workload.Query, pathKey string, compute func() float64) float64 {
-	return db.memo.GetOrCompute(q, pathKey, compute)
+	return fmt.Errorf("rowsim: column %d outside anchor %q: %w", bad, q.Spec.Table, designer.ErrUnsupported)
 }
 
 // scanCost is a full-table scan: the row store reads entire rows.
@@ -201,13 +200,13 @@ func (db *DB) indexCost(q *workload.Query, idx *Index) (float64, bool) {
 	fetched := math.Max(rows*matchSel, 1)
 
 	cost := fixedOverheadMs + probeMsPerLookup*math.Log2(rows+2)
-	need := refColsSet(q)
-	if idx.AllCols().Contains(need) {
+	if idx.covers(q) {
 		// Index-only scan over the matched range.
 		var width float64
-		for _, c := range need.IDs() {
+		q.EachRef(func(c int) bool {
 			width += float64(db.Schema.Column(c).Type.Width())
-		}
+			return true
+		})
 		cost += fetched * width / scanBytesPerMs
 	} else {
 		// Base-table fetch per matched row, with random access penalty.
@@ -226,14 +225,13 @@ func (db *DB) mvCost(q *workload.Query, mv *MatView) (float64, bool) {
 	if len(spec.GroupBy) == 0 || len(spec.Aggs) == 0 {
 		return 0, false
 	}
-	gset := mv.GroupSet()
 	for _, c := range spec.GroupBy {
-		if !gset.Has(c) {
+		if !slices.Contains(mv.GroupBy, c) {
 			return 0, false
 		}
 	}
 	for _, c := range spec.SelectCols {
-		if !gset.Has(c) {
+		if !slices.Contains(mv.GroupBy, c) {
 			return 0, false
 		}
 	}
@@ -245,7 +243,7 @@ func (db *DB) mvCost(q *workload.Query, mv *MatView) (float64, bool) {
 		// enforces availability).
 	}
 	for _, p := range spec.Preds {
-		if !gset.Has(p.Col) {
+		if !slices.Contains(mv.GroupBy, p.Col) {
 			return 0, false
 		}
 	}
@@ -288,14 +286,6 @@ func totalSel(spec *workload.Spec) float64 {
 		s *= clampSel(p.Sel)
 	}
 	return s
-}
-
-func refColsSet(q *workload.Query) workload.ColSet {
-	var set workload.ColSet
-	for _, c := range q.Spec.ReferencedCols() {
-		set.Add(c)
-	}
-	return set
 }
 
 func predOn(preds []workload.Pred, col int) (workload.Pred, bool) {

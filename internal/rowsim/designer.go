@@ -125,10 +125,7 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 	}
 	var clusters []*cluster
 	for _, e := range wqs {
-		var cols workload.ColSet
-		for _, c := range e.q.Spec.ReferencedCols() {
-			cols.Add(c)
-		}
+		cols := e.q.Columns()
 		var best *cluster
 		bestJ := 0.0
 		for _, cl := range clusters {

@@ -22,8 +22,7 @@ func (db *DB) Explain(q *workload.Query, d *designer.Design) (string, error) {
 	case *MatView:
 		fmt.Fprintf(&b, "  ROLLUP from %s\n", st.Describe())
 	case *Index:
-		need := refColsSet(q)
-		if st.AllCols().Contains(need) {
+		if st.covers(q) {
 			fmt.Fprintf(&b, "  INDEX-ONLY SCAN %s\n", st.Describe())
 		} else {
 			fmt.Fprintf(&b, "  INDEX SCAN %s + base-table fetch\n", st.Describe())

@@ -10,6 +10,7 @@ package rowsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -107,6 +108,15 @@ func (i *Index) AllCols() workload.ColSet {
 		set.Add(c)
 	}
 	return set
+}
+
+// covers reports whether the index holds every column q references, so q
+// can be answered index-only. It allocates nothing: the what-if path calls
+// it per index per Cost.
+func (i *Index) covers(q *workload.Query) bool {
+	return q.EachRef(func(c int) bool {
+		return slices.Contains(i.Cols, c) || slices.Contains(i.Include, c)
+	})
 }
 
 // MatView is an aggregate materialized view: precomputed aggregates grouped

@@ -183,9 +183,29 @@ func TestMutatorProducesValidQueries(t *testing.T) {
 		if q.Columns().Empty() {
 			t.Fatal("candidate references no columns")
 		}
-		for _, c := range q.Spec.ReferencedCols() {
+		refs := q.Spec.ReferencedCols()
+		for _, c := range refs {
 			if !s.ValidID(c) || s.Column(c).Table != "facts" {
 				t.Fatalf("candidate references invalid column %d", c)
+			}
+		}
+		// Mutants are rebuilt through FromSpec, so the engines' clause-set
+		// walk must still see exactly the Spec's columns, in order.
+		i := 0
+		q.EachRef(func(c int) bool {
+			if i >= len(refs) || refs[i] != c {
+				t.Fatalf("EachRef visits %d at %d, ReferencedCols = %v", c, i, refs)
+			}
+			i++
+			return true
+		})
+		if i != len(refs) {
+			t.Fatalf("EachRef visits %d columns, ReferencedCols = %v", i, refs)
+		}
+		want := workload.NewColSet(refs...)
+		for _, cols := range []workload.ColSet{want, q.Select, q.Where, workload.NewColSet(refs[1:]...)} {
+			if q.RefsIn(cols) != cols.Contains(want) {
+				t.Fatalf("RefsIn(%v) = %v, ReferencedCols = %v", cols, q.RefsIn(cols), refs)
 			}
 		}
 		for _, p := range q.Spec.Preds {

@@ -85,9 +85,9 @@ func TestParseSchemaDefaultsAndCase(t *testing.T) {
 func TestParseSchemaErrors(t *testing.T) {
 	cases := []string{
 		"",
-		"CREATE TABLE t (a BIGINT)",          // missing semicolon
-		"CREATE TABLE t (a FROBNITZ);",       // unknown type
-		"CREATE TABLE t (a BIGINT) ROWS 0;",  // non-positive rows
+		"CREATE TABLE t (a BIGINT)",         // missing semicolon
+		"CREATE TABLE t (a FROBNITZ);",      // unknown type
+		"CREATE TABLE t (a BIGINT) ROWS 0;", // non-positive rows
 		"CREATE TABLE t (a BIGINT CARDINALITY 0);",
 		"CREATE VIEW v (a BIGINT);",
 	}

@@ -5,6 +5,7 @@ import (
 
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/schema"
+	"cliffguard/internal/workload"
 )
 
 // FuzzParse drives the lexer and parser with arbitrary input: whatever the
@@ -47,9 +48,29 @@ func FuzzParse(f *testing.F) {
 			if q.Spec == nil || q.Spec.Table == "" {
 				t.Fatalf("accepted query without a table: %q", sql)
 			}
-			for _, c := range q.Spec.ReferencedCols() {
+			refs := q.Spec.ReferencedCols()
+			for _, c := range refs {
 				if !sch.ValidID(c) {
 					t.Fatalf("accepted query with invalid column %d: %q", c, sql)
+				}
+			}
+			// The engines read referenced columns from the clause sets; they
+			// must agree with the Spec, column for column and in order.
+			i := 0
+			q.EachRef(func(c int) bool {
+				if i >= len(refs) || refs[i] != c {
+					t.Fatalf("EachRef visits %d at %d, ReferencedCols = %v: %q", c, i, refs, sql)
+				}
+				i++
+				return true
+			})
+			if i != len(refs) {
+				t.Fatalf("EachRef visits %d columns, ReferencedCols = %v: %q", i, refs, sql)
+			}
+			want := workload.NewColSet(refs...)
+			for _, cols := range []workload.ColSet{want, q.Select, q.Where, workload.NewColSet(refs[:len(refs)/2]...)} {
+				if q.RefsIn(cols) != cols.Contains(want) {
+					t.Fatalf("RefsIn(%v) = %v, ReferencedCols = %v: %q", cols, q.RefsIn(cols), refs, sql)
 				}
 			}
 			for _, pr := range q.Spec.Preds {

@@ -7,6 +7,7 @@ import (
 
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/designer"
+	"cliffguard/internal/schema"
 	"cliffguard/internal/workload"
 )
 
@@ -51,6 +52,72 @@ func BenchmarkExecutorProjection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Execute(q, d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// memoHitDesign is a four-projection design over f in which benchQuery is
+// covered by two projections (one sort-matched) and not by the other two.
+func memoHitDesign(tb testing.TB, s *schema.Schema) *designer.Design {
+	var ps []designer.Structure
+	for _, spec := range []struct {
+		cols []int
+		sort []workload.OrderCol
+	}{
+		{[]int{1, 2}, []workload.OrderCol{{Col: 2}}},
+		{[]int{0, 1, 2, 3}, []workload.OrderCol{{Col: 1}}},
+		{[]int{0, 3}, []workload.OrderCol{{Col: 0}}},
+		{[]int{2, 4, 5}, nil},
+	} {
+		p, err := NewProjection(s, "f", spec.cols, spec.sort)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	return designer.NewDesign(ps...)
+}
+
+// TestMemoHitCostDoesNotAllocate is the allocation gate for the hottest
+// call in the system: once every (query, path) pair is memoized, Cost over
+// a multi-projection design reads the query's clause bitsets and the
+// fingerprint-keyed memo and touches the heap not at all.
+func TestMemoHitCostDoesNotAllocate(t *testing.T) {
+	s := testSchema()
+	db := Open(s)
+	q := benchQuery()
+	d := memoHitDesign(t, s)
+	ctx := context.Background()
+	want, err := db.Cost(ctx, q, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if got, _ := db.Cost(ctx, q, d); got != want {
+			t.Fatalf("memo-hit cost %g, want %g", got, want)
+		}
+	}); n != 0 {
+		t.Fatalf("memo-hit Cost allocates %.0f times per call, want 0", n)
+	}
+}
+
+// BenchmarkWhatIfCostMemoHit measures one what-if estimate whose paths are
+// all memoized: the call the designers' pair tables and CliffGuard's
+// neighborhood evaluation make most.
+func BenchmarkWhatIfCostMemoHit(b *testing.B) {
+	s := testSchema()
+	db := Open(s)
+	q := benchQuery()
+	d := memoHitDesign(b, s)
+	ctx := context.Background()
+	if _, err := db.Cost(ctx, q, d); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Cost(ctx, q, d); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -96,7 +96,7 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 			if !ok || p.Anchor != q.Spec.Table {
 				continue
 			}
-			if !p.Covers(refCols(q)) {
+			if !q.RefsIn(p.Cols) {
 				continue
 			}
 			if c := db.pathCost(q, p); c < best {
@@ -119,7 +119,7 @@ func (db *DB) BestPath(q *workload.Query, d *designer.Design) (*Projection, floa
 	if d != nil {
 		for _, s := range d.Structures {
 			p, ok := s.(*Projection)
-			if !ok || p.Anchor != q.Spec.Table || !p.Covers(refCols(q)) {
+			if !ok || p.Anchor != q.Spec.Table || !q.RefsIn(p.Cols) {
 				continue
 			}
 			if c := db.pathCost(q, p); c < best {
@@ -140,34 +140,28 @@ func (db *DB) check(q *workload.Query) error {
 	if _, ok := db.Schema.Table(q.Spec.Table); !ok {
 		return fmt.Errorf("vertsim: unknown table %q: %w", q.Spec.Table, designer.ErrUnsupported)
 	}
-	for _, c := range q.Spec.ReferencedCols() {
-		if !db.Schema.ValidID(c) {
-			return fmt.Errorf("vertsim: invalid column %d: %w", c, designer.ErrUnsupported)
-		}
-		if db.Schema.Column(c).Table != q.Spec.Table {
-			return fmt.Errorf("vertsim: column %s outside anchor %q: %w",
-				db.Schema.Column(c).Qualified(), q.Spec.Table, designer.ErrUnsupported)
-		}
+	bad := -1
+	if q.EachRef(func(c int) bool {
+		bad = c
+		return db.Schema.ValidID(c) && db.Schema.Column(c).Table == q.Spec.Table
+	}) {
+		return nil
 	}
-	return nil
-}
-
-func refCols(q *workload.Query) workload.ColSet {
-	var set workload.ColSet
-	for _, c := range q.Spec.ReferencedCols() {
-		set.Add(c)
+	if !db.Schema.ValidID(bad) {
+		return fmt.Errorf("vertsim: invalid column %d: %w", bad, designer.ErrUnsupported)
 	}
-	return set
+	return fmt.Errorf("vertsim: column %s outside anchor %q: %w",
+		db.Schema.Column(bad).Qualified(), q.Spec.Table, designer.ErrUnsupported)
 }
 
 // pathCost estimates latency of q via projection p (nil = super-projection),
-// memoized per (query, path) pair in the sharded cache.
+// memoized per (query, path fingerprint) pair in the sharded cache.
 func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
-	pathKey := ""
+	var path uint64
 	if p != nil {
-		pathKey = p.Key()
+		path = p.fp
 	}
-	return db.memo.GetOrCompute(q, pathKey, func() float64 {
+	return db.memo.GetOrCompute(q, path, func() float64 {
 		return db.computePathCost(q, p)
 	})
 }
@@ -187,9 +181,10 @@ func (db *DB) computePathCost(q *workload.Query, p *Projection) float64 {
 	rows := float64(t.Rows)
 
 	var width float64
-	for _, c := range q.Spec.ReferencedCols() {
+	q.EachRef(func(c int) bool {
 		width += float64(db.Schema.Column(c).Type.Width())
-	}
+		return true
+	})
 
 	prefixSel := 1.0
 	var sortCols []workload.OrderCol

@@ -119,7 +119,7 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 	var clusters []*cluster
 	const maxClusterCols = 22
 	for _, wq := range wqs {
-		cols := refCols(wq.q)
+		cols := wq.q.Columns()
 		var best *cluster
 		bestJ := 0.0
 		for _, cl := range clusters {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 
+	"cliffguard/internal/costcache"
 	"cliffguard/internal/schema"
 	"cliffguard/internal/workload"
 )
@@ -30,6 +31,7 @@ type Projection struct {
 	SortCols []workload.OrderCol
 
 	key  string
+	fp   uint64 // costcache.PathKey(key): the memo's path fingerprint
 	size int64
 }
 
@@ -98,6 +100,7 @@ func NewProjection(s *schema.Schema, anchor string, cols []int, sortCols []workl
 		}
 	}
 	p.key = b.String()
+	p.fp = costcache.PathKey(p.key)
 	return p, nil
 }
 

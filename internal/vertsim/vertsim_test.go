@@ -192,6 +192,31 @@ func TestCostUnsupportedQueries(t *testing.T) {
 	}
 }
 
+// TestCheckNamesFirstBadColumn: with several bad columns, the error names
+// the smallest referenced one, whichever clause it sits in.
+func TestCheckNamesFirstBadColumn(t *testing.T) {
+	db := Open(testSchema())
+	cases := []struct {
+		spec *workload.Spec
+		want string
+	}{
+		{&workload.Spec{Table: "f", SelectCols: []int{99, 1},
+			Preds:   []workload.Pred{{Col: 70, Op: workload.Eq, Sel: 0.1}},
+			GroupBy: []int{130}},
+			"vertsim: invalid column 70: "},
+		{&workload.Spec{Table: "f", SelectCols: []int{99},
+			Aggs:    []workload.Agg{{Fn: workload.Count, Col: -1}, {Fn: workload.Sum, Col: 6}},
+			OrderBy: []workload.OrderCol{{Col: 64}}},
+			"vertsim: column dim.k outside anchor \"f\": "},
+	}
+	for i, tc := range cases {
+		_, err := db.Cost(context.Background(), q(tc.spec), nil)
+		if !errors.Is(err, designer.ErrUnsupported) || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("case %d: err = %v, want prefix %q", i, err, tc.want)
+		}
+	}
+}
+
 func TestGroupByAndOrderCostEffects(t *testing.T) {
 	s := testSchema()
 	db := Open(s)

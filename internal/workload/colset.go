@@ -59,6 +59,14 @@ func (s ColSet) Has(id int) bool {
 	return w < len(s.words) && s.words[w]&(1<<uint(id%64)) != 0
 }
 
+// wordAt returns word i of the bitset, 0 past its end.
+func wordAt(s ColSet, i int) uint64 {
+	if i < len(s.words) {
+		return s.words[i]
+	}
+	return 0
+}
+
 // Len returns the number of columns in the set.
 func (s ColSet) Len() int {
 	n := 0

@@ -10,6 +10,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,6 +169,34 @@ func FromSpec(id int64, ts time.Time, spec *Spec) *Query {
 // "union of all the columns that appear in it" representation).
 func (q *Query) Columns() ColSet {
 	return q.Select.Union(q.Where).Union(q.GroupBy).Union(q.OrderBy)
+}
+
+// EachRef calls fn on every column of the clause-set union in ascending
+// order, stopping early when fn returns false; it reports whether the walk
+// ran to the end. For a query built by FromSpec the union is exactly
+// Spec.ReferencedCols(), so the engines' what-if paths walk it instead of
+// rebuilding that slice: the walk ORs the four bitsets word by word and
+// allocates nothing.
+func (q *Query) EachRef(fn func(c int) bool) bool {
+	n := max(len(q.Select.words), len(q.Where.words), len(q.GroupBy.words), len(q.OrderBy.words))
+	for wi := 0; wi < n; wi++ {
+		w := wordAt(q.Select, wi) | wordAt(q.Where, wi) | wordAt(q.GroupBy, wi) | wordAt(q.OrderBy, wi)
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			if !fn(wi*64 + b) {
+				return false
+			}
+			w &^= 1 << uint(b)
+		}
+	}
+	return true
+}
+
+// RefsIn reports whether cols holds every column the query references (the
+// clause-set union), without building the union.
+func (q *Query) RefsIn(cols ColSet) bool {
+	return cols.Contains(q.Select) && cols.Contains(q.Where) &&
+		cols.Contains(q.GroupBy) && cols.Contains(q.OrderBy)
 }
 
 // Clause identifies one of the four SQL clauses tracked per query.

@@ -236,6 +236,70 @@ func TestReferencedCols(t *testing.T) {
 	}
 }
 
+// TestEachRefMatchesReferencedCols pins the engines' what-if contract: for a
+// query built by FromSpec, walking the clause-set union visits exactly
+// Spec.ReferencedCols(), in the same ascending order, and RefsIn answers
+// coverage exactly as a set built from that slice would.
+func TestEachRefMatchesReferencedCols(t *testing.T) {
+	withAggs := func(spec *Spec, aggs ...Agg) *Spec { spec.Aggs = aggs; return spec }
+	cases := []struct {
+		name string
+		spec *Spec
+	}{
+		{"empty", &Spec{Table: "t"}},
+		{"count star only", withAggs(&Spec{Table: "t"}, Agg{Fn: Count, Col: -1})},
+		{"aggregates", withAggs(specOn("t", []int{2}, []int{5}, []int{2}, nil),
+			Agg{Fn: Count, Col: -1}, Agg{Fn: Sum, Col: 9}, Agg{Fn: Avg, Col: 2})},
+		{"duplicates across clauses", specOn("t", []int{3, 3, 1}, []int{1, 3, 3}, []int{1}, []int{3, 1})},
+		{"ids past one word", withAggs(specOn("t", []int{64, 0}, []int{127, 63}, []int{130}, []int{200, 64}),
+			Agg{Fn: Max, Col: 191}, Agg{Fn: Count, Col: -1})},
+		{"only the high word", specOn("t", nil, []int{300}, nil, []int{257})},
+		{"one clause per word", specOn("t", []int{5}, []int{70}, []int{140}, []int{210})},
+	}
+	probes := []ColSet{
+		{},
+		NewColSet(0, 1, 2, 3, 5, 9),
+		NewColSet(0, 63, 64, 127, 130, 191, 200),
+		NewColSet(0, 63, 64, 127, 130, 200),
+		NewColSet(257, 300),
+		NewColSet(5, 70, 140, 210, 211),
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q := FromSpec(1, time.Time{}, tc.spec)
+			want := tc.spec.ReferencedCols()
+			var got []int
+			if !q.EachRef(func(c int) bool { got = append(got, c); return true }) {
+				t.Fatal("full walk reported an early stop")
+			}
+			if len(got) != len(want) {
+				t.Fatalf("EachRef = %v, ReferencedCols = %v", got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("EachRef = %v, ReferencedCols = %v", got, want)
+				}
+			}
+			// An early stop visits exactly the prefix up to the stopping column.
+			for stop := range want {
+				var seen []int
+				if q.EachRef(func(c int) bool { seen = append(seen, c); return c != want[stop] }) {
+					t.Fatalf("walk stopping at %d ran to the end", want[stop])
+				}
+				if len(seen) != stop+1 {
+					t.Fatalf("walk stopping at %d visited %v", want[stop], seen)
+				}
+			}
+			wantSet := NewColSet(want...)
+			for _, cols := range append(probes, wantSet) {
+				if got, want := q.RefsIn(cols), cols.Contains(wantSet); got != want {
+					t.Errorf("RefsIn(%v) = %v, Contains = %v", cols, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestEnumStrings(t *testing.T) {
 	ops := map[CmpOp]string{Eq: "=", Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Between: "BETWEEN"}
 	for op, want := range ops {
