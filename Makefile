@@ -25,8 +25,11 @@ vet:
 	if [ -n "$$drift" ]; then echo "gofmt drift, run gofmt -w on:"; echo "$$drift"; exit 1; fi
 	$(GO) vet ./...
 
+# perfbench/ is a nested module (the end-to-end benchmark) that ./... does
+# not reach: build and vet it here so an API change that breaks it fails CI.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -41,8 +44,8 @@ race:
 # reader vs the line-at-a-time reference), the JSONL stream decoders, the
 # ILP solver's brute-force cross-check, the pair-table designers (budget,
 # and Exact ILP vs brute force and the greedy designers), and the /v1
-# run-request decoder, on top of the checked-in corpora (go's -fuzz takes one
-# target per invocation).
+# run-request and online-spec decoders, on top of the checked-in corpora
+# (go's -fuzz takes one target per invocation).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/ingest/
@@ -51,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzILPSolve -fuzztime=5s ./internal/ilp/
 	$(GO) test -fuzz=FuzzPairTable -fuzztime=5s ./internal/portfolio/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=5s ./internal/serve/
+	$(GO) test -fuzz=FuzzOnlineSpec -fuzztime=5s ./internal/serve/
 
 # Regression-lock the run-analysis math: the golden event stream must
 # summarize to exactly the checked-in expected summary. After an intentional

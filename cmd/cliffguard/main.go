@@ -59,7 +59,7 @@ func main() {
 		bucketSize = flag.Int("bucket-size", 0,
 			"online: observations per window bucket (0 = 64)")
 		coldRedesign = flag.Bool("cold", false,
-			"online: disable the warm-start generation handoff (every re-design repeats all cost-model calls; designs are bit-identical either way)")
+			"online: disable the warm-start unit-cost handoff (every re-design repeats all cost-model calls; designs are bit-identical either way)")
 
 		designers = flag.String("designers", "advisor",
 			"comma-separated designer portfolio raced on every design call: advisor (the engine's nominal designer), autoadmin, ilp")

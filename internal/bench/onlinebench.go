@@ -36,13 +36,13 @@ const (
 // the columns:
 //
 //   - A drift replay: months 0 and 1 of the set streamed through the online
-//     controller twice — once with the warm-start generation handoff, once
+//     controller twice — once with the warm-start unit-cost handoff, once
 //     with DisableWarmStart — counting drift checks/fires and the
 //     evaluation-layer cost-model calls each re-design spends.
-//   - A repeat-window pair: the same window designed cold (exporting its
-//     generation) then warm (importing it). Value transparency makes the two
-//     runs bit-identical while the warm one repeats almost no model calls —
-//     the headline RepeatSpeedupGE5 gate.
+//   - A repeat-window pair: the same window designed cold (writing its
+//     unit costs to a store) then warm (reading that store). Value
+//     transparency makes the two runs bit-identical while the warm one
+//     repeats almost no model calls — the headline RepeatSpeedupGE5 gate.
 //   - A safety injection: the nominal designer is swapped for one that
 //     returns empty designs after the bootstrap; the safety acceptance rule
 //     must keep the incumbent.
@@ -67,7 +67,7 @@ type OnlineResult struct {
 	BootstrapCalls  uint64 // cost-model calls of the cold-cache bootstrap design
 	SteadyWarmCalls uint64 // calls across post-bootstrap re-designs, warm handoff on
 	SteadyColdCalls uint64 // same replay with DisableWarmStart
-	SteadyWarmHits  uint64 // unit costs served from imported generations (warm replay)
+	SteadyWarmHits  uint64 // unit costs served from previous runs' stores (warm replay)
 	SteadyMatch     bool   // warm and cold replays publish bit-identical designs throughout
 
 	// Repeat-window pair (gated): the headline warm-re-design claim.
@@ -243,24 +243,23 @@ func OnlineBench(set *wlgen.Set, gamma float64, seed int64) (*OnlineResult, erro
 
 	// Sub-experiment 2: the repeat-window pair. A re-design over an unchanged
 	// window replays the cold run's exact trajectory, so every unit cost it
-	// needs is in the imported generation and the model goes quiet.
+	// needs is in the cold run's store and the model goes quiet. Both runs
+	// cost through the evalcache.Layer the online controller wires.
 	type repeatOut struct {
 		design   *designer.Design
 		traces   []core.Trace
 		calls    uint64
 		warmHits uint64
 		ms       float64
-		gen      *evalcache.Generation
+		store    *evalcache.Shared
 	}
-	repeat := func(warm *evalcache.Generation, export bool) (*repeatOut, error) {
+	repeat := func(read *evalcache.Shared) (*repeatOut, error) {
 		db := vertsim.Open(s)
 		nominal := vertsim.NewDesigner(db, VerticaBudget)
 		metric := distance.NewEuclidean(s.NumColumns())
 		counting := &countingCost{inner: db}
-		o := opts
-		o.WarmStart = warm
-		o.ExportGeneration = export
-		cg := core.New(nominal, counting, sample.New(metric, sample.NewMutator(s)), o)
+		layer := &evalcache.Layer{Inner: counting, Read: read, Write: evalcache.NewShared()}
+		cg := core.New(nominal, layer, sample.New(metric, sample.NewMutator(s)), opts)
 		start := time.Now()
 		h := cg.Start(context.Background(), set.Months[0].Clone())
 		d, traces, err := h.Await(context.Background())
@@ -270,16 +269,16 @@ func OnlineBench(set *wlgen.Set, gamma float64, seed int64) (*OnlineResult, erro
 		return &repeatOut{
 			design: d, traces: traces,
 			calls:    counting.calls.Load(),
-			warmHits: h.Stats().WarmHits,
+			warmHits: layer.Hits(),
 			ms:       float64(time.Since(start).Microseconds()) / 1000,
-			gen:      h.Generation(),
+			store:    layer.Write,
 		}, nil
 	}
-	cold, err := repeat(nil, true)
+	cold, err := repeat(nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: online repeat cold run: %w", err)
 	}
-	warm, err := repeat(cold.gen, false)
+	warm, err := repeat(cold.store)
 	if err != nil {
 		return nil, fmt.Errorf("bench: online repeat warm run: %w", err)
 	}

@@ -106,13 +106,13 @@ func (cg *CliffGuard) DesignWithTrace(ctx context.Context, w0 *workload.Workload
 
 // run is the robust loop itself (Algorithm 2); Start executes it on the run
 // goroutine.
-func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer.Design, []Trace, RunStats, *evalcache.Generation, error) {
+func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer.Design, []Trace, RunStats, error) {
 	var stats RunStats
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if w0 == nil || w0.Len() == 0 {
-		return nil, nil, stats, nil, errors.New("core: empty target workload")
+		return nil, nil, stats, errors.New("core: empty target workload")
 	}
 	opts := cg.Opts.Normalized()
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -124,10 +124,10 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 	// Line 1: nominal design for W0.
 	d, err := cg.invokeNominal(ctx, em, nominal, -1, w0)
 	if err != nil {
-		return nil, nil, stats, nil, fmt.Errorf("core: initial nominal design: %w", err)
+		return nil, nil, stats, fmt.Errorf("core: initial nominal design: %w", err)
 	}
 	if opts.Gamma == 0 {
-		return d, nil, stats, nil, nil // nominal case: nothing to guard against
+		return d, nil, stats, nil // nominal case: nothing to guard against
 	}
 
 	// Line 2: sample the Gamma-neighborhood. The sampler fans its draws
@@ -139,7 +139,7 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 	sampleStart := em.clock()
 	neighborhood, err := sampler.Neighborhood(rng, w0, opts.Gamma, opts.Samples)
 	if err != nil {
-		return nil, nil, stats, nil, fmt.Errorf("core: sampling Gamma-neighborhood: %w", err)
+		return nil, nil, stats, fmt.Errorf("core: sampling Gamma-neighborhood: %w", err)
 	}
 	// The target workload itself is part of the uncertainty set (distance 0).
 	neighborhood = append(neighborhood, w0)
@@ -160,7 +160,7 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 	alpha := opts.InitialAlpha
 	worst, err := worstOf(ev.score(ctx, neighborhood, d, em, -1, obs.PhaseInitial))
 	if err != nil {
-		return nil, nil, stats, nil, err
+		return nil, nil, stats, err
 	}
 	stats.NominalWorst = worst
 
@@ -187,7 +187,7 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 			case errors.Is(incErr, ErrUncostableNeighborhood):
 				// keep the nominal start
 			default:
-				return nil, nil, stats, nil, incErr
+				return nil, nil, stats, incErr
 			}
 		}
 	}
@@ -212,7 +212,7 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 		worstNeighbors, err := topNeighbors(neighborhood,
 			ev.score(ctx, neighborhood, d, em, iter, obs.PhaseRank), opts.TopFraction)
 		if err != nil {
-			return nil, nil, stats, nil, err
+			return nil, nil, stats, err
 		}
 		accumulated = append(accumulated, worstNeighbors...)
 		moveTargets := accumulated
@@ -225,11 +225,11 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 		moved := cg.moveWorkload(ctx, w0, moveTargets, d, alpha, ev.units)
 		cand, err := cg.invokeNominal(ctx, em, nominal, iter, moved)
 		if err != nil {
-			return nil, nil, stats, nil, fmt.Errorf("core: nominal design on moved workload: %w", err)
+			return nil, nil, stats, fmt.Errorf("core: nominal design on moved workload: %w", err)
 		}
 		candWorst, err := worstOf(ev.score(ctx, neighborhood, cand, em, iter, obs.PhaseCandidate))
 		if err != nil {
-			return nil, nil, stats, nil, err
+			return nil, nil, stats, err
 		}
 
 		end := obs.IterationEnd{Iteration: iter, Alpha: alpha, WorstCase: worst, CandidateCost: candWorst}
@@ -262,16 +262,8 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 			break
 		}
 	}
-	// Run-end harvest: the final cache state (post-eviction it still holds
-	// the returned design's and last candidate's unit costs) joins whatever
-	// the per-iteration harvests already exported.
-	ev.harvest()
 	stats.FinalWorst = worst
-	stats.WarmHits = ev.warmHits()
-	if em.met != nil && stats.WarmHits > 0 {
-		em.met.EvalWarmHits.Add(stats.WarmHits)
-	}
-	return d, tb.traces, stats, ev.gen, nil
+	return d, tb.traces, stats, nil
 }
 
 // resolveNominal returns the designer filling the loop's nominal slot: the

@@ -44,12 +44,6 @@ type runEval struct {
 	cg     *CliffGuard
 	units  *evalcache.Cache        // nil when the fast path is disabled
 	scores map[uint64][]evalResult // design fingerprint -> index-aligned pass results
-
-	// Cross-run generation handoff (Options.WarmStart/ExportGeneration): gen
-	// accumulates the run's export — harvested before every retain eviction
-	// plus once at run end, so it covers every fingerprint the run scored,
-	// not just the two the final cache retains. nil unless exporting.
-	gen *evalcache.Generation
 }
 
 // newRunEval builds the run's evaluator. With DisableEvalFastPath both
@@ -59,33 +53,11 @@ func (cg *CliffGuard) newRunEval(opts Options) *runEval {
 	if !opts.DisableEvalFastPath {
 		re.scores = make(map[uint64][]evalResult)
 		re.units = evalcache.New()
-		re.units.SetWarm(opts.WarmStart)
 		if opts.Metrics != nil {
 			opts.Metrics.RegisterCache("evalcache", re.units.Stats)
 		}
-		if opts.ExportGeneration {
-			re.gen = evalcache.NewGeneration()
-		}
 	}
 	return re
-}
-
-// harvest exports the current unit-cost memo contents into the run's outgoing
-// generation. Called before each retain eviction and once at run end; a no-op
-// unless Options.ExportGeneration armed the export.
-func (re *runEval) harvest() {
-	if re.gen != nil {
-		re.units.ExportInto(re.gen)
-	}
-}
-
-// warmHits counts the unit costs the run's memo served from the imported
-// generation.
-func (re *runEval) warmHits() uint64 {
-	if re.units == nil {
-		return 0
-	}
-	return re.units.WarmHits()
 }
 
 // score evaluates the neighborhood under d, replaying the memoized pass when
@@ -134,9 +106,6 @@ func (re *runEval) retain(incumbent, candidate *designer.Design) {
 	if re.scores == nil {
 		return
 	}
-	// Harvest before evicting: unit costs about to be dropped still belong in
-	// the outgoing generation (the next warm run may revisit their designs).
-	re.harvest()
 	fpI, fpC := incumbent.Fingerprint(), candidate.Fingerprint()
 	for fp := range re.scores {
 		if fp != fpI && fp != fpC {

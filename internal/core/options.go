@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cliffguard/internal/designer"
-	"cliffguard/internal/evalcache"
 	"cliffguard/internal/obs"
 )
 
@@ -96,24 +95,6 @@ type Options struct {
 	// preserves the historical nominal-only start; with Gamma = 0 the
 	// option is ignored (the run returns the nominal design untouched).
 	InitialDesign *designer.Design
-	// WarmStart imports a prior run's exported unit-cost generation (see
-	// ExportGeneration): evaluation-layer unit costs missing from the run's
-	// own memo are served from the generation, keyed by (query content
-	// hash, design fingerprint), so a re-design over an overlapping
-	// workload repeats almost no cost-model calls. Memoized values are the
-	// exact float64s the pure cost model returned, so designs, traces, and
-	// events are bit-identical warm vs cold — the generation MUST come from
-	// a run against the same cost model. nil disables the import;
-	// DisableEvalFastPath disables it too (there is no memo to warm).
-	WarmStart *evalcache.Generation
-	// ExportGeneration makes the run harvest its unit-cost memo into a
-	// content-keyed evalcache.Generation — before every two-generation
-	// eviction and once at run end, so the export covers every design
-	// fingerprint the run scored. The result is exposed by
-	// RunHandle.Generation once the run finishes: the handoff the next
-	// warm-started run imports via WarmStart. Ignored with
-	// DisableEvalFastPath or Gamma = 0.
-	ExportGeneration bool
 	// DisableEvalFastPath reverts neighborhood evaluation to the legacy
 	// full-pass behavior: every pass calls the cost model once per
 	// (query, workload) and nothing is memoized across passes. The default

@@ -6,15 +6,15 @@ import (
 	"sync"
 
 	"cliffguard/internal/designer"
-	"cliffguard/internal/evalcache"
 	"cliffguard/internal/workload"
 )
 
 // RunStats are a run's scalar outcomes beyond the design itself: the
 // worst-case costs of the initial competitors and of the returned design,
-// plus the warm-start tally. All cost fields are worst-case costs over the
-// run's sampled Gamma-neighborhood; they are meaningful only for Gamma > 0
-// (a Gamma = 0 run never samples a neighborhood and returns zero stats).
+// plus the online warm-start tally. All cost fields are worst-case costs
+// over the run's sampled Gamma-neighborhood; they are meaningful only for
+// Gamma > 0 (a Gamma = 0 run never samples a neighborhood and returns zero
+// stats).
 type RunStats struct {
 	// NominalWorst is the initial nominal design's worst-case cost.
 	NominalWorst float64
@@ -32,8 +32,9 @@ type RunStats struct {
 	// from the better of the two initial designs and only ever accepts
 	// strictly improving moves.
 	FinalWorst float64
-	// WarmHits counts evaluation-layer unit costs served from the imported
-	// Options.WarmStart generation.
+	// WarmHits counts the unit costs an online re-design's cost model served
+	// from the previous run's store. The online controller sets it; core
+	// never does.
 	WarmHits uint64
 }
 
@@ -69,7 +70,6 @@ type RunHandle struct {
 	design *designer.Design
 	traces []Trace
 	stats  RunStats
-	gen    *evalcache.Generation
 	err    error
 }
 
@@ -85,15 +85,15 @@ func (cg *CliffGuard) Start(ctx context.Context, w0 *workload.Workload) *RunHand
 	h := &RunHandle{cancel: cancel, done: make(chan struct{}), state: RunRunning}
 	go func() {
 		defer cancel()
-		d, traces, stats, gen, err := cg.run(runCtx, w0)
-		h.finish(d, traces, stats, gen, err)
+		d, traces, stats, err := cg.run(runCtx, w0)
+		h.finish(d, traces, stats, err)
 	}()
 	return h
 }
 
-func (h *RunHandle) finish(d *designer.Design, traces []Trace, stats RunStats, gen *evalcache.Generation, err error) {
+func (h *RunHandle) finish(d *designer.Design, traces []Trace, stats RunStats, err error) {
 	h.mu.Lock()
-	h.design, h.traces, h.stats, h.gen, h.err = d, traces, stats, gen, err
+	h.design, h.traces, h.stats, h.err = d, traces, stats, err
 	switch {
 	case err == nil:
 		h.state = RunDone
@@ -149,13 +149,4 @@ func (h *RunHandle) Stats() RunStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.stats
-}
-
-// Generation returns the run's exported unit-cost generation — the warm-start
-// handoff for the next run over an overlapping workload. nil unless
-// Options.ExportGeneration was set and the run finished successfully.
-func (h *RunHandle) Generation() *evalcache.Generation {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.gen
 }

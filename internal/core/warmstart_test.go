@@ -8,6 +8,7 @@ import (
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/distance"
+	"cliffguard/internal/evalcache"
 	"cliffguard/internal/sample"
 	"cliffguard/internal/schema"
 	"cliffguard/internal/vertsim"
@@ -36,50 +37,53 @@ func newTallyGuard(s *schema.Schema, opts Options) (*CliffGuard, *tallyCost) {
 	return New(nominal, counting, sampler, opts), counting
 }
 
-// TestWarmStartBitIdenticalAndSilent pins the cross-run generation handoff
-// contract: a warm re-run of the identical (workload, seed, options) run must
-// produce bit-identical designs and traces while making zero cost-model calls
-// — every unit cost it needs is in the exported generation, and the imported
-// values are the exact model outputs.
+// TestWarmStartBitIdenticalAndSilent pins the online warm-start contract on
+// the evalcache.Layer wiring: a run that reads the identical previous run's
+// store must produce bit-identical designs and traces while making zero
+// cost-model calls — every unit cost it needs is in the store, and the
+// stored values are the exact model outputs. Each hit is copied into the
+// run's own store, so the next handoff is as complete as this one.
 func TestWarmStartBitIdenticalAndSilent(t *testing.T) {
 	s := testSchema()
 	rng := rand.New(rand.NewSource(3))
 	w := testWorkload(s, rng, 10)
-	base := Options{Gamma: 0.004, Samples: 10, Iterations: 4, Seed: 11, Parallelism: 1}
+	opts := Options{Gamma: 0.004, Samples: 10, Iterations: 4, Seed: 11, Parallelism: 1}
 
-	run := func(opts Options) (*designer.Design, []Trace, RunStats, *tallyCost, *RunHandle) {
+	run := func(read, write *evalcache.Shared) (*designer.Design, []Trace, RunStats, *tallyCost, *evalcache.Layer) {
 		cg, counting := newTallyGuard(s, opts)
+		layer := &evalcache.Layer{Inner: counting, Read: read, Write: write}
+		cg.Cost = layer
 		h := cg.Start(context.Background(), w.Clone())
 		d, traces, err := h.Await(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d, traces, h.Stats(), counting, h
+		return d, traces, h.Stats(), counting, layer
 	}
 
-	coldOpts := base
-	coldOpts.ExportGeneration = true
-	coldD, coldTraces, coldStats, coldCount, coldH := run(coldOpts)
-	gen := coldH.Generation()
-	if gen == nil || gen.Len() == 0 {
-		t.Fatalf("cold run exported no generation (gen=%v)", gen)
+	prev := evalcache.NewShared()
+	coldD, coldTraces, coldStats, coldCount, coldLayer := run(nil, prev)
+	if prev.Len() == 0 {
+		t.Fatal("cold run stored no unit costs")
 	}
-	if coldStats.WarmHits != 0 {
-		t.Fatalf("cold run reported %d warm hits", coldStats.WarmHits)
+	if coldLayer.Hits() != 0 {
+		t.Fatalf("cold run reported %d warm hits", coldLayer.Hits())
 	}
 	if coldCount.calls.Load() == 0 {
 		t.Fatal("cold run made no cost-model calls")
 	}
 
-	warmOpts := base
-	warmOpts.WarmStart = gen
-	warmD, warmTraces, warmStats, warmCount, _ := run(warmOpts)
+	next := evalcache.NewShared()
+	warmD, warmTraces, warmStats, warmCount, warmLayer := run(prev, next)
 
 	if got := warmCount.calls.Load(); got != 0 {
 		t.Errorf("warm run made %d cost-model calls, want 0 (identical trajectory is fully memoized)", got)
 	}
-	if warmStats.WarmHits == 0 {
-		t.Error("warm run served no lookups from the imported generation")
+	if warmLayer.Hits() == 0 {
+		t.Error("warm run served no lookups from the previous store")
+	}
+	if next.Len() != prev.Len() {
+		t.Errorf("warm run's store holds %d entries, want the %d it read", next.Len(), prev.Len())
 	}
 	if warmD.Fingerprint() != coldD.Fingerprint() || warmD.String() != coldD.String() {
 		t.Errorf("warm design differs from cold:\n  cold: %s\n  warm: %s", coldD, warmD)
@@ -92,7 +96,7 @@ func TestWarmStartBitIdenticalAndSilent(t *testing.T) {
 			t.Errorf("trace %d differs: cold %+v vs warm %+v", i, coldTraces[i], warmTraces[i])
 		}
 	}
-	if warmStats.FinalWorst != coldStats.FinalWorst || warmStats.NominalWorst != coldStats.NominalWorst {
+	if warmStats != coldStats {
 		t.Errorf("stats differ: cold %+v vs warm %+v", coldStats, warmStats)
 	}
 }
@@ -178,18 +182,20 @@ func TestInitialDesignMatchingNominal(t *testing.T) {
 	}
 }
 
-// TestGammaZeroReturnsNoGeneration: a Gamma=0 run takes the nominal early
-// return and never builds an evaluator, so there is nothing to export.
-func TestGammaZeroReturnsNoGeneration(t *testing.T) {
+// TestGammaZeroWritesNoUnitCosts: a Gamma=0 run takes the nominal early
+// return and never calls the loop's cost model, so a warm-start layer under
+// it stores nothing.
+func TestGammaZeroWritesNoUnitCosts(t *testing.T) {
 	s := testSchema()
 	rng := rand.New(rand.NewSource(1))
 	w := testWorkload(s, rng, 8)
-	cg, _ := newGuard(s, Options{Gamma: 0, Seed: 1, ExportGeneration: true})
-	h := cg.Start(context.Background(), w)
-	if _, _, err := h.Await(context.Background()); err != nil {
+	cg, counting := newTallyGuard(s, Options{Gamma: 0, Seed: 1})
+	store := evalcache.NewShared()
+	cg.Cost = &evalcache.Layer{Inner: counting, Write: store}
+	if _, _, err := cg.Start(context.Background(), w).Await(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if g := h.Generation(); g.Len() != 0 {
-		t.Fatalf("Gamma=0 run exported %d pairs, want none", g.Len())
+	if n := store.Len(); n != 0 || counting.calls.Load() != 0 {
+		t.Fatalf("Gamma=0 run stored %d unit costs after %d calls, want none", n, counting.calls.Load())
 	}
 }

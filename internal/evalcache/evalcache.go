@@ -16,6 +16,10 @@
 // iteration the caller calls Retain with the incumbent and candidate design
 // fingerprints, dropping every unit cost memoized under a design the loop
 // can no longer revisit.
+//
+// Reuse beyond one run happens beneath the Cache, in the cost model: a Layer
+// wraps it and memoizes by content in Shared stores (cross-tenant in
+// cliffguardd, run-to-run in online mode).
 package evalcache
 
 import (
@@ -58,15 +62,6 @@ type shard struct {
 // value is not usable; call New.
 type Cache struct {
 	shards [numShards]shard
-
-	// Cross-run warm start (see generation.go): an optional content-keyed
-	// fallback generation consulted on shard misses, a tally of lookups it
-	// served, and a per-query-pointer ContentHash memo shared by the warm
-	// path and ExportInto. warm is written once by SetWarm before the cache
-	// is shared; the rest are concurrency-safe.
-	warm     *Generation
-	warmHits atomic.Uint64
-	hashes   sync.Map // *workload.Query -> uint64
 }
 
 // New returns an empty cache.
@@ -90,24 +85,12 @@ func (c *Cache) shardFor(q *workload.Query, fp uint64) *shard {
 
 // Lookup returns the memoized unit cost of q under the design with
 // fingerprint fp, if present. unsupported reports a memoized
-// designer.ErrUnsupported verdict (cost is 0 in that case). With a warm
-// generation installed (SetWarm), a shard miss falls back to the
-// content-keyed generation; a hit there is promoted into the shard and
-// counted as a hit (it IS a memo hit — from the previous run's memo).
+// designer.ErrUnsupported verdict (cost is 0 in that case).
 func (c *Cache) Lookup(q *workload.Query, fp uint64) (cost float64, unsupported, ok bool) {
 	s := c.shardFor(q, fp)
 	s.mu.RLock()
 	e, ok := s.m[cacheKey{q, fp}]
 	s.mu.RUnlock()
-	if !ok && c.warm != nil {
-		if wc, wu, wok := c.warm.Lookup(GenerationKey{Query: c.contentHash(q), Design: fp}); wok {
-			e, ok = entry{cost: wc, unsupported: wu}, true
-			s.mu.Lock()
-			s.m[cacheKey{q, fp}] = e
-			s.mu.Unlock()
-			c.warmHits.Add(1)
-		}
-	}
 	if ok {
 		s.hits.Add(1)
 	} else {

@@ -1,0 +1,340 @@
+package evalcache
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cliffguard/internal/designer"
+	"cliffguard/internal/obs"
+	"cliffguard/internal/workload"
+)
+
+// layerQuery builds a small query whose content differs per col, with its
+// own fresh pointer each call — the cross-run situation content keys exist
+// for (same content, different *Query identity).
+func layerQuery(col int) *workload.Query {
+	return workload.FromSpec(workload.NextID(), time.Time{}, &workload.Spec{
+		Table:      "facts",
+		SelectCols: []int{col},
+		Preds: []workload.Pred{
+			{Col: col, Op: workload.Eq, Lo: 7, Hi: 7, Sel: 0.01},
+		},
+	})
+}
+
+type fakeStructure string
+
+func (f fakeStructure) Key() string      { return string(f) }
+func (f fakeStructure) SizeBytes() int64 { return 1 }
+func (f fakeStructure) Describe() string { return string(f) }
+
+// layerDesigns[n] holds n structures: distinct fingerprints, and a Len the
+// fake cost model can read back.
+var layerDesigns = func() []*designer.Design {
+	out := make([]*designer.Design, 3)
+	for n := range out {
+		var ss []designer.Structure
+		for i := 0; i < n; i++ {
+			ss = append(ss, fakeStructure(fmt.Sprint("s", i)))
+		}
+		out[n] = designer.NewDesign(ss...)
+	}
+	return out
+}()
+
+const (
+	colUnsupported = 8 // the fake cost model rejects this query
+	colHardError   = 9 // and fails on this one
+)
+
+var errHard = errors.New("cost model failure")
+
+// fakeCost is a pure cost function of (query content, design) with a call
+// tally.
+type fakeCost struct{ calls atomic.Uint64 }
+
+func (f *fakeCost) Cost(_ context.Context, q *workload.Query, d *designer.Design) (float64, error) {
+	f.calls.Add(1)
+	return fakeValue(q.Spec.SelectCols[0], d.Len())
+}
+
+func fakeValue(col, design int) (float64, error) {
+	switch col {
+	case colUnsupported:
+		return 0, designer.ErrUnsupported
+	case colHardError:
+		return 0, errHard
+	}
+	return float64(10*col+design) + 0.25, nil
+}
+
+// layerKey is the content key a Layer of class computes for (col, design).
+func layerKey(class uint64, col, design int) SharedKey {
+	return SharedKey{Class: class, Query: workload.ContentHash(layerQuery(col)), Design: layerDesigns[design].Fingerprint()}
+}
+
+// call is one Cost call of a layerCase: the query content and design, and
+// whether it must reach the inner cost model.
+type call struct {
+	col, design int
+	inner       bool
+}
+
+type layerCase struct {
+	name string
+	// Store wiring: read "nil", "same" (Read == Write) or "separate".
+	read  string
+	class uint64
+	// Entries present before the calls, as (col, design) costed under
+	// primeClass: readPrime in Read, writePrime in Write only.
+	primeClass            uint64
+	readPrime, writePrime [][2]int
+	tenant                string
+	calls                 []call
+	wantWrite             int // Write.Len() after the calls
+	wantHits              uint64
+	wantTenantHits        uint64
+	wantTenantMisses      uint64
+}
+
+func TestLayer(t *testing.T) {
+	cases := []layerCase{{
+		name: "read_hit_copied_into_write", read: "separate",
+		readPrime: [][2]int{{0, 1}, {0, 2}},
+		calls:     []call{{0, 1, false}, {0, 2, false}, {0, 1, false}},
+		wantWrite: 2, wantHits: 3,
+	}, {
+		// Write already holds (1, 1), but with Read != Write only Read is
+		// consulted: the per-run Cache above the layer serves repeats.
+		name: "write_never_read_when_separate", read: "separate",
+		writePrime: [][2]int{{1, 1}},
+		calls:      []call{{1, 1, true}, {1, 1, true}},
+		wantWrite:  1,
+	}, {
+		name: "same_store_reads_its_own_writes", read: "same",
+		calls:     []call{{1, 1, true}, {1, 1, false}, {2, 1, true}},
+		wantWrite: 2, wantHits: 1,
+	}, {
+		name: "misses_unknown_design_and_query", read: "separate",
+		readPrime: [][2]int{{0, 1}},
+		calls:     []call{{0, 2, true}, {5, 1, true}, {0, 1, false}},
+		wantWrite: 3, wantHits: 1,
+	}, {
+		name: "unsupported_memoized", read: "same",
+		calls:     []call{{colUnsupported, 0, true}, {colUnsupported, 0, false}},
+		wantWrite: 1, wantHits: 1,
+	}, {
+		name: "unsupported_read_hit_carried_forward", read: "separate",
+		readPrime: [][2]int{{colUnsupported, 1}},
+		calls:     []call{{colUnsupported, 1, false}},
+		wantWrite: 1, wantHits: 1,
+	}, {
+		name: "hard_error_returned_not_stored", read: "same",
+		calls: []call{{colHardError, 0, true}, {colHardError, 0, true}},
+	}, {
+		name: "class_isolation", read: "same", class: 2, primeClass: 1,
+		readPrime: [][2]int{{0, 1}},
+		calls:     []call{{0, 1, true}, {0, 1, false}},
+		wantWrite: 2, wantHits: 1,
+	}, {
+		name: "nil_read", read: "nil",
+		calls:     []call{{0, 0, true}, {0, 0, true}, {colUnsupported, 0, true}},
+		wantWrite: 2,
+	}, {
+		name: "tenant_attribution", read: "same", tenant: "acme",
+		calls:     []call{{3, 0, true}, {3, 0, false}, {3, 0, false}, {4, 0, true}},
+		wantWrite: 2, wantHits: 2, wantTenantHits: 2, wantTenantMisses: 2,
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			write := NewShared()
+			var read *Shared
+			switch tc.read {
+			case "same":
+				read = write
+			case "separate":
+				read = NewShared()
+			}
+			prime := func(s *Shared, entries [][2]int) {
+				for _, e := range entries {
+					cost, err := fakeValue(e[0], e[1])
+					s.Store(layerKey(tc.primeClass, e[0], e[1]), cost, errors.Is(err, designer.ErrUnsupported))
+				}
+			}
+			prime(read, tc.readPrime)
+			prime(write, tc.writePrime)
+			inner := &fakeCost{}
+			met := obs.NewMetrics()
+			l := &Layer{Inner: inner, Class: tc.class, Read: read, Write: write, Tenant: tc.tenant, Metrics: met}
+
+			for i, c := range tc.calls {
+				before := inner.calls.Load()
+				got, err := l.Cost(context.Background(), layerQuery(c.col), layerDesigns[c.design])
+				want, wantErr := fakeValue(c.col, c.design)
+				if got != want || !errors.Is(err, wantErr) {
+					t.Fatalf("call %d (%d, %d) = (%v, %v), want (%v, %v)", i, c.col, c.design, got, err, want, wantErr)
+				}
+				if reached := inner.calls.Load() > before; reached != c.inner {
+					t.Fatalf("call %d (%d, %d) reached the inner model: %v, want %v", i, c.col, c.design, reached, c.inner)
+				}
+			}
+			if n := write.Len(); n != tc.wantWrite {
+				t.Errorf("Write holds %d entries, want %d", n, tc.wantWrite)
+			}
+			if h := l.Hits(); h != tc.wantHits {
+				t.Errorf("Hits = %d, want %d", h, tc.wantHits)
+			}
+			if h, m := met.SharedHitsByTenant.Load(tc.tenant), met.SharedMissByTenant.Load(tc.tenant); h != tc.wantTenantHits || m != tc.wantTenantMisses {
+				t.Errorf("tenant %q attributed %d hits / %d misses, want %d / %d", tc.tenant, h, m, tc.wantTenantHits, tc.wantTenantMisses)
+			}
+			if tc.read == "separate" {
+				// Every Read entry the run asked for is in Write under the
+				// same key and value: the handoff chain never shrinks.
+				for _, e := range tc.readPrime {
+					k := layerKey(tc.primeClass, e[0], e[1])
+					rc, ru, _ := read.Lookup(k)
+					if wc, wu, ok := write.Lookup(k); !ok || wc != rc || wu != ru {
+						t.Errorf("Read entry %v carried into Write as (%v, %v, %v), want (%v, %v, true)", e, wc, wu, ok, rc, ru)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestGenerationExportAndWarmLookup walks one online handoff end to end: a
+// run's layer fills its Write store, and the next run's layer, reading that
+// store with fresh query pointers of the same content, is answered without
+// calling the inner model — memoized unsupported verdicts included — and
+// carries every hit into its own Write store for the run after it.
+func TestGenerationExportAndWarmLookup(t *testing.T) {
+	ctx := context.Background()
+	prev := &Layer{Inner: &fakeCost{}, Write: NewShared()}
+	q0, q1 := layerQuery(0), layerQuery(colUnsupported)
+	for _, c := range []struct {
+		q *workload.Query
+		d int
+	}{{q0, 1}, {q0, 2}, {q1, 1}} {
+		_, _ = prev.Cost(ctx, c.q, layerDesigns[c.d])
+	}
+	if n := prev.Write.Len(); n != 3 {
+		t.Fatalf("previous run's store holds %d pairs, want 3", n)
+	}
+
+	// The next run sees fresh query pointers with the same content.
+	r0, r1 := layerQuery(0), layerQuery(colUnsupported)
+	if workload.ContentHash(r0) != workload.ContentHash(q0) {
+		t.Fatal("re-parsed query content hash differs — test premise broken")
+	}
+	inner := &fakeCost{}
+	next := &Layer{Inner: inner, Read: prev.Write, Write: NewShared()}
+
+	if cost, err := next.Cost(ctx, r0, layerDesigns[1]); err != nil || cost != 1.25 {
+		t.Fatalf("warm lookup (q0, 1) = (%g, %v), want (1.25, nil)", cost, err)
+	}
+	if cost, err := next.Cost(ctx, r0, layerDesigns[2]); err != nil || cost != 2.25 {
+		t.Fatalf("warm lookup (q0, 2) = (%g, %v), want (2.25, nil)", cost, err)
+	}
+	if _, err := next.Cost(ctx, r1, layerDesigns[1]); !errors.Is(err, designer.ErrUnsupported) {
+		t.Fatalf("warm lookup (q1, 1) err = %v, want the memoized unsupported verdict", err)
+	}
+	if got := next.Hits(); got != 3 {
+		t.Fatalf("Hits = %d, want 3", got)
+	}
+	if n := inner.calls.Load(); n != 0 {
+		t.Fatalf("inner model called %d times, want 0", n)
+	}
+	// Every hit is carried forward: the next handoff never shrinks.
+	if n := next.Write.Len(); n != 3 {
+		t.Fatalf("next run's store holds %d pairs, want 3", n)
+	}
+	// All three lookups hit the previous run's store; none missed.
+	if st := prev.Write.Stats(); st.Hits != 3 || st.Misses != 0 {
+		t.Fatalf("previous store stats = %d hits / %d misses, want 3 / 0", st.Hits, st.Misses)
+	}
+}
+
+// TestExportOverwriteIsIdempotent: storing the same key twice, and copying
+// the same Read hit forward twice, leaves one entry with the original value.
+func TestExportOverwriteIsIdempotent(t *testing.T) {
+	read := NewShared()
+	k := layerKey(0, 2, 1)
+	read.Store(k, 3.25, false)
+	read.Store(k, 3.25, false) // duplicate store writes the identical entry
+	if n := read.Len(); n != 1 {
+		t.Fatalf("store holds %d pairs after a duplicate store, want 1", n)
+	}
+
+	l := &Layer{Inner: &fakeCost{}, Read: read, Write: NewShared()}
+	for i := 0; i < 2; i++ {
+		if cost, err := l.Cost(context.Background(), layerQuery(2), layerDesigns[1]); err != nil || cost != 3.25 {
+			t.Fatalf("call %d = (%g, %v), want (3.25, nil)", i, cost, err)
+		}
+	}
+	if n := l.Write.Len(); n != 1 {
+		t.Fatalf("Write holds %d pairs after a repeated hit, want 1", n)
+	}
+	cost, unsupported, ok := l.Write.Lookup(k)
+	if !ok || unsupported || cost != 3.25 {
+		t.Fatalf("Write lookup = (%g, %v, %v), want (3.25, false, true)", cost, unsupported, ok)
+	}
+}
+
+// TestLayerConcurrentHammer races 16 goroutines through two layers over the
+// same key space: a shared-store layer (Read == Write, cliffguardd's wiring)
+// and a handoff layer reading a half-primed store (the online wiring). Run
+// under -race; every returned value must be the pure function of its key,
+// and both stores end up holding the full key space.
+func TestLayerConcurrentHammer(t *testing.T) {
+	const cols = 8 // 0..7: no unsupported or failing queries
+	qs := make([]*workload.Query, cols)
+	for i := range qs {
+		qs[i] = layerQuery(i)
+	}
+	prev := NewShared()
+	for col := 0; col < cols; col += 2 {
+		for d := range layerDesigns {
+			cost, _ := fakeValue(col, d)
+			prev.Store(layerKey(0, col, d), cost, false)
+		}
+	}
+	shared := NewShared()
+	layers := []*Layer{
+		{Inner: &fakeCost{}, Read: shared, Write: shared},
+		{Inner: &fakeCost{}, Read: prev, Write: NewShared()},
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			l := layers[g%2]
+			for i := 0; i < 300; i++ {
+				col, d := (i+g)%cols, (i/cols)%len(layerDesigns)
+				got, err := l.Cost(context.Background(), qs[col], layerDesigns[d])
+				if want, _ := fakeValue(col, d); err != nil || got != want {
+					t.Errorf("Cost(%d, %d) = (%v, %v), want %v", col, d, got, err, want)
+					return
+				}
+				if i%61 == 0 {
+					_ = l.Write.Stats()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	full := cols * len(layerDesigns)
+	for i, l := range layers {
+		if n := l.Write.Len(); n != full {
+			t.Errorf("layer %d: Write holds %d entries, want %d", i, n, full)
+		}
+	}
+	if layers[0].Hits() == 0 || layers[1].Hits() == 0 {
+		t.Errorf("hits: shared %d, handoff %d, want both > 0", layers[0].Hits(), layers[1].Hits())
+	}
+}

@@ -7,10 +7,9 @@ import (
 	"cliffguard/internal/obs"
 )
 
-// SharedKey identifies one memoized unit cost in the cross-tenant shared
-// memo. Unlike the per-run Cache (which keys by query *pointer* — the fastest
-// possible identity inside one process-local run), the shared memo keys by
-// content:
+// SharedKey identifies one memoized unit cost in a Shared store. Unlike the
+// per-run Cache (which keys by query *pointer* — the fastest possible
+// identity inside one process-local run), Shared keys by content:
 //
 //   - Class is the engine's cost-model class fingerprint (engine kind +
 //     schema): two tenants share entries only when their cost models are
@@ -36,15 +35,15 @@ type sharedShard struct {
 	misses atomic.Uint64
 }
 
-// Shared is the cross-tenant unit-cost memo: the serving layer installs one
-// per process and consults it beneath every tenant's per-run Cache. It uses
-// the same 64-way lock striping as Cache; values are pure functions of their
-// key, so concurrent redundant computation is benign.
+// Shared is a content-keyed unit-cost store, read and written through a
+// Layer: cliffguardd keeps one per process beneath every tenant's per-run
+// Cache, and an online controller hands one from each re-design to the next.
+// It uses the same 64-way lock striping as Cache; values are pure functions
+// of their key, so concurrent redundant computation is benign.
 //
-// Unlike the per-run Cache there is no generational eviction — entries are
-// evicted by design-fingerprint retirement (RetireDesigns) when the serving
-// layer decides a design can no longer recur, or by Reset. The entry count is
-// bounded in practice by |distinct designs seen| x |distinct queries|.
+// The store is unbounded: nothing evicts entries, so it grows with
+// |distinct designs seen| x |distinct queries|. An entry cap is open work
+// (ROADMAP item 2).
 type Shared struct {
 	shards [numShards]sharedShard
 }
@@ -89,36 +88,6 @@ func (s *Shared) Store(k SharedKey, cost float64, unsupported bool) {
 	sh.mu.Lock()
 	sh.m[k] = entry{cost: cost, unsupported: unsupported}
 	sh.mu.Unlock()
-}
-
-// RetireDesigns drops every entry memoized under one of the given design
-// fingerprints (any class). The serving layer may call it when tenants are
-// deleted; correctness never depends on it.
-func (s *Shared) RetireDesigns(fps ...uint64) {
-	drop := make(map[uint64]bool, len(fps))
-	for _, fp := range fps {
-		drop[fp] = true
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			if drop[k.Design] {
-				delete(sh.m, k)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// Reset drops every entry (hit/miss tallies are kept; they are counters).
-func (s *Shared) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[SharedKey]entry)
-		sh.mu.Unlock()
-	}
 }
 
 // Len returns the total number of memoized entries.

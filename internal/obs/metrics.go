@@ -186,11 +186,11 @@ type Metrics struct {
 	IngestTemplatesCompressed Counter // parsed statements folded into an existing weighted item
 	IngestParseSkips          Counter // statements that failed to parse
 
-	// Warm-start generation handoff (internal/evalcache) and online
-	// re-design (internal/online). WorkloadAddSkips counts Workload.Add
+	// Online re-design (internal/online) and its run-to-run unit-cost
+	// handoff (an evalcache.Layer). WorkloadAddSkips counts Workload.Add
 	// calls dropped for a non-positive weight — a window-eviction bug that
 	// silently shrinks workloads shows up here instead of nowhere.
-	EvalWarmHits         Counter // unit costs served from an imported warm generation
+	EvalWarmHits         Counter // unit costs an online re-design served from the previous run's store
 	WorkloadAddSkips     Counter // workload Add calls dropped for non-positive weight
 	OnlineObserved       Counter // queries absorbed by online sliding windows
 	OnlineEvicted        Counter // queries evicted by window-bucket rotation

@@ -37,9 +37,8 @@ type Config struct {
 	// speak the same unit.
 	Metric distance.Metric
 	// Options configure each re-design run. Gamma must be > 0. The
-	// controller itself sets InitialDesign, WarmStart, and ExportGeneration
-	// per run (see DisableSeed / DisableWarmStart); any values set here for
-	// those three fields are ignored.
+	// controller itself sets InitialDesign per run (see DisableSeed); a
+	// value set here is ignored.
 	Options core.Options
 	// DriftFraction scales the drift threshold: a check fires when
 	// delta(window, designed) > DriftFraction * Gamma. Default 1.0 — fire
@@ -58,8 +57,8 @@ type Config struct {
 	// rule holds by construction (the seeded loop starts from the incumbent
 	// or better and only accepts improving moves).
 	DisableSeed bool
-	// DisableWarmStart stops the cross-run generation handoff: each
-	// re-design runs cold, repeating every unit cost-model call.
+	// DisableWarmStart stops the run-to-run unit-cost handoff: Cost is used
+	// unwrapped, so each re-design repeats every unit cost-model call.
 	DisableWarmStart bool
 	// Metrics/Observer instrument the window, the drift monitor, and every
 	// re-design run. Either may be nil.
@@ -110,8 +109,8 @@ type Result struct {
 	// rule compared (NaN when there was no incumbent to compare against).
 	IncumbentWorst float64
 	CandidateWorst float64
-	// WarmHits counts evaluation-layer unit costs the run served from the
-	// previous run's generation instead of the cost model.
+	// WarmHits counts the unit costs the run served from the previous run's
+	// store instead of the cost model (Stats.WarmHits carries the same).
 	WarmHits uint64
 	// Target is the window snapshot the run designed for.
 	Target *workload.Workload
@@ -133,9 +132,10 @@ type Status struct {
 }
 
 // Controller owns one tenant's online state: the sliding window, the
-// incumbent design with the snapshot it was designed for, the warm-start
-// generation handoff, and the drift/safety counters. All methods are safe
-// for concurrent use; Redesign calls are serialized (ErrRedesignInProgress).
+// incumbent design with the snapshot it was designed for, the last run's
+// unit-cost store (the warm-start handoff), and the drift/safety counters.
+// All methods are safe for concurrent use; Redesign calls are serialized
+// (ErrRedesignInProgress).
 type Controller struct {
 	cfg    Config
 	window *Window
@@ -143,7 +143,7 @@ type Controller struct {
 	mu            sync.Mutex
 	incumbent     *designer.Design
 	designedAt    *workload.Workload // snapshot the incumbent was designed for
-	handoff       *evalcache.Generation
+	handoff       *evalcache.Shared
 	lastDelta     float64
 	lastThreshold float64
 	lastResult    *Result
@@ -193,14 +193,6 @@ func (c *Controller) Incumbent() *designer.Design {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.incumbent
-}
-
-// Handoff returns the current warm-start generation — the latest completed
-// run's exported unit-cost memo (nil before the first run).
-func (c *Controller) Handoff() *evalcache.Generation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.handoff
 }
 
 // LastResult returns the most recent re-design outcome (nil before the first).
@@ -276,7 +268,11 @@ func (c *Controller) Observe(q *workload.Query, weight float64) Decision {
 // publishes the candidate as the new incumbent. Whatever the verdict, the
 // drift baseline is re-anchored to the snapshot just designed for (so a
 // rejected candidate does not leave the monitor re-firing on every
-// observation) and the warm-start handoff is replaced by this run's export.
+// observation) and the warm-start handoff is replaced by this run's store.
+//
+// The warm start is a cost-model wrapper: the run costs queries through an
+// evalcache.Layer that reads the previous run's store and writes a fresh one,
+// so core never sees more than one run.
 //
 // The safety rule: never publish a design whose worst-case cost over the
 // current window's Gamma-neighborhood regresses vs the incumbent's. When the
@@ -297,14 +293,15 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 	opts := c.cfg.Options
 	opts.Observer = obs.Multi(opts.Observer, c.cfg.Observer)
 	opts.Metrics = c.cfg.Metrics
-	opts.ExportGeneration = true
 	opts.InitialDesign = nil
 	if !c.cfg.DisableSeed && incumbent != nil {
 		opts.InitialDesign = incumbent
 	}
-	opts.WarmStart = nil
+	var layer *evalcache.Layer
+	cost := c.cfg.Cost
 	if !c.cfg.DisableWarmStart {
-		opts.WarmStart = c.handoff
+		layer = &evalcache.Layer{Inner: c.cfg.Cost, Read: c.handoff, Write: evalcache.NewShared()}
+		cost = layer
 	}
 	c.redesigns++
 	if c.cfg.Metrics != nil {
@@ -322,13 +319,18 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 		return nil, errors.New("online: the window is empty, nothing to design for")
 	}
 
-	cg := core.New(c.cfg.Designer, c.cfg.Cost, c.cfg.Sampler, opts)
-	h := cg.Start(ctx, target)
+	h := core.New(c.cfg.Designer, cost, c.cfg.Sampler, opts).Start(ctx, target)
 	d, traces, err := h.Await(ctx)
 	if err != nil {
 		return nil, err
 	}
 	stats := h.Stats()
+	if layer != nil {
+		stats.WarmHits = layer.Hits()
+		if c.cfg.Metrics != nil && stats.WarmHits > 0 {
+			c.cfg.Metrics.EvalWarmHits.Add(stats.WarmHits)
+		}
+	}
 
 	res := &Result{
 		Design:         d,
@@ -354,7 +356,7 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 	default:
 		// Unseeded (or unscorable-incumbent) run: compare worst cases on a
 		// deterministic re-sample of the run's own neighborhood.
-		incWorst, candWorst, cmpErr := c.compareWorst(ctx, cg, opts, target, incumbent, d)
+		incWorst, candWorst, cmpErr := c.compareWorst(ctx, opts, target, incumbent, d)
 		if cmpErr != nil {
 			return nil, cmpErr
 		}
@@ -388,8 +390,8 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 	// candidate would leave it firing on every subsequent observation.
 	c.designedAt = target
 	c.sinceCheck = 0
-	if g := h.Generation(); g != nil {
-		c.handoff = g
+	if layer != nil {
+		c.handoff = layer.Write
 	}
 	c.lastResult = res
 	c.mu.Unlock()
@@ -399,8 +401,10 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 // compareWorst scores incumbent and candidate on a fresh deterministic
 // sample of the run's neighborhood (same seed, gamma, and sample count as
 // the run itself, target appended as the distance-0 member) and returns the
-// worst-case costs. A design with no costable workload yields NaN.
-func (c *Controller) compareWorst(ctx context.Context, cg *core.CliffGuard, opts core.Options, target *workload.Workload, incumbent, candidate *designer.Design) (incWorst, candWorst float64, err error) {
+// worst-case costs. A design with no costable workload yields NaN. It costs
+// through the unwrapped Config.Cost: the safety check is not part of the run
+// and neither reads nor extends the warm-start handoff.
+func (c *Controller) compareWorst(ctx context.Context, opts core.Options, target *workload.Workload, incumbent, candidate *designer.Design) (incWorst, candWorst float64, err error) {
 	norm := opts.Normalized()
 	rng := rand.New(rand.NewSource(norm.Seed))
 	neighborhood, err := c.cfg.Sampler.Neighborhood(rng, target, norm.Gamma, norm.Samples)
@@ -408,6 +412,7 @@ func (c *Controller) compareWorst(ctx context.Context, cg *core.CliffGuard, opts
 		return 0, 0, fmt.Errorf("online: re-sampling neighborhood for the safety check: %w", err)
 	}
 	neighborhood = append(neighborhood, target)
+	cg := core.New(c.cfg.Designer, c.cfg.Cost, c.cfg.Sampler, opts)
 	incWorst, err = worstCaseOver(ctx, cg, neighborhood, incumbent)
 	if err != nil {
 		return 0, 0, err

@@ -8,6 +8,7 @@ import (
 
 	"cliffguard/internal/core"
 	"cliffguard/internal/designer"
+	"cliffguard/internal/evalcache"
 	"cliffguard/internal/ingest"
 	"cliffguard/internal/online"
 	"cliffguard/internal/sample"
@@ -50,7 +51,7 @@ type OnlineSpec struct {
 	Buckets    int `json:"buckets,omitempty"`
 	BucketSize int `json:"bucket_size,omitempty"`
 	// DisableSeed / DisableWarmStart switch off incumbent seeding and the
-	// cross-run generation handoff (see online.Config).
+	// run-to-run unit-cost handoff (see online.Config).
 	DisableSeed      bool `json:"disable_seed,omitempty"`
 	DisableWarmStart bool `json:"disable_warm_start,omitempty"`
 	// AutoRedesign starts an asynchronous re-design (through the server's
@@ -136,9 +137,10 @@ func (s *Server) onlineOrErr(r *http.Request) (*tenant, *onlineState, error) {
 
 // buildOnline assembles an online.Controller from the wire spec against the
 // tenant's engine. The run's evaluation path costs queries through the
-// server's cross-tenant memo (values are identical to the raw engine, so the
-// warm-generation contract — same cost model across a controller's runs —
-// holds by construction).
+// server's cross-tenant memo; the controller layers its own run-to-run
+// handoff on top (values are identical to the raw engine either way, so the
+// handoff's contract — same cost model across a controller's runs — holds by
+// construction).
 func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
 	metric, err := resolveMetric(spec.Metric, t.eng.Schema().NumColumns())
 	if err != nil {
@@ -152,20 +154,15 @@ func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
 	sampler.Metrics = s.metrics
 	var cost designer.CostModel = t.eng
 	if s.shared != nil {
-		sc := newSharedCostModel(t.eng, s.shared)
-		sc.tenant, sc.metrics = t.id, s.metrics
-		cost = sc
+		cost = &evalcache.Layer{Inner: t.eng, Class: t.eng.Class(), Read: s.shared, Write: s.shared,
+			Tenant: t.id, Metrics: s.metrics}
 	}
 	ctrl, err := online.New(online.Config{
-		Designer: members[0],
-		Cost:     cost,
-		Sampler:  sampler,
-		Metric:   metric,
-		Options: core.Options{
-			Gamma: spec.Gamma, Samples: spec.Samples, Iterations: spec.Iterations,
-			Seed: spec.Seed, Parallelism: spec.Parallelism,
-			Portfolio: members[1:],
-		},
+		Designer:         members[0],
+		Cost:             cost,
+		Sampler:          sampler,
+		Metric:           metric,
+		Options:          spec.options(members[1:]),
 		DriftFraction:    spec.DriftFraction,
 		CheckEvery:       spec.CheckEvery,
 		Window:           online.WindowConfig{Buckets: spec.Buckets, BucketSize: spec.BucketSize},
@@ -177,6 +174,15 @@ func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
 		return nil, errBadRequest(err)
 	}
 	return &onlineState{ctrl: ctrl, spec: spec, auto: spec.AutoRedesign}, nil
+}
+
+// options lowers the spec to the core options of each re-design run.
+func (spec OnlineSpec) options(portfolio []designer.Designer) core.Options {
+	return core.Options{
+		Gamma: spec.Gamma, Samples: spec.Samples, Iterations: spec.Iterations,
+		Seed: spec.Seed, Parallelism: spec.Parallelism,
+		Portfolio: portfolio,
+	}
 }
 
 // onlineInfo renders the tenant's online status.

@@ -21,6 +21,7 @@ import (
 	"cliffguard/internal/designer"
 	"cliffguard/internal/distance"
 	"cliffguard/internal/engine"
+	"cliffguard/internal/evalcache"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/portfolio"
 	"cliffguard/internal/report"
@@ -60,10 +61,11 @@ type RunSpec struct {
 	Workload *workload.Workload
 
 	// Shared, when set, layers the cross-tenant unit-cost memo under the
-	// engine's cost model for the loop's neighborhood evaluations (designers
-	// keep the raw engine; values are identical either way, so designs stay
+	// engine's cost model for the loop's neighborhood evaluations through an
+	// evalcache.Layer that reads and writes it (designers keep the raw
+	// engine; values are identical either way, so designs stay
 	// bit-identical). The server installs its process-wide memo here.
-	Shared SharedMemo
+	Shared *evalcache.Shared
 
 	// Telemetry context, set by the server. All three ride only the span
 	// side-channel, logs, and metric labels — never the canonical event
@@ -186,11 +188,8 @@ func StartRun(ctx context.Context, spec RunSpec) (*RunHandle, error) {
 	// when one is installed; the designers see the raw engine either way.
 	var cost designer.CostModel = eng
 	if spec.Shared != nil {
-		sc := newSharedCostModel(eng, spec.Shared)
-		if spec.Tenant != "" {
-			sc.tenant, sc.metrics = spec.Tenant, opts.Metrics
-		}
-		cost = sc
+		cost = &evalcache.Layer{Inner: eng, Class: eng.Class(), Read: spec.Shared, Write: spec.Shared,
+			Tenant: spec.Tenant, Metrics: opts.Metrics}
 	}
 
 	sampler := sample.New(metric, sample.NewMutator(eng.Schema()))

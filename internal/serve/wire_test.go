@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"cliffguard/internal/engine"
 )
 
 // runRequestCases pin how a /v1 run request decodes: "shards" is the
@@ -95,6 +99,55 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if opts.Parallelism != want {
 			t.Fatalf("%q: Options().Parallelism = %d, want %d", body, opts.Parallelism, want)
+		}
+	})
+}
+
+// FuzzOnlineSpec feeds arbitrary bytes through the online-spec decoder and
+// buildOnline against a test tenant: it must never panic, a rejected spec is
+// a 400 bad_request, and an accepted spec lowers to options core accepts.
+func FuzzOnlineSpec(f *testing.F) {
+	for _, body := range []string{
+		`{"gamma":0.002}`,
+		`{"gamma":0.0008,"samples":8,"iterations":2,"seed":7,"parallelism":1,"buckets":2,"bucket_size":16,"drift_fraction":0.25}`,
+		`{"gamma":0.002,"metric":"separate","designers":["advisor","autoadmin","ilp"],"check_every":3,` +
+			`"disable_seed":true,"disable_warm_start":true,"auto_redesign":true}`,
+		`{"gamma":0}`,
+		`{"gamma":-1,"samples":-3,"buckets":-2}`,
+		`{"gamma":0.002,"metric":"bogus"}`,
+		`{"gamma":0.002,"designers":["nope"]}`,
+		`{"gamma":1e308,"parallelism":-5,"drift_fraction":-1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	srv := NewServer(Config{Workers: 1})
+	f.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			f.Error(err)
+		}
+	})
+	tn, err := srv.CreateTenant("fuzz", engine.Spec{Kind: engine.KindRowStore}, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec OnlineSpec
+		if err := decodeJSON(strings.NewReader(string(body)), &spec); err != nil {
+			return
+		}
+		st, err := srv.buildOnline(tn, spec)
+		if err != nil {
+			var ae *apiError
+			if !errors.As(err, &ae) || ae.status != http.StatusBadRequest {
+				t.Fatalf("%q: buildOnline rejected with %v, want a 400 bad_request", body, err)
+			}
+			return
+		}
+		if err := spec.options(nil).Validate(); err != nil {
+			t.Fatalf("buildOnline accepted %q but its options fail Validate: %v", body, err)
+		}
+		if info := onlineInfo(st); !info.Enabled || info.Gamma <= 0 {
+			t.Fatalf("%q: accepted spec renders as %+v", body, info)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package cliffguard
 
 import (
 	"cliffguard/internal/core"
-	"cliffguard/internal/evalcache"
 	"cliffguard/internal/online"
 )
 
@@ -11,10 +10,11 @@ import (
 // stream into a count-bucketed ring; the controller measures
 // delta(W_window, W_designed) with the run's own distance metric and — when
 // the drift exceeds a configured fraction of Gamma — re-runs the robust loop
-// warm: seeded with the incumbent design (Options.InitialDesign) and with the
-// previous run's exported unit-cost generation imported (Options.WarmStart),
-// so a re-design over an overlapping window repeats almost no cost-model
-// calls while producing bit-identical designs to a cold run. A safety
+// warm: seeded with the incumbent design (Options.InitialDesign), and with
+// its cost model reading the unit costs the previous run computed (the
+// controller wraps OnlineConfig.Cost; OnlineConfig.DisableWarmStart turns
+// that off), so a re-design over an overlapping window repeats almost no
+// cost-model calls while producing bit-identical designs to a cold run. A safety
 // acceptance rule guarantees a published design never regresses the
 // worst-case neighborhood cost vs the incumbent on the current window.
 type (
@@ -27,7 +27,7 @@ type (
 	// OnlineConfig assembles a drift-triggered re-design controller.
 	OnlineConfig = online.Config
 	// OnlineController owns one workload's online state: window, incumbent
-	// design, warm-start generation handoff, drift and safety counters.
+	// design, the previous run's unit costs, drift and safety counters.
 	OnlineController = online.Controller
 	// OnlineDecision reports what one Observe call did (accepted? drift
 	// checked? fired?).
@@ -39,16 +39,9 @@ type (
 	OnlineStatus = online.Status
 
 	// RunStats are one robust run's scalar outcomes (worst-case costs of
-	// the initial competitors and the returned design, warm-start hits) —
-	// what the safety rule reads off a seeded run.
+	// the initial competitors and the returned design, online warm-start
+	// hits) — what the safety rule reads off a seeded run.
 	RunStats = core.RunStats
-	// EvalGeneration is a completed run's content-keyed unit-cost export:
-	// the warm-start handoff imported by Options.WarmStart. Values are the
-	// exact cost-model outputs, so warm runs are bit-identical to cold ones.
-	EvalGeneration = evalcache.Generation
-	// EvalGenerationKey identifies one exported unit cost (query content
-	// hash, design fingerprint).
-	EvalGenerationKey = evalcache.GenerationKey
 )
 
 // ErrRedesignInProgress is returned by OnlineController.Redesign while a
@@ -65,8 +58,3 @@ func NewOnlineWindow(cfg OnlineWindowConfig, met *Metrics) *OnlineWindow {
 func NewOnlineController(cfg OnlineConfig) (*OnlineController, error) {
 	return online.New(cfg)
 }
-
-// NewEvalGeneration returns an empty unit-cost generation (use it to build a
-// warm-start handoff by hand; runs with Options.ExportGeneration produce
-// them automatically).
-func NewEvalGeneration() *EvalGeneration { return evalcache.NewGeneration() }
