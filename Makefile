@@ -40,14 +40,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz of the SQL parser, ingest's statement splitting (pipelined
-# reader vs the line-at-a-time reference), the JSONL stream decoders, the
-# ILP solver's brute-force cross-check, the pair-table designers (budget,
-# and Exact ILP vs brute force and the greedy designers), and the /v1
-# run-request and online-spec decoders, on top of the checked-in corpora
-# (go's -fuzz takes one target per invocation).
+# Short fuzz of the SQL parser, the schema DDL decoder, ingest's statement
+# splitting (pipelined reader vs the line-at-a-time reference), the JSONL
+# stream decoders, the ILP solver's brute-force cross-check, the pair-table
+# designers (budget, and Exact ILP vs brute force and the greedy designers),
+# and the /v1 run-request and online-spec decoders, on top of the checked-in
+# corpora (go's -fuzz takes one target per invocation, so a pattern that
+# prefixes another target's name is anchored).
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/sqlparse/
+	$(GO) test -fuzz=FuzzParseSchema -fuzztime=5s ./internal/sqlparse/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/ingest/
 	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzDecodeSpans -fuzztime=5s ./internal/obs/
@@ -72,7 +74,7 @@ report-check:
 # memory sit in each file's informational block and are never gated):
 #   T1        drift statistics of the generated workloads
 #   SAMPLER   closed-form landing vs the legacy verify/bisect landing
-#   EVAL      unit-cost memo and pass replay vs DisableEvalFastPath
+#   EVAL      unit-cost memo and pass replay vs the reference full pass
 #   PORTFOLIO advisor vs AutoAdmin vs ILP-exact raced by the portfolio
 #   SCALE     a 1M-statement log through template-compressing ingestion,
 #             then a robust design of the folded workload

@@ -97,9 +97,10 @@ type (
 	// instrumentation, Options.Validate to reject nonsensical values, and
 	// Options.Normalized to clamp them to defaults instead. Parallelism
 	// bounds the one worker pool that samples and scores the neighborhood;
-	// designs, traces, and events are bit-identical at any value.
-	// DisableEvalFastPath bypasses the incremental-evaluation memo (the
-	// unit-cost cache and evaluation-pass replay), also bit-identically.
+	// designs, traces, and events are bit-identical at any value. Neighborhood
+	// evaluation always runs through the incremental-evaluation memo (the
+	// unit-cost cache and evaluation-pass replay); it is bit-identical to a
+	// full pass, which the tests and the EVAL benchmark check.
 	Options = core.Options
 	// Guard is the CliffGuard robust designer (Algorithm 2 of the paper).
 	Guard = core.CliffGuard
@@ -139,9 +140,10 @@ type (
 	Sample = aqesim.Sample
 
 	// PortfolioDesigner races member designers concurrently on the same
-	// workload and keeps the best worst-case design with a deterministic
-	// tie-break; it implements Designer and can fill the nominal slot of the
-	// robust loop (see Options.Portfolio for the integrated form).
+	// workload and keeps the design that costs least on it, with a
+	// deterministic tie-break; it implements Designer and can fill the
+	// nominal slot of the robust loop (see Options.Portfolio for the
+	// integrated form).
 	PortfolioDesigner = portfolio.Portfolio
 	// AutoAdminDesigner is the candidate-pruning greedy designer in the
 	// classic AutoAdmin shape: per-query best-candidate selection, then a
@@ -325,7 +327,7 @@ func GenerateData(s *Schema, maxRows int, seed int64) *Dataset {
 func NewParser(s *Schema) *Parser { return sqlparse.NewParser(s) }
 
 // NewPortfolio returns a designer portfolio racing the members concurrently
-// on each input workload; the best design by worst-case cost wins (ties
+// on each input workload; the design that costs least on it wins (ties
 // break deterministically, so outputs are bit-identical at any
 // parallelism). To race designers inside the robust loop, list the extra
 // members in Options.Portfolio instead.

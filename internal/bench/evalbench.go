@@ -26,7 +26,7 @@ const (
 
 // EvalResult is the EVAL experiment's output: the same fixed-seed robust
 // design run twice — incremental evaluation on, then off
-// (DisableEvalFastPath) — at parallelism 1 with identical seeds. The counter
+// (core.FullPassEval) — at parallelism 1 with identical seeds. The counter
 // and equivalence columns are deterministic (they gate the BENCH_EVAL.json
 // baseline); the wall-clock columns are informational.
 type EvalResult struct {
@@ -36,7 +36,7 @@ type EvalResult struct {
 
 	// Deterministic counters (gated).
 	FastCostCalls   uint64 // evaluation-layer Cost invocations, fast path on
-	LegacyCostCalls uint64 // same, with DisableEvalFastPath
+	LegacyCostCalls uint64 // same, under core.FullPassEval
 	CallReduction   float64
 	FastPathEvals   uint64 // workload evaluations with zero cost-model calls (fast run)
 	SlowPathEvals   uint64 // workload evaluations that hit the model (fast run)
@@ -70,7 +70,7 @@ func (c *countingCost) Cost(ctx context.Context, q *workload.Query, d *designer.
 // EvalBench runs the incremental-evaluation micro-experiment behind the PR 5
 // fast path: one full robust design of the set's first month (the T1
 // experiment's workload) with the unit-cost memo and pass replay on, one
-// with DisableEvalFastPath, both at parallelism 1 with the same seed. It
+// under core.FullPassEval, both at parallelism 1 with the same seed. It
 // reports the evaluation-layer cost-model call counts, the fast/slow path
 // split, and three equivalence bits — designs, traces, and the raw event
 // streams must be bit-identical, so the baseline doubles as an end-to-end
@@ -100,16 +100,19 @@ func EvalBench(set *wlgen.Set, gamma float64, seed int64) (*EvalResult, error) {
 		counting := &countingCost{inner: db}
 		met := obs.NewMetrics()
 		rec := &obs.Recorder{}
-		cg := core.New(nominal, counting, sampler, core.Options{
-			Gamma:               gamma,
-			Samples:             evalBenchSamples,
-			Iterations:          evalBenchIterations,
-			Seed:                seed,
-			Parallelism:         1,
-			DisableEvalFastPath: disable,
-			Observer:            rec,
-			Metrics:             met,
-		})
+		opts := core.Options{
+			Gamma:       gamma,
+			Samples:     evalBenchSamples,
+			Iterations:  evalBenchIterations,
+			Seed:        seed,
+			Parallelism: 1,
+			Observer:    rec,
+			Metrics:     met,
+		}
+		if disable {
+			opts = core.FullPassEval(opts)
+		}
+		cg := core.New(nominal, counting, sampler, opts)
 		target := set.Months[0].Clone()
 		start := time.Now()
 		d, traces, err := cg.DesignWithTrace(context.Background(), target)

@@ -46,11 +46,11 @@ type runEval struct {
 	scores map[uint64][]evalResult // design fingerprint -> index-aligned pass results
 }
 
-// newRunEval builds the run's evaluator. With DisableEvalFastPath both
-// caches stay nil and score degenerates to the legacy full pass.
+// newRunEval builds the run's evaluator. Under FullPassEval both caches
+// stay nil and score degenerates to the reference full pass.
 func (cg *CliffGuard) newRunEval(opts Options) *runEval {
 	re := &runEval{cg: cg}
-	if !opts.DisableEvalFastPath {
+	if !opts.fullPassEval {
 		re.scores = make(map[uint64][]evalResult)
 		re.units = evalcache.New()
 		if opts.Metrics != nil {

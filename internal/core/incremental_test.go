@@ -22,7 +22,7 @@ func runEvalPath(t *testing.T, disable bool, parallelism int) ([]obs.Event, []Tr
 	met := obs.NewMetrics()
 	cg, _ := newGuard(s, Options{
 		Gamma: 0.004, Samples: 10, Iterations: 4, Seed: 11,
-		Parallelism: parallelism, DisableEvalFastPath: disable,
+		Parallelism: parallelism, fullPassEval: disable,
 		Observer: rec, Metrics: met,
 	})
 	d, traces, err := cg.DesignWithTrace(context.Background(), w)
@@ -116,7 +116,7 @@ func TestEvalFastPathReducesCostModelCalls(t *testing.T) {
 		met := obs.NewMetrics()
 		cg, db := newGuard(s, Options{
 			Gamma: 0.004, Samples: 10, Iterations: 4, Seed: 11,
-			Parallelism: 1, DisableEvalFastPath: disable, Metrics: met,
+			Parallelism: 1, fullPassEval: disable, Metrics: met,
 		})
 		db.Instrument(met)
 		if _, err := cg.Design(context.Background(), w); err != nil {
@@ -148,7 +148,7 @@ func TestEvalFastPathReducesCostModelCalls(t *testing.T) {
 		t.Fatalf("evalcache saw no traffic: hits=%d misses=%d", ec.Hits, ec.Misses)
 	}
 	if _, ok := legacy.CacheSnapshots()["evalcache"]; ok {
-		t.Fatal("legacy run registered the evalcache despite DisableEvalFastPath")
+		t.Fatal("legacy run registered the evalcache despite fullPassEval")
 	}
 	// Two-generation eviction holds the memo to the incumbent + candidate
 	// fingerprints; entries must not grow with the iteration count.

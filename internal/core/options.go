@@ -75,8 +75,8 @@ type Options struct {
 	// and each iteration's moved workload). The loop's designer slot becomes
 	// a portfolio.Portfolio over [Nominal, Portfolio...]: members run
 	// concurrently under the Parallelism bound, each returned design is
-	// scored on the input workload with a shared unit-cost cache, and the
-	// best design wins with a deterministic tie-break — so the loop's
+	// scored once per distinct design on the input workload, and the best
+	// design wins with a deterministic tie-break — so the loop's
 	// outputs stay bit-identical at any parallelism. Empty means the nominal
 	// designer runs alone (the historical behavior).
 	Portfolio []designer.Designer
@@ -95,14 +95,8 @@ type Options struct {
 	// preserves the historical nominal-only start; with Gamma = 0 the
 	// option is ignored (the run returns the nominal design untouched).
 	InitialDesign *designer.Design
-	// DisableEvalFastPath reverts neighborhood evaluation to the legacy
-	// full-pass behavior: every pass calls the cost model once per
-	// (query, workload) and nothing is memoized across passes. The default
-	// (false) memoizes unit costs per (query, design-fingerprint) and
-	// replays whole passes for already-scored designs; designs, traces, and
-	// JSONL events are bit-identical either way, so this is purely an escape
-	// hatch (the EVAL benchmark's uncached reference pass).
-	DisableEvalFastPath bool
+	// fullPassEval selects the reference full pass (see FullPassEval).
+	fullPassEval bool
 
 	// Observer receives the loop's typed instrumentation events
 	// (obs.IterationStart/End, obs.NeighborEvaluated, ...). nil disables
@@ -131,6 +125,17 @@ func (o Options) WithObserver(ob obs.Observer) Options {
 // WithMetrics returns a copy of the options with the metrics registry set.
 func (o Options) WithMetrics(m *obs.Metrics) Options {
 	o.Metrics = m
+	return o
+}
+
+// FullPassEval returns a copy of o whose runs evaluate every neighborhood
+// pass in full, calling the cost model once per (query, workload) with no
+// memo or pass replay. Designs, traces and events are bit-identical to the
+// default memoized path; the full pass is the oracle its tests and the EVAL
+// experiment compare against. It is a function, not an Options method, so
+// that the public Options alias cannot reach it.
+func FullPassEval(o Options) Options {
+	o.fullPassEval = true
 	return o
 }
 

@@ -1,10 +1,8 @@
 package evalcache
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"cliffguard/internal/obs"
+	"cliffguard/internal/stripe"
 )
 
 // SharedKey identifies one memoized unit cost in a Shared store. Unlike the
@@ -28,99 +26,48 @@ type SharedKey struct {
 	Design uint64
 }
 
-type sharedShard struct {
-	mu     sync.RWMutex
-	m      map[SharedKey]entry
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// Shared is a content-keyed unit-cost store, read and written through a
-// Layer: cliffguardd keeps one per process beneath every tenant's per-run
-// Cache, and an online controller hands one from each re-design to the next.
-// It uses the same 64-way lock striping as Cache; values are pure functions
-// of their key, so concurrent redundant computation is benign.
-//
-// The store is unbounded: nothing evicts entries, so it grows with
-// |distinct designs seen| x |distinct queries|. An entry cap is open work
-// (ROADMAP item 2).
-type Shared struct {
-	shards [numShards]sharedShard
-}
-
-// NewShared returns an empty shared memo.
-func NewShared() *Shared {
-	s := &Shared{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[SharedKey]entry)
-	}
-	return s
-}
-
-func (s *Shared) shardFor(k SharedKey) *sharedShard {
+// Mix implements stripe.Key over all three key words.
+func (k SharedKey) Mix() uint64 {
 	h := (k.Query + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 	h ^= k.Design
 	h *= 0x94d049bb133111eb
 	h ^= k.Class
 	h ^= h >> 33
-	return &s.shards[h&(numShards-1)]
+	return h
 }
+
+// Shared is a content-keyed unit-cost store, read and written through a
+// Layer: cliffguardd keeps one per process beneath every tenant's per-run
+// Cache, and an online controller hands one from each re-design to the next.
+// It is the same striped map as Cache; values are pure functions of their
+// key, so concurrent redundant computation is benign.
+//
+// The store is unbounded: nothing evicts entries, so it grows with
+// |distinct designs seen| x |distinct queries|. An entry cap is open work
+// (ROADMAP item 2).
+type Shared struct {
+	m stripe.Map[SharedKey, entry]
+}
+
+// NewShared returns an empty shared memo.
+func NewShared() *Shared { return &Shared{} }
 
 // Lookup returns the memoized unit cost for the key, if present. unsupported
 // reports a memoized designer.ErrUnsupported verdict (cost is 0 then).
 func (s *Shared) Lookup(k SharedKey) (cost float64, unsupported, ok bool) {
-	sh := s.shardFor(k)
-	sh.mu.RLock()
-	e, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		sh.hits.Add(1)
-	} else {
-		sh.misses.Add(1)
-	}
+	e, ok := s.m.Lookup(k)
 	return e.cost, e.unsupported, ok
 }
 
 // Store memoizes the unit cost (or the unsupported verdict) for the key.
 // Hard errors must never be stored; the caller enforces that.
 func (s *Shared) Store(k SharedKey, cost float64, unsupported bool) {
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	sh.m[k] = entry{cost: cost, unsupported: unsupported}
-	sh.mu.Unlock()
+	s.m.Store(k, entry{cost: cost, unsupported: unsupported})
 }
 
 // Len returns the total number of memoized entries.
-func (s *Shared) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (s *Shared) Len() int { return s.m.Len() }
 
 // Stats snapshots hit/miss tallies and entry counts in the shape
 // obs.Metrics.RegisterCache consumes.
-func (s *Shared) Stats() obs.CacheStats {
-	var out obs.CacheStats
-	out.Shards = make([]obs.CacheShardStats, numShards)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		entries := len(sh.m)
-		sh.mu.RUnlock()
-		st := obs.CacheShardStats{
-			Hits:    sh.hits.Load(),
-			Misses:  sh.misses.Load(),
-			Entries: entries,
-		}
-		out.Shards[i] = st
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Entries += st.Entries
-	}
-	return out
-}
+func (s *Shared) Stats() obs.CacheStats { return s.m.Stats() }

@@ -2,7 +2,7 @@
 // an AutoAdmin-style candidate-pruning greedy designer, an ILP-exact
 // designer lowering structure selection to the branch-and-bound solver, and
 // a Portfolio runner that races member designers concurrently and keeps the
-// best worst-case design.
+// design that costs least on the input workload.
 //
 // CliffGuard treats the nominal designer as a black box (Section 3 of the
 // paper), so diversity in that slot is free robustness: the robust loop

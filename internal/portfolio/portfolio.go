@@ -4,56 +4,38 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
 
 	"cliffguard/internal/designer"
-	"cliffguard/internal/evalcache"
 	"cliffguard/internal/obs"
-	"cliffguard/internal/sample"
 	"cliffguard/internal/workload"
 )
 
 // Portfolio races k member designers on the same workload and keeps the best
-// design by worst-case cost — the RITA-style "race tuning strategies under a
-// shared budget" idea, with a DBA-bandits-style safety rule: the kept design
-// is never strictly worse than any member's on the scoring set.
+// design by its normalized cost f(w, D) on the input workload — the
+// RITA-style "race tuning strategies under a shared budget" idea, with a
+// DBA-bandits-style safety rule: the kept design is never strictly worse
+// than any member's on w.
 //
 // Members run concurrently under a bounded worker pool; each member is
 // internally sequential, results land in a member-index-aligned slice, and
 // every reduction walks that slice in index order, so the output design is
-// bit-identical at any Parallelism. Scoring shares one evalcache across
-// members keyed by design fingerprint: two members returning the same design
-// are scored once (the single-pass worst-case discipline of the robust
-// loop's incremental evaluator).
+// bit-identical at any Parallelism. Each distinct design fingerprint is
+// scored once: two members returning the same design cost one pass over w.
 //
-// The scoring set is {w} by default — worst case degenerates to the nominal
-// cost, which is the right semantics when the portfolio runs inside the
-// robust loop (the loop supplies its own Γ-neighborhood evaluation of the
-// winner). Standalone callers can attach a Sampler and set Gamma/Samples to
-// score members on a sampled Γ-neighborhood instead.
+// Scoring on w alone is the right semantics inside the robust loop, which
+// supplies its own Γ-neighborhood evaluation of the winner.
 type Portfolio struct {
-	// Members are the raced designers, in priority order: ties in worst-case
-	// cost and fingerprint keep the earliest member.
+	// Members are the raced designers, in priority order: ties in cost and
+	// fingerprint keep the earliest member.
 	Members []designer.Designer
 	// Cost is the what-if cost model used to score member designs.
 	Cost designer.CostModel
 
-	// Sampler, Gamma and Samples optionally widen the scoring set to a
-	// sampled Γ-neighborhood of the input workload (plus the input itself).
-	// With a nil Sampler or Gamma <= 0 the scoring set is {w}.
-	Sampler *sample.Sampler
-	Gamma   float64
-	Samples int
-	// Seed makes neighborhood sampling deterministic.
-	Seed int64
-
-	// Parallelism bounds the member-invocation and scoring worker pools
-	// (0 or negative = runtime.NumCPU()). Results are bit-identical at any
-	// value.
+	// Parallelism bounds the member-invocation worker pool (0 or negative =
+	// runtime.NumCPU()). Results are bit-identical at any value.
 	Parallelism int
 	// MemberTimeout bounds each member's Design call (0 = no bound). A
 	// member exceeding it is skipped — counted, never fatal — while the
@@ -69,8 +51,7 @@ type Portfolio struct {
 	Metrics *obs.Metrics
 }
 
-// New returns a Portfolio over the given members with the default scoring
-// set ({w}) and no member timeout.
+// New returns a Portfolio over the given members with no member timeout.
 func New(cost designer.CostModel, members ...designer.Designer) *Portfolio {
 	return &Portfolio{Members: members, Cost: cost}
 }
@@ -78,9 +59,9 @@ func New(cost designer.CostModel, members ...designer.Designer) *Portfolio {
 // Name implements designer.Designer.
 func (p *Portfolio) Name() string { return "Portfolio" }
 
-// errNoCostableWorkload marks a design whose every scoring workload had no
-// costable query; such members are skipped like erroring ones.
-var errNoCostableWorkload = errors.New("portfolio: no scoring workload is costable under the cost model")
+// errNoCostableWorkload marks a design under which no query of the workload
+// is costable; such members are skipped like erroring ones.
+var errNoCostableWorkload = errors.New("portfolio: no query of the workload is costable under the cost model")
 
 // memberOut is one member's race outcome, index-aligned with Members.
 type memberOut struct {
@@ -89,7 +70,7 @@ type memberOut struct {
 }
 
 // Design implements designer.Designer: race the members, score each distinct
-// returned design's worst case over the scoring set, keep the best.
+// returned design on w, keep the best.
 func (p *Portfolio) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -104,11 +85,6 @@ func (p *Portfolio) Design(ctx context.Context, w *workload.Workload) (*designer
 		p.Metrics.PortfolioRuns.Inc()
 	}
 
-	scoring, err := p.scoringSet(w)
-	if err != nil {
-		return nil, err
-	}
-
 	outs := p.race(ctx, w)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -116,11 +92,10 @@ func (p *Portfolio) Design(ctx context.Context, w *workload.Workload) (*designer
 
 	// Gather in member-index order: emit per-member DesignerInvoked events,
 	// score each distinct fingerprint once, and keep the winner. The winner
-	// is the minimum worst-case cost; ties break to the lexicographically
-	// smaller fingerprint (fixed-width hex, i.e. the smaller uint64), then
-	// to the earlier member.
+	// is the minimum cost; ties break to the lexicographically smaller
+	// fingerprint (fixed-width hex, i.e. the smaller uint64), then to the
+	// earlier member.
 	iter := obs.IterationFromContext(ctx)
-	units := evalcache.New()
 	type score struct {
 		cost float64
 		err  error
@@ -160,7 +135,7 @@ func (p *Portfolio) Design(ctx context.Context, w *workload.Workload) (*designer
 		fp := out.d.Fingerprint()
 		sc, ok := scores[fp]
 		if !ok {
-			c, err := p.worstCase(ctx, scoring, out.d, units)
+			c, err := p.workloadCost(ctx, w, out.d)
 			sc = score{cost: c, err: err}
 			scores[fp] = sc
 		}
@@ -190,23 +165,6 @@ func (p *Portfolio) Design(ctx context.Context, w *workload.Workload) (*designer
 		p.Metrics.PortfolioWins.Inc(p.Members[bestIdx].Name())
 	}
 	return outs[bestIdx].d, nil
-}
-
-// scoringSet builds the workloads member designs are scored against.
-func (p *Portfolio) scoringSet(w *workload.Workload) ([]*workload.Workload, error) {
-	if p.Sampler == nil || p.Gamma <= 0 {
-		return []*workload.Workload{w}, nil
-	}
-	samples := p.Samples
-	if samples <= 0 {
-		samples = 20
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	neighborhood, err := p.Sampler.Neighborhood(rng, w, p.Gamma, samples)
-	if err != nil {
-		return nil, fmt.Errorf("portfolio: sampling Γ-neighborhood: %w", err)
-	}
-	return append(neighborhood, w), nil
 }
 
 // race invokes every member concurrently under the bounded pool. Each
@@ -253,92 +211,23 @@ func (p *Portfolio) race(ctx context.Context, w *workload.Workload) []memberOut 
 	return outs
 }
 
-// worstCase scores one design: the maximum normalized workload cost over the
-// scoring set, mirroring the robust loop's single-pass scorer. Workloads
-// with no costable query are skipped; if every workload is uncostable the
-// design is unscorable (errNoCostableWorkload). Per-workload costs are
-// computed in one goroutine each (fixed summation order) and reduced in
-// index order, so the score is bit-identical at any parallelism.
-func (p *Portfolio) worstCase(ctx context.Context, scoring []*workload.Workload, d *designer.Design, units *evalcache.Cache) (float64, error) {
-	fp := d.Fingerprint()
-	type res struct {
-		cost float64
-		err  error
-	}
-	results := make([]res, len(scoring))
-	evalOne := func(i int) {
-		c, err := p.workloadCost(ctx, scoring[i], d, units, fp)
-		results[i] = res{cost: c, err: err}
-	}
-	workers := p.workers(len(scoring))
-	if workers == 1 {
-		for i := range scoring {
-			evalOne(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					evalOne(i)
-				}
-			}()
-		}
-		for i := range scoring {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	worst := math.Inf(-1)
-	costable := false
-	for _, r := range results {
-		if r.err != nil {
-			if errors.Is(r.err, errNoCostableWorkload) {
-				continue
-			}
-			return 0, r.err
-		}
-		costable = true
-		if r.cost > worst {
-			worst = r.cost
-		}
-	}
-	if !costable {
-		return 0, errNoCostableWorkload
-	}
-	return worst, nil
-}
-
-// workloadCost evaluates f(W, D) normalized by costable weight, memoizing
-// unit costs in the shared cache — the same semantics as the robust loop's
-// evaluator: unsupported queries are skipped, a workload with no costable
-// query yields errNoCostableWorkload, hard errors propagate uncached.
-func (p *Portfolio) workloadCost(ctx context.Context, w *workload.Workload, d *designer.Design, units *evalcache.Cache, fp uint64) (float64, error) {
+// workloadCost evaluates f(W, D) normalized by costable weight — the same
+// semantics as the robust loop's evaluator: unsupported queries are skipped,
+// a workload with no costable query yields errNoCostableWorkload, hard
+// errors propagate.
+func (p *Portfolio) workloadCost(ctx context.Context, w *workload.Workload, d *designer.Design) (float64, error) {
 	var total, weight float64
 	for _, it := range w.Items {
-		if c, unsupported, ok := units.Lookup(it.Q, fp); ok {
-			if !unsupported {
-				total += it.Weight * c
-				weight += it.Weight
-			}
-			continue
-		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
 		c, err := p.Cost.Cost(ctx, it.Q, d)
 		if err != nil {
 			if errors.Is(err, designer.ErrUnsupported) {
-				units.Store(it.Q, fp, 0, true)
 				continue
 			}
 			return 0, err
 		}
-		units.Store(it.Q, fp, c, false)
 		total += it.Weight * c
 		weight += it.Weight
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -234,6 +235,52 @@ func TestPortfolioUnscorableMember(t *testing.T) {
 	}
 	if got := met.PortfolioMemberErrors.Load(); got != 1 {
 		t.Fatalf("error counter = %d, want 1", got)
+	}
+}
+
+// countingCost is stubCost with a per-design call tally.
+type countingCost struct {
+	mu    sync.Mutex
+	calls map[uint64]int // design fingerprint -> Cost calls
+}
+
+func (c *countingCost) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (float64, error) {
+	c.mu.Lock()
+	c.calls[d.Fingerprint()]++
+	c.mu.Unlock()
+	return stubCost{}.Cost(ctx, q, d)
+}
+
+// TestPortfolioScoresEachDesignOnce: two members returning the same design
+// cost one scoring pass, |w| calls, and a member whose design leaves every
+// query unsupported is scored once and skipped.
+func TestPortfolioScoresEachDesignOnce(t *testing.T) {
+	w := stubWorkload()
+	cost := &countingCost{calls: make(map[uint64]int)}
+	met := obs.NewMetrics()
+	p := New(cost,
+		&fixedDesigner{name: "first", d: design("good-a")},
+		&fixedDesigner{name: "poisoned", d: design("poison-x")},
+		&fixedDesigner{name: "twin", d: design("good-a")},
+	)
+	p.Metrics = met
+	d, err := p.Design(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != 1 || d.Structures[0].Key() != "good-a" {
+		t.Fatalf("wrong design: %s", d)
+	}
+	for _, scored := range []*designer.Design{design("good-a"), design("poison-x")} {
+		if got := cost.calls[scored.Fingerprint()]; got != w.Len() {
+			t.Fatalf("%s scored with %d Cost calls, want |w| = %d", scored, got, w.Len())
+		}
+	}
+	if got := met.PortfolioMemberErrors.Load(); got != 1 {
+		t.Fatalf("error counter = %d, want 1 (the unscorable member)", got)
+	}
+	if got := met.PortfolioWins.Snapshot(); got["first"] != 1 || got["twin"] != 0 {
+		t.Fatalf("wins = %v, want first=1", got)
 	}
 }
 

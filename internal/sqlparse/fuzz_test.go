@@ -111,3 +111,43 @@ func fuzzSchema() *schema.Schema {
 		},
 	})
 }
+
+// FuzzParseSchema: on arbitrary bytes ParseSchema must return a schema or an
+// error, never panic. An accepted schema must be one the engines can cost:
+// every table has a positive row count, and global column IDs are dense
+// 0..n-1 in declaration order with NumColumns equal to their total.
+func FuzzParseSchema(f *testing.F) {
+	for _, s := range []string{
+		testDDL,
+		"create table t (count bigint, v float);",
+		"",
+		"CREATE TABLE t (a BIGINT)",
+		"CREATE TABLE t (a FROBNITZ);",
+		"CREATE TABLE t (a BIGINT) ROWS 0;",
+		"CREATE TABLE t (a BIGINT CARDINALITY 0);",
+		"CREATE VIEW v (a BIGINT);",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, ddl string) {
+		s, err := ParseSchema(ddl)
+		if err != nil {
+			return
+		}
+		next := 0
+		for _, tab := range s.Tables() {
+			if tab.Rows <= 0 {
+				t.Fatalf("table %q has %d rows: %q", tab.Name, tab.Rows, ddl)
+			}
+			for _, c := range tab.Columns {
+				if c.ID != next {
+					t.Fatalf("column %s.%s has ID %d, want %d: %q", tab.Name, c.Name, c.ID, next, ddl)
+				}
+				next++
+			}
+		}
+		if s.NumColumns() != next {
+			t.Fatalf("NumColumns = %d, tables declare %d columns: %q", s.NumColumns(), next, ddl)
+		}
+	})
+}
