@@ -43,8 +43,9 @@ race:
 # Short fuzz of the SQL parser, the schema DDL decoder, ingest's statement
 # splitting (pipelined reader vs the line-at-a-time reference), the JSONL
 # stream decoders, the ILP solver's brute-force cross-check, the pair-table
-# designers (budget, and Exact ILP vs brute force and the greedy designers),
-# and the /v1 run-request and online-spec decoders, on top of the checked-in
+# designers (budget, Exact ILP vs brute force and the greedy designers, and
+# the sparse table and search steps vs their dense references), and the /v1
+# run-request, online-spec and tenant-spec decoders, on top of the checked-in
 # corpora (go's -fuzz takes one target per invocation, so a pattern that
 # prefixes another target's name is anchored).
 fuzz-smoke:
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPairTable -fuzztime=5s ./internal/portfolio/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=5s ./internal/serve/
 	$(GO) test -fuzz=FuzzOnlineSpec -fuzztime=5s ./internal/serve/
+	$(GO) test -fuzz=FuzzTenantSpec -fuzztime=5s ./internal/serve/
 
 # Regression-lock the run-analysis math: the golden event stream must
 # summarize to exactly the checked-in expected summary. After an intentional

@@ -120,6 +120,31 @@ func (s *Sample) StrataSet() workload.ColSet {
 	return workload.NewColSet(s.Strata...)
 }
 
+// Serves implements designer.Server: the sample serves the queries on its
+// table it can answer with bounded error: aggregate queries only, with every
+// grouping and filtering column inside the stratification set (otherwise
+// strata do not control the estimator's variance for that query).
+func (s *Sample) Serves(q *workload.Query) bool {
+	if q == nil || q.Spec == nil || s.Table != q.Spec.Table {
+		return false
+	}
+	spec := q.Spec
+	if len(spec.Aggs) == 0 {
+		return false // point/detail queries need exact rows
+	}
+	for _, c := range spec.GroupBy {
+		if !slices.Contains(s.Strata, c) {
+			return false
+		}
+	}
+	for _, p := range spec.Preds {
+		if !slices.Contains(s.Strata, p.Col) {
+			return false
+		}
+	}
+	return true
+}
+
 // DB is the approximate engine's cost model. It implements
 // designer.CostModel. The memo cache is sharded for CliffGuard's parallel
 // neighborhood evaluation.
@@ -161,7 +186,7 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	if d != nil {
 		for _, st := range d.Structures {
 			sm, ok := st.(*Sample)
-			if !ok || sm.Table != q.Spec.Table || !db.answerable(q, sm) {
+			if !ok || !sm.Serves(q) {
 				continue
 			}
 			if c := db.pathCost(q, sm); c < best {
@@ -170,28 +195,6 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 		}
 	}
 	return best, nil
-}
-
-// answerable reports whether the sample can answer the query with bounded
-// error: aggregate queries only, with every grouping and filtering column
-// inside the stratification set (otherwise strata do not control the
-// estimator's variance for that query).
-func (db *DB) answerable(q *workload.Query, sm *Sample) bool {
-	spec := q.Spec
-	if len(spec.Aggs) == 0 {
-		return false // point/detail queries need exact rows
-	}
-	for _, c := range spec.GroupBy {
-		if !slices.Contains(sm.Strata, c) {
-			return false
-		}
-	}
-	for _, p := range spec.Preds {
-		if !slices.Contains(sm.Strata, p.Col) {
-			return false
-		}
-	}
-	return true
 }
 
 func (db *DB) check(q *workload.Query) error {

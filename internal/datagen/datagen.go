@@ -14,6 +14,7 @@ package datagen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"cliffguard/internal/schema"
@@ -79,15 +80,27 @@ func (d *Dataset) Rows(table string) int { return d.rows[table] }
 // dataset does not contain it.
 func (d *Dataset) Column(id int) []int64 { return d.cols[id] }
 
+// factRowsPerScale is the sales table's modeled row count at scale 1, the
+// largest per-scale row count in the warehouse.
+const factRowsPerScale = 2_000_000
+
+// MaxWarehouseScale is the largest scale Warehouse accepts: beyond it the
+// fact tables' row counts overflow int64.
+const MaxWarehouseScale = math.MaxInt64 / factRowsPerScale
+
 // Warehouse returns the canonical star-schema warehouse used throughout the
 // experiments: two wide fact tables (modeled after the analytical anchor
 // tables of the paper's R1 customer) plus dimension tables. scale multiplies
-// the modeled row counts (scale 1 models a few million fact rows).
+// the modeled row counts (scale 1 models a few million fact rows); it panics
+// above MaxWarehouseScale.
 func Warehouse(scale int64) *schema.Schema {
 	if scale < 1 {
 		scale = 1
 	}
-	factRows := 2_000_000 * scale
+	if scale > MaxWarehouseScale {
+		panic(fmt.Sprintf("datagen: warehouse scale %d exceeds %d", scale, int64(MaxWarehouseScale)))
+	}
+	factRows := factRowsPerScale * scale
 	eventRows := 1_200_000 * scale
 
 	salesCols := []schema.ColumnDef{

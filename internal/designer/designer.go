@@ -29,6 +29,16 @@ type Structure interface {
 	Describe() string
 }
 
+// Server is implemented by structures that can tell, without costing, which
+// queries they may serve. The contract: when Serves(q) is false, adding the
+// structure to any design leaves q's cost bit-identical under the engine the
+// structure belongs to. A true answer promises nothing; the structure may
+// still lose to another access path. Engines skip non-serving structures in
+// Cost, and BuildPairTable fills their cells with the base cost uncosted.
+type Server interface {
+	Serves(q *workload.Query) bool
+}
+
 // Design is a set of structures. The zero value is the empty design
 // (paper's NoDesign: every query runs off the base table/super-projection).
 //

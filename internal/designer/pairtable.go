@@ -34,17 +34,27 @@ type CandidateProvider interface {
 //   - A singleton pair returning ErrUnsupported is +Inf: that structure never
 //     serves that query.
 //   - Any other error, cancellation included, aborts the build, wrapped.
+//   - A structure that implements Server and does not serve q is Base[q],
+//     with no cost-model call.
+//
+// Helps[s] lists, ascending, the query indices where Pool[s] alone beats the
+// base cost (Pair[s][q] < Base[q]). The search steps (BenefitPerByte,
+// Greedy, Lower) walk only those cells: every search starts from Base and
+// only lowers it, so a cell outside Helps[s] can never lower a running
+// minimum, and skipping it leaves every sum's terms and order unchanged.
+// Pair stays dense for the designers that read whole columns.
 type PairTable struct {
 	Pool    []Structure
 	Queries []*workload.Query
 	Weights []float64
 	Base    []float64
 	Pair    [][]float64
+	Helps   [][]int
 }
 
 // BuildPairTable costs every query of w under the empty design, then every
 // (structure, query) pair — structure outer, query inner — with the
-// structure alone.
+// structure alone, skipping the pairs a Server structure does not serve.
 func BuildPairTable(ctx context.Context, cm CostModel, w *workload.Workload, candidates []Structure) (*PairTable, error) {
 	t := &PairTable{Pool: make([]Structure, 0, len(candidates))}
 	seen := make(map[string]bool, len(candidates))
@@ -78,23 +88,34 @@ func BuildPairTable(ctx context.Context, cm CostModel, w *workload.Workload, can
 	nq := len(t.Queries)
 	cells := make([]float64, len(t.Pool)*nq)
 	t.Pair = make([][]float64, len(t.Pool))
+	t.Helps = make([][]int, len(t.Pool))
+	var helps []int // one backing array; each row's slice is capped
 	for si, s := range t.Pool {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("costing pairs: %w", err)
 		}
 		row := cells[si*nq : (si+1)*nq : (si+1)*nq]
 		d := NewDesign(s)
+		srv, sparse := s.(Server)
+		start := len(helps)
 		for qi, q := range t.Queries {
-			c, err := cm.Cost(ctx, q, d)
-			if err != nil {
-				if !errors.Is(err, ErrUnsupported) {
-					return nil, fmt.Errorf("costing %s with %s: %w", q, s.Key(), err)
+			c := t.Base[qi]
+			if !sparse || srv.Serves(q) {
+				var err error
+				if c, err = cm.Cost(ctx, q, d); err != nil {
+					if !errors.Is(err, ErrUnsupported) {
+						return nil, fmt.Errorf("costing %s with %s: %w", q, s.Key(), err)
+					}
+					c = math.Inf(1)
 				}
-				c = math.Inf(1)
 			}
 			row[qi] = c
+			if c < t.Base[qi] {
+				helps = append(helps, qi)
+			}
 		}
 		t.Pair[si] = row
+		t.Helps[si] = helps[start:len(helps):len(helps)]
 	}
 	return t, nil
 }
@@ -112,10 +133,9 @@ func (t *PairTable) Indices() []int {
 // sum_q Weights[q] * max(Base[q] - Pair[si][q], 0), per byte of its size.
 func (t *PairTable) BenefitPerByte(si int) float64 {
 	var total float64
-	for qi, c := range t.Pair[si] {
-		if b := t.Base[qi] - c; b > 0 {
-			total += t.Weights[qi] * b
-		}
+	row := t.Pair[si]
+	for _, qi := range t.Helps[si] {
+		total += t.Weights[qi] * (t.Base[qi] - row[qi])
 	}
 	return total / float64(max(t.Pool[si].SizeBytes(), 1))
 }
@@ -141,8 +161,9 @@ func (t *PairTable) Top(idx []int, k int) []int {
 // Greedy extends a selection by benefit per byte: among the untaken indices
 // of idx that fit the budget, repeatedly take the one whose reduction of
 // the per-query running minimum cur, per byte, is largest (ties to the
-// earliest in idx), until nothing fits or helps. It updates taken and cur in
-// place and returns the picks in order.
+// earliest in idx), until nothing fits or helps. cur must not exceed Base
+// anywhere. It updates taken and cur in place and returns the picks in
+// order.
 func (t *PairTable) Greedy(ctx context.Context, idx []int, taken []bool, cur []float64, used, budget int64) ([]int, error) {
 	var picks []int
 	for {
@@ -160,8 +181,9 @@ func (t *PairTable) Greedy(ctx context.Context, idx []int, taken []bool, cur []f
 				continue
 			}
 			var gain float64
-			for qi, c := range t.Pair[si] {
-				if c < cur[qi] {
+			row := t.Pair[si]
+			for _, qi := range t.Helps[si] {
+				if c := row[qi]; c < cur[qi] {
 					gain += t.Weights[qi] * (cur[qi] - c)
 				}
 			}
@@ -183,10 +205,12 @@ func (t *PairTable) Greedy(ctx context.Context, idx []int, taken []bool, cur []f
 	}
 }
 
-// Lower adds structure si to the running per-query minimum cur.
+// Lower adds structure si to the running per-query minimum cur, which must
+// not exceed Base anywhere.
 func (t *PairTable) Lower(cur []float64, si int) {
-	for qi, c := range t.Pair[si] {
-		if c < cur[qi] {
+	row := t.Pair[si]
+	for _, qi := range t.Helps[si] {
+		if c := row[qi]; c < cur[qi] {
 			cur[qi] = c
 		}
 	}

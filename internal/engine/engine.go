@@ -56,8 +56,9 @@ type Spec struct {
 }
 
 // Normalize canonicalizes the kind (resolving aliases, case-insensitive) and
-// defaults Scale to 1. It errors on unknown kinds and on Data for engines
-// without an executor.
+// defaults Scale to 1. It errors on unknown kinds, on a Scale whose
+// warehouse row counts overflow (above datagen.MaxWarehouseScale), and on
+// Data for engines without an executor.
 func (s Spec) Normalize() (Spec, error) {
 	switch strings.ToLower(strings.TrimSpace(s.Kind)) {
 	case KindVertica, "vertsim", "":
@@ -72,6 +73,10 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 	if s.Scale <= 0 {
 		s.Scale = 1
+	}
+	if s.Scale > datagen.MaxWarehouseScale {
+		return s, fmt.Errorf("engine: scale %d too large: the warehouse row counts overflow above %d",
+			s.Scale, int64(datagen.MaxWarehouseScale))
 	}
 	if s.Data != nil && s.Kind == KindApprox {
 		return s, fmt.Errorf("engine: %s has no executor; drop the dataset", KindApprox)

@@ -44,6 +44,27 @@ func TestOpenKindsAndAliases(t *testing.T) {
 	}
 }
 
+// TestScaleOverflowRejected: a scale whose warehouse row counts overflow
+// int64 is an error from Normalize and Open, not a panic; the largest safe
+// scale opens.
+func TestScaleOverflowRejected(t *testing.T) {
+	for _, scale := range []int64{datagen.MaxWarehouseScale + 1, 1 << 60} {
+		if _, err := (Spec{Kind: KindRowStore, Scale: scale}).Normalize(); err == nil {
+			t.Errorf("Normalize accepted scale %d", scale)
+		}
+		if _, err := Open(Spec{Kind: KindRowStore, Scale: scale}); err == nil {
+			t.Errorf("Open accepted scale %d", scale)
+		}
+	}
+	eng, err := Open(Spec{Kind: KindRowStore, Scale: datagen.MaxWarehouseScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl, ok := eng.Schema().Table("sales"); !ok || tbl.Rows <= 0 {
+		t.Fatalf("sales table at the largest scale: %+v", tbl)
+	}
+}
+
 func TestOpenMatchesLegacyConstructors(t *testing.T) {
 	s := datagen.Warehouse(1)
 	eng, err := Open(Spec{Kind: KindVertica, Schema: s})

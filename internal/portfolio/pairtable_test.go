@@ -3,6 +3,9 @@ package portfolio
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -155,11 +158,183 @@ func (b *fuzzBytes) next() byte {
 	return v
 }
 
+// servingStub is a stubStructure that implements designer.Server: it serves
+// every query except the ones in skip.
+type servingStub struct {
+	stubStructure
+	skip map[int64]bool
+}
+
+func (s *servingStub) Serves(q *workload.Query) bool { return !s.skip[q.ID] }
+
+// The dense search steps the pair table ran before it kept Helps: reference
+// implementations for the sparse ones, which must match them bit for bit.
+
+func denseBenefitPerByte(t *designer.PairTable, si int) float64 {
+	var total float64
+	for qi, c := range t.Pair[si] {
+		if b := t.Base[qi] - c; b > 0 {
+			total += t.Weights[qi] * b
+		}
+	}
+	return total / float64(max(t.Pool[si].SizeBytes(), 1))
+}
+
+func denseTop(t *designer.PairTable, idx []int, k int) []int {
+	if k < 0 || len(idx) <= k {
+		return idx
+	}
+	score := make([]float64, len(t.Pool))
+	for _, si := range idx {
+		score[si] = denseBenefitPerByte(t, si)
+	}
+	top := append([]int(nil), idx...)
+	sort.SliceStable(top, func(i, j int) bool { return score[top[i]] > score[top[j]] })
+	top = top[:k]
+	sort.Ints(top)
+	return top
+}
+
+func denseLower(t *designer.PairTable, cur []float64, si int) {
+	for qi, c := range t.Pair[si] {
+		if c < cur[qi] {
+			cur[qi] = c
+		}
+	}
+}
+
+func denseGreedy(t *designer.PairTable, idx []int, taken []bool, cur []float64, used, budget int64) []int {
+	var picks []int
+	for {
+		bestIdx := -1
+		bestScore := 0.0
+		for _, si := range idx {
+			if taken[si] {
+				continue
+			}
+			sz := t.Pool[si].SizeBytes()
+			if used+sz > budget {
+				continue
+			}
+			var gain float64
+			for qi, c := range t.Pair[si] {
+				if c < cur[qi] {
+					gain += t.Weights[qi] * (cur[qi] - c)
+				}
+			}
+			if gain <= 0 {
+				continue
+			}
+			score := gain / float64(max(sz, 1))
+			if bestIdx < 0 || score > bestScore {
+				bestIdx, bestScore = si, score
+			}
+		}
+		if bestIdx < 0 {
+			return picks
+		}
+		taken[bestIdx] = true
+		denseLower(t, cur, bestIdx)
+		used += t.Pool[bestIdx].SizeBytes()
+		picks = append(picks, bestIdx)
+	}
+}
+
+// sameBits reports whether two float slices are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// checkSparseSearch checks the sparse table built over pool (whose
+// structures report Serves) against the dense table built over the same
+// structures without Serves: equal cells, Helps exactly the cells below
+// Base, and every search step equal to its dense reference, bit for bit.
+func checkSparseSearch(t *testing.T, m designer.CostModel, w *workload.Workload, pool, plain []designer.Structure, budget int64) {
+	ctx := context.Background()
+	sparse, err := designer.BuildPairTable(ctx, m, w, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := designer.BuildPairTable(ctx, m, w, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(sparse.Base, dense.Base) || len(sparse.Pair) != len(dense.Pair) {
+		t.Fatalf("Base %v, dense %v", sparse.Base, dense.Base)
+	}
+	for si := range sparse.Pair {
+		if !sameBits(sparse.Pair[si], dense.Pair[si]) {
+			t.Fatalf("Pair[%d] = %v, dense %v", si, sparse.Pair[si], dense.Pair[si])
+		}
+		var helps []int
+		for qi, c := range dense.Pair[si] {
+			if c < dense.Base[qi] {
+				helps = append(helps, qi)
+			}
+		}
+		if !slices.Equal(sparse.Helps[si], helps) {
+			t.Fatalf("Helps[%d] = %v, want %v", si, sparse.Helps[si], helps)
+		}
+		if a, b := sparse.BenefitPerByte(si), denseBenefitPerByte(sparse, si); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("BenefitPerByte(%d) = %v, dense %v", si, a, b)
+		}
+	}
+	for k := -1; k <= len(sparse.Pool); k++ {
+		if a, b := sparse.Top(sparse.Indices(), k), denseTop(sparse, sparse.Indices(), k); !slices.Equal(a, b) {
+			t.Fatalf("Top(%d) = %v, dense %v", k, a, b)
+		}
+	}
+	// Greedy from Base, and from every one-structure seed as AutoAdmin runs it.
+	for seed := -1; seed < len(sparse.Pool); seed++ {
+		taken, denseTaken := make([]bool, len(sparse.Pool)), make([]bool, len(sparse.Pool))
+		cur := append([]float64(nil), sparse.Base...)
+		var used int64
+		if seed >= 0 {
+			if used = sparse.Pool[seed].SizeBytes(); used > budget {
+				continue
+			}
+			taken[seed], denseTaken[seed] = true, true
+			sparse.Lower(cur, seed)
+			ref := append([]float64(nil), sparse.Base...)
+			denseLower(sparse, ref, seed)
+			if !sameBits(cur, ref) {
+				t.Fatalf("Lower(%d) = %v, dense %v", seed, cur, ref)
+			}
+		}
+		denseCur := append([]float64(nil), cur...)
+		picks, err := sparse.Greedy(ctx, sparse.Indices(), taken, cur, used, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := denseGreedy(sparse, sparse.Indices(), denseTaken, denseCur, used, budget)
+		if !slices.Equal(picks, want) || !sameBits(cur, denseCur) || !slices.Equal(taken, denseTaken) {
+			t.Fatalf("seed %d: Greedy picks %v cur %v, dense %v cur %v", seed, picks, cur, want, denseCur)
+		}
+	}
+	// Every designer picks the same design over either pool.
+	denseDesigners := pairTableDesigners(m, plain, budget)
+	for i, d := range pairTableDesigners(m, pool, budget) {
+		got, err := d.Design(ctx, w)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name(), err)
+		}
+		want, err := denseDesigners[i].Design(ctx, w)
+		if err != nil {
+			t.Fatalf("%s (dense): %v", d.Name(), err)
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("%s: design %v, dense %v", d.Name(), got, want)
+		}
+	}
+}
+
 // FuzzPairTable builds small instances (at most 8 structures, 6 queries)
 // from fuzz bytes over a table-backed fake model and checks every designer
 // built on the pair table: each design fits the budget, and an Exact ILP
 // design attains the brute-force surrogate optimum and is no worse than
-// GreedySelect's or AutoAdmin's.
+// GreedySelect's or AutoAdmin's. The structures report Serves false on the
+// queries they do not touch, and the sparse table and its search steps must
+// match the dense ones built over the same structures without Serves.
 func FuzzPairTable(f *testing.F) {
 	f.Add([]byte{4, 3, 128, 10, 20, 30, 40, 50, 1, 60, 2, 70, 3, 9, 17, 33, 65, 129, 200, 8, 100, 150})
 	f.Add([]byte{8, 6, 64, 1, 2, 3, 4, 5, 6, 7, 8, 90, 1, 80, 2, 0, 3, 70, 4, 60, 5, 50, 6})
@@ -172,10 +347,13 @@ func FuzzPairTable(f *testing.F) {
 		m := &tableModel{base: map[int64]float64{}, pair: map[string]map[int64]float64{},
 			unsup: map[string]map[int64]bool{}}
 		pool := make([]designer.Structure, ns)
+		plain := make([]designer.Structure, ns)
+		stubs := make([]*servingStub, ns)
 		var total int64
 		for s := range pool {
 			key := string(rune('a' + s))
-			pool[s] = stubStructure{key, 1 + int64(in.next())%100}
+			stubs[s] = &servingStub{stubStructure{key, 1 + int64(in.next())%100}, map[int64]bool{}}
+			pool[s], plain[s] = stubs[s], stubs[s].stubStructure
 			total += pool[s].SizeBytes()
 			m.pair[key], m.unsup[key] = map[int64]float64{}, map[int64]bool{}
 		}
@@ -192,11 +370,14 @@ func FuzzPairTable(f *testing.F) {
 				switch v := in.next(); {
 				case v%8 == 0:
 					m.unsup[key][id] = true
-				case v%8 != 1: // v%8 == 1: the structure does not touch the query
+				case v%8 == 1: // the structure does not touch the query
+					stubs[s].skip[id] = true
+				default:
 					m.pair[key][id] = m.base[id] * float64(v) / 200
 				}
 			}
 		}
+		checkSparseSearch(t, m, w, pool, plain, budget)
 		ctx := context.Background()
 		for _, d := range pairTableDesigners(m, pool, budget) {
 			got, err := d.Design(ctx, w)

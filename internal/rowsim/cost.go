@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"cliffguard/internal/costcache"
@@ -94,27 +93,7 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	if err := db.check(q); err != nil {
 		return 0, err
 	}
-	best := db.memo.GetOrCompute(q, 0, func() float64 { return db.scanCost(q) })
-	if d != nil {
-		for _, s := range d.Structures {
-			switch st := s.(type) {
-			case *Index:
-				if st.Table != q.Spec.Table {
-					continue
-				}
-				if c, ok := db.indexCost(q, st); ok && c < best {
-					best = c
-				}
-			case *MatView:
-				if st.Table != q.Spec.Table {
-					continue
-				}
-				if c, ok := db.mvCost(q, st); ok && c < best {
-					best = c
-				}
-			}
-		}
-	}
+	_, best := db.cheapest(q, d, db.memo.GetOrCompute(q, 0, func() float64 { return db.scanCost(q) }))
 	return best, nil
 }
 
@@ -124,29 +103,38 @@ func (db *DB) bestAccess(q *workload.Query, d *designer.Design) (designer.Struct
 	if err := db.check(q); err != nil {
 		return nil, 0, err
 	}
+	s, best := db.cheapest(q, d, db.scanCost(q))
+	return s, best, nil
+}
+
+// cheapest picks, for a checked query, the structure of d that serves q at
+// the lowest cost below the full-scan cost scan (nil: the scan wins).
+func (db *DB) cheapest(q *workload.Query, d *designer.Design, scan float64) (designer.Structure, float64) {
 	var bestS designer.Structure
-	best := db.scanCost(q)
+	best := scan
 	if d != nil {
 		for _, s := range d.Structures {
+			var c float64
 			switch st := s.(type) {
 			case *Index:
-				if st.Table != q.Spec.Table {
+				if !st.Serves(q) {
 					continue
 				}
-				if c, ok := db.indexCost(q, st); ok && c < best {
-					best, bestS = c, st
-				}
+				c = db.indexCost(q, st)
 			case *MatView:
-				if st.Table != q.Spec.Table {
+				if !st.Serves(q) {
 					continue
 				}
-				if c, ok := db.mvCost(q, st); ok && c < best {
-					best, bestS = c, st
-				}
+				c = db.mvCost(q, st)
+			default:
+				continue
+			}
+			if c < best {
+				best, bestS = c, s
 			}
 		}
 	}
-	return bestS, best, nil
+	return bestS, best
 }
 
 func (db *DB) check(q *workload.Query) error {
@@ -174,26 +162,22 @@ func (db *DB) scanCost(q *workload.Query) float64 {
 	return cost + db.postCost(q, rows*totalSel(q.Spec))
 }
 
-// indexCost estimates access via an index, if applicable: the query must
-// have an equality-prefix (optionally ending in one range) on the index key.
-// A covering index avoids base-table fetches entirely.
-func (db *DB) indexCost(q *workload.Query, idx *Index) (float64, bool) {
+// indexCost estimates access via an index that serves q: the matched key
+// prefix is the equality-prefix (optionally ending in one range) of q's
+// predicates on the index key. A covering index avoids base-table fetches
+// entirely.
+func (db *DB) indexCost(q *workload.Query, idx *Index) float64 {
 	spec := q.Spec
 	matchSel := 1.0
-	matched := 0
 	for _, keyCol := range idx.Cols {
 		p, ok := predOn(spec.Preds, keyCol)
 		if !ok {
 			break
 		}
 		matchSel *= clampSel(p.Sel)
-		matched++
 		if p.Op != workload.Eq {
 			break
 		}
-	}
-	if matched == 0 {
-		return 0, false
 	}
 	t, _ := db.Schema.Table(spec.Table)
 	rows := db.rows(t)
@@ -212,41 +196,13 @@ func (db *DB) indexCost(q *workload.Query, idx *Index) (float64, bool) {
 		// Base-table fetch per matched row, with random access penalty.
 		cost += fetched * float64(t.RowWidth()) * randomPenalty / scanBytesPerMs
 	}
-	return cost + db.postCost(q, rows*totalSel(spec)), true
+	return cost + db.postCost(q, rows*totalSel(spec))
 }
 
-// mvCost estimates answering the query from a materialized view: the query's
-// group-by must be a subset of the view's, every aggregate precomputed, no
-// bare select columns beyond group-by columns, and predicates restricted to
-// the view's group-by columns. Note the subset rule: re-aggregation rolls
-// finer groups up into coarser ones.
-func (db *DB) mvCost(q *workload.Query, mv *MatView) (float64, bool) {
+// mvCost estimates answering a query the view serves by scanning the view's
+// groups and re-aggregating them.
+func (db *DB) mvCost(q *workload.Query, mv *MatView) float64 {
 	spec := q.Spec
-	if len(spec.GroupBy) == 0 || len(spec.Aggs) == 0 {
-		return 0, false
-	}
-	for _, c := range spec.GroupBy {
-		if !slices.Contains(mv.GroupBy, c) {
-			return 0, false
-		}
-	}
-	for _, c := range spec.SelectCols {
-		if !slices.Contains(mv.GroupBy, c) {
-			return 0, false
-		}
-	}
-	for _, a := range spec.Aggs {
-		if !mv.HasAgg(a) {
-			return 0, false
-		}
-		// MIN/MAX/COUNT/SUM roll up; AVG rolls up via SUM+COUNT (HasAgg
-		// enforces availability).
-	}
-	for _, p := range spec.Preds {
-		if !slices.Contains(mv.GroupBy, p.Col) {
-			return 0, false
-		}
-	}
 	mvRows := math.Min(float64(mv.Groups()), db.rows(mustTable(db.Schema, spec.Table)))
 	var width float64
 	for _, c := range mv.GroupBy {
@@ -254,7 +210,7 @@ func (db *DB) mvCost(q *workload.Query, mv *MatView) (float64, bool) {
 	}
 	width += float64(len(mv.Aggs)) * 8
 	cost := fixedOverheadMs + mvRows*width/scanBytesPerMs
-	return cost + db.postCost(q, mvRows*totalSel(spec)), true
+	return cost + db.postCost(q, mvRows*totalSel(spec))
 }
 
 // postCost adds aggregation and sort costs downstream of the access path.

@@ -60,13 +60,20 @@ func TestIndexPrefixSemantics(t *testing.T) {
 		t.Errorf("range-terminated prefix: %g vs %g", cLong, cShort)
 	}
 
-	// No predicate on the leading key: index inapplicable.
+	// No predicate on the leading key: index inapplicable, a covering one
+	// too (an index-only scan of all its entries would beat the table scan).
 	qNoLead := edgeQ(&workload.Spec{Table: "f", SelectCols: []int{3},
 		Preds: []workload.Pred{eqB}})
 	base, _ := db.Cost(context.Background(), qNoLead, nil)
-	withIdx, _ := db.Cost(context.Background(), qNoLead, designer.NewDesign(idxAB))
-	if withIdx != base {
-		t.Errorf("leading-key miss should be inapplicable: %g vs %g", withIdx, base)
+	idxABCover, _ := NewIndex(s, "f", []int{0, 1}, []int{3})
+	for _, idx := range []*Index{idxAB, idxABCover} {
+		if idx.Serves(qNoLead) {
+			t.Errorf("%s serves a query without a leading-key predicate", idx.Key())
+		}
+		withIdx, _ := db.Cost(context.Background(), qNoLead, designer.NewDesign(idx))
+		if withIdx != base {
+			t.Errorf("leading-key miss on %s should be inapplicable: %g vs %g", idx.Key(), withIdx, base)
+		}
 	}
 }
 

@@ -1,0 +1,74 @@
+package rowsim
+
+import (
+	"context"
+	"testing"
+
+	"cliffguard/internal/designer"
+	"cliffguard/internal/designer/designertest"
+	"cliffguard/internal/obs"
+	"cliffguard/internal/workload"
+)
+
+// r1Pool returns R1's first month, the nominal designer, its compressed
+// form of the month, and its candidate pool for it.
+func r1Pool(t *testing.T) (*DB, *workload.Workload, *Designer, *workload.Workload, []designer.Structure) {
+	s, month, err := designertest.R1Month(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Open(s)
+	d := NewDesigner(db, 384<<20)
+	cw := d.Compress(month)
+	return db, month, d, cw, d.Candidates(cw)
+}
+
+// TestServesContract checks Index.Serves and MatView.Serves against the
+// cost model on an R1 window, its candidates and sampler mutants of its
+// queries: every candidate serves some query of the window, and a structure
+// that does not serve a query leaves its cost bit-identical. It also checks
+// the sparse pair table against a dense oracle over the same queries.
+func TestServesContract(t *testing.T) {
+	db, _, _, cw, pool := r1Pool(t)
+	ctx := context.Background()
+	queries := designertest.Mutants(db.Schema, cw, 7)
+	if idle := designertest.Idle(pool, queries[:cw.Len()]); len(idle) > 0 {
+		t.Fatalf("%d of %d candidates serve no query of the window they were built for: %v", len(idle), len(pool), idle)
+	}
+	checked, err := designertest.ServesContract(ctx, db, queries, pool, designertest.RandomDesigns(pool, 3, 4, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no non-serving pair was checked")
+	}
+	if err := designertest.DensePairTable(ctx, db, workload.New(queries...), pool); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDesignCostModelCalls pins the nominal designer's cost-model calls on
+// R1's first month: one per compressed query for the base costs, plus one
+// per (structure, query) pair the structure serves.
+func TestDesignCostModelCalls(t *testing.T) {
+	db, month, d, cw, pool := r1Pool(t)
+	ctx := context.Background()
+	pairs, err := designertest.ServedPairs(ctx, Open(db.Schema), cw, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewMetrics()
+	db.Instrument(m)
+	if _, err := d.Design(ctx, month); err != nil {
+		t.Fatal(err)
+	}
+	got, want := m.CostModelCalls.Load(), uint64(cw.Len()+pairs)
+	dense := uint64(cw.Len() + cw.Len()*len(pool))
+	t.Logf("%d queries, %d candidates: %d cost-model calls (dense table: %d)", cw.Len(), len(pool), got, dense)
+	if got != want {
+		t.Fatalf("Design made %d cost-model calls, want %d queries + %d served pairs", got, cw.Len(), pairs)
+	}
+	if got >= dense {
+		t.Fatalf("Design made %d cost-model calls, no fewer than the dense table's %d", got, dense)
+	}
+}

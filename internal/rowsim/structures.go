@@ -119,6 +119,16 @@ func (i *Index) covers(q *workload.Query) bool {
 	})
 }
 
+// Serves implements designer.Server: the index can only be probed by a
+// query on its table with a predicate on its leading key column.
+func (i *Index) Serves(q *workload.Query) bool {
+	if q == nil || q.Spec == nil || i.Table != q.Spec.Table || len(i.Cols) == 0 {
+		return false
+	}
+	_, ok := predOn(q.Spec.Preds, i.Cols[0])
+	return ok
+}
+
 // MatView is an aggregate materialized view: precomputed aggregates grouped
 // by a column set. It implements designer.Structure.
 type MatView struct {
@@ -209,6 +219,44 @@ func (m *MatView) SizeBytes() int64 { return m.size }
 func (m *MatView) Describe() string {
 	return fmt.Sprintf("MATVIEW %s GROUP BY (%s) %d aggs size=%dMB",
 		m.Table, intsKey(m.GroupBy), len(m.Aggs), m.size/(1<<20))
+}
+
+// Serves implements designer.Server: the view answers an aggregate query on
+// its table whose group-by is a subset of the view's (re-aggregation rolls
+// finer groups up into coarser ones), whose every aggregate the view
+// precomputes, and whose bare select columns and predicates are all on the
+// view's group-by columns.
+func (m *MatView) Serves(q *workload.Query) bool {
+	if q == nil || q.Spec == nil || m.Table != q.Spec.Table {
+		return false
+	}
+	spec := q.Spec
+	if len(spec.GroupBy) == 0 || len(spec.Aggs) == 0 {
+		return false
+	}
+	for _, c := range spec.GroupBy {
+		if !slices.Contains(m.GroupBy, c) {
+			return false
+		}
+	}
+	for _, c := range spec.SelectCols {
+		if !slices.Contains(m.GroupBy, c) {
+			return false
+		}
+	}
+	for _, a := range spec.Aggs {
+		// MIN/MAX/COUNT/SUM roll up; AVG rolls up via SUM+COUNT (HasAgg
+		// enforces availability).
+		if !m.HasAgg(a) {
+			return false
+		}
+	}
+	for _, p := range spec.Preds {
+		if !slices.Contains(m.GroupBy, p.Col) {
+			return false
+		}
+	}
+	return true
 }
 
 // Groups returns the estimated group count.

@@ -199,6 +199,9 @@ func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) erro
 	if err := decodeJSON(r.Body, &spec); err != nil {
 		return err
 	}
+	if err := spec.validate(); err != nil {
+		return errBadRequest(err)
+	}
 	t, err := s.CreateTenant(spec.ID, engineSpec(spec.Engine), spec.BudgetMiB<<20)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -90,6 +91,17 @@ type TenantSpec struct {
 	Engine EngineSpecWire `json:"engine"`
 	// BudgetMiB is the designers' storage budget (0 = 2560).
 	BudgetMiB int64 `json:"budget_mib,omitempty"`
+}
+
+// maxBudgetMiB is the largest budget_mib whose byte value fits an int64.
+const maxBudgetMiB = math.MaxInt64 >> 20
+
+// validate rejects a budget that is negative or whose byte value overflows.
+func (t TenantSpec) validate() error {
+	if t.BudgetMiB < 0 || t.BudgetMiB > maxBudgetMiB {
+		return fmt.Errorf("budget_mib = %d, must be in [0, %d]", t.BudgetMiB, int64(maxBudgetMiB))
+	}
+	return nil
 }
 
 // EngineSpecWire is the JSON shape of an engine spec (kind + scale; explicit

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -148,6 +150,67 @@ func FuzzOnlineSpec(f *testing.F) {
 		}
 		if info := onlineInfo(st); !info.Enabled || info.Gamma <= 0 {
 			t.Fatalf("%q: accepted spec renders as %+v", body, info)
+		}
+	})
+}
+
+// FuzzTenantSpec posts arbitrary bodies to POST /v1/tenants: the handler
+// must never panic, a rejection is a 400 bad_request, and an accepted spec
+// reports back the budget_mib it was given (2560 when omitted or zero).
+func FuzzTenantSpec(f *testing.F) {
+	for _, body := range []string{
+		`{"id":"acme","engine":{"kind":"rowstore"}}`,
+		`{"id":"acme","engine":{"kind":"vertica","scale":2},"budget_mib":512}`,
+		`{"id":"acme","engine":{"kind":"rowstore","scale":1152921504606846976}}`,
+		`{"id":"acme","engine":{"kind":"approx"},"budget_mib":17592186044416}`,
+		`{"id":"acme","engine":{"kind":"rowstore"},"budget_mib":8796093022213}`,
+		`{"id":"acme","engine":{"kind":"aqe","scale":-3},"budget_mib":-1}`,
+		`{"id":"bad id","engine":{"kind":"nope"}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	srv := NewServer(Config{Workers: 1})
+	f.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			f.Error(err)
+		}
+	})
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/tenants", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var env struct {
+			Data  json.RawMessage `json:"data"`
+			Error *ErrorInfo      `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%q: %d response is no envelope: %v", body, rec.Code, err)
+		}
+		if rec.Code != http.StatusCreated {
+			if rec.Code != http.StatusBadRequest || env.Error == nil || env.Error.Code != "bad_request" {
+				t.Fatalf("%q: rejected with %d %+v, want 400 bad_request", body, rec.Code, env.Error)
+			}
+			return
+		}
+		var spec TenantSpec
+		if err := decodeJSON(bytes.NewReader(body), &spec); err != nil {
+			t.Fatalf("%q: accepted, yet it does not decode: %v", body, err)
+		}
+		var info TenantInfo
+		if err := json.Unmarshal(env.Data, &info); err != nil {
+			t.Fatal(err)
+		}
+		want := spec.BudgetMiB
+		if want == 0 {
+			want = DefaultBudgetBytes >> 20
+		}
+		if info.BudgetMiB != want {
+			t.Fatalf("%q: accepted with budget_mib %d, want %d", body, info.BudgetMiB, want)
+		}
+		if err := srv.DeleteTenant(info.ID); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

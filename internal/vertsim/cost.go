@@ -89,21 +89,7 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	if err := db.check(q); err != nil {
 		return 0, err
 	}
-	best := db.pathCost(q, nil) // super-projection
-	if d != nil {
-		for _, s := range d.Structures {
-			p, ok := s.(*Projection)
-			if !ok || p.Anchor != q.Spec.Table {
-				continue
-			}
-			if !q.RefsIn(p.Cols) {
-				continue
-			}
-			if c := db.pathCost(q, p); c < best {
-				best = c
-			}
-		}
-	}
+	_, best := db.bestPath(q, d)
 	return best, nil
 }
 
@@ -114,12 +100,19 @@ func (db *DB) BestPath(q *workload.Query, d *designer.Design) (*Projection, floa
 	if err := db.check(q); err != nil {
 		return nil, 0, err
 	}
+	p, best := db.bestPath(q, d)
+	return p, best, nil
+}
+
+// bestPath picks the cheapest path for a checked query: the
+// super-projection or a projection of d that serves q.
+func (db *DB) bestPath(q *workload.Query, d *designer.Design) (*Projection, float64) {
 	var bestP *Projection
 	best := db.pathCost(q, nil)
 	if d != nil {
 		for _, s := range d.Structures {
 			p, ok := s.(*Projection)
-			if !ok || p.Anchor != q.Spec.Table || !q.RefsIn(p.Cols) {
+			if !ok || !p.Serves(q) {
 				continue
 			}
 			if c := db.pathCost(q, p); c < best {
@@ -127,7 +120,7 @@ func (db *DB) BestPath(q *workload.Query, d *designer.Design) (*Projection, floa
 			}
 		}
 	}
-	return bestP, best, nil
+	return bestP, best
 }
 
 // check validates that the query is within the simulator's costable subset:

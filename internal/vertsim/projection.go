@@ -124,5 +124,12 @@ func (p *Projection) Describe() string {
 		p.Anchor, p.Cols, strings.Join(sorts, ","), p.size/(1<<20))
 }
 
+// Serves implements designer.Server: a projection can only answer queries
+// on its anchor table whose every referenced column it stores; for any other
+// query the cost model falls back to the super-projection by construction.
+func (p *Projection) Serves(q *workload.Query) bool {
+	return q != nil && q.Spec != nil && p.Anchor == q.Spec.Table && q.RefsIn(p.Cols)
+}
+
 // Covers reports whether the projection contains every column in need.
 func (p *Projection) Covers(need workload.ColSet) bool { return p.Cols.Contains(need) }

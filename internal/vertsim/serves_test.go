@@ -1,0 +1,97 @@
+package vertsim
+
+import (
+	"context"
+	"testing"
+
+	"cliffguard/internal/designer"
+	"cliffguard/internal/designer/designertest"
+	"cliffguard/internal/obs"
+	"cliffguard/internal/workload"
+)
+
+// r1Pool returns R1's first month, its template-compressed form, and the
+// nominal designer's candidate pool for it.
+func r1Pool(tb testing.TB) (*DB, *workload.Workload, *workload.Workload, []designer.Structure) {
+	s, month, err := designertest.R1Month(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db := Open(s)
+	cw := designer.CompressByTemplate(month)
+	return db, month, cw, NewDesigner(db, 2560<<20).Candidates(cw)
+}
+
+// TestServesContract checks Projection.Serves against the cost model on an
+// R1 window, its candidates and sampler mutants of its queries: every
+// candidate serves some query of the window, and a structure that does not
+// serve a query leaves its cost bit-identical. It also checks the sparse
+// pair table against a dense oracle over the same queries.
+func TestServesContract(t *testing.T) {
+	db, _, cw, pool := r1Pool(t)
+	ctx := context.Background()
+	queries := designertest.Mutants(db.Schema, cw, 7)
+	if idle := designertest.Idle(pool, queries[:cw.Len()]); len(idle) > 0 {
+		t.Fatalf("%d of %d candidates serve no query of the window they were built for: %v", len(idle), len(pool), idle)
+	}
+	checked, err := designertest.ServesContract(ctx, db, queries, pool, designertest.RandomDesigns(pool, 3, 4, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no non-serving pair was checked")
+	}
+	if err := designertest.DensePairTable(ctx, db, workload.New(queries...), pool); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDesignCostModelCalls pins the nominal designer's cost-model calls on
+// R1's first month: one per compressed query for the base costs, plus one
+// per (structure, query) pair the structure serves.
+func TestDesignCostModelCalls(t *testing.T) {
+	db, month, cw, pool := r1Pool(t)
+	ctx := context.Background()
+	pairs, err := designertest.ServedPairs(ctx, Open(db.Schema), cw, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewMetrics()
+	db.Instrument(m)
+	if _, err := NewDesigner(db, 2560<<20).Design(ctx, month); err != nil {
+		t.Fatal(err)
+	}
+	got, want := m.CostModelCalls.Load(), uint64(cw.Len()+pairs)
+	dense := uint64(cw.Len() + cw.Len()*len(pool))
+	t.Logf("%d queries, %d candidates: %d cost-model calls (dense table: %d)", cw.Len(), len(pool), got, dense)
+	if got != want {
+		t.Fatalf("Design made %d cost-model calls, want %d queries + %d served pairs", got, cw.Len(), pairs)
+	}
+	if got >= dense {
+		t.Fatalf("Design made %d cost-model calls, no fewer than the dense table's %d", got, dense)
+	}
+}
+
+// BenchmarkBuildPairTable builds the nominal designer's pair table for R1's
+// first month: cold on a fresh engine (every path estimate computed), and
+// warm on one whose memo already holds every path.
+func BenchmarkBuildPairTable(b *testing.B) {
+	db, _, cw, pool := r1Pool(b)
+	ctx := context.Background()
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := designer.BuildPairTable(ctx, Open(db.Schema), cw, pool); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := designer.BuildPairTable(ctx, db, cw, pool); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
