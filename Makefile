@@ -44,10 +44,13 @@ race:
 # splitting (pipelined reader vs the line-at-a-time reference), the JSONL
 # stream decoders, the ILP solver's brute-force cross-check, the pair-table
 # designers (budget, Exact ILP vs brute force and the greedy designers, and
-# the sparse table and search steps vs their dense references), and the /v1
-# run-request, online-spec and tenant-spec decoders, on top of the checked-in
-# corpora (go's -fuzz takes one target per invocation, so a pattern that
-# prefixes another target's name is anchored).
+# the sparse table and search steps vs their dense references), the /v1
+# run-request, online-spec and tenant-spec decoders, and the online observe
+# stream, on top of the checked-in corpora (go's -fuzz takes one target per
+# invocation, so a pattern that prefixes another target's name is anchored).
+# One observe exec runs the whole HTTP handler and ingest pipeline, so the
+# default 60 s minimization of each new interesting input would use up the
+# whole smoke budget; that target caps minimization at 1 s.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/sqlparse/
 	$(GO) test -fuzz=FuzzParseSchema -fuzztime=5s ./internal/sqlparse/
@@ -59,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=5s ./internal/serve/
 	$(GO) test -fuzz=FuzzOnlineSpec -fuzztime=5s ./internal/serve/
 	$(GO) test -fuzz=FuzzTenantSpec -fuzztime=5s ./internal/serve/
+	$(GO) test -fuzz=FuzzOnlineObserve -fuzztime=5s -fuzzminimizetime=1s ./internal/serve/
 
 # Regression-lock the run-analysis math: the golden event stream must
 # summarize to exactly the checked-in expected summary. After an intentional

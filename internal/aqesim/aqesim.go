@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"cliffguard/internal/costcache"
 	"cliffguard/internal/designer"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/schema"
@@ -46,7 +45,6 @@ type Sample struct {
 	Fraction float64
 
 	key  string
-	fp   uint64 // costcache.PathKey(key): the memo's path fingerprint
 	size int64
 }
 
@@ -95,7 +93,6 @@ func NewSample(s *schema.Schema, table string, strata []int, fraction float64) (
 		parts[i] = fmt.Sprintf("%d", c)
 	}
 	sm.key = fmt.Sprintf("sample:%s:strata=%s:f=%.4f", table, strings.Join(parts, ","), fraction)
-	sm.fp = costcache.PathKey(sm.key)
 	return sm, nil
 }
 
@@ -146,25 +143,22 @@ func (s *Sample) Serves(q *workload.Query) bool {
 }
 
 // DB is the approximate engine's cost model. It implements
-// designer.CostModel. The memo cache is sharded for CliffGuard's parallel
-// neighborhood evaluation.
+// designer.CostModel. Cost keeps no state, so it is safe under CliffGuard's
+// parallel neighborhood evaluation.
 type DB struct {
 	Schema *schema.Schema
 
-	memo *costcache.Cache // per-(query, path) cost
-	met  *obs.Metrics     // nil disables instrumentation
+	met *obs.Metrics // nil disables instrumentation
 }
 
 // Open returns a cost-model-only approximate engine over the schema.
 func Open(s *schema.Schema) *DB {
-	return &DB{Schema: s, memo: costcache.New()}
+	return &DB{Schema: s}
 }
 
-// Instrument attaches a metrics registry: Cost invocations are counted and
-// the memo cache's hit/miss stats are registered under "aqesim".
+// Instrument attaches a metrics registry that counts Cost invocations.
 func (db *DB) Instrument(m *obs.Metrics) {
 	db.met = m
-	m.RegisterCache("aqesim", db.memo.Stats)
 }
 
 // Cost implements designer.CostModel: an aggregate query answerable from a
@@ -214,19 +208,8 @@ func (db *DB) check(q *workload.Query) error {
 	return fmt.Errorf("aqesim: column %d outside anchor %q: %w", bad, q.Spec.Table, designer.ErrUnsupported)
 }
 
-// pathCost estimates latency of q via sample sm (nil = full table),
-// memoized per (query, path fingerprint) pair in the sharded cache.
+// pathCost estimates the latency of q via sample sm (nil = the full table).
 func (db *DB) pathCost(q *workload.Query, sm *Sample) float64 {
-	var path uint64
-	if sm != nil {
-		path = sm.fp
-	}
-	return db.memo.GetOrCompute(q, path, func() float64 {
-		return db.computePathCost(q, sm)
-	})
-}
-
-func (db *DB) computePathCost(q *workload.Query, sm *Sample) float64 {
 	t, _ := db.Schema.Table(q.Spec.Table)
 	rows := float64(t.Rows)
 	fraction := 1.0

@@ -194,8 +194,10 @@ func TestCliffGuardOverSampleSelection(t *testing.T) {
 	}
 }
 
-// TestMemoHitCostDoesNotAllocate: with every path memoized, Cost over a
-// design of answerable and unanswerable samples allocates nothing.
+// TestMemoHitCostDoesNotAllocate is the allocation gate for every what-if
+// call: Cost over a design of answerable and unanswerable samples computes
+// each path from scratch, with no memo in front of it, and allocates
+// nothing.
 func TestMemoHitCostDoesNotAllocate(t *testing.T) {
 	s := testSchema()
 	db := Open(s)
@@ -216,9 +218,9 @@ func TestMemoHitCostDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if got, _ := db.Cost(ctx, query, d); got != want {
-			t.Fatalf("memo-hit cost %g, want %g", got, want)
+			t.Fatalf("repeated Cost %g, want %g", got, want)
 		}
 	}); n != 0 {
-		t.Fatalf("memo-hit Cost allocates %.0f times per call, want 0", n)
+		t.Fatalf("Cost allocates %.0f times per call, want 0", n)
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"cliffguard/internal/workload"
 )
 
-// TestCostConcurrentAccess hammers the sharded what-if memo from 16
-// goroutines (run under -race), mirroring the vertsim/rowsim tests: shared
+// TestCostConcurrentAccess hammers one cost model from 16 goroutines (run
+// under -race), mirroring the vertsim/rowsim tests: shared
 // cost models must be safe under CliffGuard's parallel neighborhood
 // evaluation and agree with sequential results.
 func TestCostConcurrentAccess(t *testing.T) {

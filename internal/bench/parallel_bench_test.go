@@ -17,8 +17,8 @@ import (
 // BenchmarkNeighborhoodEval measures the parallel neighborhood evaluation
 // engine on an R1-preset workload: one full Gamma-neighborhood cost pass
 // (the inner loop of Algorithm 2) per iteration, at worker counts 1, 2, 4,
-// and NumCPU. The memo cache is reset each iteration (fresh engine), so the
-// benchmark measures real what-if estimation, not cache hits — this is the
+// and NumCPU. Each iteration builds a fresh engine and loop, so the
+// benchmark measures real what-if estimation, not memo hits — this is the
 // regime where the worker pool pays off.
 //
 // Note: speedup over parallelism=1 requires multiple physical CPUs; on a
@@ -70,7 +70,7 @@ func BenchmarkNeighborhoodEval(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				// Fresh engine per iteration: cold memo cache.
+				// Fresh engine and loop per iteration: no warm memo.
 				db := vertsim.Open(schema)
 				eng := core.New(nil, db, nil, core.Options{Parallelism: p})
 				b.StartTimer()

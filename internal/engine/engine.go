@@ -101,7 +101,7 @@ type Engine interface {
 	// AutoAdmin and ILP portfolio members.
 	NominalDesigner(budgetBytes int64) designer.Designer
 	// Instrument attaches a metrics registry to the underlying simulator
-	// (cost-model call counters, per-engine memo cache stats).
+	// (cost-model call counters).
 	Instrument(m *obs.Metrics)
 	// Class returns the cost-model class fingerprint: engines with equal
 	// class values are interchangeable pure cost functions (same kind, same

@@ -1,6 +1,6 @@
 // Package evalcache provides a lock-striped memoization cache for
-// per-(query, design-fingerprint) unit costs — the evaluation-layer analogue
-// of internal/costcache, on the same striped map (internal/stripe).
+// per-(query, design-fingerprint) unit costs, on a striped map
+// (internal/stripe).
 // CliffGuard's workload cost f(W, D) is linear in the item weights (a
 // weighted mean of per-query what-if costs), so once every query of a
 // neighborhood has been costed under a design fingerprint, every further

@@ -83,8 +83,9 @@ type Options struct {
 	// DefaultMaxStatementBytes).
 	MaxStatementBytes int
 	// NoFold disables duplicate folding: every parsed statement becomes its
-	// own weight-1 item, reproducing the legacy naive workload exactly. The
-	// equivalence tests and memory-comparison benches use it.
+	// own weight-1 item, in statement order, reproducing the legacy naive
+	// workload exactly. The online observe stream, the equivalence tests and
+	// the memory-comparison benches use it.
 	NoFold bool
 	// Metrics receives the ingest_* counters when non-nil.
 	Metrics *obs.Metrics

@@ -266,7 +266,7 @@ func TestMetricsPrometheusAndExpvar(t *testing.T) {
 	m.MovesAccepted.Inc()
 	m.PoolQueueDepth.Set(3)
 	m.EvalLatency.Observe(2 * time.Millisecond)
-	m.RegisterCache("vertsim", func() CacheStats {
+	m.RegisterCache("evalcache", func() CacheStats {
 		return CacheStats{Hits: 10, Misses: 4, Entries: 4,
 			Shards: []CacheShardStats{{Hits: 10, Misses: 4, Entries: 4}}}
 	})
@@ -283,8 +283,8 @@ func TestMetricsPrometheusAndExpvar(t *testing.T) {
 		"cliffguard_pool_queue_depth 3",
 		`cliffguard_phase_latency_seconds_count{phase="eval"} 1`,
 		`cliffguard_phase_latency_quantile_seconds{phase="eval",quantile="0.5"}`,
-		`cliffguard_costcache_hits_total{cache="vertsim"} 10`,
-		`cliffguard_costcache_shard_misses_total{cache="vertsim",shard="0"} 4`,
+		`cliffguard_costcache_hits_total{cache="evalcache"} 10`,
+		`cliffguard_costcache_shard_misses_total{cache="evalcache",shard="0"} 4`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
@@ -292,7 +292,7 @@ func TestMetricsPrometheusAndExpvar(t *testing.T) {
 	}
 
 	jsonOut := m.ExpvarFunc().String()
-	for _, want := range []string{`"costmodel_calls":1234`, `"sampler_draws":40`, `"vertsim"`} {
+	for _, want := range []string{`"costmodel_calls":1234`, `"sampler_draws":40`, `"evalcache"`} {
 		if !strings.Contains(jsonOut, want) {
 			t.Fatalf("expvar output missing %q:\n%s", want, jsonOut)
 		}

@@ -8,11 +8,11 @@ import (
 	"cliffguard/internal/workload"
 )
 
-// TestMemoHitCostDoesNotAllocate is the allocation gate: with the full-scan
-// path memoized, Cost over a design of indexes and a materialized view
-// allocates nothing. The index and view paths are recomputed on every call
-// (they are not memoized), so this also pins their coverage and width tests
-// to the query's clause bitsets.
+// TestMemoHitCostDoesNotAllocate is the allocation gate for every what-if
+// call: Cost over a design of indexes and a materialized view computes the
+// full scan and every serving path from scratch, with no memo in front of
+// it, and allocates nothing. This pins the coverage and width tests to the
+// query's clause bitsets.
 func TestMemoHitCostDoesNotAllocate(t *testing.T) {
 	s := testSchema()
 	db := Open(s)
@@ -48,9 +48,9 @@ func TestMemoHitCostDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if got, _ := db.Cost(ctx, query, d); got != want {
-			t.Fatalf("memo-hit cost %g, want %g", got, want)
+			t.Fatalf("repeated Cost %g, want %g", got, want)
 		}
 	}); n != 0 {
-		t.Fatalf("memo-hit Cost allocates %.0f times per call, want 0", n)
+		t.Fatalf("Cost allocates %.0f times per call, want 0", n)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"cliffguard/internal/costcache"
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/designer"
 	"cliffguard/internal/obs"
@@ -29,27 +28,24 @@ const (
 )
 
 // DB is a simulated row-store instance. It implements designer.CostModel.
-// The what-if memo cache is sharded for CliffGuard's parallel neighborhood
-// evaluation.
+// Cost keeps no state, so it is safe under CliffGuard's parallel
+// neighborhood evaluation.
 type DB struct {
 	Schema *schema.Schema
 	Data   *datagen.Dataset
 	// RowFraction scales the schema's modeled row counts (default 1.0).
 	RowFraction float64
 
-	memo *costcache.Cache // per-(query, path) cost
-	met  *obs.Metrics     // nil disables instrumentation
+	met *obs.Metrics // nil disables instrumentation
 
 	auxMu  sync.Mutex
 	perms  map[string][]int32 // index key -> sorted row permutation
 	mviews map[string]*mvData // matview key -> materialized groups
 }
 
-// Instrument attaches a metrics registry: Cost invocations are counted and
-// the memo cache's hit/miss stats are registered under "rowsim".
+// Instrument attaches a metrics registry that counts Cost invocations.
 func (db *DB) Instrument(m *obs.Metrics) {
 	db.met = m
-	m.RegisterCache("rowsim", db.memo.Stats)
 }
 
 // Open returns a cost-model-only row-store DB.
@@ -57,7 +53,6 @@ func Open(s *schema.Schema) *DB {
 	return &DB{
 		Schema:      s,
 		RowFraction: 1.0,
-		memo:        costcache.New(),
 		perms:       make(map[string][]int32),
 		mviews:      make(map[string]*mvData),
 	}
@@ -93,7 +88,7 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	if err := db.check(q); err != nil {
 		return 0, err
 	}
-	_, best := db.cheapest(q, d, db.memo.GetOrCompute(q, 0, func() float64 { return db.scanCost(q) }))
+	_, best := db.cheapest(q, d)
 	return best, nil
 }
 
@@ -103,15 +98,15 @@ func (db *DB) bestAccess(q *workload.Query, d *designer.Design) (designer.Struct
 	if err := db.check(q); err != nil {
 		return nil, 0, err
 	}
-	s, best := db.cheapest(q, d, db.scanCost(q))
+	s, best := db.cheapest(q, d)
 	return s, best, nil
 }
 
 // cheapest picks, for a checked query, the structure of d that serves q at
-// the lowest cost below the full-scan cost scan (nil: the scan wins).
-func (db *DB) cheapest(q *workload.Query, d *designer.Design, scan float64) (designer.Structure, float64) {
+// the lowest cost below the full-scan cost (nil: the scan wins).
+func (db *DB) cheapest(q *workload.Query, d *designer.Design) (designer.Structure, float64) {
 	var bestS designer.Structure
-	best := scan
+	best := db.scanCost(q)
 	if d != nil {
 		for _, s := range d.Structures {
 			var c float64

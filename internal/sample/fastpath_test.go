@@ -3,6 +3,7 @@ package sample
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -212,5 +213,41 @@ func TestNeighborhoodRNGConsumption(t *testing.T) {
 	}
 	if a, b := after(3), after(17); a != b {
 		t.Fatalf("caller rng state depends on n: %d vs %d", a, b)
+	}
+}
+
+// TestNeighborhoodReseedMatchesFreshSources: re-seeding one generator per
+// worker must reproduce, draw for draw, the substreams of freshly built
+// sources seeded with splitmix64(root, i) — the stream BENCH_SAMPLER pins.
+func TestNeighborhoodReseedMatchesFreshSources(t *testing.T) {
+	s := testSchema()
+	w0 := baseWorkload(s, rand.New(rand.NewSource(15)), 10)
+	const gamma, n = 0.02, 12
+
+	sampler, _ := newTestSampler(s)
+	root := rand.New(rand.NewSource(16)).Uint64()
+	var ref []*workload.Workload
+	for i := 0; i < n; i++ {
+		sub := rand.New(rand.NewSource(int64(splitmix64(root, uint64(i)))))
+		alpha := gamma * (0.05 + 0.95*sub.Float64())
+		if w, err := sampler.SampleAt(sub, w0, alpha); err == nil {
+			ref = append(ref, w)
+		}
+	}
+	want := neighborhoodFingerprint(ref)
+	if len(want) < n/2 {
+		t.Fatalf("only %d of %d reference draws succeeded", len(want), n)
+	}
+
+	for _, p := range []int{1, 2} {
+		sampler, _ := newTestSampler(s)
+		sampler.Parallelism = p
+		got, err := sampler.Neighborhood(rand.New(rand.NewSource(16)), w0, gamma, n)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if !reflect.DeepEqual(neighborhoodFingerprint(got), want) {
+			t.Fatalf("p=%d: re-seeded neighborhood differs from fresh-source draws", p)
+		}
 	}
 }

@@ -47,7 +47,9 @@ import (
 //
 // Implementations must be safe for concurrent Candidates calls with distinct
 // rng instances: the parallel Neighborhood invokes one call per in-flight
-// draw. The built-in Mutator is stateless and satisfies this.
+// draw. They must not retain rng past the call, because Neighborhood
+// re-seeds it for the worker's next draw. The built-in Mutator is stateless
+// and satisfies both.
 type QuerySource interface {
 	// Candidates returns up to k candidate queries. Implementations may
 	// return fewer if they cannot generate enough distinct templates.
@@ -226,10 +228,12 @@ func (s *Sampler) SampleAt(rng *rand.Rand, w0 *workload.Workload, alpha float64)
 // result may be shorter than n; it errors only if no draw succeeds.
 //
 // Draws are fanned across min(Parallelism, n) workers. Each draw i consumes
-// only its own RNG substream, derived as splitmix64(root, i) from a single
+// only its own RNG substream, seeded with splitmix64(root, i) from a single
 // root value read off the caller's rng, so the returned workloads — and the
 // counters fed to Metrics — are bit-identical whether Parallelism is 1 or
 // NumCPU. The caller's rng advances by exactly one Uint64 regardless of n.
+// Each worker owns one generator and re-seeds it per draw: Seed resets the
+// whole generator state, so the substream equals a freshly built one's.
 func (s *Sampler) Neighborhood(rng *rand.Rand, w0 *workload.Workload, gamma float64, n int) ([]*workload.Workload, error) {
 	if gamma < 0 {
 		return nil, fmt.Errorf("sample: negative gamma %g", gamma)
@@ -253,15 +257,16 @@ func (s *Sampler) Neighborhood(rng *rand.Rand, w0 *workload.Workload, gamma floa
 	root := rng.Uint64()
 	results := make([]*workload.Workload, n)
 	errs := make([]error, n)
-	draw := func(i int) {
-		sub := rand.New(rand.NewSource(int64(splitmix64(root, uint64(i)))))
+	draw := func(sub *rand.Rand, i int) {
+		sub.Seed(int64(splitmix64(root, uint64(i))))
 		alpha := gamma * (0.05 + 0.95*sub.Float64()) // avoid degenerate near-zero draws
 		results[i], errs[i] = s.SampleAt(sub, w0, alpha)
 	}
 
 	if p := s.workers(n); p == 1 {
+		sub := rand.New(rand.NewSource(0))
 		for i := 0; i < n; i++ {
-			draw(i)
+			draw(sub, i)
 		}
 	} else {
 		idx := make(chan int)
@@ -270,8 +275,9 @@ func (s *Sampler) Neighborhood(rng *rand.Rand, w0 *workload.Workload, gamma floa
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sub := rand.New(rand.NewSource(0))
 				for i := range idx {
-					draw(i)
+					draw(sub, i)
 				}
 			}()
 		}

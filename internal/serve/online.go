@@ -266,8 +266,11 @@ func (s *Server) handleOnlineDisable(w http.ResponseWriter, r *http.Request) err
 // handleOnlineObserve streams SQL statements (text/plain body, one per line
 // or semicolon-separated — same parser as the workload endpoint) into the
 // tenant's sliding window, running the drift monitor at its configured
-// cadence. With auto_redesign set, a fired check starts an asynchronous
-// re-design through the server's worker pool.
+// cadence. Duplicates are not folded: each statement is one observation, in
+// stream order, so the window's bucket and check cadence count statements
+// and observed + skipped equals the statement attempts. With auto_redesign
+// set, a fired check starts an asynchronous re-design through the server's
+// worker pool.
 func (s *Server) handleOnlineObserve(w http.ResponseWriter, r *http.Request) error {
 	t, st, err := s.onlineOrErr(r)
 	if err != nil {
@@ -279,7 +282,7 @@ func (s *Server) handleOnlineObserve(w http.ResponseWriter, r *http.Request) err
 	t.mu.Lock()
 	firstID := t.nextID
 	t.mu.Unlock()
-	parsed, ist, err := ingest.Reader(t.eng.Schema(), r.Body, ingest.Options{FirstID: firstID, Metrics: t.metrics})
+	parsed, ist, err := ingest.Reader(t.eng.Schema(), r.Body, ingest.Options{FirstID: firstID, NoFold: true, Metrics: t.metrics})
 	if err != nil {
 		var nq *ingest.NoQueriesError
 		if errors.As(err, &nq) {

@@ -1,7 +1,6 @@
-// Package stripe provides the lock-striped map under every what-if memo:
-// the engines' per-(query, access-path) costs (internal/costcache), the
-// robust loop's per-(query, design) unit costs and the content-keyed
-// cross-run store (internal/evalcache). The striping exists so that
+// Package stripe provides the lock-striped map under both unit-cost memos
+// (internal/evalcache): the robust loop's per-(query, design) unit costs and
+// the content-keyed cross-run store. The striping exists so that
 // CliffGuard's parallel neighborhood evaluation — many goroutines costing
 // overlapping query sets — does not serialize on a single mutex.
 //

@@ -6,18 +6,32 @@ import (
 	"testing"
 	"time"
 
-	"cliffguard/internal/costcache"
 	"cliffguard/internal/evalcache"
 	"cliffguard/internal/stripe"
 	"cliffguard/internal/workload"
 )
 
-// Distinct second key components: access paths (0 is the structure-free
+// Distinct second key components: path fingerprints (0 is a structure-free
 // path) and design fingerprints.
 var (
-	paths   = []uint64{0, costcache.PathKey("p1"), costcache.PathKey("p2"), costcache.PathKey("p3")}
+	paths   = []uint64{0, 0xaf63bd4c8601b7df, 0x08328707b4eb6d0f, 0x7b3e5a9c1d2f4680}
 	designs = []uint64{1, 1 << 20, 0xdeadbeef, 4}
 )
+
+// pathKey is a test-local key of the per-(query, access-path) shape: a query
+// pointer plus a uint64 path fingerprint, mixed multiplicatively.
+type pathKey struct {
+	Q    *workload.Query
+	Path uint64
+}
+
+func (k pathKey) Mix() uint64 {
+	h := uint64(k.Q.ID)*0x9e3779b97f4a7c15 ^ k.Path
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
 
 // keyCase runs the Map tests over one memo's key type; key(q, j) is the
 // j-th key (j < 4) of query q.
@@ -37,8 +51,8 @@ func newCase[K stripe.Key](name string, key func(q *workload.Query, j int) K) ke
 }
 
 var keyCases = []keyCase{
-	newCase("costcache", func(q *workload.Query, j int) costcache.Key {
-		return costcache.Key{Q: q, Path: paths[j]}
+	newCase("path", func(q *workload.Query, j int) pathKey {
+		return pathKey{Q: q, Path: paths[j]}
 	}),
 	newCase("evalcache", func(q *workload.Query, j int) evalcache.Key {
 		return evalcache.Key{Q: q, Design: designs[j]}
@@ -180,7 +194,7 @@ func testShardSpread[K stripe.Key](t *testing.T, key func(*workload.Query, int) 
 }
 
 // TestLookupHitDoesNotAllocate: a memo hit is on the hot path of every
-// what-if Cost call and every neighborhood pass.
+// neighborhood pass.
 func TestLookupHitDoesNotAllocate(t *testing.T) {
 	for _, c := range keyCases {
 		t.Run(c.name, c.hitAllocs)

@@ -57,9 +57,9 @@ func BenchmarkExecutorProjection(b *testing.B) {
 	}
 }
 
-// memoHitDesign is a four-projection design over f in which benchQuery is
+// costDesign is a four-projection design over f in which benchQuery is
 // covered by two projections (one sort-matched) and not by the other two.
-func memoHitDesign(tb testing.TB, s *schema.Schema) *designer.Design {
+func costDesign(tb testing.TB, s *schema.Schema) *designer.Design {
 	var ps []designer.Structure
 	for _, spec := range []struct {
 		cols []int
@@ -80,14 +80,15 @@ func memoHitDesign(tb testing.TB, s *schema.Schema) *designer.Design {
 }
 
 // TestMemoHitCostDoesNotAllocate is the allocation gate for the hottest
-// call in the system: once every (query, path) pair is memoized, Cost over
-// a multi-projection design reads the query's clause bitsets and the
-// fingerprint-keyed memo and touches the heap not at all.
+// call in the system: Cost over a multi-projection design computes every
+// path from scratch, with no memo in front of it, reading the query's
+// clause bitsets and the projections' sort keys, and touches the heap not
+// at all.
 func TestMemoHitCostDoesNotAllocate(t *testing.T) {
 	s := testSchema()
 	db := Open(s)
 	q := benchQuery()
-	d := memoHitDesign(t, s)
+	d := costDesign(t, s)
 	ctx := context.Background()
 	want, err := db.Cost(ctx, q, d)
 	if err != nil {
@@ -95,45 +96,25 @@ func TestMemoHitCostDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if got, _ := db.Cost(ctx, q, d); got != want {
-			t.Fatalf("memo-hit cost %g, want %g", got, want)
+			t.Fatalf("repeated Cost %g, want %g", got, want)
 		}
 	}); n != 0 {
-		t.Fatalf("memo-hit Cost allocates %.0f times per call, want 0", n)
+		t.Fatalf("Cost allocates %.0f times per call, want 0", n)
 	}
 }
 
-// BenchmarkWhatIfCostMemoHit measures one what-if estimate whose paths are
-// all memoized: the call the designers' pair tables and CliffGuard's
-// neighborhood evaluation make most.
-func BenchmarkWhatIfCostMemoHit(b *testing.B) {
-	s := testSchema()
-	db := Open(s)
-	q := benchQuery()
-	d := memoHitDesign(b, s)
-	ctx := context.Background()
-	if _, err := db.Cost(ctx, q, d); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Cost(ctx, q, d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWhatIfCost measures one un-memoized what-if estimate.
+// BenchmarkWhatIfCost measures one what-if estimate over a multi-projection
+// design: the call the designers' pair tables and CliffGuard's neighborhood
+// evaluation make most.
 func BenchmarkWhatIfCost(b *testing.B) {
 	s := testSchema()
 	db := Open(s)
-	p, _ := NewProjection(s, "f", []int{0, 1, 2, 3}, []workload.OrderCol{{Col: 1}})
-	d := designer.NewDesign(p)
-	b.ResetTimer()
+	q := benchQuery()
+	d := costDesign(b, s)
+	ctx := context.Background()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		// A fresh query per iteration defeats the memo, measuring the model.
-		q := benchQuery()
-		if _, err := db.Cost(context.Background(), q, d); err != nil {
+		if _, err := db.Cost(ctx, q, d); err != nil {
 			b.Fatal(err)
 		}
 	}

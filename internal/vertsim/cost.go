@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"cliffguard/internal/costcache"
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/designer"
 	"cliffguard/internal/obs"
@@ -34,34 +33,30 @@ const (
 )
 
 // DB is a simulated columnar database instance: a schema, an optional
-// physical dataset (for the executor), and a memoizing what-if cost model.
-// DB implements designer.CostModel. The memo cache is sharded, so the cost
-// model is safe (and scalable) under CliffGuard's parallel neighborhood
-// evaluation.
+// physical dataset (for the executor), and a what-if cost model. DB
+// implements designer.CostModel. Cost is pure arithmetic over the query's
+// clause bitsets and the design's projections: it keeps no state, so it is
+// safe under CliffGuard's parallel neighborhood evaluation.
 type DB struct {
 	Schema *schema.Schema
 	Data   *datagen.Dataset // nil means cost-model only
 
-	memo *costcache.Cache // per-(query, path) cost
-	met  *obs.Metrics     // nil disables instrumentation
+	met *obs.Metrics // nil disables instrumentation
 
 	sortedMu sync.Mutex
 	sorted   map[string][]int32 // projection key -> row permutation (executor)
 }
 
-// Instrument attaches a metrics registry: Cost invocations are counted and
-// the memo cache's hit/miss stats are registered under "vertsim". Call it
-// before sharing the DB across goroutines.
+// Instrument attaches a metrics registry that counts Cost invocations. Call
+// it before sharing the DB across goroutines.
 func (db *DB) Instrument(m *obs.Metrics) {
 	db.met = m
-	m.RegisterCache("vertsim", db.memo.Stats)
 }
 
 // Open returns a cost-model-only DB over the schema.
 func Open(s *schema.Schema) *DB {
 	return &DB{
 		Schema: s,
-		memo:   costcache.New(),
 		sorted: make(map[string][]int32),
 	}
 }
@@ -147,19 +142,8 @@ func (db *DB) check(q *workload.Query) error {
 		db.Schema.Column(bad).Qualified(), q.Spec.Table, designer.ErrUnsupported)
 }
 
-// pathCost estimates latency of q via projection p (nil = super-projection),
-// memoized per (query, path fingerprint) pair in the sharded cache.
-func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
-	var path uint64
-	if p != nil {
-		path = p.fp
-	}
-	return db.memo.GetOrCompute(q, path, func() float64 {
-		return db.computePathCost(q, p)
-	})
-}
-
-// computePathCost is the actual cost model.
+// pathCost estimates the latency of q via projection p (nil = the
+// super-projection):
 //
 //	scan  = rowsScanned * referencedWidth / scanRate
 //	agg   = outputRows / aggRate            (if grouped)
@@ -169,7 +153,7 @@ func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
 // projection's sort-key prefix: equalities extend the usable prefix, the
 // first range predicate uses it and stops, and the super-projection (no sort
 // order) always scans everything.
-func (db *DB) computePathCost(q *workload.Query, p *Projection) float64 {
+func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
 	t, _ := db.Schema.Table(q.Spec.Table)
 	rows := float64(t.Rows)
 
@@ -214,7 +198,7 @@ func (db *DB) computePathCost(q *workload.Query, p *Projection) float64 {
 
 	if len(q.Spec.GroupBy) > 0 {
 		aggCost := outRows / aggRowsPerMs
-		if groupBySortStreamed(q.Spec, sortCols) {
+		if groupBySortStreamed(q, sortCols) {
 			// Rows arrive clustered by the grouping key: streaming (one-pass,
 			// no hash table) aggregation.
 			aggCost *= 0.1
@@ -230,13 +214,15 @@ func (db *DB) computePathCost(q *workload.Query, p *Projection) float64 {
 
 // groupBySortStreamed reports whether the path's sort key leads with the
 // query's group-by columns (in any order), enabling one-pass aggregation.
-func groupBySortStreamed(spec *workload.Spec, sortCols []workload.OrderCol) bool {
-	if len(spec.GroupBy) == 0 || len(spec.GroupBy) > len(sortCols) {
+// The prefix is tested against the query's GROUP BY bitset, which holds
+// exactly the Spec's group-by columns.
+func groupBySortStreamed(q *workload.Query, sortCols []workload.OrderCol) bool {
+	n := len(q.Spec.GroupBy)
+	if n == 0 || n > len(sortCols) {
 		return false
 	}
-	gset := workload.NewColSet(spec.GroupBy...)
-	for i := 0; i < len(spec.GroupBy); i++ {
-		if !gset.Has(sortCols[i].Col) {
+	for i := 0; i < n; i++ {
+		if !q.GroupBy.Has(sortCols[i].Col) {
 			return false
 		}
 	}

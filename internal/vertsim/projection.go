@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cliffguard/internal/costcache"
 	"cliffguard/internal/schema"
 	"cliffguard/internal/workload"
 )
@@ -31,7 +30,6 @@ type Projection struct {
 	SortCols []workload.OrderCol
 
 	key  string
-	fp   uint64 // costcache.PathKey(key): the memo's path fingerprint
 	size int64
 }
 
@@ -100,7 +98,6 @@ func NewProjection(s *schema.Schema, anchor string, cols []int, sortCols []workl
 		}
 	}
 	p.key = b.String()
-	p.fp = costcache.PathKey(p.key)
 	return p, nil
 }
 

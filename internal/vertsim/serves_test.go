@@ -73,25 +73,14 @@ func TestDesignCostModelCalls(t *testing.T) {
 }
 
 // BenchmarkBuildPairTable builds the nominal designer's pair table for R1's
-// first month: cold on a fresh engine (every path estimate computed), and
-// warm on one whose memo already holds every path.
+// first month.
 func BenchmarkBuildPairTable(b *testing.B) {
 	db, _, cw, pool := r1Pool(b)
 	ctx := context.Background()
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := designer.BuildPairTable(ctx, Open(db.Schema), cw, pool); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := designer.BuildPairTable(ctx, db, cw, pool); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := designer.BuildPairTable(ctx, db, cw, pool); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -585,8 +585,8 @@ func TestCandidatesCoverPerturbedFamilies(t *testing.T) {
 }
 
 func TestCostConcurrentAccess(t *testing.T) {
-	// The memoizing cost model is shared across CliffGuard's evaluations;
-	// concurrent use must be safe.
+	// The cost model is shared across CliffGuard's evaluations; concurrent
+	// use must be safe.
 	s := testSchema()
 	db := Open(s)
 	proj, _ := NewProjection(s, "f", []int{0, 1, 3}, []workload.OrderCol{{Col: 1}})
