@@ -98,6 +98,9 @@ bench-gates:
 serve-smoke:
 	$(GO) run ./tools/servesmoke
 
-# Parallel neighborhood-evaluation benchmarks (cold and warm cache).
+# Parallel neighborhood-evaluation benchmarks (cold and warm cache), then
+# the vertsim what-if kernel: one Cost, the nominal designer's pair table
+# and one nominal Design on R1's first month.
 bench:
 	$(GO) test ./internal/bench/ -run '^$$' -bench BenchmarkNeighborhoodEval -benchmem
+	$(GO) test ./internal/vertsim -run '^$$' -bench 'WhatIfCost|BuildPairTable|Design' -benchmem

@@ -194,11 +194,11 @@ func TestCliffGuardOverSampleSelection(t *testing.T) {
 	}
 }
 
-// TestMemoHitCostDoesNotAllocate is the allocation gate for every what-if
+// TestCostDoesNotAllocate is the allocation gate for every what-if
 // call: Cost over a design of answerable and unanswerable samples computes
 // each path from scratch, with no memo in front of it, and allocates
 // nothing.
-func TestMemoHitCostDoesNotAllocate(t *testing.T) {
+func TestCostDoesNotAllocate(t *testing.T) {
 	s := testSchema()
 	db := Open(s)
 	query := aggQuery(0, 2)

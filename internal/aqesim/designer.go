@@ -35,7 +35,7 @@ func (d *Designer) Name() string { return "AQE-SampleSelector" }
 // Design implements designer.Designer.
 func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
 	cw := designer.CompressByTemplate(w)
-	cands := d.Candidates(cw)
+	cands := d.candidates(cw)
 	if d.DB.met != nil {
 		d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
 	}
@@ -44,8 +44,12 @@ func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.
 
 // Candidates implements the CandidateProvider contract used by the
 // local-search baselines and the designable filter.
-func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
-	cw = designer.CompressByTemplate(cw)
+func (d *Designer) Candidates(w *workload.Workload) []designer.Structure {
+	return d.candidates(designer.CompressByTemplate(w))
+}
+
+// candidates is Candidates over an already template-compressed workload.
+func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 	frac := d.BaseFraction
 	if frac <= 0 {
 		frac = 0.01
@@ -115,10 +119,10 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 			if cl.table != e.q.Spec.Table {
 				continue
 			}
-			if cl.cols.Union(cols).Len() > 8 {
+			if cl.cols.UnionLen(cols) > 8 {
 				continue // too many strata explode the group count
 			}
-			j := float64(cl.cols.Intersect(cols).Len()) / float64(cols.Len())
+			j := float64(cl.cols.IntersectLen(cols)) / float64(cols.Len())
 			if j >= 0.5 && j > bestJ {
 				best, bestJ = cl, j
 			}

@@ -220,30 +220,34 @@ type Designer interface {
 // weighted representative (the highest-weight instance). Designers use this
 // both for tractability and — in the DBMS-X-style designer — as the paper's
 // "workload compression" anti-overfitting heuristic.
+//
+// Keys are looked up through one reused AppendTemplateKey buffer, so only a
+// new template allocates its key.
 func CompressByTemplate(w *workload.Workload) *workload.Workload {
 	type group struct {
 		rep    *workload.Query
 		repW   float64
 		weight float64
 	}
-	groups := make(map[string]*group)
-	var order []string
+	index := make(map[string]int)
+	var groups []group
+	var key []byte
 	for _, it := range w.Items {
-		key := it.Q.TemplateKey(workload.MaskSWGO)
-		g, ok := groups[key]
+		key = it.Q.AppendTemplateKey(key[:0], workload.MaskSWGO)
+		i, ok := index[string(key)]
 		if !ok {
-			g = &group{}
-			groups[key] = g
-			order = append(order, key)
+			i = len(groups)
+			index[string(key)] = i
+			groups = append(groups, group{})
 		}
+		g := &groups[i]
 		g.weight += it.Weight
 		if it.Weight > g.repW || g.rep == nil {
 			g.rep, g.repW = it.Q, it.Weight
 		}
 	}
-	out := &workload.Workload{}
-	for _, key := range order {
-		g := groups[key]
+	out := &workload.Workload{Items: make([]workload.Item, 0, len(groups))}
+	for _, g := range groups {
 		out.Add(g.rep, g.weight)
 	}
 	return out

@@ -137,3 +137,61 @@ func BenchmarkReader1M(b *testing.B) {
 		}
 	}
 }
+
+// oneLine is a single timestamped statement: the body of an online observe
+// call.
+var oneLine = []byte("2024-01-01T00:00:00Z\tSELECT a FROM t WHERE b = 7\n")
+
+// TestReaderOneLineAllocations gates the fixed cost of a Reader call: a
+// one-line body must not pay for full-size scan buffers, arenas and line
+// slices it never fills.
+func TestReaderOneLineAllocations(t *testing.T) {
+	s := equivSchema()
+	var ms0, ms1 runtime.MemStats
+	const runs = 50
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < runs; i++ {
+		if _, _, err := Reader(s, bytes.NewReader(oneLine), Options{FirstID: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	const bound = 32 << 10
+	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / runs; per >= bound {
+		t.Fatalf("a one-line Reader call allocates %d bytes, want under %d", per, bound)
+	}
+}
+
+// BenchmarkReaderOneLine folds a one-line log: the per-call fixed cost every
+// workload POST and online observe call pays.
+func BenchmarkReaderOneLine(b *testing.B) {
+	s := equivSchema()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Reader(s, bytes.NewReader(oneLine), Options{FirstID: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestLineCapUnderSmallStatementCap: the scanner starts with a small
+// buffer, yet under a statement cap below 64 KiB a line still fails only
+// past 64 KiB, as in the reference: a 10 KiB single-line statement is read
+// and parsed, a 70 KiB line ends the read with an error.
+func TestLineCapUnderSmallStatementCap(t *testing.T) {
+	s := equivSchema()
+	opts := Options{FirstID: 1, MaxStatementBytes: 64}
+	for _, n := range []int{10 << 10, 70 << 10} {
+		log := stmt(1) + "\nSELECT a FROM t WHERE b =" + strings.Repeat(" ", n) + "1\n" + stmt(2) + "\n"
+		var got, want result
+		got.w, got.st, got.err = Reader(s, strings.NewReader(log), opts)
+		want.w, want.st, want.err = referenceReader(s, strings.NewReader(log), opts)
+		if d := diffResults(got, want); d != "" {
+			t.Fatalf("%d-byte line: %s", n, d)
+		}
+		if long := n > 64<<10; (got.err != nil) != long || !long && got.st.Streamed != 3 {
+			t.Fatalf("%d-byte line: stats %+v, err %v", n, got.st, got.err)
+		}
+	}
+}

@@ -12,10 +12,22 @@ import (
 // KiB however long the lines are (an over-long statement line still fits:
 // the arena grows to hold it). pipelineBatches batches circulate between the
 // two stages: one filling, one folding, two in flight.
+//
+// A call starts small, so a one-line body does not pay for buffers it never
+// fills: the scanner starts with scanStartBytes (bufio.Scanner doubles it,
+// up to the line cap, for a longer line) and the first batch with
+// firstBatchBytes of arena and firstBatchLines lines. A first batch that
+// fills its lines moves to full-size buffers; later batches start at full
+// size.
 const (
 	batchLines      = 2048
 	batchBytes      = 256 << 10
 	pipelineBatches = 4
+
+	scanStartBytes  = 4 << 10
+	scanLineFloor   = 64 << 10
+	firstBatchBytes = 4 << 10
+	firstBatchLines = 32
 )
 
 // scanned is one trimmed, non-comment log line inside its batch's arena.
@@ -53,6 +65,17 @@ func (b *batch) add(raw []byte) {
 	b.lines = append(b.lines, l)
 }
 
+// grow moves a small first batch that has filled its lines into
+// full-size buffers: the body is more than a few lines, so growing by
+// append would only copy it repeatedly on the way to full size.
+func (b *batch) grow() {
+	arena := make([]byte, len(b.arena), max(batchBytes, cap(b.arena)))
+	copy(arena, b.arena)
+	lines := make([]scanned, len(b.lines), batchLines)
+	copy(lines, b.lines)
+	b.arena, b.lines = arena, lines
+}
+
 var commentPrefix = []byte("--")
 
 // parseTimestamp accepts b exactly when time.Parse(time.RFC3339, ...) does,
@@ -73,23 +96,34 @@ func parseTimestamp(b []byte) (time.Time, bool) {
 // or as soon as done is closed.
 func scanLines(r io.Reader, maxBytes int, full chan<- *batch, free <-chan *batch, done <-chan struct{}) {
 	defer close(full)
+	// bufio.Scanner rejects a line with ErrTooLong only once its buffer is
+	// full at the larger of the buffer's first size and the max it was
+	// given. The buffer used to start at scanLineFloor, so the line cap is
+	// the larger of that and maxBytes; it stays so with a smaller start.
+	limit := max(maxBytes, scanLineFloor)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxBytes)
-	for {
+	sc.Buffer(make([]byte, scanStartBytes), limit)
+	for first := true; ; first = false {
 		var b *batch
 		select {
 		case b = <-free:
 		case <-done:
 			return
 		}
-		if b.lines == nil {
+		switch {
+		case first:
+			b.arena, b.lines = make([]byte, 0, firstBatchBytes), make([]scanned, 0, firstBatchLines)
+		case b.lines == nil:
 			// Full size at first use: growing by append would allocate
-			// twice the final size, in large objects, for every call.
+			// twice the final size, in large objects, once per batch.
 			b.arena, b.lines = make([]byte, 0, batchBytes), make([]scanned, 0, batchLines)
 		}
 		b.arena, b.lines = b.arena[:0], b.lines[:0]
 		eof := false
 		for len(b.lines) < batchLines && len(b.arena) < batchBytes {
+			if len(b.lines) == firstBatchLines && cap(b.lines) == firstBatchLines {
+				b.grow()
+			}
 			if !sc.Scan() {
 				b.err, eof = sc.Err(), true
 				break

@@ -8,12 +8,12 @@ import (
 	"cliffguard/internal/workload"
 )
 
-// TestMemoHitCostDoesNotAllocate is the allocation gate for every what-if
+// TestCostDoesNotAllocate is the allocation gate for every what-if
 // call: Cost over a design of indexes and a materialized view computes the
 // full scan and every serving path from scratch, with no memo in front of
 // it, and allocates nothing. This pins the coverage and width tests to the
 // query's clause bitsets.
-func TestMemoHitCostDoesNotAllocate(t *testing.T) {
+func TestCostDoesNotAllocate(t *testing.T) {
 	s := testSchema()
 	db := Open(s)
 	query := q(&workload.Spec{

@@ -46,7 +46,7 @@ func (d *Designer) Name() string { return "DBMS-X-Advisor" }
 // Design implements designer.Designer.
 func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
 	cw := d.Compress(w)
-	cands := d.Candidates(cw)
+	cands := d.candidates(cw)
 	if d.DB.met != nil {
 		d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
 	}
@@ -78,8 +78,12 @@ func (d *Designer) Compress(w *workload.Workload) *workload.Workload {
 
 // Candidates generates the candidate pool: per-template indices (key-only
 // and covering) and materialized views for aggregate templates.
-func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
-	cw = designer.CompressByTemplate(cw) // idempotent; callers may pass raw workloads
+func (d *Designer) Candidates(w *workload.Workload) []designer.Structure {
+	return d.candidates(designer.CompressByTemplate(w))
+}
+
+// candidates is Candidates over an already template-compressed workload.
+func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 	type wq struct {
 		q      *workload.Query
 		weight float64
@@ -132,11 +136,10 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 			if cl.table != e.q.Spec.Table {
 				continue
 			}
-			union := cl.cols.Union(cols)
-			if union.Len() > 24 {
+			if cl.cols.UnionLen(cols) > 24 {
 				continue
 			}
-			j := float64(cl.cols.Intersect(cols).Len()) / float64(cols.Len())
+			j := float64(cl.cols.IntersectLen(cols)) / float64(cols.Len())
 			if j >= 0.8 && j > bestJ {
 				best, bestJ = cl, j
 			}

@@ -95,6 +95,20 @@ func (t *Table) Column(name string) (Column, bool) {
 	return Column{}, false
 }
 
+// Owned returns t's column with global ID id, or nil when id is not one of
+// t's columns. New numbers each table's columns contiguously, so this is a
+// range test and an index: no name comparison and no copy of the Column.
+func (t *Table) Owned(id int) *Column {
+	if len(t.Columns) == 0 {
+		return nil
+	}
+	i := id - t.Columns[0].ID
+	if i < 0 || i >= len(t.Columns) {
+		return nil
+	}
+	return &t.Columns[i]
+}
+
 // RowWidth returns the modeled byte width of a full row.
 func (t *Table) RowWidth() int64 {
 	var w int64

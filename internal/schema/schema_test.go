@@ -164,3 +164,22 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("Qualified = %q", got)
 	}
 }
+
+func TestTableOwned(t *testing.T) {
+	s, err := New(testDefs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range s.Tables() {
+		for id := -1; id <= s.NumColumns(); id++ {
+			c := tb.Owned(id)
+			want := s.ValidID(id) && s.Column(id).Table == tb.Name
+			if (c != nil) != want {
+				t.Fatalf("%s.Owned(%d) = %v, want owned=%v", tb.Name, id, c, want)
+			}
+			if c != nil && *c != s.Column(id) {
+				t.Fatalf("%s.Owned(%d) = %+v, want %+v", tb.Name, id, *c, s.Column(id))
+			}
+		}
+	}
+}

@@ -79,12 +79,12 @@ func costDesign(tb testing.TB, s *schema.Schema) *designer.Design {
 	return designer.NewDesign(ps...)
 }
 
-// TestMemoHitCostDoesNotAllocate is the allocation gate for the hottest
+// TestCostDoesNotAllocate is the allocation gate for the hottest
 // call in the system: Cost over a multi-projection design computes every
 // path from scratch, with no memo in front of it, reading the query's
 // clause bitsets and the projections' sort keys, and touches the heap not
 // at all.
-func TestMemoHitCostDoesNotAllocate(t *testing.T) {
+func TestCostDoesNotAllocate(t *testing.T) {
 	s := testSchema()
 	db := Open(s)
 	q := benchQuery()
@@ -100,6 +100,29 @@ func TestMemoHitCostDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Cost allocates %.0f times per call, want 0", n)
+	}
+}
+
+// TestNewProjectionAllocations gates candidate construction: the column
+// bitset, the deduped sort key, the projection and its key string, and
+// nothing else (no fmt, no map).
+func TestNewProjectionAllocations(t *testing.T) {
+	s := testSchema()
+	cols := []int{0, 1, 2, 3}
+	sortCols := []workload.OrderCol{{Col: 2}, {Col: 1, Desc: true}, {Col: 2}, {Col: 0}}
+	p, err := NewProjection(s, "f", cols, sortCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "proj:f:f:sort=2,1-,0"; p.Key() != want {
+		t.Fatalf("key %q, want %q", p.Key(), want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := NewProjection(s, "f", cols, sortCols); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Fatalf("NewProjection allocates %.0f times, want at most 4", n)
 	}
 }
 

@@ -81,10 +81,11 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	if db.met != nil {
 		db.met.CostModelCalls.Inc()
 	}
-	if err := db.check(q); err != nil {
+	qt, err := db.prepare(q)
+	if err != nil {
 		return 0, err
 	}
-	_, best := db.bestPath(q, d)
+	_, best := bestPath(q, &qt, d)
 	return best, nil
 }
 
@@ -92,25 +93,26 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 // its estimated cost. The executor uses it to run the same plan the
 // estimator picked.
 func (db *DB) BestPath(q *workload.Query, d *designer.Design) (*Projection, float64, error) {
-	if err := db.check(q); err != nil {
+	qt, err := db.prepare(q)
+	if err != nil {
 		return nil, 0, err
 	}
-	p, best := db.bestPath(q, d)
+	p, best := bestPath(q, &qt, d)
 	return p, best, nil
 }
 
-// bestPath picks the cheapest path for a checked query: the
+// bestPath picks the cheapest path for a prepared query: the
 // super-projection or a projection of d that serves q.
-func (db *DB) bestPath(q *workload.Query, d *designer.Design) (*Projection, float64) {
+func bestPath(q *workload.Query, qt *queryTerms, d *designer.Design) (*Projection, float64) {
 	var bestP *Projection
-	best := db.pathCost(q, nil)
+	best := qt.cost(pathTermsOf(q, nil))
 	if d != nil {
 		for _, s := range d.Structures {
 			p, ok := s.(*Projection)
 			if !ok || !p.Serves(q) {
 				continue
 			}
-			if c := db.pathCost(q, p); c < best {
+			if c := qt.cost(pathTermsOf(q, p)); c < best {
 				best, bestP = c, p
 			}
 		}
@@ -118,60 +120,89 @@ func (db *DB) bestPath(q *workload.Query, d *designer.Design) (*Projection, floa
 	return bestP, best
 }
 
-// check validates that the query is within the simulator's costable subset:
-// a spec over a single known anchor table whose referenced columns all
-// belong to that table.
-func (db *DB) check(q *workload.Query) error {
-	if q == nil || q.Spec == nil {
-		return fmt.Errorf("vertsim: query without spec: %w", designer.ErrUnsupported)
-	}
-	if _, ok := db.Schema.Table(q.Spec.Table); !ok {
-		return fmt.Errorf("vertsim: unknown table %q: %w", q.Spec.Table, designer.ErrUnsupported)
-	}
-	bad := -1
-	if q.EachRef(func(c int) bool {
-		bad = c
-		return db.Schema.ValidID(c) && db.Schema.Column(c).Table == q.Spec.Table
-	}) {
-		return nil
-	}
-	if !db.Schema.ValidID(bad) {
-		return fmt.Errorf("vertsim: invalid column %d: %w", bad, designer.ErrUnsupported)
-	}
-	return fmt.Errorf("vertsim: column %s outside anchor %q: %w",
-		db.Schema.Column(bad).Qualified(), q.Spec.Table, designer.ErrUnsupported)
+// queryTerms are the parts of a query's cost that no access path changes,
+// derived once per call by prepare:
+//
+//	outRows = max(rows * totalSel, 1)
+//	agg     = outRows / aggRate         (if grouped)
+//	sort    = n*log2(n+2) / sortRate    (if ORDER BY; n is outRows capped
+//	                                     by the group estimate)
+type queryTerms struct {
+	rows    float64 // the anchor's row count
+	width   float64 // referenced byte width per row
+	outRows float64 // rows left after every predicate
+	agg     float64 // hash-aggregation cost: > 0 with GROUP BY, else 0
+	sort    float64 // explicit sort cost: > 0 with ORDER BY, else 0
 }
 
-// pathCost estimates the latency of q via projection p (nil = the
-// super-projection):
-//
-//	scan  = rowsScanned * referencedWidth / scanRate
-//	agg   = outputRows / aggRate            (if grouped)
-//	sort  = outRows*log2(outRows)/sortRate  (if ORDER BY unsatisfied)
-//
-// rowsScanned shrinks by the selectivity of predicates matching the
-// projection's sort-key prefix: equalities extend the usable prefix, the
-// first range predicate uses it and stops, and the super-projection (no sort
-// order) always scans everything.
-func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
-	t, _ := db.Schema.Table(q.Spec.Table)
-	rows := float64(t.Rows)
-
+// prepare validates that q is within the simulator's costable subset (a
+// spec over a single known anchor table whose referenced columns all belong
+// to that table) and derives its query terms, in one walk of the referenced
+// columns.
+func (db *DB) prepare(q *workload.Query) (queryTerms, error) {
+	if q == nil || q.Spec == nil {
+		return queryTerms{}, fmt.Errorf("vertsim: query without spec: %w", designer.ErrUnsupported)
+	}
+	t, ok := db.Schema.Table(q.Spec.Table)
+	if !ok {
+		return queryTerms{}, fmt.Errorf("vertsim: unknown table %q: %w", q.Spec.Table, designer.ErrUnsupported)
+	}
 	var width float64
-	q.EachRef(func(c int) bool {
-		width += float64(db.Schema.Column(c).Type.Width())
+	bad := -1
+	if !q.EachRef(func(c int) bool {
+		col := t.Owned(c)
+		if col == nil {
+			bad = c
+			return false
+		}
+		width += float64(col.Type.Width())
 		return true
-	})
+	}) {
+		if !db.Schema.ValidID(bad) {
+			return queryTerms{}, fmt.Errorf("vertsim: invalid column %d: %w", bad, designer.ErrUnsupported)
+		}
+		return queryTerms{}, fmt.Errorf("vertsim: column %s outside anchor %q: %w",
+			db.Schema.Column(bad).Qualified(), q.Spec.Table, designer.ErrUnsupported)
+	}
 
-	prefixSel := 1.0
+	qt := queryTerms{rows: float64(t.Rows), width: width}
+	totalSel := 1.0
+	for _, pred := range q.Spec.Preds {
+		totalSel *= clampSel(pred.Sel)
+	}
+	qt.outRows = math.Max(qt.rows*totalSel, 1)
+	outRows := qt.outRows
+	if len(q.Spec.GroupBy) > 0 {
+		qt.agg = outRows / aggRowsPerMs
+		outRows = math.Min(outRows, db.groupEstimate(q.Spec.GroupBy))
+	}
+	if len(q.Spec.OrderBy) > 0 {
+		qt.sort = outRows * math.Log2(outRows+2) / sortRowFactor
+	}
+	return qt, nil
+}
+
+// pathTerms are the parts of a query's cost that its access path decides.
+type pathTerms struct {
+	prefixSel   float64 // selectivity of the predicates on the sort-key prefix
+	compression float64 // scan-rate factor of the path's encoding
+	streamed    bool    // rows arrive clustered by the GROUP BY key
+	ordered     bool    // the path's sort order delivers the ORDER BY
+}
+
+// pathTermsOf derives q's path terms for projection p (nil = the
+// super-projection). Predicates matching p's sort-key prefix prune the scan:
+// equalities extend the usable prefix, the first range predicate uses it and
+// stops, and the super-projection (no sort order) always scans everything.
+func pathTermsOf(q *workload.Query, p *Projection) pathTerms {
+	pt := pathTerms{prefixSel: 1.0, compression: 1.0} // super-projection: unsorted, no run-length encoding
 	var sortCols []workload.OrderCol
-	compression := 1.0 // super-projection: unsorted, no run-length encoding
 	if p != nil {
 		sortCols = p.SortCols
 		if len(sortCols) > 0 {
 			// Sorted projections scan somewhat compressed data; the real win
 			// comes from sort-prefix pruning, not from mere coverage.
-			compression = scanCompression
+			pt.compression = scanCompression
 		}
 	}
 	for _, oc := range sortCols {
@@ -179,35 +210,40 @@ func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
 		if !ok {
 			break
 		}
-		prefixSel *= clampSel(pred.Sel)
+		pt.prefixSel *= clampSel(pred.Sel)
 		if pred.Op != workload.Eq {
 			break // a range consumes the prefix
 		}
 	}
+	pt.streamed = groupBySortStreamed(q, sortCols)
+	pt.ordered = orderSatisfied(q.Spec, sortCols)
+	return pt
+}
 
-	totalSel := 1.0
-	for _, pred := range q.Spec.Preds {
-		totalSel *= clampSel(pred.Sel)
-	}
+// rowsScanned is the number of rows the path reads after sort-prefix
+// pruning.
+func (qt *queryTerms) rowsScanned(pt pathTerms) float64 {
+	return math.Max(qt.rows*pt.prefixSel, 1)
+}
 
-	rowsScanned := math.Max(rows*prefixSel, 1)
-	outRows := math.Max(rows*totalSel, 1)
-
+// cost combines the query and path terms into the estimated latency:
+//
+//	fixed + rowsScanned*width*compression/scanRate
+//	      + agg (x0.1 when streamed) + sort (unless the path is ordered)
+func (qt *queryTerms) cost(pt pathTerms) float64 {
 	cost := fixedOverheadMs
-	cost += rowsScanned * width * compression / scanBytesPerMs
-
-	if len(q.Spec.GroupBy) > 0 {
-		aggCost := outRows / aggRowsPerMs
-		if groupBySortStreamed(q, sortCols) {
+	cost += qt.rowsScanned(pt) * qt.width * pt.compression / scanBytesPerMs
+	if qt.agg != 0 {
+		aggCost := qt.agg
+		if pt.streamed {
 			// Rows arrive clustered by the grouping key: streaming (one-pass,
 			// no hash table) aggregation.
 			aggCost *= 0.1
 		}
 		cost += aggCost
-		outRows = math.Min(outRows, db.groupEstimate(q.Spec.GroupBy))
 	}
-	if len(q.Spec.OrderBy) > 0 && !orderSatisfied(q.Spec, sortCols) {
-		cost += outRows * math.Log2(outRows+2) / sortRowFactor
+	if qt.sort != 0 && !pt.ordered {
+		cost += qt.sort
 	}
 	return cost
 }

@@ -38,7 +38,7 @@ func (d *Designer) Name() string { return "VerticaDBD" }
 // generate per-template and merged candidates, then greedy-select.
 func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
 	cw := designer.CompressByTemplate(w)
-	cands := d.Candidates(cw)
+	cands := d.candidates(cw)
 	if d.DB.met != nil {
 		d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
 	}
@@ -51,14 +51,18 @@ type weightedQuery struct {
 	weight float64
 }
 
-// Candidates generates the candidate projection pool for a (compressed)
-// workload: one or two tailored projections per template plus merged
-// projections for strongly overlapping template pairs.
-func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
-	cw = designer.CompressByTemplate(cw) // idempotent; callers may pass raw workloads
-	var wqs []weightedQuery
+// Candidates generates the candidate projection pool for a workload: one or
+// two tailored projections per template plus merged projections for
+// strongly overlapping template pairs.
+func (d *Designer) Candidates(w *workload.Workload) []designer.Structure {
+	return d.candidates(designer.CompressByTemplate(w))
+}
+
+// candidates is Candidates over an already template-compressed workload.
+func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
+	wqs := make([]weightedQuery, 0, cw.Len())
 	for _, it := range cw.Items {
-		if d.DB.check(it.Q) != nil {
+		if _, err := d.DB.prepare(it.Q); err != nil {
 			continue
 		}
 		wqs = append(wqs, weightedQuery{it.Q, it.Weight})
@@ -126,8 +130,7 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 			if cl.table != wq.q.Spec.Table {
 				continue
 			}
-			union := cl.cols.Union(cols)
-			if union.Len() > maxClusterCols {
+			if cl.cols.UnionLen(cols) > maxClusterCols {
 				continue
 			}
 			// Containment rather than symmetric Jaccard: a template joins a
@@ -137,7 +140,7 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 			// templates (sharing only their hot columns, typically 50-75%
 			// containment) stay out. This mirrors how commercial designers
 			// merge only near-duplicate queries.
-			j := float64(cl.cols.Intersect(cols).Len()) / float64(cols.Len())
+			j := float64(cl.cols.IntersectLen(cols)) / float64(cols.Len())
 			if j >= 0.8 && j > bestJ {
 				best, bestJ = cl, j
 			}
@@ -189,15 +192,16 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 		for _, c := range key {
 			sortCols = append(sortCols, workload.OrderCol{Col: c})
 		}
-		add(NewProjection(d.DB.Schema, cl.table, cl.cols.IDs(), sortCols))
+		ids := cl.cols.IDs()
+		add(NewProjection(d.DB.Schema, cl.table, ids, sortCols))
 		// Variants sorted for the heaviest members, preserving their ideal
 		// plans inside the wider projection — Vertica's classic trick of
 		// keeping several projections that differ only in sort order.
 		if cl.heaviest != nil && len(out) < maxCand {
-			add(NewProjection(d.DB.Schema, cl.table, cl.cols.IDs(), d.sortKey(cl.heaviest, false)))
+			add(NewProjection(d.DB.Schema, cl.table, ids, d.sortKey(cl.heaviest, false)))
 		}
 		if cl.second != nil && len(out) < maxCand {
-			add(NewProjection(d.DB.Schema, cl.table, cl.cols.IDs(), d.sortKey(cl.second, false)))
+			add(NewProjection(d.DB.Schema, cl.table, ids, d.sortKey(cl.second, false)))
 		}
 		// One variant per popular predicate column as the leading sort key:
 		// members (and near-variants) filtering on that column get a pruned
@@ -213,7 +217,7 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 					variant = append(variant, workload.OrderCol{Col: c})
 				}
 			}
-			add(NewProjection(d.DB.Schema, cl.table, cl.cols.IDs(), variant))
+			add(NewProjection(d.DB.Schema, cl.table, ids, variant))
 		}
 	}
 	return out
@@ -257,11 +261,9 @@ func (d *Designer) sortKey(spec *workload.Spec, orderFirst bool) []workload.Orde
 	if maxLen <= 0 {
 		maxLen = 4
 	}
-	var key []workload.OrderCol
-	used := make(map[int]bool)
+	key := make([]workload.OrderCol, 0, maxLen)
 	push := func(oc workload.OrderCol) {
-		if len(key) < maxLen && !used[oc.Col] {
-			used[oc.Col] = true
+		if len(key) < maxLen && !hasSortCol(key, oc.Col) {
 			key = append(key, oc)
 		}
 	}

@@ -16,6 +16,7 @@ package vertsim
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cliffguard/internal/schema"
@@ -48,12 +49,12 @@ func NewProjection(s *schema.Schema, anchor string, cols []int, sortCols []workl
 	var set workload.ColSet
 	var width int64
 	for _, c := range cols {
-		if !s.ValidID(c) {
-			return nil, fmt.Errorf("vertsim: invalid column ID %d", c)
-		}
-		col := s.Column(c)
-		if col.Table != anchor {
-			return nil, fmt.Errorf("vertsim: column %s does not belong to anchor %q", col.Qualified(), anchor)
+		col := t.Owned(c)
+		if col == nil {
+			if !s.ValidID(c) {
+				return nil, fmt.Errorf("vertsim: invalid column ID %d", c)
+			}
+			return nil, fmt.Errorf("vertsim: column %s does not belong to anchor %q", s.Column(c).Qualified(), anchor)
 		}
 		if set.Has(c) {
 			continue
@@ -64,17 +65,16 @@ func NewProjection(s *schema.Schema, anchor string, cols []int, sortCols []workl
 	if set.Empty() {
 		return nil, fmt.Errorf("vertsim: projection on %q has no columns", anchor)
 	}
-	seen := make(map[int]bool, len(sortCols))
+	// Sort keys are a handful of columns: a linear scan dedupes them
+	// without a map.
 	dedup := make([]workload.OrderCol, 0, len(sortCols))
 	for _, oc := range sortCols {
 		if !set.Has(oc.Col) {
 			return nil, fmt.Errorf("vertsim: sort column %d not in projection column set", oc.Col)
 		}
-		if seen[oc.Col] {
-			continue
+		if !hasSortCol(dedup, oc.Col) {
+			dedup = append(dedup, oc)
 		}
-		seen[oc.Col] = true
-		dedup = append(dedup, oc)
 	}
 	p := &Projection{Anchor: anchor, Cols: set, SortCols: dedup}
 	compression := 1.0
@@ -82,23 +82,33 @@ func NewProjection(s *schema.Schema, anchor string, cols []int, sortCols []workl
 		compression = sortedCompression
 	}
 	p.size = int64(float64(t.Rows*width) * compression)
-	var b strings.Builder
-	b.WriteString("proj:")
-	b.WriteString(anchor)
-	b.WriteString(":")
-	b.WriteString(set.Key())
-	b.WriteString(":sort=")
+	var buf [128]byte
+	b := append(buf[:0], "proj:"...)
+	b = append(b, anchor...)
+	b = append(b, ':')
+	b = set.AppendKey(b)
+	b = append(b, ":sort="...)
 	for i, oc := range dedup {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", oc.Col)
+		b = strconv.AppendInt(b, int64(oc.Col), 10)
 		if oc.Desc {
-			b.WriteByte('-')
+			b = append(b, '-')
 		}
 	}
-	p.key = b.String()
+	p.key = string(b)
 	return p, nil
+}
+
+// hasSortCol reports whether key already sorts on col.
+func hasSortCol(key []workload.OrderCol, col int) bool {
+	for _, oc := range key {
+		if oc.Col == col {
+			return true
+		}
+	}
+	return false
 }
 
 // Key implements designer.Structure.
@@ -124,8 +134,10 @@ func (p *Projection) Describe() string {
 // Serves implements designer.Server: a projection can only answer queries
 // on its anchor table whose every referenced column it stores; for any other
 // query the cost model falls back to the super-projection by construction.
+// Column IDs are schema-global, so the bitset test rejects nearly every
+// query of another table too; the anchor name is compared last.
 func (p *Projection) Serves(q *workload.Query) bool {
-	return q != nil && q.Spec != nil && p.Anchor == q.Spec.Table && q.RefsIn(p.Cols)
+	return q != nil && q.Spec != nil && q.RefsIn(p.Cols) && p.Anchor == q.Spec.Table
 }
 
 // Covers reports whether the projection contains every column in need.

@@ -84,3 +84,36 @@ func BenchmarkBuildPairTable(b *testing.B) {
 		}
 	}
 }
+
+// TestDesignAllocations gates one nominal Design on R1's first month. The
+// bound is 5x below the 16,483 allocations it made when candidate keys went
+// through fmt, sort keys were deduped with maps, cluster probes built their
+// unions and intersections, and the workload was compressed twice.
+func TestDesignAllocations(t *testing.T) {
+	db, month, _, _ := r1Pool(t)
+	dz := NewDesigner(db, 2560<<20)
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := dz.Design(ctx, month); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 16483/5 {
+		t.Fatalf("Design allocates %.0f times, want at most %d", n, 16483/5)
+	} else {
+		t.Logf("Design: %.0f allocations", n)
+	}
+}
+
+// BenchmarkDesign runs the nominal designer on R1's first month: template
+// compression, candidate generation and the greedy pair-table selection.
+func BenchmarkDesign(b *testing.B) {
+	db, month, _, _ := r1Pool(b)
+	dz := NewDesigner(db, 2560<<20)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := dz.Design(ctx, month); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -24,8 +24,10 @@ func NewColSet(ids ...int) ColSet {
 }
 
 func (s *ColSet) grow(word int) {
-	for len(s.words) <= word {
-		s.words = append(s.words, 0)
+	if word >= len(s.words) {
+		words := make([]uint64, word+1)
+		copy(words, s.words)
+		s.words = words
 	}
 }
 
@@ -113,6 +115,32 @@ func (s ColSet) Intersect(t ColSet) ColSet {
 	return ColSet{words: out}
 }
 
+// UnionLen returns the size of the union of s and t without building it.
+func (s ColSet) UnionLen(t ColSet) int {
+	long, short := s.words, t.words
+	if len(short) > len(long) {
+		long, short = short, long
+	}
+	n := 0
+	for i, w := range short {
+		n += bits.OnesCount64(long[i] | w)
+	}
+	for _, w := range long[len(short):] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// IntersectLen returns the size of the intersection of s and t without
+// building it.
+func (s ColSet) IntersectLen(t ColSet) int {
+	n := 0
+	for i := 0; i < len(s.words) && i < len(t.words); i++ {
+		n += bits.OnesCount64(s.words[i] & t.words[i])
+	}
+	return n
+}
+
 // Minus returns s with all members of t removed.
 func (s ColSet) Minus(t ColSet) ColSet {
 	out := make([]uint64, len(s.words))
@@ -197,19 +225,29 @@ func (s ColSet) Clone() ColSet {
 
 // Key returns a canonical string identity for the set, suitable as a map key.
 func (s ColSet) Key() string {
-	// Trim trailing zero words so logically equal sets share a key.
-	end := len(s.words)
-	for end > 0 && s.words[end-1] == 0 {
-		end--
+	var buf [64]byte
+	return string(s.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the set's Key to b and returns the extended buffer.
+func (s ColSet) AppendKey(b []byte) []byte {
+	return appendWordsKey(b, len(s.words), func(i int) uint64 { return s.words[i] })
+}
+
+// appendWordsKey appends the Key of the n-word bitset whose word i is
+// word(i): the words in hex, comma-separated, with trailing zero words
+// trimmed so logically equal sets share a key.
+func appendWordsKey(b []byte, n int, word func(i int) uint64) []byte {
+	for n > 0 && word(n-1) == 0 {
+		n--
 	}
-	var b strings.Builder
-	for i := 0; i < end; i++ {
+	for i := 0; i < n; i++ {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.FormatUint(s.words[i], 16))
+		b = strconv.AppendUint(b, word(i), 16)
 	}
-	return b.String()
+	return b
 }
 
 // String renders the set as a sorted ID list, e.g. "{1,5,9}".

@@ -181,3 +181,29 @@ func TestColSetProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestColSetCountsMatchBuiltSets: UnionLen and IntersectLen count exactly
+// the sets Union and Intersect build, across word lengths and with trailing
+// zero words on either side.
+func TestColSetCountsMatchBuiltSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	randSet := func() ColSet {
+		var s ColSet
+		for i := rng.Intn(6); i > 0; i-- {
+			s.Add(rng.Intn(200))
+		}
+		if rng.Intn(3) == 0 {
+			s.grow(len(s.words) + rng.Intn(2)) // trailing zero words
+		}
+		return s
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := randSet(), randSet()
+		if got, want := a.UnionLen(b), a.Union(b).Len(); got != want {
+			t.Fatalf("%v.UnionLen(%v) = %d, want %d", a, b, got, want)
+		}
+		if got, want := a.IntersectLen(b), a.Intersect(b).Len(); got != want {
+			t.Fatalf("%v.IntersectLen(%v) = %d, want %d", a, b, got, want)
+		}
+	}
+}

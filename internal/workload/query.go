@@ -168,7 +168,12 @@ func FromSpec(id int64, ts time.Time, spec *Spec) *Query {
 // Columns returns the union of all clause column sets (the paper's
 // "union of all the columns that appear in it" representation).
 func (q *Query) Columns() ColSet {
-	return q.Select.Union(q.Where).Union(q.GroupBy).Union(q.OrderBy)
+	n := max(len(q.Select.words), len(q.Where.words), len(q.GroupBy.words), len(q.OrderBy.words))
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = wordAt(q.Select, i) | wordAt(q.Where, i) | wordAt(q.GroupBy, i) | wordAt(q.OrderBy, i)
+	}
+	return ColSet{words: out}
 }
 
 // EachRef calls fn on every column of the clause-set union in ascending
@@ -283,7 +288,30 @@ func (q *Query) MaskedColumns(m ClauseMask) ColSet {
 // given clause mask: queries with identical masked column sets share a
 // template (the paper's "templates", Section 6.2).
 func (q *Query) TemplateKey(m ClauseMask) string {
-	return q.MaskedColumns(m).Key()
+	var buf [64]byte
+	return string(q.AppendTemplateKey(buf[:0], m))
+}
+
+// AppendTemplateKey appends TemplateKey(m) to b and returns the extended
+// buffer. It ORs the masked clause sets word by word instead of building
+// their union, so with a reused buffer it allocates nothing.
+func (q *Query) AppendTemplateKey(b []byte, m ClauseMask) []byte {
+	var sets [numClauses]ColSet
+	n, words := 0, 0
+	for c := ClauseSelect; c < numClauses; c++ {
+		if m.Has(c) {
+			sets[n] = q.ClauseSet(c)
+			words = max(words, len(sets[n].words))
+			n++
+		}
+	}
+	return appendWordsKey(b, words, func(i int) uint64 {
+		var w uint64
+		for _, s := range sets[:n] {
+			w |= wordAt(s, i)
+		}
+		return w
+	})
 }
 
 // SeparateKey returns the template identity under the 4-tuple representation

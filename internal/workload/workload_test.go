@@ -357,3 +357,53 @@ func TestComputeStats(t *testing.T) {
 		t.Error("empty stats")
 	}
 }
+
+// TestAppendTemplateKeyMatchesMaskedKey: for all 16 clause masks,
+// AppendTemplateKey(nil, m) equals MaskedColumns(m).Key() and appends
+// after existing bytes, on clause sets of different word lengths, with
+// column IDs past 64 and with trailing zero words.
+func TestAppendTemplateKeyMatchesMaskedKey(t *testing.T) {
+	trailing := NewColSet(2)
+	trailing.grow(3) // {2} stored in four words
+	emptyLong := ColSet{}
+	emptyLong.grow(2) // the empty set stored in three words
+	queries := []*Query{
+		{},
+		{Select: NewColSet(1, 5), Where: NewColSet(70), GroupBy: NewColSet(5), OrderBy: NewColSet(130)},
+		{Select: NewColSet(64), Where: trailing, OrderBy: NewColSet(0, 63)},
+		{Select: emptyLong, Where: NewColSet(3), GroupBy: trailing},
+		{Select: NewColSet(200), GroupBy: emptyLong},
+	}
+	for set, want := range map[*ColSet]string{
+		&queries[1].Select: "22", &trailing: "4", &emptyLong: "", &queries[2].Select: "0,1",
+	} {
+		if got := set.Key(); got != want {
+			t.Errorf("%v.Key() = %q, want %q", *set, got, want)
+		}
+	}
+	if got, want := queries[1].TemplateKey(MaskSWGO), "22,40,4"; got != want {
+		t.Errorf("TemplateKey(SWGO) = %q, want %q", got, want)
+	}
+	for qi, q := range queries {
+		for m := ClauseMask(0); m < 16; m++ {
+			want := q.MaskedColumns(m).Key()
+			if got := string(q.AppendTemplateKey(nil, m)); got != want {
+				t.Errorf("query %d mask %v: AppendTemplateKey = %q, MaskedColumns.Key = %q", qi, m, got, want)
+			}
+			if got := string(q.AppendTemplateKey([]byte("x|"), m)); got != "x|"+want {
+				t.Errorf("query %d mask %v: appended %q, want %q", qi, m, got, "x|"+want)
+			}
+			if got := q.TemplateKey(m); got != want {
+				t.Errorf("query %d mask %v: TemplateKey = %q, want %q", qi, m, got, want)
+			}
+		}
+	}
+	q := queries[1]
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = q.AppendTemplateKey(buf[:0], MaskSWGO) }); n != 0 {
+		t.Fatalf("AppendTemplateKey into a reused buffer allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = q.TemplateKey(MaskSWGO) }); n > 1 {
+		t.Fatalf("TemplateKey allocates %.0f times, want only its string", n)
+	}
+}
