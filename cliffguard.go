@@ -323,7 +323,10 @@ func GenerateData(s *Schema, maxRows int, seed int64) *Dataset {
 	return datagen.Generate(s, maxRows, seed)
 }
 
-// NewParser returns a SQL parser bound to the schema.
+// NewParser returns a SQL parser bound to the schema. A Parser reuses its
+// scratch buffers from one Parse to the next and is not safe for concurrent
+// use: give each goroutine its own. The queries it returns share nothing
+// with it.
 func NewParser(s *Schema) *Parser { return sqlparse.NewParser(s) }
 
 // NewPortfolio returns a designer portfolio racing the members concurrently

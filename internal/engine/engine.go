@@ -45,7 +45,8 @@ type Spec struct {
 	// (aliases: vertsim, rowsim, dbmsx, aqesim, aqe).
 	Kind string `json:"kind"`
 	// Scale is the warehouse scale factor used when Schema is nil
-	// (datagen.Warehouse(Scale)); 0 means 1.
+	// (datagen.Warehouse(Scale), shared by the engines open at that scale);
+	// 0 means 1.
 	Scale int64 `json:"scale,omitempty"`
 	// Schema overrides the canonical warehouse schema (library callers only;
 	// not wire-serializable).
@@ -93,7 +94,9 @@ type Engine interface {
 
 	// Kind returns the normalized engine kind.
 	Kind() string
-	// Schema returns the schema the engine was opened over.
+	// Schema returns the schema the engine was opened over. It is read-only:
+	// engines opened at one Scale without a Schema or Data share one
+	// warehouse schema.
 	Schema() *schema.Schema
 	// NominalDesigner returns the engine's native nominal designer (the
 	// paper's ExistingDesigner) with the given storage budget. Every returned
@@ -116,7 +119,9 @@ type Engine interface {
 }
 
 // Open builds the engine the spec names. The spec is normalized first, so
-// aliases and a zero scale are fine.
+// aliases and a zero scale are fine. Without a Schema or Data, the engine
+// shares the warehouse schema of its Scale with every other engine still
+// holding it (on Go 1.24 and later; the share is weak, so it pins nothing).
 func Open(spec Spec) (Engine, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
@@ -127,7 +132,7 @@ func Open(spec Spec) (Engine, error) {
 		sch = spec.Data.Schema
 	}
 	if sch == nil {
-		sch = datagen.Warehouse(spec.Scale)
+		sch = warehouse(spec.Scale)
 	}
 	class := classFingerprint(spec.Kind, sch, spec.Data != nil)
 	switch spec.Kind {

@@ -64,7 +64,10 @@ import (
 // DefaultMaxStatementBytes caps one statement's text (and one line's length)
 // when Options.MaxStatementBytes is zero. It matches the 1MiB scanner buffer
 // the serving layer has always used, so a query that loads over HTTP also
-// loads from a file.
+// loads from a file. Under any cap, a trimmed line longer than the cap is
+// one skipped statement, never parsed, and a multi-line statement whose
+// buffered lines outgrow it is skipped line by line; a raw line longer than
+// the larger of the cap and 64 KiB ends the read with an error.
 const DefaultMaxStatementBytes = 1 << 20
 
 // textMemoCap bounds the exact-text memo that lets repeated log lines skip
@@ -79,8 +82,8 @@ type Options struct {
 	// the historical per-line numbering; a folded duplicate keeps the ID of
 	// its first occurrence.
 	FirstID int64
-	// MaxStatementBytes caps one statement's byte length (0 means
-	// DefaultMaxStatementBytes).
+	// MaxStatementBytes caps one statement's byte length, and one line's
+	// (0 means DefaultMaxStatementBytes).
 	MaxStatementBytes int
 	// NoFold disables duplicate folding: every parsed statement becomes its
 	// own weight-1 item, in statement order, reproducing the legacy naive
@@ -409,6 +412,13 @@ func (f *folder) line(p *pending, arena []byte, l scanned) {
 	text := arena[l.start:l.end]
 	if len(text) == 0 {
 		f.flushAsSkips(p)
+		return
+	}
+	if len(text) > f.opts.maxBytes() {
+		// Over the statement cap: one skipped statement, never parsed, that
+		// also abandons any statement being accumulated.
+		f.flushAsSkips(p)
+		f.skip()
 		return
 	}
 	sql := arena[l.sql:l.end]

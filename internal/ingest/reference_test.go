@@ -131,6 +131,11 @@ func (f *folder) consumeReference(r io.Reader) error {
 		if strings.HasPrefix(line, "--") {
 			continue
 		}
+		if len(line) > max {
+			flushAsSkips()
+			f.skip()
+			continue
+		}
 		if len(buf) == 0 {
 			ts, sql := splitTimestamp(line)
 			if body, ok := strings.CutSuffix(sql, ";"); ok {

@@ -1,6 +1,9 @@
 package sqlparse
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cliffguard/internal/datagen"
@@ -10,7 +13,12 @@ import (
 
 // FuzzParse drives the lexer and parser with arbitrary input: whatever the
 // bytes, Parse must terminate and either produce a valid query or an error —
-// never panic or hang. (The corpus seeds the interesting grammar shapes;
+// never panic or hang. lexInto must give referenceLex's tokens and error
+// text, and defaultCoder.Code referenceCode's value, on every input. A
+// long-lived Parser, its scratch dirtied by other statements before and
+// after, must return exactly the query (or the error) a fresh Parser does.
+// (The corpus seeds the interesting grammar shapes; the lex-* files under
+// testdata/fuzz seed the case folding and byte classes, and
 // `go test -fuzz=FuzzParse ./internal/sqlparse` explores beyond them.)
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -37,10 +45,43 @@ func FuzzParse(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	// Statements that fill the scratch of a long-lived parser: each resolves
+	// against one schema and fails part way on the other.
+	dirty := []string{
+		"SELECT s.region, COUNT(*), SUM(s.amount) FROM sales s JOIN customers c ON s.customer_id = c.cust_key WHERE s.day BETWEEN 1 AND 9 AND c.segment = 'it''s' GROUP BY s.region ORDER BY s.region DESC LIMIT 5",
+		"SELECT COUNT(*), MAX(api_method) FROM events WHERE session_id = 139990",
+	}
+	warm := make([]*Parser, len(schemas))
+	for i, sch := range schemas {
+		warm[i] = NewParser(sch)
+	}
+	var lexBuf []token
 	f.Fuzz(func(t *testing.T, sql string) {
-		for _, sch := range schemas {
+		want, wantErr := referenceLex(sql)
+		got, gotErr := lexInto(lexBuf, sql)
+		lexBuf = got
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("lexInto error %v, reference %v: %q", gotErr, wantErr, sql)
+		}
+		if wantErr == nil && !slices.Equal(got, want) {
+			t.Fatalf("lexInto tokens %v, reference %v: %q", got, want, sql)
+		}
+		for _, card := range []int64{0, 1, 20, 1 << 40} {
+			col := schema.Column{Cardinality: card}
+			if got, want := (defaultCoder{}).Code(col, sql), referenceCode(col, sql); got != want {
+				t.Fatalf("Code(card %d) = %d, reference %d: %q", card, got, want, sql)
+			}
+		}
+		for i, sch := range schemas {
+			wq, werr := warm[i].Parse(sql)
+			for _, d := range dirty {
+				warm[i].Parse(d)
+			}
 			p := NewParser(sch)
 			q, err := p.Parse(sql)
+			if fmt.Sprint(werr) != fmt.Sprint(err) || !reflect.DeepEqual(wq, q) {
+				t.Fatalf("long-lived parser gives %+v, %v; fresh parser %+v, %v: %q", wq, werr, q, err, sql)
+			}
 			if err != nil {
 				continue // rejecting is fine; crashing is not
 			}

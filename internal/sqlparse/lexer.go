@@ -23,13 +23,81 @@ const (
 	tokKeyword
 )
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "ORDER": true,
-	"BY": true, "AND": true, "OR": true, "JOIN": true, "INNER": true,
-	"LEFT": true, "ON": true, "AS": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "BETWEEN": true, "IN": true, "COUNT": true, "SUM": true,
-	"AVG": true, "MIN": true, "MAX": true, "DISTINCT": true, "NOT": true,
+// keywords are the keyword spellings, none longer than 8 bytes. keyword
+// returns these constants, so a keyword token's text is always one of them
+// whatever the case it was written in.
+var keywords = [...]string{
+	"SELECT", "FROM", "WHERE", "GROUP", "ORDER",
+	"BY", "AND", "OR", "JOIN", "INNER",
+	"LEFT", "ON", "AS", "ASC", "DESC",
+	"LIMIT", "BETWEEN", "IN", "COUNT", "SUM",
+	"AVG", "MIN", "MAX", "DISTINCT", "NOT",
 }
+
+// keywordKeys packs each keyword's bytes into a uint64, big-endian. No
+// identifier byte is 0, so words of different lengths never share a key.
+var keywordKeys = func() (keys [len(keywords)]uint64) {
+	for i, kw := range keywords {
+		for j := 0; j < len(kw); j++ {
+			keys[i] = keys[i]<<8 | uint64(kw[j])
+		}
+	}
+	return keys
+}()
+
+// keyword returns the upper-case keyword word spells in any ASCII case, or
+// "" when word is not a keyword. It folds word into a packed key and does
+// not allocate. A word with a byte at or above 0x80 is not a keyword: the
+// only runes that strings.ToUpper maps to ASCII are U+0131 and U+017F,
+// whose second UTF-8 bytes (0xB1, 0xBF) are not identifier bytes, and
+// invalid UTF-8 upper-cases to U+FFFD.
+func keyword(word string) string {
+	if len(word) > 8 {
+		return ""
+	}
+	var key uint64
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 0x80 {
+			return ""
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		key = key<<8 | uint64(c)
+	}
+	for i, k := range keywordKeys {
+		if k == key {
+			return keywords[i]
+		}
+	}
+	return ""
+}
+
+// Byte classes: byteClass[c] is classLetter for '_' and for every byte c
+// with unicode.IsLetter(rune(c)) (ASCII letters and the Latin-1 letters,
+// the lexer reading one byte as one rune), classDigit for '0'-'9', and
+// classSymbol for the one-byte symbols. An identifier starts with a letter
+// and continues with letters and digits.
+const (
+	classLetter = 1 << iota
+	classDigit
+	classSymbol
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case c == '_' || unicode.IsLetter(rune(c)):
+			t[c] = classLetter
+		case '0' <= c && c <= '9':
+			t[c] = classDigit
+		case strings.IndexByte("(),*=.;", byte(c)) >= 0:
+			t[c] = classSymbol
+		}
+	}
+	return t
+}()
 
 type token struct {
 	kind tokenKind
@@ -45,9 +113,18 @@ type lexError struct {
 
 func (e *lexError) Error() string { return fmt.Sprintf("sqlparse: at offset %d: %s", e.pos, e.msg) }
 
-// lex tokenizes the input. It is strict: unknown bytes are errors.
-func lex(input string) ([]token, error) {
-	var toks []token
+// lex tokenizes the input into a fresh slice (the schema DDL parser's entry
+// point).
+func lex(input string) ([]token, error) { return lexInto(nil, input) }
+
+// lexInto tokenizes the input, appending to dst[:0], and returns the grown
+// slice: a Parser passes its buffer back in so a warm lexer allocates
+// nothing. Every token's text is a substring of the input except a keyword's
+// (one of the keywords constants) and a string literal with an escaped
+// quote (one fresh string). On error it returns the emptied buffer with
+// the error, so the caller keeps it. It is strict: unknown bytes are errors.
+func lexInto(dst []token, input string) ([]token, error) {
+	toks := dst[:0]
 	i := 0
 	n := len(input)
 	for i < n {
@@ -59,15 +136,14 @@ func lex(input string) ([]token, error) {
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case isIdentStart(c):
+		case byteClass[c]&classLetter != 0:
 			start := i
-			for i < n && isIdentCont(input[i]) {
+			for i < n && byteClass[input[i]]&(classLetter|classDigit) != 0 {
 				i++
 			}
 			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{tokKeyword, upper, start})
+			if kw := keyword(word); kw != "" {
+				toks = append(toks, token{tokKeyword, kw, start})
 			} else {
 				toks = append(toks, token{tokIdent, word, start})
 			}
@@ -87,45 +163,47 @@ func lex(input string) ([]token, error) {
 		case c == '\'':
 			start := i
 			i++
-			var sb strings.Builder
+			run := i       // start of the literal's current quote-free run
+			var esc []byte // the text before run, once an escaped quote is seen
 			closed := false
 			for i < n {
 				if input[i] == '\'' {
 					if i+1 < n && input[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
+						esc = append(esc, input[run:i+1]...)
 						i += 2
+						run = i
 						continue
 					}
 					closed = true
-					i++
 					break
 				}
-				sb.WriteByte(input[i])
 				i++
 			}
 			if !closed {
-				return nil, &lexError{start, "unterminated string literal"}
+				return toks[:0], &lexError{start, "unterminated string literal"}
 			}
-			toks = append(toks, token{tokString, sb.String(), start})
+			text := input[run:i]
+			if esc != nil {
+				text = string(append(esc, text...))
+			}
+			i++ // the closing quote
+			toks = append(toks, token{tokString, text, start})
 		case c == '<' || c == '>':
-			if i+1 < n && input[i+1] == '=' {
+			if i+1 < n && (input[i+1] == '=' || c == '<' && input[i+1] == '>') {
 				toks = append(toks, token{tokSymbol, input[i : i+2], i})
 				i += 2
-			} else if c == '<' && i+1 < n && input[i+1] == '>' {
-				toks = append(toks, token{tokSymbol, "<>", i})
-				i += 2
 			} else {
-				toks = append(toks, token{tokSymbol, string(c), i})
+				toks = append(toks, token{tokSymbol, input[i : i+1], i})
 				i++
 			}
 		case c == '!' && i+1 < n && input[i+1] == '=':
-			toks = append(toks, token{tokSymbol, "!=", i})
+			toks = append(toks, token{tokSymbol, input[i : i+2], i})
 			i += 2
-		case strings.IndexByte("(),*=.;", c) >= 0:
-			toks = append(toks, token{tokSymbol, string(c), i})
+		case byteClass[c]&classSymbol != 0:
+			toks = append(toks, token{tokSymbol, input[i : i+1], i})
 			i++
 		default:
-			return nil, &lexError{i, fmt.Sprintf("unexpected character %q", rune(c))}
+			return toks[:0], &lexError{i, fmt.Sprintf("unexpected character %q", rune(c))}
 		}
 	}
 	toks = append(toks, token{tokEOF, "", n})
@@ -147,12 +225,4 @@ func startsValue(toks []token) bool {
 	default:
 		return false
 	}
-}
-
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
-
-func isIdentCont(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || c >= '0' && c <= '9'
 }

@@ -142,3 +142,17 @@ func TestLexPositions(t *testing.T) {
 		t.Errorf("positions = %d, %d", toks[0].pos, toks[1].pos)
 	}
 }
+
+// TestByteClassMatchesIsLetter: the byte-class table classifies every byte
+// exactly as the unicode.IsLetter tests it replaced.
+func TestByteClassMatchesIsLetter(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		b := byte(c)
+		if start := byteClass[b]&classLetter != 0; start != referenceIsIdentStart(b) {
+			t.Errorf("byte %#x: starts an identifier = %v, reference %v", c, start, referenceIsIdentStart(b))
+		}
+		if cont := byteClass[b]&(classLetter|classDigit) != 0; cont != referenceIsIdentCont(b) {
+			t.Errorf("byte %#x: continues an identifier = %v, reference %v", c, cont, referenceIsIdentCont(b))
+		}
+	}
+}

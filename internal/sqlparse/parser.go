@@ -2,7 +2,6 @@ package sqlparse
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 	"time"
@@ -27,23 +26,48 @@ func (defaultCoder) Code(col schema.Column, literal string) int64 {
 			return k
 		}
 	}
-	h := fnv.New64a()
-	h.Write([]byte(literal))
+	// 64-bit FNV-1a, as hash/fnv's New64a computes it, without the hasher
+	// and the []byte copy.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(literal); i++ {
+		h ^= uint64(literal[i])
+		h *= 1099511628211
+	}
 	card := col.Cardinality
 	if card <= 0 {
 		card = 1
 	}
-	return int64(h.Sum64() % uint64(card))
+	return int64(h % uint64(card))
 }
 
-// Parser parses SQL text against a schema.
+// Parser parses SQL text against a schema. It keeps scratch buffers from one
+// Parse to the next (tokens, the select list, the table scope and the
+// Spec's slices), so a long-lived Parser allocates little more than the
+// returned query; the query shares none of that scratch. A Parser is not
+// safe for concurrent use: give each goroutine its own.
 type Parser struct {
 	Schema *schema.Schema
 	Coder  ValueCoder
 
-	toks []token
-	pos  int
-	sql  string
+	toks  []token
+	pos   int
+	sql   string
+	items []selectItem
+	scope tableScope
+	// spec and joins collect the Spec's slices; the returned Spec gets
+	// exact-size copies.
+	spec  workload.Spec
+	joins []workload.Pred
+}
+
+// selectItem is one raw select-list entry, held until FROM is parsed and
+// its columns can be resolved.
+type selectItem struct {
+	star      bool
+	agg       string // "" for a bare column
+	aggStar   bool   // COUNT(*)
+	qualifier string
+	name      string
 }
 
 // NewParser returns a parser bound to the schema with the default value coder.
@@ -65,11 +89,11 @@ func (e *ParseError) Error() string {
 // Parse parses one SELECT statement and returns the resolved query. The
 // returned query has ID/Timestamp unset; callers stamp them.
 func (p *Parser) Parse(sql string) (*workload.Query, error) {
-	toks, err := lex(sql)
+	toks, err := lexInto(p.toks, sql)
+	p.toks, p.pos, p.sql = toks, 0, sql
 	if err != nil {
 		return nil, err
 	}
-	p.toks, p.pos, p.sql = toks, 0, sql
 	q, err := p.parseSelect()
 	if err != nil {
 		return nil, err
@@ -129,40 +153,55 @@ func (p *Parser) acceptSymbol(sym string) bool {
 }
 
 // tableScope tracks FROM/JOIN tables and per-query aliases for resolution.
+// A Parser reuses one across statements; reset empties it.
 type tableScope struct {
 	schema  *schema.Schema
-	tables  []string          // in FROM order; tables[0] is the anchor
-	aliases map[string]string // alias -> table name
+	tables  []*schema.Table // in FROM order; tables[0] is the anchor
+	aliases []tableAlias    // in declaration order; a later alias shadows
+}
+
+type tableAlias struct {
+	alias string
+	table *schema.Table
+}
+
+func (sc *tableScope) reset(s *schema.Schema) {
+	sc.schema, sc.tables, sc.aliases = s, sc.tables[:0], sc.aliases[:0]
 }
 
 func (sc *tableScope) addTable(name, alias string) error {
-	if _, ok := sc.schema.Table(name); !ok {
+	t, ok := sc.schema.Table(name)
+	if !ok {
 		return fmt.Errorf("unknown table %q", name)
 	}
-	sc.tables = append(sc.tables, name)
+	sc.tables = append(sc.tables, t)
 	if alias != "" {
-		sc.aliases[alias] = name
+		sc.aliases = append(sc.aliases, tableAlias{alias, t})
 	}
 	return nil
 }
 
 // resolve maps a possibly qualified column reference to a global column ID.
+// A qualifier that is no alias names a table directly, in scope or not.
 func (sc *tableScope) resolve(qualifier, name string) (int, error) {
 	if qualifier != "" {
 		table := qualifier
-		if real, ok := sc.aliases[qualifier]; ok {
-			table = real
+		for i := len(sc.aliases) - 1; i >= 0; i-- {
+			if sc.aliases[i].alias == qualifier {
+				table = sc.aliases[i].table.Name
+				break
+			}
 		}
 		return sc.schema.ResolveIn(table, name)
 	}
 	// Bare name: search the in-scope tables; must be unambiguous among them.
 	found := -1
 	for _, t := range sc.tables {
-		if id, err := sc.schema.ResolveIn(t, name); err == nil {
-			if found >= 0 && found != id {
+		if c, ok := t.Column(name); ok {
+			if found >= 0 && found != c.ID {
 				return 0, fmt.Errorf("ambiguous column %q", name)
 			}
-			found = id
+			found = c.ID
 		}
 	}
 	if found < 0 {
@@ -179,20 +218,13 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 
 	// The select list references columns we cannot resolve until FROM is
 	// parsed, so collect raw items first.
-	type rawItem struct {
-		star      bool
-		agg       string // "" for a bare column
-		aggStar   bool   // COUNT(*)
-		qualifier string
-		name      string
-	}
-	var raw []rawItem
+	p.items = p.items[:0]
 	for {
 		t := p.peek()
 		switch {
 		case t.kind == tokSymbol && t.text == "*":
 			p.next()
-			raw = append(raw, rawItem{star: true})
+			p.items = append(p.items, selectItem{star: true})
 		case t.kind == tokKeyword && isAggKeyword(t.text):
 			fn := t.text
 			p.next()
@@ -203,14 +235,14 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 				if fn != "COUNT" {
 					return nil, p.errf("%s(*) is not valid", fn)
 				}
-				raw = append(raw, rawItem{agg: fn, aggStar: true})
+				p.items = append(p.items, selectItem{agg: fn, aggStar: true})
 			} else {
 				p.acceptKeyword("DISTINCT")
 				qual, name, err := p.parseColumnRef()
 				if err != nil {
 					return nil, err
 				}
-				raw = append(raw, rawItem{agg: fn, qualifier: qual, name: name})
+				p.items = append(p.items, selectItem{agg: fn, qualifier: qual, name: name})
 			}
 			if !p.acceptSymbol(")") {
 				return nil, p.errf("expected ) to close %s", fn)
@@ -221,7 +253,7 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			raw = append(raw, rawItem{qualifier: qual, name: name})
+			p.items = append(p.items, selectItem{qualifier: qual, name: name})
 			p.skipAlias()
 		default:
 			return nil, p.errf("expected select item, found %q", t.text)
@@ -234,7 +266,8 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	sc := &tableScope{schema: p.Schema, aliases: make(map[string]string)}
+	sc := &p.scope
+	sc.reset(p.Schema)
 	name, alias, err := p.parseTableRef()
 	if err != nil {
 		return nil, err
@@ -243,8 +276,10 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 		return nil, p.errf("%v", err)
 	}
 
-	spec := &workload.Spec{Table: sc.tables[0]}
-	var joinPreds []workload.Pred
+	ss := &p.spec
+	*ss = workload.Spec{SelectCols: ss.SelectCols[:0], Aggs: ss.Aggs[:0],
+		Preds: ss.Preds[:0], GroupBy: ss.GroupBy[:0], OrderBy: ss.OrderBy[:0]}
+	p.joins = p.joins[:0]
 
 	// JOIN clauses.
 	for {
@@ -288,33 +323,32 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 		// Join keys are modeled as equality predicates with selectivity 1:
 		// they determine which columns the query touches but do not filter
 		// the anchor table in the simulators' single-anchor cost model.
-		joinPreds = append(joinPreds,
+		p.joins = append(p.joins,
 			workload.Pred{Col: lid, Op: workload.Eq, Sel: 1},
 			workload.Pred{Col: rid, Op: workload.Eq, Sel: 1})
 	}
 
 	// Resolve the select list now that the scope is complete.
-	for _, r := range raw {
+	for _, r := range p.items {
 		switch {
 		case r.star:
-			t, _ := p.Schema.Table(sc.tables[0])
-			for _, c := range t.Columns {
-				spec.SelectCols = append(spec.SelectCols, c.ID)
+			for _, c := range sc.tables[0].Columns {
+				ss.SelectCols = append(ss.SelectCols, c.ID)
 			}
 		case r.agg != "" && r.aggStar:
-			spec.Aggs = append(spec.Aggs, workload.Agg{Fn: workload.Count, Col: -1})
+			ss.Aggs = append(ss.Aggs, workload.Agg{Fn: workload.Count, Col: -1})
 		case r.agg != "":
 			id, err := sc.resolve(r.qualifier, r.name)
 			if err != nil {
 				return nil, p.errf("%v", err)
 			}
-			spec.Aggs = append(spec.Aggs, workload.Agg{Fn: aggFn(r.agg), Col: id})
+			ss.Aggs = append(ss.Aggs, workload.Agg{Fn: aggFn(r.agg), Col: id})
 		default:
 			id, err := sc.resolve(r.qualifier, r.name)
 			if err != nil {
 				return nil, p.errf("%v", err)
 			}
-			spec.SelectCols = append(spec.SelectCols, id)
+			ss.SelectCols = append(ss.SelectCols, id)
 		}
 	}
 
@@ -326,7 +360,7 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			spec.Preds = append(spec.Preds, pred)
+			ss.Preds = append(ss.Preds, pred)
 			if p.acceptKeyword("AND") {
 				continue
 			}
@@ -336,7 +370,7 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 			break
 		}
 	}
-	spec.Preds = append(spec.Preds, joinPreds...)
+	ss.Preds = append(ss.Preds, p.joins...)
 
 	if p.acceptKeyword("GROUP") {
 		if err := p.expectKeyword("BY"); err != nil {
@@ -351,7 +385,7 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 			if err != nil {
 				return nil, p.errf("%v", err)
 			}
-			spec.GroupBy = append(spec.GroupBy, id)
+			ss.GroupBy = append(ss.GroupBy, id)
 			if !p.acceptSymbol(",") {
 				break
 			}
@@ -377,7 +411,7 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 			} else {
 				p.acceptKeyword("ASC")
 			}
-			spec.OrderBy = append(spec.OrderBy, oc)
+			ss.OrderBy = append(ss.OrderBy, oc)
 			if !p.acceptSymbol(",") {
 				break
 			}
@@ -394,10 +428,28 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 		if err != nil || n < 0 {
 			return nil, p.errf("invalid LIMIT %q", t.text)
 		}
-		spec.Limit = n
+		ss.Limit = n
 	}
 
+	spec := &workload.Spec{
+		Table:      sc.tables[0].Name,
+		SelectCols: clone(ss.SelectCols),
+		Aggs:       clone(ss.Aggs),
+		Preds:      clone(ss.Preds),
+		GroupBy:    clone(ss.GroupBy),
+		OrderBy:    clone(ss.OrderBy),
+		Limit:      ss.Limit,
+	}
 	return workload.FromSpec(0, time.Time{}, spec), nil
+}
+
+// clone copies a scratch slice to an exact-size one; empty stays nil, as an
+// append-built Spec slice would.
+func clone[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // parseTableRef parses "name [AS alias | alias]".
