@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"cliffguard/internal/designer"
-	"cliffguard/internal/obs"
 	"cliffguard/internal/workload"
 )
 
@@ -40,12 +39,11 @@ type Layer struct {
 	// Read is consulted on every call (nil: never); Write receives every
 	// computed value and every Read hit. Write is required.
 	Read, Write *Shared
-	// Tenant and Metrics, when both set, attribute every call to the tenant
-	// as a hit or a miss (Metrics.SharedHitsByTenant/SharedMissByTenant).
-	Tenant  string
-	Metrics *obs.Metrics
 
-	hits atomic.Uint64
+	// hits and misses count the calls Read answered and the calls it did
+	// not; the serving layer attributes both to the run's tenant once, when
+	// the run ends.
+	hits, misses atomic.Uint64
 	// qh memoizes workload.ContentHash by query pointer: a run costs the
 	// same few hundred queries many thousands of times.
 	qh sync.Map // *workload.Query -> uint64
@@ -53,6 +51,10 @@ type Layer struct {
 
 // Hits returns how many calls Read answered without invoking Inner.
 func (l *Layer) Hits() uint64 { return l.hits.Load() }
+
+// Misses returns how many calls Read did not answer (all of them when Read
+// is nil).
+func (l *Layer) Misses() uint64 { return l.misses.Load() }
 
 func (l *Layer) queryHash(q *workload.Query) uint64 {
 	if v, ok := l.qh.Load(q); ok {
@@ -69,7 +71,6 @@ func (l *Layer) Cost(ctx context.Context, q *workload.Query, d *designer.Design)
 	if l.Read != nil {
 		if cost, unsupported, ok := l.Read.Lookup(key); ok {
 			l.hits.Add(1)
-			l.attribute(true)
 			if l.Write != l.Read {
 				l.Write.Store(key, cost, unsupported)
 			}
@@ -79,7 +80,7 @@ func (l *Layer) Cost(ctx context.Context, q *workload.Query, d *designer.Design)
 			return cost, nil
 		}
 	}
-	l.attribute(false)
+	l.misses.Add(1)
 	cost, err := l.Inner.Cost(ctx, q, d)
 	switch {
 	case err == nil:
@@ -88,14 +89,4 @@ func (l *Layer) Cost(ctx context.Context, q *workload.Query, d *designer.Design)
 		l.Write.Store(key, 0, true)
 	}
 	return cost, err
-}
-
-func (l *Layer) attribute(hit bool) {
-	switch {
-	case l.Metrics == nil || l.Tenant == "":
-	case hit:
-		l.Metrics.SharedHitsByTenant.Inc(l.Tenant)
-	default:
-		l.Metrics.SharedMissByTenant.Inc(l.Tenant)
-	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cliffguard/internal/designer"
-	"cliffguard/internal/obs"
 	"cliffguard/internal/workload"
 )
 
@@ -94,12 +93,9 @@ type layerCase struct {
 	// primeClass: readPrime in Read, writePrime in Write only.
 	primeClass            uint64
 	readPrime, writePrime [][2]int
-	tenant                string
 	calls                 []call
-	wantWrite             int // Write.Len() after the calls
-	wantHits              uint64
-	wantTenantHits        uint64
-	wantTenantMisses      uint64
+	wantWrite             int    // Write.Len() after the calls
+	wantHits              uint64 // every other call is a miss
 }
 
 func TestLayer(t *testing.T) {
@@ -146,9 +142,11 @@ func TestLayer(t *testing.T) {
 		calls:     []call{{0, 0, true}, {0, 0, true}, {colUnsupported, 0, true}},
 		wantWrite: 2,
 	}, {
-		name: "tenant_attribution", read: "same", tenant: "acme",
+		// The hit and miss counts the serving layer attributes to the run's
+		// tenant when the run ends.
+		name: "tenant_attribution", read: "same",
 		calls:     []call{{3, 0, true}, {3, 0, false}, {3, 0, false}, {4, 0, true}},
-		wantWrite: 2, wantHits: 2, wantTenantHits: 2, wantTenantMisses: 2,
+		wantWrite: 2, wantHits: 2,
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,8 +167,7 @@ func TestLayer(t *testing.T) {
 			prime(read, tc.readPrime)
 			prime(write, tc.writePrime)
 			inner := &fakeCost{}
-			met := obs.NewMetrics()
-			l := &Layer{Inner: inner, Class: tc.class, Read: read, Write: write, Tenant: tc.tenant, Metrics: met}
+			l := &Layer{Inner: inner, Class: tc.class, Read: read, Write: write}
 
 			for i, c := range tc.calls {
 				before := inner.calls.Load()
@@ -189,8 +186,8 @@ func TestLayer(t *testing.T) {
 			if h := l.Hits(); h != tc.wantHits {
 				t.Errorf("Hits = %d, want %d", h, tc.wantHits)
 			}
-			if h, m := met.SharedHitsByTenant.Load(tc.tenant), met.SharedMissByTenant.Load(tc.tenant); h != tc.wantTenantHits || m != tc.wantTenantMisses {
-				t.Errorf("tenant %q attributed %d hits / %d misses, want %d / %d", tc.tenant, h, m, tc.wantTenantHits, tc.wantTenantMisses)
+			if m, want := l.Misses(), uint64(len(tc.calls))-tc.wantHits; m != want {
+				t.Errorf("Misses = %d, want %d", m, want)
 			}
 			if tc.read == "separate" {
 				// Every Read entry the run asked for is in Write under the

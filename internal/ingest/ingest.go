@@ -27,11 +27,12 @@
 // each buffered line counts as one skipped statement, exactly as the legacy
 // line-per-query parser would have counted it.
 //
-// Each reader streams through two stages. A scan goroutine owns the
-// bufio.Scanner and does only the stateless work for a line: trim, drop
-// comments, mark blank lines, and split off the timestamp prefix. It copies
-// about 2k lines at a time into a batch arena, with offsets per line. The
-// calling goroutine folds the batches in order and does all the stateful
+// Each reader streams through two stages. A scan goroutine reads the input
+// straight into a batch arena, splits it into lines in place (as
+// bufio.ScanLines would), and does only the stateless work for a line:
+// trim, drop comments, mark blank lines, and split off the timestamp prefix
+// (through a memo of the last accepted date). A batch holds up to 256 KiB
+// or 2k lines, with offsets per line. The calling goroutine folds the batches in order and does all the stateful
 // work itself: text-memo lookups, parsing, folding, ID allocation, the
 // multi-line buffer, resync and skips. Because that work stays sequential
 // and in line order, IDs, fold order, timestamps, Stats and error text are
@@ -241,6 +242,7 @@ type folder struct {
 	// textMemo short-circuits the parser for exact duplicate statement
 	// texts: index into entries, or -1 for texts known not to parse.
 	textMemo map[string]int
+	key      []byte // adopt's FoldKey buffer, reused across statements
 
 	stats Stats
 }
@@ -289,8 +291,8 @@ func (f *folder) adopt(q *workload.Query, text string, ts time.Time) {
 		f.entries = append(f.entries, entry{q: q, weight: 1})
 		return
 	}
-	key := q.FoldKey()
-	if i, ok := f.foldIdx[key]; ok {
+	f.key = q.AppendFoldKey(f.key[:0])
+	if i, ok := f.foldIdx[string(f.key)]; ok {
 		f.entries[i].weight++
 		f.memoize(text, i)
 		if m := f.opts.Metrics; m != nil {
@@ -300,7 +302,7 @@ func (f *folder) adopt(q *workload.Query, text string, ts time.Time) {
 	}
 	i := len(f.entries)
 	f.entries = append(f.entries, entry{q: q, weight: 1})
-	f.foldIdx[key] = i
+	f.foldIdx[string(f.key)] = i
 	f.memoize(text, i)
 }
 

@@ -306,16 +306,16 @@ func (m *Metrics) ExpvarFunc() expvar.Func {
 // empty when the registry never served HTTP traffic (library use).
 func (m *Metrics) serviceExpvar() map[string]any {
 	svc := map[string]any{}
-	if lat := labeledLat(&m.HTTPRequestLatency); len(lat) > 0 {
+	if lat := labeledLat(m.HTTPRequestLatency.Snapshot()); len(lat) > 0 {
 		svc["http_request_latency"] = lat
 	}
 	if runs := m.TenantRuns.Snapshot(); len(runs) > 0 {
 		svc["tenant_runs"] = runs
 	}
-	if wait := labeledLat(&m.TenantQueueWait); len(wait) > 0 {
+	if wait := labeledLat(m.TenantQueueWait.Snapshot()); len(wait) > 0 {
 		svc["tenant_queue_wait"] = wait
 	}
-	if dur := labeledLat(&m.TenantRunDuration); len(dur) > 0 {
+	if dur := labeledLat(m.TenantRunDuration.Snapshot()); len(dur) > 0 {
 		svc["tenant_run_duration"] = dur
 	}
 	if rej := m.AdmissionRejections.Snapshot(); len(rej) > 0 {

@@ -59,6 +59,24 @@ func (c *LabeledCounter) Snapshot() map[string]uint64 {
 	return out
 }
 
+// Delete drops the label's counter, so the family no longer lists it; a
+// later Add starts it again from zero.
+func (c *LabeledCounter) Delete(label string) {
+	c.mu.Lock()
+	delete(c.m, label)
+	c.mu.Unlock()
+}
+
+// only copies the label's counter alone; nil if the family lacks it.
+func (c *LabeledCounter) only(label string) map[string]uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[label]; ok {
+		return map[string]uint64{label: v}
+	}
+	return nil
+}
+
 // Labels returns the label set in sorted order (stable export output).
 func (c *LabeledCounter) Labels() []string {
 	c.mu.Lock()
@@ -75,9 +93,10 @@ func (c *LabeledCounter) Labels() []string {
 // mirroring LabeledCounter (e.g. per-tenant queue-wait time). The zero value
 // is ready to use; all methods are safe for concurrent use. Labels are
 // expected to be low-cardinality (tenant IDs, route patterns) — the map is
-// mutex-guarded and every label pins one Histogram for the process lifetime,
-// so callers must never use unbounded request data (paths, query strings) as
-// labels.
+// mutex-guarded and every label pins one Histogram until Delete drops it, so
+// callers must never use unbounded request data (paths, query strings) as
+// labels, and a label whose subject goes away (a deleted tenant) must be
+// deleted with it.
 type LabeledHistogram struct {
 	mu sync.Mutex
 	m  map[string]*Histogram
@@ -104,6 +123,14 @@ func (h *LabeledHistogram) get(label string) *Histogram {
 	return hist
 }
 
+// Delete drops the label's histogram, so the family no longer lists it; a
+// later Observe starts it again empty.
+func (h *LabeledHistogram) Delete(label string) {
+	h.mu.Lock()
+	delete(h.m, label)
+	h.mu.Unlock()
+}
+
 // Labels returns the label set in sorted order (stable export output).
 func (h *LabeledHistogram) Labels() []string {
 	h.mu.Lock()
@@ -126,6 +153,17 @@ func (h *LabeledHistogram) Snapshot() map[string]HistogramSnapshot {
 		out[k] = v.Snapshot()
 	}
 	return out
+}
+
+// only copies the label's histogram counters alone; nil if the family lacks
+// it.
+func (h *LabeledHistogram) only(label string) map[string]HistogramSnapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if v, ok := h.m[label]; ok {
+		return map[string]HistogramSnapshot{label: v.Snapshot()}
+	}
+	return nil
 }
 
 // Gauge is an atomic instantaneous value (e.g. a queue depth).
@@ -219,9 +257,11 @@ type Metrics struct {
 	// Service telemetry (internal/serve): the cliffguardd HTTP serving layer.
 	// Label-cardinality policy: route labels come from the fixed /v1 route
 	// table ("METHOD /pattern|status-class" composite keys; unmatched
-	// requests collapse to "other"), tenant labels are operator-bounded
-	// tenant IDs, and rejection codes are the fixed admission error codes —
-	// never raw paths, query strings, or request IDs.
+	// requests collapse to "other"), tenant labels are the IDs of live
+	// tenants (the server deletes a tenant's series with the tenant, so the
+	// tenant families are bounded by the live tenant count, not by daemon
+	// age), and rejection codes are the fixed admission error codes — never
+	// raw paths, query strings, or request IDs.
 	HTTPRequestLatency  LabeledHistogram // request latency per "METHOD /route|status-class"
 	TenantRuns          LabeledCounter   // design runs admitted, per tenant
 	TenantRunDuration   LabeledHistogram // worker-slot pickup to terminal state, per tenant
@@ -344,6 +384,34 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	if m == nil {
 		return MetricsSnapshot{}
 	}
+	snap := m.snapshot()
+	snap.TenantRuns = m.TenantRuns.Snapshot()
+	snap.TenantRunDuration = labeledLat(m.TenantRunDuration.Snapshot())
+	snap.TenantQueueWait = labeledLat(m.TenantQueueWait.Snapshot())
+	snap.SharedHitsByTenant = m.SharedHitsByTenant.Snapshot()
+	snap.SharedMissByTenant = m.SharedMissByTenant.Snapshot()
+	return snap
+}
+
+// TenantSnapshot is Snapshot with the per-tenant families (TenantRuns,
+// TenantRunDuration, TenantQueueWait, SharedHitsByTenant,
+// SharedMissByTenant) cut down to tenant's own series: what one tenant's
+// run records, whatever the number of other tenants.
+func (m *Metrics) TenantSnapshot(tenant string) MetricsSnapshot {
+	if m == nil {
+		return MetricsSnapshot{}
+	}
+	snap := m.snapshot()
+	snap.TenantRuns = m.TenantRuns.only(tenant)
+	snap.TenantRunDuration = labeledLat(m.TenantRunDuration.only(tenant))
+	snap.TenantQueueWait = labeledLat(m.TenantQueueWait.only(tenant))
+	snap.SharedHitsByTenant = m.SharedHitsByTenant.only(tenant)
+	snap.SharedMissByTenant = m.SharedMissByTenant.only(tenant)
+	return snap
+}
+
+// snapshot copies every family but the per-tenant ones.
+func (m *Metrics) snapshot() MetricsSnapshot {
 	lat := func(h *Histogram) LatencyStats { return h.Snapshot().Latency() }
 	return MetricsSnapshot{
 		SamplerDraws:         m.SamplerDraws.Load(),
@@ -381,13 +449,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		PortfolioMemberTimeouts: m.PortfolioMemberTimeouts.Load(),
 		PortfolioWins:           m.PortfolioWins.Snapshot(),
 
-		HTTPRequestLatency:  labeledLat(&m.HTTPRequestLatency),
-		TenantRuns:          m.TenantRuns.Snapshot(),
-		TenantRunDuration:   labeledLat(&m.TenantRunDuration),
-		TenantQueueWait:     labeledLat(&m.TenantQueueWait),
+		HTTPRequestLatency:  labeledLat(m.HTTPRequestLatency.Snapshot()),
 		AdmissionRejections: m.AdmissionRejections.Snapshot(),
-		SharedHitsByTenant:  m.SharedHitsByTenant.Snapshot(),
-		SharedMissByTenant:  m.SharedMissByTenant.Snapshot(),
 
 		Caches: m.CacheSnapshots(),
 		Latency: map[string]LatencyStats{
@@ -399,11 +462,11 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 }
 
-// labeledLat summarizes a labeled histogram family into per-label
-// LatencyStats; nil when the family has no labels, so JSON omits it and
-// library-run snapshots stay byte-identical to the pre-telemetry format.
-func labeledLat(h *LabeledHistogram) map[string]LatencyStats {
-	snap := h.Snapshot()
+// labeledLat summarizes a labeled histogram family's snapshot into
+// per-label LatencyStats; nil when the family has no labels, so JSON omits
+// it and library-run snapshots stay byte-identical to the pre-telemetry
+// format.
+func labeledLat(snap map[string]HistogramSnapshot) map[string]LatencyStats {
 	if len(snap) == 0 {
 		return nil
 	}

@@ -226,6 +226,16 @@ func (r *SpanRecorder) OnEvent(ev Event) {
 // snapshot when m is non-nil (nil *Metrics is fine), flushes the buffer, and
 // returns the first error the recorder saw.
 func (r *SpanRecorder) Finish(m *Metrics) error {
+	if m == nil {
+		return r.FinishWith(nil)
+	}
+	snap := m.Snapshot()
+	return r.FinishWith(&snap)
+}
+
+// FinishWith is Finish with the metrics record given as a snapshot already
+// taken (nil writes none), such as one tenant's Metrics.TenantSnapshot.
+func (r *SpanRecorder) FinishWith(snap *MetricsSnapshot) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.now()
@@ -236,9 +246,8 @@ func (r *SpanRecorder) Finish(m *Metrics) error {
 		r.span(SpanIteration, r.iterNum, r.iterStart, now)
 	}
 	r.span(SpanRun, -1, r.runStart, now)
-	if m != nil {
-		snap := m.Snapshot()
-		r.write(SpanRecord{Kind: SpanKindMetrics, Iteration: -1, Metrics: &snap})
+	if snap != nil {
+		r.write(SpanRecord{Kind: SpanKindMetrics, Iteration: -1, Metrics: snap})
 	}
 	if err := r.bw.Flush(); err != nil && r.err == nil {
 		r.err = err

@@ -27,6 +27,12 @@ type onlineState struct {
 	ctrl *online.Controller
 	spec OnlineSpec
 	auto bool
+
+	// shared is the controller's layer over the cross-tenant memo (nil
+	// without one); attributed counts how much of its hits and misses the
+	// tenant's labeled series already hold, guarded by the server's mutex.
+	shared                           *evalcache.Layer
+	attributedHits, attributedMisses uint64
 }
 
 // OnlineSpec is the request body of POST /v1/tenants/{tenant}/online.
@@ -153,9 +159,10 @@ func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
 	sampler := sample.New(metric, sample.NewMutator(t.eng.Schema()))
 	sampler.Metrics = s.metrics
 	var cost designer.CostModel = t.eng
+	var shared *evalcache.Layer
 	if s.shared != nil {
-		cost = &evalcache.Layer{Inner: t.eng, Class: t.eng.Class(), Read: s.shared, Write: s.shared,
-			Tenant: t.id, Metrics: s.metrics}
+		shared = &evalcache.Layer{Inner: t.eng, Class: t.eng.Class(), Read: s.shared, Write: s.shared}
+		cost = shared
 	}
 	ctrl, err := online.New(online.Config{
 		Designer:         members[0],
@@ -173,7 +180,26 @@ func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
 	if err != nil {
 		return nil, errBadRequest(err)
 	}
-	return &onlineState{ctrl: ctrl, spec: spec, auto: spec.AutoRedesign}, nil
+	return &onlineState{ctrl: ctrl, spec: spec, auto: spec.AutoRedesign, shared: shared}, nil
+}
+
+// redesign runs one re-design of the tenant's controller, then adds the
+// shared-memo hits and misses it made to the tenant's labeled series.
+func (s *Server) redesign(t *tenant, st *onlineState) (*online.Result, error) {
+	res, err := st.ctrl.Redesign(s.baseCtx)
+	if st.shared != nil {
+		s.tenantSeries(t, func() {
+			hits, misses := st.shared.Hits(), st.shared.Misses()
+			if n := hits - st.attributedHits; n > 0 {
+				s.metrics.SharedHitsByTenant.Add(t.id, n)
+			}
+			if n := misses - st.attributedMisses; n > 0 {
+				s.metrics.SharedMissByTenant.Add(t.id, n)
+			}
+			st.attributedHits, st.attributedMisses = hits, misses
+		})
+	}
+	return res, err
 }
 
 // options lowers the spec to the core options of each re-design run.
@@ -333,7 +359,7 @@ func (s *Server) startAutoRedesign(t *tenant, st *onlineState, requestID string)
 		case s.slots <- struct{}{}:
 		}
 		defer func() { <-s.slots }()
-		res, err := st.ctrl.Redesign(s.baseCtx)
+		res, err := s.redesign(t, st)
 		switch {
 		case errors.Is(err, online.ErrRedesignInProgress):
 			s.logger.Info("online auto-redesign skipped: already in progress",
@@ -353,7 +379,7 @@ func (s *Server) startAutoRedesign(t *tenant, st *onlineState, requestID string)
 // handleOnlineRedesign runs a synchronous re-design on the current window
 // (through the worker pool, so it respects the global concurrency bound).
 func (s *Server) handleOnlineRedesign(w http.ResponseWriter, r *http.Request) error {
-	_, st, err := s.onlineOrErr(r)
+	t, st, err := s.onlineOrErr(r)
 	if err != nil {
 		return err
 	}
@@ -368,7 +394,7 @@ func (s *Server) handleOnlineRedesign(w http.ResponseWriter, r *http.Request) er
 	case s.slots <- struct{}{}:
 	}
 	defer func() { <-s.slots }()
-	res, err := st.ctrl.Redesign(s.baseCtx)
+	res, err := s.redesign(t, st)
 	if err != nil {
 		if errors.Is(err, online.ErrRedesignInProgress) {
 			return errConflict(err)

@@ -72,12 +72,19 @@ type RunSpec struct {
 	// stream, so runs stay bit-identical with or without them.
 	//
 	// Tenant labels the run's shared-memo hits/misses in the metrics
-	// registry; RequestID stamps every span record with the originating HTTP
-	// request; a non-zero EnqueuedAt makes StartRun open the span stream
-	// with an obs.SpanQueueWait span (admission to worker pickup).
+	// registry, added once when the run ends, and cuts the span stream's
+	// metrics record down to the tenant's own labeled series; RequestID
+	// stamps every span record with the originating HTTP request; a
+	// non-zero EnqueuedAt makes StartRun open the span stream with an
+	// obs.SpanQueueWait span (admission to worker pickup).
 	Tenant     string
 	RequestID  string
 	EnqueuedAt time.Time
+
+	// tenantSeries, set by the server, runs an update of the tenant's
+	// labeled series unless the tenant has been deleted (nil: always runs
+	// it), so a run ending after its tenant is gone cannot re-create them.
+	tenantSeries func(update func())
 }
 
 // resolveMetric maps a metric name to the distance metric.
@@ -168,7 +175,8 @@ func StartRun(ctx context.Context, spec RunSpec) (*RunHandle, error) {
 		return nil, err
 	}
 
-	h := &RunHandle{rec: &obs.Recorder{}, spans: &bytes.Buffer{}, done: make(chan struct{})}
+	h := &RunHandle{rec: &obs.Recorder{}, spans: &bytes.Buffer{}, done: make(chan struct{}),
+		tenant: spec.Tenant, tenantSeries: spec.tenantSeries}
 	h.spanRec = obs.NewSpanRecorder(h.spans)
 	if spec.RequestID != "" {
 		h.spanRec.SetRequestID(spec.RequestID)
@@ -188,8 +196,8 @@ func StartRun(ctx context.Context, spec RunSpec) (*RunHandle, error) {
 	// when one is installed; the designers see the raw engine either way.
 	var cost designer.CostModel = eng
 	if spec.Shared != nil {
-		cost = &evalcache.Layer{Inner: eng, Class: eng.Class(), Read: spec.Shared, Write: spec.Shared,
-			Tenant: spec.Tenant, Metrics: opts.Metrics}
+		h.shared = &evalcache.Layer{Inner: eng, Class: eng.Class(), Read: spec.Shared, Write: spec.Shared}
+		cost = h.shared
 	}
 
 	sampler := sample.New(metric, sample.NewMutator(eng.Schema()))
@@ -237,13 +245,44 @@ type RunHandle struct {
 	spanRec *obs.SpanRecorder
 	metrics *obs.Metrics
 	done    chan struct{}
+
+	tenant       string
+	tenantSeries func(update func())
+	shared       *evalcache.Layer // nil without a cross-tenant memo
 }
 
-// finish closes out the run's instrumentation: the span recorder appends its
-// metrics snapshot and flushes into the buffer. Runs exactly once, on the
-// watcher goroutine.
+// finish closes out the run's instrumentation: it attributes the run's
+// shared-memo hits and misses to its tenant, and the span recorder appends
+// its metrics snapshot (only the tenant's own labeled series, for a run with
+// a tenant) and flushes into the buffer. Runs exactly once, on the watcher
+// goroutine.
 func (h *RunHandle) finish() {
-	_ = h.spanRec.Finish(h.metrics)
+	var snap *obs.MetricsSnapshot
+	switch {
+	case h.metrics == nil:
+	case h.tenant == "":
+		s := h.metrics.Snapshot()
+		snap = &s
+	default:
+		if h.shared != nil {
+			attribute := func() {
+				if n := h.shared.Hits(); n > 0 {
+					h.metrics.SharedHitsByTenant.Add(h.tenant, n)
+				}
+				if n := h.shared.Misses(); n > 0 {
+					h.metrics.SharedMissByTenant.Add(h.tenant, n)
+				}
+			}
+			if h.tenantSeries == nil {
+				attribute()
+			} else {
+				h.tenantSeries(attribute)
+			}
+		}
+		s := h.metrics.TenantSnapshot(h.tenant)
+		snap = &s
+	}
+	_ = h.spanRec.FinishWith(snap)
 	close(h.done)
 }
 

@@ -256,8 +256,9 @@ func (s *Server) Tenant(id string) (*tenant, error) {
 	return t, nil
 }
 
-// DeleteTenant cancels the tenant's in-flight runs and removes it. Memoized
-// shared-cache entries survive (they are content-keyed and tenant-free).
+// DeleteTenant cancels the tenant's in-flight runs and removes it, with its
+// labeled metric series. Memoized shared-cache entries survive (they are
+// content-keyed and tenant-free).
 func (s *Server) DeleteTenant(id string) error {
 	s.mu.Lock()
 	t, ok := s.tenants[id]
@@ -269,6 +270,12 @@ func (s *Server) DeleteTenant(id string) error {
 				break
 			}
 		}
+		m := s.metrics
+		m.TenantRuns.Delete(id)
+		m.TenantRunDuration.Delete(id)
+		m.TenantQueueWait.Delete(id)
+		m.SharedHitsByTenant.Delete(id)
+		m.SharedMissByTenant.Delete(id)
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -284,6 +291,18 @@ func (s *Server) DeleteTenant(id string) error {
 		r.cancel()
 	}
 	return nil
+}
+
+// tenantSeries runs update, which writes t's labeled metric series, unless
+// t has been deleted. DeleteTenant drops those series under the same lock,
+// so a run that ends after its tenant is gone cannot re-create them (nor
+// write into a new tenant of the same ID).
+func (s *Server) tenantSeries(t *tenant, update func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tenants[t.id] == t {
+		update()
+	}
 }
 
 // tenantIDs snapshots tenant IDs in creation order.
@@ -397,7 +416,7 @@ func (s *Server) submit(t *tenant, req RunRequest, requestID string) (*run, erro
 	t.order = append(t.order, r.id)
 	t.mu.Unlock()
 
-	s.metrics.TenantRuns.Inc(t.id)
+	s.tenantSeries(t, func() { s.metrics.TenantRuns.Inc(t.id) })
 	s.recordTransition(RunTransition{
 		RequestID: requestID, Tenant: t.id, Run: r.id, To: string(StatusQueued),
 	})
@@ -435,7 +454,7 @@ func (s *Server) execute(t *tenant, r *run, ctx context.Context) {
 
 	pickedUp := time.Now()
 	wait := pickedUp.Sub(r.enqueuedAt)
-	s.metrics.TenantQueueWait.Observe(t.id, wait)
+	s.tenantSeries(t, func() { s.metrics.TenantQueueWait.Observe(t.id, wait) })
 	s.recordTransition(RunTransition{
 		RequestID: r.requestID, Tenant: t.id, Run: r.id,
 		From: string(StatusQueued), To: string(StatusRunning),
@@ -453,6 +472,8 @@ func (s *Server) execute(t *tenant, r *run, ctx context.Context) {
 		Tenant:      t.id,
 		RequestID:   r.requestID,
 		EnqueuedAt:  r.enqueuedAt,
+
+		tenantSeries: func(update func()) { s.tenantSeries(t, update) },
 	}
 	if s.cfg.EventsDir != "" {
 		path := filepath.Join(s.cfg.EventsDir, fmt.Sprintf("%s-%s.events.jsonl", t.id, r.id))
@@ -467,7 +488,7 @@ func (s *Server) execute(t *tenant, r *run, ctx context.Context) {
 	if err != nil {
 		r.preFinish(StatusFailed, err)
 		s.closeRunSink(r)
-		s.metrics.TenantRunDuration.Observe(t.id, time.Since(pickedUp))
+		s.observeRunDuration(t, pickedUp)
 		s.recordTransition(RunTransition{
 			RequestID: r.requestID, Tenant: t.id, Run: r.id,
 			From: string(StatusRunning), To: string(StatusFailed), Detail: err.Error(),
@@ -477,7 +498,7 @@ func (s *Server) execute(t *tenant, r *run, ctx context.Context) {
 	r.setHandle(h)
 	<-h.Done()
 	s.closeRunSink(r)
-	s.metrics.TenantRunDuration.Observe(t.id, time.Since(pickedUp))
+	s.observeRunDuration(t, pickedUp)
 	final := RunTransition{
 		RequestID: r.requestID, Tenant: t.id, Run: r.id,
 		From: string(StatusRunning), To: string(h.Status()),
@@ -486,6 +507,12 @@ func (s *Server) execute(t *tenant, r *run, ctx context.Context) {
 		final.Detail = err.Error()
 	}
 	s.recordTransition(final)
+}
+
+// observeRunDuration records a run's pickup-to-terminal time for t.
+func (s *Server) observeRunDuration(t *tenant, pickedUp time.Time) {
+	d := time.Since(pickedUp)
+	s.tenantSeries(t, func() { s.metrics.TenantRunDuration.Observe(t.id, d) })
 }
 
 // closeRunSink flushes and closes the run's EventsDir stream, if any.

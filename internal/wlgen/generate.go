@@ -239,7 +239,7 @@ func (c *Config) Generate() (*Set, error) {
 			return cur
 		}
 		measure := func(d []tmplWeight) float64 {
-			return metric.Distance(distWorkload(prevMonthDist), distWorkload(d))
+			return metric.Distance(distWorkload(prevMonthDist, factory), distWorkload(d, factory))
 		}
 
 		// Bisect the broad stratum's weekly churn mass to hit the monthly
@@ -320,8 +320,7 @@ func driftStep(d []tmplWeight, mDesig, mBroad float64, factory *templateFactory,
 			}
 			moved := math.Min(w, remaining)
 			remaining -= moved
-			mutRng := rand.New(rand.NewSource(hash(out[idx].t.id) | 1))
-			repl := factory.mutate(mutRng, out[idx].t, st == stratumDesignable)
+			repl := factory.mutate(factory.seeded(hash(out[idx].t.id)|1), out[idx].t, st == stratumDesignable)
 			out[idx].w = w - moved
 			out = append(out, tmplWeight{t: repl, w: moved, s: st})
 		}
@@ -341,10 +340,10 @@ func driftStep(d []tmplWeight, mDesig, mBroad float64, factory *templateFactory,
 
 // distWorkload converts a template distribution into a workload of
 // representative queries for distance measurement.
-func distWorkload(d []tmplWeight) *workload.Workload {
+func distWorkload(d []tmplWeight, factory *templateFactory) *workload.Workload {
 	w := &workload.Workload{}
 	for _, tw := range d {
-		w.Add(tw.t.representative(), tw.w)
+		w.Add(tw.t.representative(factory), tw.w)
 	}
 	return w
 }

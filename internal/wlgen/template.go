@@ -83,11 +83,10 @@ func (t *template) instantiate(rng *rand.Rand) *workload.Spec {
 }
 
 // representative returns a cached weight-bearing query for distance
-// computations during calibration.
-func (t *template) representative() *workload.Query {
+// computations during calibration; f supplies its seeded rand.
+func (t *template) representative(f *templateFactory) *workload.Query {
 	if t.rep == nil {
-		rng := rand.New(rand.NewSource(int64(t.id)*2654435761 + 17))
-		t.rep = workload.FromSpec(workload.NextID(), time.Time{}, t.instantiate(rng))
+		t.rep = workload.FromSpec(workload.NextID(), time.Time{}, t.instantiate(f.seeded(int64(t.id)*2654435761+17)))
 	}
 	return t.rep
 }
@@ -101,6 +100,17 @@ type templateFactory struct {
 	// popularity[table][i] is a sampling weight for the table's i-th column.
 	popularity map[string][]float64
 	nextID     int
+	// scratch is the rand behind seeded, reused across the many per-template
+	// seeds calibration draws.
+	scratch *rand.Rand
+}
+
+// seeded re-seeds the factory's scratch rand with seed and returns it: the
+// same stream as rand.New(rand.NewSource(seed)), without a new source per
+// call. The stream is valid until the next seeded call.
+func (f *templateFactory) seeded(seed int64) *rand.Rand {
+	f.scratch.Seed(seed)
+	return f.scratch
 }
 
 func newTemplateFactory(s *schema.Schema, rng *rand.Rand) (*templateFactory, error) {
@@ -113,6 +123,7 @@ func newTemplateFactory(s *schema.Schema, rng *rand.Rand) (*templateFactory, err
 		facts:      facts,
 		popularity: make(map[string][]float64),
 		nextID:     1,
+		scratch:    rand.New(rand.NewSource(1)),
 	}
 	for _, t := range facts {
 		// Zipf popularity over a random rank permutation of the columns: a

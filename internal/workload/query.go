@@ -332,56 +332,59 @@ func (q *Query) SeparateKey() string {
 // Queries without a Spec fall back to SeparateKey prefixed so the two key
 // spaces cannot collide. Timestamps and IDs are deliberately excluded: folding
 // across them is the point.
-func (q *Query) FoldKey() string {
+func (q *Query) FoldKey() string { return string(q.AppendFoldKey(nil)) }
+
+// AppendFoldKey appends the query's FoldKey to b and returns the extended
+// buffer, so a caller probing a map can reuse one buffer across queries.
+func (q *Query) AppendFoldKey(b []byte) []byte {
 	if q.Spec == nil {
-		return "nospec|" + q.SeparateKey()
+		b = append(b, "nospec|"...)
+		return append(b, q.SeparateKey()...)
 	}
 	s := q.Spec
-	var b strings.Builder
-	b.WriteString(s.Table)
-	b.WriteString("|s")
+	b = append(b, s.Table...)
+	b = append(b, "|s"...)
 	for _, c := range s.SelectCols {
-		b.WriteString(strconv.Itoa(c))
-		b.WriteByte(',')
+		b = strconv.AppendInt(b, int64(c), 10)
+		b = append(b, ',')
 	}
-	b.WriteString("|a")
+	b = append(b, "|a"...)
 	for _, a := range s.Aggs {
-		b.WriteString(strconv.Itoa(int(a.Fn)))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(a.Col))
-		b.WriteByte(',')
+		b = strconv.AppendInt(b, int64(a.Fn), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(a.Col), 10)
+		b = append(b, ',')
 	}
-	b.WriteString("|p")
+	b = append(b, "|p"...)
 	for _, p := range s.Preds {
-		b.WriteString(strconv.Itoa(p.Col))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(int(p.Op)))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(p.Lo, 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(p.Hi, 10))
-		b.WriteByte(':')
+		b = strconv.AppendInt(b, int64(p.Col), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(p.Op), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, p.Lo, 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, p.Hi, 10)
+		b = append(b, ':')
 		// Selectivity is keyed by its exact bit pattern: two predicates fold
 		// only if their float64 Sel values are identical.
-		b.WriteString(strconv.FormatUint(math.Float64bits(p.Sel), 16))
-		b.WriteByte(',')
+		b = strconv.AppendUint(b, math.Float64bits(p.Sel), 16)
+		b = append(b, ',')
 	}
-	b.WriteString("|g")
+	b = append(b, "|g"...)
 	for _, c := range s.GroupBy {
-		b.WriteString(strconv.Itoa(c))
-		b.WriteByte(',')
+		b = strconv.AppendInt(b, int64(c), 10)
+		b = append(b, ',')
 	}
-	b.WriteString("|o")
+	b = append(b, "|o"...)
 	for _, o := range s.OrderBy {
-		b.WriteString(strconv.Itoa(o.Col))
+		b = strconv.AppendInt(b, int64(o.Col), 10)
 		if o.Desc {
-			b.WriteByte('d')
+			b = append(b, 'd')
 		}
-		b.WriteByte(',')
+		b = append(b, ',')
 	}
-	b.WriteString("|l")
-	b.WriteString(strconv.Itoa(s.Limit))
-	return b.String()
+	b = append(b, "|l"...)
+	return strconv.AppendInt(b, int64(s.Limit), 10)
 }
 
 // String renders a one-line summary of the query.

@@ -13,10 +13,12 @@
 //     request latency, per-tenant runs and queue wait) plus a populated
 //     /v1/debug/requestz flight ring; every /v1 response along the way must
 //     have carried an X-Request-Id, and an inbound ID must echo back;
-//  5. submit a long run, send SIGTERM, and require a clean drain (exit 0)
+//  5. delete the second tenant, scrape /metrics again, and require that none
+//     of its tenant-labeled series remain;
+//  6. submit a long run, send SIGTERM, and require a clean drain (exit 0)
 //     within the drain timeout.
 //
-// Run via `make serve-smoke`. Exit status 0 means all five passed.
+// Run via `make serve-smoke`. Exit status 0 means all six passed.
 package main
 
 import (
@@ -167,7 +169,12 @@ func run() error {
 		return err
 	}
 
-	// 5. SIGTERM during a long run drains cleanly (exit 0, events flushed).
+	// 5. A deleted tenant's labeled series leave /metrics with it.
+	if err := checkTenantDelete(base, "smoke-b"); err != nil {
+		return err
+	}
+
+	// 6. SIGTERM during a long run drains cleanly (exit 0, events flushed).
 	long, _ := json.Marshal(map[string]any{
 		"gamma": 0.0008, "samples": 40, "iterations": 1000, "seed": 7,
 	})
@@ -320,6 +327,31 @@ func checkTelemetry(base string) error {
 		}
 	}
 	fmt.Printf("servesmoke: telemetry ok (%d flight-recorded requests, service metric families present)\n", len(reqs))
+	return nil
+}
+
+// checkTenantDelete deletes the tenant and requires that a fresh /metrics
+// scrape carries no series labeled with it.
+func checkTenantDelete(base, tenant string) error {
+	if _, err := do("DELETE", base+"/v1/tenants/"+tenant, "", ""); err != nil {
+		return fmt.Errorf("delete tenant: %w", err)
+	}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		return err
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	label := fmt.Sprintf("tenant=%q", tenant)
+	for _, line := range strings.Split(string(page), "\n") {
+		if strings.Contains(line, label) {
+			return fmt.Errorf("/metrics still carries a deleted tenant's series: %s", line)
+		}
+	}
+	fmt.Printf("servesmoke: deleted tenant %s left no labeled series\n", tenant)
 	return nil
 }
 
