@@ -271,7 +271,7 @@ func NewProgressReporter(w io.Writer) *ProgressReporter { return obs.NewProgress
 func MultiObserver(observers ...Observer) Observer { return obs.Multi(observers...) }
 
 // ServeMetrics starts an HTTP server on addr exposing the registry at
-// /metrics (Prometheus text format) and /vars (expvar-style JSON). addr may
+// /metrics (Prometheus text format) and /vars (MetricsSnapshot JSON). addr may
 // be ":0"; the returned server's Addr field holds the bound address.
 func ServeMetrics(addr string, m *Metrics) (*MetricsServer, error) { return obs.Serve(addr, m) }
 

@@ -129,7 +129,7 @@ func main() {
 
 		events   = flag.String("events", "", "write every CliffGuard run's event stream as JSONL to this file")
 		spans    = flag.String("spans", "", "write the wall-clock span side-channel as JSONL to this file")
-		metrics  = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /vars (expvar) on this address for the duration of the run")
+		metrics  = flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /vars (MetricsSnapshot JSON, the same shape as the span metrics record) on this address for the duration of the run")
 		progress = flag.Bool("progress", false, "print live CliffGuard progress to stderr")
 
 		benchJSON = flag.String("bench-json", "", "write per-experiment BENCH_<id>.json baselines into this directory (cliffreport bench)")
@@ -172,7 +172,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		fmt.Printf("metrics at http://%s/metrics (expvar at /vars)\n", srv.Addr)
+		fmt.Printf("metrics at http://%s/metrics (MetricsSnapshot JSON at /vars)\n", srv.Addr)
 	}
 	var sink *obs.JSONLSink
 	if *events != "" {

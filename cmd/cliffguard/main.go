@@ -68,7 +68,7 @@ func main() {
 
 		events   = flag.String("events", "", "write the loop's event stream as JSONL to this file")
 		spans    = flag.String("spans", "", "write the wall-clock span side-channel as JSONL to this file (cliffreport summarize -spans)")
-		metrics  = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /vars (expvar) on this address, e.g. :8080 or :0")
+		metrics  = flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /vars (MetricsSnapshot JSON, the same shape as the span metrics record) on this address, e.g. :8080 or :0")
 		progress = flag.Bool("progress", false, "print live per-iteration progress to stderr")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -79,6 +79,9 @@ func main() {
 	if *path == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *onlineMode && *gamma <= 0 {
+		log.Fatal("-online needs -gamma > 0 (online mode guards a Gamma-neighborhood)")
 	}
 
 	// The metrics registry is created before ingestion so the streaming
@@ -114,25 +117,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *onlineMode {
-		if *gamma <= 0 {
-			log.Fatal("-online needs -gamma > 0 (online mode guards a Gamma-neighborhood)")
-		}
-		if reg != nil {
-			eng.Instrument(reg)
-		}
-		err := runOnline(ctx, s, w, db, members, reg, onlineParams{
-			gamma: *gamma, samples: *samples, iterations: *iters, seed: *seed,
-			parallelism: *par, driftFraction: *driftFraction, checkEvery: *checkEvery,
-			buckets: *winBuckets, bucketSize: *bucketSize, cold: *coldRedesign,
-			verbose: *verbose,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	// Profiling: CPU/heap profile files and the optional pprof listener.
 	prof, err := cliffguard.StartProfiling(*cpuProfile, *memProfile, *pprofAddr)
 	if err != nil {
@@ -147,16 +131,16 @@ func main() {
 		fmt.Printf("pprof at http://%s/debug/pprof/\n", prof.Addr)
 	}
 
-	// Instrumentation: the registry created above ingestion, an optional
-	// JSONL event sink, an optional span side-channel, and a terminal
-	// progress reporter.
+	// Instrumentation, for the batch and the online path alike: the registry
+	// created above ingestion, an optional JSONL event sink, an optional span
+	// side-channel, and a terminal progress reporter.
 	if *metrics != "" {
 		srv, err := cliffguard.ServeMetrics(*metrics, reg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		fmt.Printf("metrics at http://%s/metrics (expvar at /vars)\n", srv.Addr)
+		fmt.Printf("metrics at http://%s/metrics (MetricsSnapshot JSON at /vars)\n", srv.Addr)
 	}
 	var observer cliffguard.Observer
 	var sink *cliffguard.JSONLSink
@@ -184,6 +168,33 @@ func main() {
 	}
 	if reg != nil {
 		eng.Instrument(reg)
+	}
+	// flushObservers ends the event and span streams once the design is in.
+	flushObservers := func() {
+		if sink != nil {
+			if err := sink.Flush(); err != nil {
+				log.Fatalf("writing %s: %v", *events, err)
+			}
+		}
+		if spanRec != nil {
+			if err := spanRec.Finish(reg); err != nil {
+				log.Fatalf("writing %s: %v", *spans, err)
+			}
+		}
+	}
+
+	if *onlineMode {
+		err := runOnline(ctx, s, w, db, members, reg, observer, onlineParams{
+			gamma: *gamma, samples: *samples, iterations: *iters, seed: *seed,
+			parallelism: *par, driftFraction: *driftFraction, checkEvery: *checkEvery,
+			buckets: *winBuckets, bucketSize: *bucketSize, cold: *coldRedesign,
+			verbose: *verbose,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		flushObservers()
+		return
 	}
 
 	start := time.Now()
@@ -220,16 +231,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if sink != nil {
-		if serr := sink.Flush(); serr != nil {
-			log.Fatalf("writing %s: %v", *events, serr)
-		}
-	}
-	if spanRec != nil {
-		if serr := spanRec.Finish(reg); serr != nil {
-			log.Fatalf("writing %s: %v", *spans, serr)
-		}
-	}
+	flushObservers()
 
 	before, _ := cliffguard.WorkloadCost(ctx, db, w, nil)
 	after, _ := cliffguard.WorkloadCost(ctx, db, w, design)

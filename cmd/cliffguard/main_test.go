@@ -1,0 +1,108 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"cliffguard/internal/datagen"
+	"cliffguard/internal/obs"
+	"cliffguard/internal/wlgen"
+)
+
+// TestMain runs the command itself when the test binary is started under the
+// name "cliffguard" (see command), so a test can drive main end to end in a
+// child process, log.Fatal exits included.
+func TestMain(m *testing.M) {
+	if filepath.Base(os.Args[0]) == "cliffguard" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// command returns an exec.Cmd running this test binary as cliffguard, through
+// a symlink named after the command.
+func command(t *testing.T, args ...string) *exec.Cmd {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(t.TempDir(), "cliffguard")
+	if err := os.Symlink(exe, bin); err != nil {
+		t.Fatal(err)
+	}
+	return exec.Command(bin, args...)
+}
+
+// writeLog writes a small generated S1 query log in the cmd/wlgen format.
+func writeLog(t *testing.T) string {
+	t.Helper()
+	cfg := wlgen.S1Config(datagen.Warehouse(1), 5)
+	cfg.Months = 2
+	cfg.DriftTargets = cfg.DriftTargets[:1]
+	cfg.QueriesPerWeek = 6
+	set, err := cfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, q := range set.Queries {
+		fmt.Fprintf(&b, "%s\t%s\n", q.Timestamp.Format(time.RFC3339), q.SQL)
+	}
+	path := filepath.Join(t.TempDir(), "s1.sql")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// The online path honors the observability flags: it serves metrics, and
+// writes an event stream and a span stream that decode.
+func TestOnlineWritesObservability(t *testing.T) {
+	dir := t.TempDir()
+	events, spans := filepath.Join(dir, "ev.jsonl"), filepath.Join(dir, "sp.jsonl")
+	cmd := command(t, "-workload", writeLog(t), "-online", "-gamma", "0.002",
+		"-samples", "4", "-iterations", "2", "-parallelism", "1",
+		"-metrics-addr", "127.0.0.1:0", "-events", events, "-spans", spans)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("cliffguard -online: %v\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "metrics at http://") {
+		t.Errorf("no metrics address printed:\n%s", stdout.String())
+	}
+
+	f, err := os.Open(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	evs, err := obs.DecodeJSONL(f)
+	if err != nil {
+		t.Fatalf("decoding %s: %v", events, err)
+	}
+	if len(evs) == 0 {
+		t.Fatal("online run wrote no events")
+	}
+
+	g, err := os.Open(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	recs, err := obs.DecodeSpans(g)
+	if err != nil {
+		t.Fatalf("decoding %s: %v", spans, err)
+	}
+	if n := len(recs); n == 0 || recs[n-1].Kind != obs.SpanKindMetrics {
+		t.Fatalf("span stream does not end in a metrics record: %d records", n)
+	}
+}

@@ -29,7 +29,7 @@ type onlineParams struct {
 // warm-started re-design guarded by the safety acceptance rule. This is the
 // CLI twin of the server's /online endpoints — same controller, same
 // determinism — for replaying recorded query logs offline.
-func runOnline(ctx context.Context, s *cliffguard.Schema, w *cliffguard.Workload, cost cliffguard.CostModel, members []cliffguard.Designer, reg *cliffguard.Metrics, p onlineParams) error {
+func runOnline(ctx context.Context, s *cliffguard.Schema, w *cliffguard.Workload, cost cliffguard.CostModel, members []cliffguard.Designer, reg *cliffguard.Metrics, observer cliffguard.Observer, p onlineParams) error {
 	metric := cliffguard.NewEuclidean(s)
 	sampler := cliffguard.NewSampler(metric, s)
 	sampler.Metrics = reg
@@ -48,6 +48,7 @@ func runOnline(ctx context.Context, s *cliffguard.Schema, w *cliffguard.Workload
 		Window:           cliffguard.OnlineWindowConfig{Buckets: p.buckets, BucketSize: p.bucketSize},
 		DisableWarmStart: p.cold,
 		Metrics:          reg,
+		Observer:         observer,
 	})
 	if err != nil {
 		return err

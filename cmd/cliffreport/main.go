@@ -9,7 +9,7 @@
 //	cliffreport diff [-check] [-spans-a a.spans] [-spans-b b.spans] old.jsonl new.jsonl
 //	cliffreport check -expect expected_summary.json [-spans run.spans] run.jsonl
 //	cliffreport bench [-against baselines/] [-rel-tol 0.01] BENCH_T1.json...
-//	cliffreport serve-summary [-requestz requestz.json] [-runz runz.json] [-json] metrics.txt
+//	cliffreport serve-summary [-requestz requestz.json] [-runz runz.json] [-json] vars.json
 //
 // `diff -check` and `check` exit non-zero on regression/mismatch, which is
 // how `make ci` gates on run trajectories.
@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"cliffguard/internal/obs"
 	"cliffguard/internal/report"
 )
 
@@ -38,7 +39,7 @@ commands:
   diff           compare two runs; -check exits non-zero on regression
   check          verify a run against an expected summary (golden gate)
   bench          validate BENCH_*.json files; -against gates them on a baseline dir
-  serve-summary  render a scraped cliffguardd /metrics page (+ flight-recorder dumps)
+  serve-summary  render a saved cliffguardd /vars body (MetricsSnapshot JSON) (+ flight-recorder dumps)
 
 run 'cliffreport <command> -h' for the command's flags`)
 	return 2
@@ -191,8 +192,9 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runServeSummary renders a scraped cliffguardd /metrics page, optionally
-// joined with saved /v1/debug/requestz and /v1/debug/runz envelope dumps.
+// runServeSummary renders a saved cliffguardd /vars body (MetricsSnapshot
+// JSON, the same shape as the span metrics record), optionally joined with
+// saved /v1/debug/requestz and /v1/debug/runz envelope dumps.
 func runServeSummary(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("serve-summary", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -203,18 +205,17 @@ func runServeSummary(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "cliffreport serve-summary: want exactly one scraped metrics.txt argument")
+		fmt.Fprintln(stderr, "cliffreport serve-summary: want exactly one saved vars.json argument")
 		return 2
 	}
-	f, err := os.Open(fs.Arg(0))
+	raw, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintf(stderr, "cliffreport: %v\n", err)
 		return 1
 	}
-	points, err := report.ParsePrometheus(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintf(stderr, "cliffreport: %v\n", err)
+	var vars obs.MetricsSnapshot
+	if err := json.Unmarshal(raw, &vars); err != nil {
+		fmt.Fprintf(stderr, "cliffreport: decoding %s: %v\n", fs.Arg(0), err)
 		return 1
 	}
 	var reqDump, runDump []byte
@@ -230,7 +231,7 @@ func runServeSummary(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	s, err := report.SummarizeServe(points, reqDump, runDump)
+	s, err := report.SummarizeServe(vars, reqDump, runDump)
 	if err != nil {
 		fmt.Fprintf(stderr, "cliffreport: %v\n", err)
 		return 1

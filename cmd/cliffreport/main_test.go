@@ -255,3 +255,28 @@ func TestUnknownCommand(t *testing.T) {
 		t.Fatal("no command must exit 2")
 	}
 }
+
+// serve-summary reads a saved /vars body: MetricsSnapshot JSON.
+func TestServeSummaryCommand(t *testing.T) {
+	m := obs.NewMetrics()
+	m.HTTPRequestLatency.Observe(obs.ServiceKey("POST /v1/tenants/{tenant}/runs", "2xx"), time.Millisecond)
+	m.TenantRuns.Inc("acme")
+	raw, err := json.Marshal(m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "vars.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rc, out, errOut := runCLI(t, "serve-summary", path)
+	if rc != 0 || !strings.Contains(out, "serve summary (1 requests)") || !strings.Contains(out, "tenant acme") {
+		t.Fatalf("rc=%d stdout:\n%s\nstderr:\n%s", rc, out, errOut)
+	}
+	if err := os.WriteFile(path, []byte("# HELP not json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rc, _, _ := runCLI(t, "serve-summary", path); rc != 1 {
+		t.Fatalf("a non-JSON body exited %d, want 1", rc)
+	}
+}

@@ -291,7 +291,7 @@ func TestObserverParallelHammer(t *testing.T) {
 				return
 			default:
 				_ = met.WritePrometheus(io.Discard)
-				_ = met.ExpvarFunc().String()
+				_ = met.Snapshot()
 			}
 		}
 	}()

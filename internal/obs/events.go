@@ -2,7 +2,8 @@
 // events describing what the loop is doing (Observer), an atomic-counter
 // metrics registry describing how fast it is doing it (Metrics), and the
 // sinks and exporters that surface both — a JSONL event stream, a terminal
-// progress reporter, and a Prometheus-text/expvar HTTP endpoint.
+// progress reporter, and an HTTP endpoint serving Prometheus text and
+// MetricsSnapshot JSON.
 //
 // Design constraints, in order:
 //

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"context"
-	"expvar"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -232,109 +232,20 @@ func (e *errWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ExpvarFunc returns an expvar.Func that snapshots the registry as a JSON
-// object. Callers may expvar.Publish it under a name of their choosing; the
-// metrics HTTP server also serves it at /vars.
-func (m *Metrics) ExpvarFunc() expvar.Func {
-	return func() any {
-		if m == nil {
-			return nil
-		}
-		hist := func(h *Histogram) map[string]any {
-			return map[string]any{"count": h.Count(), "mean_ms": h.MeanMs()}
-		}
-		out := map[string]any{
-			"sampler_draws":          m.SamplerDraws.Load(),
-			"sampler_retries":        m.SamplerRetries.Load(),
-			"sampler_failures":       m.SamplerFailures.Load(),
-			"sampler_fastpath":       m.SamplerFastPath.Load(),
-			"sampler_slowpath":       m.SamplerSlowPath.Load(),
-			"sampler_distance_evals": m.SamplerDistanceEvals.Load(),
-			"costmodel_calls":        m.CostModelCalls.Load(),
-			"designer_invocations":   m.DesignerInvocations.Load(),
-			"designer_candidates":    m.CandidatesGenerated.Load(),
-			"neighbors_evaluated":    m.NeighborsEvaluated.Load(),
-			"eval_fastpath":          m.EvalFastPath.Load(),
-			"eval_slowpath":          m.EvalSlowPath.Load(),
-			"moves_accepted":         m.MovesAccepted.Load(),
-			"moves_rejected":         m.MovesRejected.Load(),
-			"iterations_completed":   m.IterationsCompleted.Load(),
-			"ingest": map[string]any{
-				"queries_streamed":     m.IngestQueriesStreamed.Load(),
-				"templates_compressed": m.IngestTemplatesCompressed.Load(),
-				"parse_skips":          m.IngestParseSkips.Load(),
-			},
-			"eval_warm_hits":     m.EvalWarmHits.Load(),
-			"workload_add_skips": m.WorkloadAddSkips.Load(),
-			"online": map[string]any{
-				"observed":        m.OnlineObserved.Load(),
-				"evicted":         m.OnlineEvicted.Load(),
-				"drift_checks":    m.OnlineDriftChecks.Load(),
-				"drift_fires":     m.OnlineDriftFires.Load(),
-				"redesigns":       m.OnlineRedesigns.Load(),
-				"published":       m.OnlinePublished.Load(),
-				"safety_rejected": m.OnlineSafetyRejected.Load(),
-			},
-			"portfolio": map[string]any{
-				"runs":            m.PortfolioRuns.Load(),
-				"member_errors":   m.PortfolioMemberErrors.Load(),
-				"member_timeouts": m.PortfolioMemberTimeouts.Load(),
-				"wins":            m.PortfolioWins.Snapshot(),
-			},
-			"pool_queue_depth":  m.PoolQueueDepth.Load(),
-			"pool_workers_busy": m.PoolWorkersBusy.Load(),
-			"latency": map[string]any{
-				"sample":    hist(&m.SampleLatency),
-				"eval":      hist(&m.EvalLatency),
-				"design":    hist(&m.DesignLatency),
-				"iteration": hist(&m.IterationLatency),
-			},
-		}
-		caches := map[string]any{}
-		for name, s := range m.CacheSnapshots() {
-			caches[name] = map[string]any{"hits": s.Hits, "misses": s.Misses, "entries": s.Entries}
-		}
-		out["costcache"] = caches
-		if svc := m.serviceExpvar(); len(svc) > 0 {
-			out["service"] = svc
-		}
-		return out
-	}
-}
-
-// serviceExpvar collects the serving-layer families for the expvar dump;
-// empty when the registry never served HTTP traffic (library use).
-func (m *Metrics) serviceExpvar() map[string]any {
-	svc := map[string]any{}
-	if lat := labeledLat(m.HTTPRequestLatency.Snapshot()); len(lat) > 0 {
-		svc["http_request_latency"] = lat
-	}
-	if runs := m.TenantRuns.Snapshot(); len(runs) > 0 {
-		svc["tenant_runs"] = runs
-	}
-	if wait := labeledLat(m.TenantQueueWait.Snapshot()); len(wait) > 0 {
-		svc["tenant_queue_wait"] = wait
-	}
-	if dur := labeledLat(m.TenantRunDuration.Snapshot()); len(dur) > 0 {
-		svc["tenant_run_duration"] = dur
-	}
-	if rej := m.AdmissionRejections.Snapshot(); len(rej) > 0 {
-		svc["admission_rejections"] = rej
-	}
-	if hits := m.SharedHitsByTenant.Snapshot(); len(hits) > 0 {
-		svc["shared_hits_by_tenant"] = hits
-	}
-	if misses := m.SharedMissByTenant.Snapshot(); len(misses) > 0 {
-		svc["shared_misses_by_tenant"] = misses
-	}
-	return svc
-}
-
 // Handler returns an http.Handler serving the Prometheus text format.
 func (m *Metrics) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = m.WritePrometheus(w)
+	})
+}
+
+// VarsHandler returns an http.Handler serving Snapshot as JSON: the same
+// MetricsSnapshot shape as the span stream's metrics record.
+func (m *Metrics) VarsHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		_ = json.NewEncoder(w).Encode(m.Snapshot())
 	})
 }
 
@@ -347,7 +258,7 @@ type MetricsServer struct {
 }
 
 // Serve starts an HTTP server on addr exposing /metrics (Prometheus text)
-// and /vars (expvar JSON). It returns once the listener is bound, so
+// and /vars (MetricsSnapshot JSON). It returns once the listener is bound, so
 // Addr is immediately valid; the server runs until Close.
 func Serve(addr string, m *Metrics) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -356,11 +267,7 @@ func Serve(addr string, m *Metrics) (*MetricsServer, error) {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", m.Handler())
-	fn := m.ExpvarFunc()
-	mux.HandleFunc("/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintln(w, fn.String())
-	})
+	mux.Handle("/vars", m.VarsHandler())
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	ms := &MetricsServer{Addr: ln.Addr().String(), ln: ln, srv: srv}
 	go func() { _ = srv.Serve(ln) }()

@@ -127,15 +127,3 @@ func (s HistogramSnapshot) Latency() LatencyStats {
 	ls.P99Ms = s.Quantile(0.99) / 1e3
 	return ls
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// MeanMs returns the mean observed latency in milliseconds (0 when empty).
-func (h *Histogram) MeanMs() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sumUs.Load()) / float64(n) / 1e3
-}

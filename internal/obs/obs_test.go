@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +56,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != 8000 {
+	if got := h.Snapshot().Count; got != 8000 {
 		t.Fatalf("count = %d, want 8000", got)
 	}
 }
@@ -291,10 +292,12 @@ func TestMetricsPrometheusAndExpvar(t *testing.T) {
 		}
 	}
 
-	jsonOut := m.ExpvarFunc().String()
+	rec := httptest.NewRecorder()
+	m.VarsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/vars", nil))
+	jsonOut := rec.Body.String()
 	for _, want := range []string{`"costmodel_calls":1234`, `"sampler_draws":40`, `"evalcache"`} {
 		if !strings.Contains(jsonOut, want) {
-			t.Fatalf("expvar output missing %q:\n%s", want, jsonOut)
+			t.Fatalf("/vars output missing %q:\n%s", want, jsonOut)
 		}
 	}
 

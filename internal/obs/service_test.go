@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -76,12 +77,27 @@ func TestServiceMetricsExport(t *testing.T) {
 	if strings.Contains(before.String(), "cliffguard_http_request") {
 		t.Fatal("library-only registry leaked service families")
 	}
-	var empty map[string]any
-	if err := json.Unmarshal([]byte(m.ExpvarFunc().String()), &empty); err != nil {
-		t.Fatal(err)
+	serviceKeys := []string{
+		"http_request_latency", "tenant_runs", "tenant_queue_wait",
+		"tenant_run_duration", "admission_rejections",
+		"shared_hits_by_tenant", "shared_misses_by_tenant",
 	}
-	if _, ok := empty["service"]; ok {
-		t.Fatal("library-only expvar dump has a service section")
+	vars := func() map[string]any {
+		raw, err := json.Marshal(m.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump map[string]any
+		if err := json.Unmarshal(raw, &dump); err != nil {
+			t.Fatal(err)
+		}
+		return dump
+	}
+	empty := vars()
+	for _, key := range serviceKeys {
+		if _, ok := empty[key]; ok {
+			t.Fatalf("library-only snapshot carries service family %q", key)
+		}
 	}
 
 	m.HTTPRequestLatency.Observe(ServiceKey("GET /v1/healthz", "2xx"), time.Millisecond)
@@ -115,31 +131,66 @@ func TestServiceMetricsExport(t *testing.T) {
 		}
 	}
 
-	var dump map[string]any
-	if err := json.Unmarshal([]byte(m.ExpvarFunc().String()), &dump); err != nil {
-		t.Fatalf("expvar dump is not JSON: %v", err)
-	}
-	svc, ok := dump["service"].(map[string]any)
-	if !ok {
-		t.Fatal("expvar dump has no service section")
-	}
-	for _, key := range []string{
-		"http_request_latency", "tenant_runs", "tenant_queue_wait",
-		"tenant_run_duration", "admission_rejections",
-		"shared_hits_by_tenant", "shared_misses_by_tenant",
-	} {
-		if _, ok := svc[key]; !ok {
-			t.Errorf("expvar service section missing %q", key)
+	dump := vars()
+	for _, key := range serviceKeys {
+		if _, ok := dump[key]; !ok {
+			t.Errorf("snapshot missing service family %q", key)
 		}
 	}
-
-	// The metrics snapshot (span stream trailer) carries them too.
 	snap := m.Snapshot()
 	if snap.TenantRuns["acme"] != 1 || snap.AdmissionRejections["overloaded"] != 1 {
 		t.Fatalf("snapshot missing service counters: %+v", snap)
 	}
 	if snap.TenantQueueWait["acme"].Count != 1 || snap.HTTPRequestLatency[ServiceKey("GET /v1/healthz", "2xx")].Count != 1 {
 		t.Fatalf("snapshot missing service latencies: %+v", snap)
+	}
+}
+
+// Every Counter of the registry is listed twice by hand: in
+// MetricsSnapshot (JSON key k, via the field of the same name) and in
+// WritePrometheus (cliffguard_<k>_total). A counter added to one list only
+// fails here.
+func TestCounterListsAgree(t *testing.T) {
+	m := NewMetrics()
+	rv := reflect.ValueOf(m).Elem()
+	counterType := reflect.TypeOf((*Counter)(nil)).Elem()
+	want := map[string]uint64{} // Metrics field name -> value
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Type().Field(i); f.Type == counterType {
+			v := uint64(1000 + i)
+			rv.Field(i).Addr().Interface().(*Counter).Add(v)
+			want[f.Name] = v
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no Counter fields found")
+	}
+	raw, err := json.Marshal(m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump map[string]any
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	var page bytes.Buffer
+	if err := m.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	snapType := reflect.TypeOf(MetricsSnapshot{})
+	for name, v := range want {
+		f, ok := snapType.FieldByName(name)
+		if !ok {
+			t.Errorf("counter %s has no MetricsSnapshot field", name)
+			continue
+		}
+		k, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if got, ok := dump[k].(float64); !ok || got != float64(v) {
+			t.Errorf("snapshot key %q = %v, want %d (counter %s)", k, dump[k], v, name)
+		}
+		if line := fmt.Sprintf("\ncliffguard_%s_total %d\n", k, v); !strings.Contains(page.String(), line) {
+			t.Errorf("Prometheus page lacks %q (counter %s)", strings.TrimSpace(line), name)
+		}
 	}
 }
 

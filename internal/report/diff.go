@@ -113,9 +113,9 @@ func Compare(oldS, newS *Summary, th Thresholds) *Diff {
 	}
 	if oldS.HasMetrics && newS.HasMetrics {
 		info("costmodel_calls", float64(oldS.CostModelCalls), float64(newS.CostModelCalls))
-		for name, nv := range newS.CacheHitRatio {
+		for _, name := range sortedKeys(newS.CacheHitRatio) {
 			if ov, ok := oldS.CacheHitRatio[name]; ok {
-				info("cache_hit_ratio_"+name, ov, nv)
+				info("cache_hit_ratio_"+name, ov, newS.CacheHitRatio[name])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +187,26 @@ func TestCompareCatchesRegressions(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "FAIL:") || !strings.Contains(out.String(), "REGRESSED") {
 		t.Fatalf("diff text missing verdict:\n%s", out.String())
+	}
+}
+
+// Cache-ratio rows come out in name order, the same on every call: a
+// served run's snapshot carries several caches.
+func TestCompareCacheRowsSorted(t *testing.T) {
+	s := &Summary{HasMetrics: true, CacheHitRatio: map[string]float64{
+		"shared-unitcost": 0.5, "evalcache": 0.75, "neighbor": 0.25,
+	}}
+	want := []string{"cache_hit_ratio_evalcache", "cache_hit_ratio_neighbor", "cache_hit_ratio_shared-unitcost"}
+	for i := 0; i < 20; i++ {
+		var got []string
+		for _, row := range Compare(s, s, DefaultThresholds()).Rows {
+			if strings.HasPrefix(row.Metric, "cache_hit_ratio_") {
+				got = append(got, row.Metric)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: cache rows %v, want %v", i, got, want)
+		}
 	}
 }
 

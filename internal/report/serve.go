@@ -1,138 +1,19 @@
 package report
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
+
+	"cliffguard/internal/obs"
 )
 
-// Serve-side reporting: `cliffreport serve-summary` renders a scraped
-// cliffguardd /metrics page (Prometheus text format) plus optional flight-
-// recorder dumps (/v1/debug/requestz, /v1/debug/runz envelopes) into the same
-// text/JSON report shapes as `summarize`. The parser is deliberately small —
-// it reads only what the obs exporter writes — but tolerates the full
-// `name{k="v"} value` line grammar including escaped label values.
-
-// MetricPoint is one sample line of a Prometheus text scrape.
-type MetricPoint struct {
-	Name   string
-	Labels map[string]string
-	Value  float64
-}
-
-// ParsePrometheus reads a Prometheus text-format scrape. Comment and blank
-// lines are skipped; malformed sample lines are errors (a truncated scrape
-// should fail loudly, not quietly drop families).
-func ParsePrometheus(r io.Reader) ([]MetricPoint, error) {
-	var out []MetricPoint
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		pt, err := parseMetricLine(text)
-		if err != nil {
-			return nil, fmt.Errorf("report: metrics line %d: %w", line, err)
-		}
-		out = append(out, pt)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("report: reading metrics: %w", err)
-	}
-	return out, nil
-}
-
-// parseMetricLine parses `name{k="v",...} value` (labels optional).
-func parseMetricLine(text string) (MetricPoint, error) {
-	pt := MetricPoint{}
-	rest := text
-	if i := strings.IndexAny(rest, "{ "); i >= 0 && rest[i] == '{' {
-		pt.Name = rest[:i]
-		labels, tail, err := parseLabels(rest[i:])
-		if err != nil {
-			return pt, err
-		}
-		pt.Labels = labels
-		rest = tail
-	} else if i >= 0 {
-		pt.Name = rest[:i]
-		rest = rest[i:]
-	} else {
-		return pt, fmt.Errorf("no value in %q", text)
-	}
-	rest = strings.TrimSpace(rest)
-	// A timestamp may trail the value; the obs exporter never writes one,
-	// but accept (and ignore) it anyway.
-	if i := strings.IndexByte(rest, ' '); i >= 0 {
-		rest = rest[:i]
-	}
-	v, err := strconv.ParseFloat(rest, 64)
-	if err != nil {
-		return pt, fmt.Errorf("bad value %q: %w", rest, err)
-	}
-	pt.Value = v
-	return pt, nil
-}
-
-// parseLabels parses a `{k="v",...}` block and returns the remaining tail.
-func parseLabels(s string) (map[string]string, string, error) {
-	labels := map[string]string{}
-	i := 1 // past '{'
-	for {
-		for i < len(s) && (s[i] == ',' || s[i] == ' ') {
-			i++
-		}
-		if i < len(s) && s[i] == '}' {
-			return labels, s[i+1:], nil
-		}
-		eq := strings.IndexByte(s[i:], '=')
-		if eq < 0 {
-			return nil, "", fmt.Errorf("unterminated label block in %q", s)
-		}
-		key := s[i : i+eq]
-		i += eq + 1
-		if i >= len(s) || s[i] != '"' {
-			return nil, "", fmt.Errorf("label %q value is not quoted", key)
-		}
-		i++
-		var val strings.Builder
-		for {
-			if i >= len(s) {
-				return nil, "", fmt.Errorf("unterminated value for label %q", key)
-			}
-			switch s[i] {
-			case '\\':
-				if i+1 >= len(s) {
-					return nil, "", fmt.Errorf("dangling escape in label %q", key)
-				}
-				switch s[i+1] {
-				case 'n':
-					val.WriteByte('\n')
-				default: // \" and \\ unescape to the char itself
-					val.WriteByte(s[i+1])
-				}
-				i += 2
-				continue
-			case '"':
-				i++
-			default:
-				val.WriteByte(s[i])
-				i++
-				continue
-			}
-			break
-		}
-		labels[key] = val.String()
-	}
-}
+// Serve-side reporting: `cliffreport serve-summary` renders a saved
+// cliffguardd /vars body (an obs.MetricsSnapshot, the same shape as the span
+// stream's metrics record) plus optional flight-recorder dumps
+// (/v1/debug/requestz, /v1/debug/runz envelopes) into the same text/JSON
+// report shapes as `summarize`.
 
 // RouteStats aggregates one route × status-class series of the request-
 // latency histogram.
@@ -208,62 +89,14 @@ func decodeFlightData(raw []byte, v any) error {
 	return nil
 }
 
-// SummarizeServe aggregates a parsed /metrics scrape and optional raw
+// SummarizeServe aggregates a /vars metrics snapshot and optional raw
 // requestz/runz envelope dumps (nil = not scraped) into a ServeSummary.
-func SummarizeServe(points []MetricPoint, requestz, runz []byte) (*ServeSummary, error) {
-	s := &ServeSummary{}
-	routeKey := func(l map[string]string) string { return l["route"] + "|" + l["status"] }
-	routes := map[string]*RouteStats{}
-	tenants := map[string]*TenantStats{}
-	tenant := func(l map[string]string) *TenantStats {
-		id := l["tenant"]
-		t := tenants[id]
-		if t == nil {
-			t = &TenantStats{Tenant: id}
-			tenants[id] = t
-		}
-		return t
-	}
-	sums := map[string]float64{} // histogram _sum by series key, for means
-	hits := map[string]float64{}
-	misses := map[string]float64{}
-	for _, pt := range points {
-		switch pt.Name {
-		case "cliffguard_http_request_latency_seconds_count":
-			k := routeKey(pt.Labels)
-			if routes[k] == nil {
-				routes[k] = &RouteStats{Route: pt.Labels["route"], Status: pt.Labels["status"]}
-			}
-			routes[k].Count = uint64(pt.Value)
-			s.Requests += uint64(pt.Value)
-		case "cliffguard_http_request_latency_seconds_sum":
-			sums["route|"+routeKey(pt.Labels)] = pt.Value
-		case "cliffguard_tenant_runs_total":
-			tenant(pt.Labels).Runs = uint64(pt.Value)
-		case "cliffguard_tenant_queue_wait_seconds_count":
-			tenant(pt.Labels).QueueWaitCount = uint64(pt.Value)
-		case "cliffguard_tenant_queue_wait_seconds_sum":
-			sums["wait|"+pt.Labels["tenant"]] = pt.Value
-		case "cliffguard_tenant_run_duration_seconds_count":
-			tenant(pt.Labels).RunDurationCount = uint64(pt.Value)
-		case "cliffguard_tenant_run_duration_seconds_sum":
-			sums["dur|"+pt.Labels["tenant"]] = pt.Value
-		case "cliffguard_admission_rejections_total":
-			if s.Rejections == nil {
-				s.Rejections = map[string]uint64{}
-			}
-			s.Rejections[pt.Labels["code"]] = uint64(pt.Value)
-		case "cliffguard_shared_unitcost_tenant_hits_total":
-			hits[pt.Labels["tenant"]] = pt.Value
-		case "cliffguard_shared_unitcost_tenant_misses_total":
-			misses[pt.Labels["tenant"]] = pt.Value
-		}
-	}
-	for k, r := range routes {
-		if sum, ok := sums["route|"+k]; ok && r.Count > 0 {
-			r.MeanMs = sum / float64(r.Count) * 1e3
-		}
-		s.Routes = append(s.Routes, *r)
+func SummarizeServe(m obs.MetricsSnapshot, requestz, runz []byte) (*ServeSummary, error) {
+	s := &ServeSummary{Rejections: m.AdmissionRejections}
+	for key, lat := range m.HTTPRequestLatency {
+		route, status := obs.SplitServiceKey(key)
+		s.Routes = append(s.Routes, RouteStats{Route: route, Status: status, Count: lat.Count, MeanMs: lat.MeanMs})
+		s.Requests += lat.Count
 	}
 	sort.Slice(s.Routes, func(i, j int) bool {
 		if s.Routes[i].Route != s.Routes[j].Route {
@@ -271,23 +104,30 @@ func SummarizeServe(points []MetricPoint, requestz, runz []byte) (*ServeSummary,
 		}
 		return s.Routes[i].Status < s.Routes[j].Status
 	})
-	for id := range hits {
-		tenant(map[string]string{"tenant": id}) // materialize hit-only tenants
+	ids := map[string]bool{} // every tenant any per-tenant family names
+	for _, family := range [][]string{sortedKeys(m.TenantRuns), sortedKeys(m.TenantQueueWait),
+		sortedKeys(m.TenantRunDuration), sortedKeys(m.SharedHitsByTenant)} {
+		for _, id := range family {
+			ids[id] = true
+		}
 	}
-	for id, t := range tenants {
-		if sum, ok := sums["wait|"+id]; ok && t.QueueWaitCount > 0 {
-			t.QueueWaitMeanMs = sum / float64(t.QueueWaitCount) * 1e3
+	for _, id := range sortedKeys(ids) {
+		wait, dur := m.TenantQueueWait[id], m.TenantRunDuration[id]
+		t := TenantStats{
+			Tenant:            id,
+			Runs:              m.TenantRuns[id],
+			QueueWaitCount:    wait.Count,
+			QueueWaitMeanMs:   wait.MeanMs,
+			RunDurationCount:  dur.Count,
+			RunDurationMeanMs: dur.MeanMs,
 		}
-		if sum, ok := sums["dur|"+id]; ok && t.RunDurationCount > 0 {
-			t.RunDurationMeanMs = sum / float64(t.RunDurationCount) * 1e3
-		}
-		if total := hits[id] + misses[id]; total > 0 {
-			ratio := hits[id] / total
+		hits, misses := m.SharedHitsByTenant[id], m.SharedMissByTenant[id]
+		if hits+misses > 0 {
+			ratio := float64(hits) / float64(hits+misses)
 			t.SharedHitRatio = &ratio
 		}
-		s.Tenants = append(s.Tenants, *t)
+		s.Tenants = append(s.Tenants, t)
 	}
-	sort.Slice(s.Tenants, func(i, j int) bool { return s.Tenants[i].Tenant < s.Tenants[j].Tenant })
 
 	if requestz != nil || runz != nil {
 		s.Flight = &FlightStats{}

@@ -2,102 +2,70 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+	"time"
+
+	"cliffguard/internal/obs"
 )
 
-const sampleScrape = `# HELP cliffguard_http_request_latency_seconds /v1 request latency per route and status class.
-# TYPE cliffguard_http_request_latency_seconds histogram
-cliffguard_http_request_latency_seconds_bucket{route="GET /v1/healthz",status="2xx",le="0.000001"} 0
-cliffguard_http_request_latency_seconds_bucket{route="GET /v1/healthz",status="2xx",le="+Inf"} 4
-cliffguard_http_request_latency_seconds_sum{route="GET /v1/healthz",status="2xx"} 0.002
-cliffguard_http_request_latency_seconds_count{route="GET /v1/healthz",status="2xx"} 4
-cliffguard_http_request_latency_seconds_sum{route="POST /v1/tenants/{tenant}/runs",status="2xx"} 0.01
-cliffguard_http_request_latency_seconds_count{route="POST /v1/tenants/{tenant}/runs",status="2xx"} 2
-# TYPE cliffguard_tenant_runs_total counter
-cliffguard_tenant_runs_total{tenant="acme"} 2
-# TYPE cliffguard_tenant_queue_wait_seconds histogram
-cliffguard_tenant_queue_wait_seconds_sum{tenant="acme"} 0.004
-cliffguard_tenant_queue_wait_seconds_count{tenant="acme"} 2
-cliffguard_tenant_run_duration_seconds_sum{tenant="acme"} 1.5
-cliffguard_tenant_run_duration_seconds_count{tenant="acme"} 2
-cliffguard_admission_rejections_total{code="overloaded"} 3
-cliffguard_shared_unitcost_tenant_hits_total{tenant="acme"} 30
-cliffguard_shared_unitcost_tenant_misses_total{tenant="acme"} 10
-cliffguard_sampler_draws_total 120
-`
-
-func TestParsePrometheus(t *testing.T) {
-	points, err := ParsePrometheus(strings.NewReader(sampleScrape))
+// sampleVars populates a real registry with a small served run and returns
+// its /vars body decoded back into a snapshot: 4 healthz requests at 0.5 ms,
+// 2 run submissions at 5 ms, tenant acme's 2 runs (2 ms queue wait, 750 ms
+// duration, 30 shared-memo hits to 10 misses) and 3 overloaded rejections.
+func sampleVars(t *testing.T) obs.MetricsSnapshot {
+	t.Helper()
+	m := obs.NewMetrics()
+	for i := 0; i < 4; i++ {
+		m.HTTPRequestLatency.Observe(obs.ServiceKey("GET /v1/healthz", "2xx"), 500*time.Microsecond)
+	}
+	for i := 0; i < 2; i++ {
+		m.HTTPRequestLatency.Observe(obs.ServiceKey("POST /v1/tenants/{tenant}/runs", "2xx"), 5*time.Millisecond)
+		m.TenantRuns.Inc("acme")
+		m.TenantQueueWait.Observe("acme", 2*time.Millisecond)
+		m.TenantRunDuration.Observe("acme", 750*time.Millisecond)
+	}
+	m.AdmissionRejections.Add("overloaded", 3)
+	m.SharedHitsByTenant.Add("acme", 30)
+	m.SharedMissByTenant.Add("acme", 10)
+	m.SamplerDraws.Add(120)
+	raw, err := json.Marshal(m.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 15 {
-		t.Fatalf("parsed %d points, want 15", len(points))
-	}
-	byName := map[string][]MetricPoint{}
-	for _, pt := range points {
-		byName[pt.Name] = append(byName[pt.Name], pt)
-	}
-	runs := byName["cliffguard_tenant_runs_total"]
-	if len(runs) != 1 || runs[0].Labels["tenant"] != "acme" || runs[0].Value != 2 {
-		t.Fatalf("tenant runs parsed wrong: %+v", runs)
-	}
-	if plain := byName["cliffguard_sampler_draws_total"]; len(plain) != 1 || plain[0].Labels != nil || plain[0].Value != 120 {
-		t.Fatalf("label-free sample parsed wrong: %+v", plain)
-	}
-}
-
-func TestParsePrometheusEscapedLabels(t *testing.T) {
-	points, err := ParsePrometheus(strings.NewReader(
-		`m{route="GET \"x\"",note="a\\b\nc"} 1` + "\n"))
-	if err != nil {
+	var vars obs.MetricsSnapshot
+	if err := json.Unmarshal(raw, &vars); err != nil {
 		t.Fatal(err)
 	}
-	if points[0].Labels["route"] != `GET "x"` || points[0].Labels["note"] != "a\\b\nc" {
-		t.Fatalf("escapes mishandled: %+v", points[0].Labels)
-	}
-}
-
-func TestParsePrometheusRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"name_without_value\n",
-		`m{unterminated="x` + "\n",
-		"m not-a-number\n",
-	} {
-		if _, err := ParsePrometheus(strings.NewReader(bad)); err == nil {
-			t.Errorf("no error for %q", bad)
-		}
-	}
+	return vars
 }
 
 func TestSummarizeServe(t *testing.T) {
-	points, err := ParsePrometheus(strings.NewReader(sampleScrape))
-	if err != nil {
-		t.Fatal(err)
-	}
 	requestz := []byte(`{"schema":1,"data":{"capacity":256,"total":7,"dropped":1,"requests":[
 		{"status":200},{"status":404},{"status":503}]}}`)
 	runz := []byte(`{"schema":1,"data":{"capacity":256,"total":6,"dropped":0,"transitions":[
 		{"to":"queued"},{"to":"running"},{"to":"done"},{"to":"queued"}]}}`)
-	s, err := SummarizeServe(points, requestz, runz)
+	s, err := SummarizeServe(sampleVars(t), requestz, runz)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Requests != 6 {
 		t.Fatalf("total requests = %d, want 6", s.Requests)
 	}
-	if len(s.Routes) != 2 || s.Routes[0].Route != "GET /v1/healthz" {
+	if len(s.Routes) != 2 || s.Routes[0].Route != "GET /v1/healthz" || s.Routes[0].Status != "2xx" ||
+		s.Routes[0].Count != 4 || s.Routes[1].Count != 2 {
 		t.Fatalf("routes: %+v", s.Routes)
 	}
-	if s.Routes[0].MeanMs != 0.5 {
-		t.Fatalf("healthz mean = %gms, want 0.5", s.Routes[0].MeanMs)
+	if s.Routes[0].MeanMs != 0.5 || s.Routes[1].MeanMs != 5 {
+		t.Fatalf("route means = %g, %gms, want 0.5, 5", s.Routes[0].MeanMs, s.Routes[1].MeanMs)
 	}
 	if len(s.Tenants) != 1 {
 		t.Fatalf("tenants: %+v", s.Tenants)
 	}
 	acme := s.Tenants[0]
-	if acme.Runs != 2 || acme.QueueWaitMeanMs != 2 || acme.RunDurationMeanMs != 750 {
+	if acme.Runs != 2 || acme.QueueWaitCount != 2 || acme.QueueWaitMeanMs != 2 ||
+		acme.RunDurationCount != 2 || acme.RunDurationMeanMs != 750 {
 		t.Fatalf("acme stats: %+v", acme)
 	}
 	if acme.SharedHitRatio == nil || *acme.SharedHitRatio != 0.75 {
@@ -136,11 +104,7 @@ func TestSummarizeServe(t *testing.T) {
 
 // A metrics-only summary (no flight dumps) omits the flight section.
 func TestSummarizeServeMetricsOnly(t *testing.T) {
-	points, err := ParsePrometheus(strings.NewReader(sampleScrape))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := SummarizeServe(points, nil, nil)
+	s, err := SummarizeServe(sampleVars(t), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,9 +66,9 @@ func RouteTable() []Route {
 }
 
 // Handler returns the server's full HTTP handler: the /v1 API plus the
-// observability surface (/metrics Prometheus text, /vars expvar JSON) over
-// the server's shared registry, all behind the telemetry middleware
-// (request IDs, per-route metrics, access log, flight recorder).
+// observability surface (/metrics Prometheus text, /vars MetricsSnapshot
+// JSON) over the server's shared registry, all behind the telemetry
+// middleware (request IDs, per-route metrics, access log, flight recorder).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range routes {
@@ -97,11 +97,7 @@ func (s *Server) Handler() http.Handler {
 		})
 	}
 	mux.Handle("GET /metrics", obsRoute("GET /metrics", s.metrics.Handler()))
-	fn := s.metrics.ExpvarFunc()
-	mux.Handle("GET /vars", obsRoute("GET /vars", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintln(w, fn.String())
-	})))
+	mux.Handle("GET /vars", obsRoute("GET /vars", s.metrics.VarsHandler()))
 	return s.telemetry(mux)
 }
 

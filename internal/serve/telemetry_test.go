@@ -443,9 +443,68 @@ func TestFlightRecorder(t *testing.T) {
 	}
 }
 
+// /vars serves the registry's MetricsSnapshot on both mounts, the CLIs'
+// obs.Serve listener and the daemon's handler: each body decodes to what a
+// JSON round trip of Snapshot gives.
+func TestVarsServesMetricsSnapshot(t *testing.T) {
+	m := obs.NewMetrics()
+	srv := NewServer(Config{Workers: 1, Metrics: m})
+	defer srv.Shutdown(context.Background())
+	m.SamplerDraws.Add(40)
+	m.CostModelCalls.Add(1234)
+	m.OnlineObserved.Add(9)
+	m.PortfolioWins.Inc("advisor")
+	m.EvalLatency.Observe(3 * time.Millisecond)
+	m.HTTPRequestLatency.Observe(obs.ServiceKey("GET /v1/healthz", "2xx"), 700*time.Microsecond)
+	m.TenantRuns.Inc("acme")
+	m.TenantQueueWait.Observe("acme", 2*time.Millisecond)
+	m.TenantRunDuration.Observe("acme", 40*time.Millisecond)
+	m.AdmissionRejections.Inc("overloaded")
+	m.SharedHitsByTenant.Add("acme", 3)
+	m.SharedMissByTenant.Inc("acme")
+	m.RegisterCache("evalcache", func() obs.CacheStats {
+		return obs.CacheStats{Hits: 10, Misses: 4, Entries: 4,
+			Shards: []obs.CacheShardStats{{Hits: 10, Misses: 4, Entries: 4}}}
+	})
+
+	roundTrip := func(raw []byte) obs.MetricsSnapshot {
+		t.Helper()
+		var snap obs.MetricsSnapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatalf("decoding %s: %v", raw, err)
+		}
+		return snap
+	}
+	wantRaw, err := json.Marshal(m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := roundTrip(wantRaw)
+
+	// obs.Serve first: the daemon's middleware records its own /vars
+	// request after answering it.
+	ms, err := obs.Serve("127.0.0.1:0", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, url := range []string{"http://" + ms.Addr + "/vars", ts.URL + "/vars"} {
+		code, body := raw(t, ts.Client(), url)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: %d", url, code)
+		}
+		if got := roundTrip(body); !reflect.DeepEqual(got, want) {
+			t.Errorf("GET %s:\n got %+v\nwant %+v", url, got, want)
+		}
+	}
+}
+
 // The live service metrics: after real traffic, /metrics must expose the
 // per-route × status-class latency family, per-tenant run/queue-wait series,
-// and per-tenant shared-memo attribution; /vars mirrors them as JSON.
+// and per-tenant shared-memo attribution; /vars carries the same families
+// at the MetricsSnapshot's top-level keys.
 func TestServiceMetricsExposed(t *testing.T) {
 	srv := NewServer(Config{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
@@ -488,13 +547,9 @@ func TestServiceMetricsExposed(t *testing.T) {
 	if err := json.Unmarshal(vars, &dump); err != nil {
 		t.Fatalf("vars is not JSON: %v", err)
 	}
-	svc, ok := dump["service"].(map[string]any)
-	if !ok {
-		t.Fatalf("vars has no service section: %v", dump)
-	}
 	for _, key := range []string{"http_request_latency", "tenant_runs", "tenant_queue_wait"} {
-		if _, ok := svc[key]; !ok {
-			t.Errorf("vars service section missing %q: %v", key, svc)
+		if _, ok := dump[key]; !ok {
+			t.Errorf("vars missing %q: %v", key, dump)
 		}
 	}
 }

@@ -13,12 +13,15 @@
 //     request latency, per-tenant runs and queue wait) plus a populated
 //     /v1/debug/requestz flight ring; every /v1 response along the way must
 //     have carried an X-Request-Id, and an inbound ID must echo back;
-//  5. delete the second tenant, scrape /metrics again, and require that none
+//  5. decode /vars into an obs.MetricsSnapshot, summarize it as
+//     `cliffreport serve-summary` does, and require each tenant's run count
+//     and the 2xx run-submission count to equal the runs submitted;
+//  6. delete the second tenant, scrape /metrics again, and require that none
 //     of its tenant-labeled series remain;
-//  6. submit a long run, send SIGTERM, and require a clean drain (exit 0)
+//  7. submit a long run, send SIGTERM, and require a clean drain (exit 0)
 //     within the drain timeout.
 //
-// Run via `make serve-smoke`. Exit status 0 means all six passed.
+// Run via `make serve-smoke`. Exit status 0 means all seven passed.
 package main
 
 import (
@@ -31,12 +34,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"time"
 
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/engine"
+	"cliffguard/internal/obs"
+	"cliffguard/internal/report"
 	"cliffguard/internal/serve"
 	"cliffguard/internal/wlgen"
 )
@@ -169,12 +175,17 @@ func run() error {
 		return err
 	}
 
-	// 5. A deleted tenant's labeled series leave /metrics with it.
+	// 5. The /vars snapshot counts exactly the runs submitted so far.
+	if err := checkVars(base, map[string]uint64{"smoke-a": 1, "smoke-b": 1}); err != nil {
+		return err
+	}
+
+	// 6. A deleted tenant's labeled series leave /metrics with it.
 	if err := checkTenantDelete(base, "smoke-b"); err != nil {
 		return err
 	}
 
-	// 6. SIGTERM during a long run drains cleanly (exit 0, events flushed).
+	// 7. SIGTERM during a long run drains cleanly (exit 0, events flushed).
 	long, _ := json.Marshal(map[string]any{
 		"gamma": 0.0008, "samples": 40, "iterations": 1000, "seed": 7,
 	})
@@ -327,6 +338,46 @@ func checkTelemetry(base string) error {
 		}
 	}
 	fmt.Printf("servesmoke: telemetry ok (%d flight-recorded requests, service metric families present)\n", len(reqs))
+	return nil
+}
+
+// checkVars decodes /vars into an obs.MetricsSnapshot and summarizes it the
+// way `cliffreport serve-summary` does: every tenant's run count must equal
+// runs[tenant], and the 2xx run-submission route must count them all.
+func checkVars(base string, runs map[string]uint64) error {
+	resp, err := http.Get(base + "/vars")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var vars obs.MetricsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		return fmt.Errorf("/vars: %w", err)
+	}
+	sum, err := report.SummarizeServe(vars, nil, nil)
+	if err != nil {
+		return err
+	}
+	got := map[string]uint64{}
+	for _, t := range sum.Tenants {
+		got[t.Tenant] = t.Runs
+	}
+	if !reflect.DeepEqual(got, runs) {
+		return fmt.Errorf("/vars tenant runs %v, want %v", got, runs)
+	}
+	var submitted, posted uint64
+	for _, n := range runs {
+		submitted += n
+	}
+	for _, r := range sum.Routes {
+		if r.Route == "POST /v1/tenants/{tenant}/runs" && r.Status == "2xx" {
+			posted = r.Count
+		}
+	}
+	if posted != submitted {
+		return fmt.Errorf("/vars counts %d 2xx run submissions, want %d", posted, submitted)
+	}
+	fmt.Printf("servesmoke: /vars summary ok (%d runs over %d tenants)\n", submitted, len(runs))
 	return nil
 }
 
