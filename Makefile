@@ -80,7 +80,7 @@ report-check:
 # memory sit in each file's informational block and are never gated):
 #   T1        drift statistics of the generated workloads
 #   SAMPLER   closed-form landing vs the legacy verify/bisect landing
-#   EVAL      unit-cost memo and pass replay vs the reference full pass
+#   EVAL      indexed unit-cost vectors and pass replay vs the reference full pass
 #   PORTFOLIO advisor vs AutoAdmin vs ILP-exact raced by the portfolio
 #   SCALE     a 1M-statement log through template-compressing ingestion,
 #             then a robust design of the folded workload

@@ -430,8 +430,8 @@ func (r *runner) run(id string) (map[string]float64, map[string]float64) {
 		vals["call_reduction"] = res.CallReduction
 		vals["eval_fastpath"] = float64(res.FastPathEvals)
 		vals["eval_slowpath"] = float64(res.SlowPathEvals)
-		vals["evalcache_hits"] = float64(res.CacheHits)
-		vals["evalcache_misses"] = float64(res.CacheMisses)
+		vals["universe_queries"] = float64(res.UniverseQueries)
+		vals["universe_cells"] = float64(res.UniverseCells)
 		vals["designs_match"] = b2f(res.DesignsMatch)
 		vals["traces_match"] = b2f(res.TracesMatch)
 		vals["events_match"] = b2f(res.EventsMatch)

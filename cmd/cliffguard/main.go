@@ -186,7 +186,8 @@ func main() {
 	if *onlineMode {
 		err := runOnline(ctx, s, w, db, members, reg, observer, onlineParams{
 			gamma: *gamma, samples: *samples, iterations: *iters, seed: *seed,
-			parallelism: *par, driftFraction: *driftFraction, checkEvery: *checkEvery,
+			parallelism: *par, memberTimeout: *memberTimeout,
+			driftFraction: *driftFraction, checkEvery: *checkEvery,
 			buckets: *winBuckets, bucketSize: *bucketSize, cold: *coldRedesign,
 			verbose: *verbose,
 		})

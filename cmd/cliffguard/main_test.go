@@ -106,3 +106,23 @@ func TestOnlineWritesObservability(t *testing.T) {
 		t.Fatalf("span stream does not end in a metrics record: %d records", n)
 	}
 }
+
+// The online path bounds portfolio members by -member-timeout, as the batch
+// path does: with a 1ns bound every member misses its deadline, so both
+// paths fail the same way instead of racing the portfolio unbounded.
+func TestOnlineHonoursMemberTimeout(t *testing.T) {
+	log := writeLog(t)
+	for _, mode := range [][]string{nil, {"-online"}} {
+		args := append([]string{"-workload", log, "-gamma", "0.002",
+			"-samples", "4", "-iterations", "2", "-parallelism", "1",
+			"-designers", "advisor,ilp", "-member-timeout", "1ns"}, mode...)
+		var stdout, stderr bytes.Buffer
+		cmd := command(t, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if err == nil || !strings.Contains(stderr.String(), "context deadline exceeded") {
+			t.Fatalf("cliffguard %v: err = %v, want a member deadline failure\nstdout:\n%s\nstderr:\n%s",
+				mode, err, stdout.String(), stderr.String())
+		}
+	}
+}

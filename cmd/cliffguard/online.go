@@ -15,6 +15,7 @@ type onlineParams struct {
 	iterations    int
 	seed          int64
 	parallelism   int
+	memberTimeout time.Duration
 	driftFraction float64
 	checkEvery    int
 	buckets       int
@@ -41,7 +42,7 @@ func runOnline(ctx context.Context, s *cliffguard.Schema, w *cliffguard.Workload
 		Options: cliffguard.Options{
 			Gamma: p.gamma, Samples: p.samples, Iterations: p.iterations,
 			Seed: p.seed, Parallelism: p.parallelism,
-			Portfolio: members[1:],
+			Portfolio: members[1:], MemberTimeout: p.memberTimeout,
 		},
 		DriftFraction:    p.driftFraction,
 		CheckEvery:       p.checkEvery,

@@ -40,11 +40,11 @@ type EvalResult struct {
 	CallReduction   float64
 	FastPathEvals   uint64 // workload evaluations with zero cost-model calls (fast run)
 	SlowPathEvals   uint64 // workload evaluations that hit the model (fast run)
-	CacheHits       uint64 // evalcache hits (fast run)
-	CacheMisses     uint64
-	DesignsMatch    bool // final designs bit-identical
-	TracesMatch     bool // per-iteration traces bit-identical
-	EventsMatch     bool // full event streams bit-identical (p=1: raw order)
+	UniverseQueries int    // distinct queries the fast run numbered
+	UniverseCells   uint64 // unit-cost vector entries it filled
+	DesignsMatch    bool   // final designs bit-identical
+	TracesMatch     bool   // per-iteration traces bit-identical
+	EventsMatch     bool   // full event streams bit-identical (p=1: raw order)
 
 	// Wall-clock (informational, never gated).
 	FastMs   float64
@@ -67,12 +67,12 @@ func (c *countingCost) Cost(ctx context.Context, q *workload.Query, d *designer.
 	return c.inner.Cost(ctx, q, d)
 }
 
-// EvalBench runs the incremental-evaluation micro-experiment behind the PR 5
-// fast path: one full robust design of the set's first month (the T1
-// experiment's workload) with the unit-cost memo and pass replay on, one
-// under core.FullPassEval, both at parallelism 1 with the same seed. It
-// reports the evaluation-layer cost-model call counts, the fast/slow path
-// split, and three equivalence bits — designs, traces, and the raw event
+// EvalBench runs the incremental-evaluation micro-experiment: one full robust
+// design of the set's first month (the T1 experiment's workload) with the
+// indexed evaluator (unit-cost vectors and pass replay) on, one under
+// core.FullPassEval, both at parallelism 1 with the same seed. It reports the
+// evaluation-layer cost-model call counts, the fast/slow path split, the
+// fast run's universe size and filled cells, and three equivalence bits — designs, traces, and the raw event
 // streams must be bit-identical, so the baseline doubles as an end-to-end
 // determinism check on real generated workloads.
 func EvalBench(set *wlgen.Set, gamma float64, seed int64) (*EvalResult, error) {
@@ -86,12 +86,13 @@ func EvalBench(set *wlgen.Set, gamma float64, seed int64) (*EvalResult, error) {
 		traces []core.Trace
 		events []obs.Event
 		met    *obs.Metrics
+		stats  core.RunStats
 		calls  uint64
 		ms     float64
 	}
 	run := func(disable bool) (*runOut, error) {
 		// Fresh engine, designer, sampler, and workload clone per run:
-		// neither run may inherit the other's unit-cost memo or frozen vectors,
+		// neither run may inherit the other's frozen vectors,
 		// so cold-cache work is measured symmetrically.
 		db := vertsim.Open(s)
 		nominal := vertsim.NewDesigner(db, VerticaBudget)
@@ -115,12 +116,13 @@ func EvalBench(set *wlgen.Set, gamma float64, seed int64) (*EvalResult, error) {
 		cg := core.New(nominal, counting, sampler, opts)
 		target := set.Months[0].Clone()
 		start := time.Now()
-		d, traces, err := cg.DesignWithTrace(context.Background(), target)
+		h := cg.Start(context.Background(), target)
+		d, traces, err := h.Await(context.Background())
 		if err != nil {
 			return nil, err
 		}
 		return &runOut{
-			design: d, traces: traces, events: rec.Events(), met: met,
+			design: d, traces: traces, events: rec.Events(), met: met, stats: h.Stats(),
 			calls: counting.calls.Load(),
 			ms:    float64(time.Since(start).Microseconds()) / 1000,
 		}, nil
@@ -143,11 +145,10 @@ func EvalBench(set *wlgen.Set, gamma float64, seed int64) (*EvalResult, error) {
 		LegacyCostCalls: legacy.calls,
 		FastPathEvals:   fast.met.EvalFastPath.Load(),
 		SlowPathEvals:   fast.met.EvalSlowPath.Load(),
+		UniverseQueries: fast.stats.UniverseQueries,
+		UniverseCells:   fast.stats.UniverseCells,
 		FastMs:          fast.ms,
 		LegacyMs:        legacy.ms,
-	}
-	if cs, ok := fast.met.CacheSnapshots()["evalcache"]; ok {
-		res.CacheHits, res.CacheMisses = cs.Hits, cs.Misses
 	}
 	if res.FastCostCalls > 0 {
 		res.CallReduction = float64(res.LegacyCostCalls) / float64(res.FastCostCalls)

@@ -170,7 +170,7 @@ func WriteEvalCSV(w io.Writer, r *EvalResult) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"workload", "samples", "iterations",
 		"fast_cost_calls", "legacy_cost_calls", "call_reduction",
-		"eval_fastpath", "eval_slowpath", "evalcache_hits", "evalcache_misses",
+		"eval_fastpath", "eval_slowpath", "universe_queries", "universe_cells",
 		"designs_match", "traces_match", "events_match",
 		"fast_ms", "legacy_ms", "speedup"}); err != nil {
 		return err
@@ -180,7 +180,7 @@ func WriteEvalCSV(w io.Writer, r *EvalResult) error {
 		strconv.FormatUint(r.FastCostCalls, 10), strconv.FormatUint(r.LegacyCostCalls, 10),
 		f(r.CallReduction),
 		strconv.FormatUint(r.FastPathEvals, 10), strconv.FormatUint(r.SlowPathEvals, 10),
-		strconv.FormatUint(r.CacheHits, 10), strconv.FormatUint(r.CacheMisses, 10),
+		strconv.Itoa(r.UniverseQueries), strconv.FormatUint(r.UniverseCells, 10),
 		strconv.FormatBool(r.DesignsMatch), strconv.FormatBool(r.TracesMatch),
 		strconv.FormatBool(r.EventsMatch),
 		f(r.FastMs), f(r.LegacyMs), f(r.Speedup),

@@ -133,10 +133,10 @@ func PrintSampler(w io.Writer, r *SamplerResult) {
 func PrintEval(w io.Writer, r *EvalResult) {
 	fmt.Fprintf(w, "%-10s %7s %5s %11s %12s %10s %10s %10s %10s %10s\n",
 		"Workload", "Samples", "Iters", "Fast calls", "Legacy calls", "Reduction",
-		"Fast evals", "Slow evals", "Hits", "Misses")
+		"Fast evals", "Slow evals", "Queries", "Cells")
 	fmt.Fprintf(w, "%-10s %7d %5d %11d %12d %9.1fx %10d %10d %10d %10d\n",
 		r.Workload, r.Samples, r.Iterations, r.FastCostCalls, r.LegacyCostCalls,
-		r.CallReduction, r.FastPathEvals, r.SlowPathEvals, r.CacheHits, r.CacheMisses)
+		r.CallReduction, r.FastPathEvals, r.SlowPathEvals, r.UniverseQueries, r.UniverseCells)
 	fmt.Fprintf(w, "equivalence: designs=%v traces=%v events=%v\n",
 		r.DesignsMatch, r.TracesMatch, r.EventsMatch)
 	fmt.Fprintf(w, "wall-clock: fast %.1f ms, legacy %.1f ms (%.2fx, informational)\n",

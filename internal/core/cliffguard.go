@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"cliffguard/internal/designer"
-	"cliffguard/internal/evalcache"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/portfolio"
 	"cliffguard/internal/sample"
@@ -106,8 +105,7 @@ func (cg *CliffGuard) DesignWithTrace(ctx context.Context, w0 *workload.Workload
 
 // run is the robust loop itself (Algorithm 2); Start executes it on the run
 // goroutine.
-func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer.Design, []Trace, RunStats, error) {
-	var stats RunStats
+func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (_ *designer.Design, _ []Trace, stats RunStats, _ error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -152,13 +150,17 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 		Produced:  len(neighborhood),
 	})
 
-	// The incremental evaluator: a unit-cost memo plus a per-design score
-	// cache over the (now fixed) neighborhood. Every already-scored design
-	// replays instead of re-invoking the cost model; see incremental.go.
-	ev := cg.newRunEval(opts)
+	// The incremental evaluator: the (now fixed) neighborhood's queries are
+	// numbered once, and each scored design keeps one unit-cost vector over
+	// them. Every already-scored design replays instead of re-invoking the
+	// cost model; see incremental.go.
+	ev := cg.newRunEval(opts, w0, neighborhood)
+	defer func() {
+		stats.UniverseQueries, stats.UniverseCells = len(ev.u.queries), ev.cells
+	}()
 
 	alpha := opts.InitialAlpha
-	worst, err := worstOf(ev.score(ctx, neighborhood, d, em, -1, obs.PhaseInitial))
+	worst, err := worstOf(ev.score(ctx, d, em, -1, obs.PhaseInitial))
 	if err != nil {
 		return nil, nil, stats, err
 	}
@@ -175,7 +177,7 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 			stats.IncumbentScored = true
 			stats.IncumbentWorst = worst
 		} else {
-			incWorst, incErr := worstOf(ev.score(ctx, neighborhood, inc, em, -1, obs.PhaseInitial))
+			incWorst, incErr := worstOf(ev.score(ctx, inc, em, -1, obs.PhaseInitial))
 			switch {
 			case incErr == nil:
 				stats.IncumbentScored = true
@@ -199,7 +201,7 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 	// x_k + t_k*d — whereas each nominal re-design starts from scratch, so
 	// without accumulation a move can trade previously-hedged directions for
 	// new ones and never converge.)
-	var accumulated []*workload.Workload
+	var accumulated []int
 
 	for iter := 0; iter < opts.Iterations; iter++ {
 		iterStart := em.clock()
@@ -209,8 +211,7 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 		// The incumbent was scored by the previous pass (the initial scan or
 		// the last candidate scan), so with the fast path on this ranking is
 		// a replay of that pass, not a re-evaluation.
-		worstNeighbors, err := topNeighbors(neighborhood,
-			ev.score(ctx, neighborhood, d, em, iter, obs.PhaseRank), opts.TopFraction)
+		worstNeighbors, err := topNeighbors(ev.score(ctx, d, em, iter, obs.PhaseRank), opts.TopFraction)
 		if err != nil {
 			return nil, nil, stats, err
 		}
@@ -220,14 +221,14 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 			moveTargets = worstNeighbors
 		}
 
-		// Robust local move: merge and re-design. The move reads the same
-		// unit-cost memo the ranking pass just filled.
-		moved := cg.moveWorkload(ctx, w0, moveTargets, d, alpha, ev.units)
+		// Robust local move: merge and re-design. The move reads the
+		// incumbent's unit-cost vector.
+		moved := ev.u.moveWorkload(moveTargets, alpha, ev.unit(ctx, d))
 		cand, err := cg.invokeNominal(ctx, em, nominal, iter, moved)
 		if err != nil {
 			return nil, nil, stats, fmt.Errorf("core: nominal design on moved workload: %w", err)
 		}
-		candWorst, err := worstOf(ev.score(ctx, neighborhood, cand, em, iter, obs.PhaseCandidate))
+		candWorst, err := worstOf(ev.score(ctx, cand, em, iter, obs.PhaseCandidate))
 		if err != nil {
 			return nil, nil, stats, err
 		}
@@ -250,8 +251,8 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 			alpha = math.Max(alpha*opts.LambdaFailure, AlphaMin)
 			sinceImprove++
 		}
-		// Two-generation eviction: unit costs and scores survive only for
-		// the incumbent (possibly just replaced) and the latest candidate.
+		// Two-generation eviction: vectors survive only for the incumbent
+		// (possibly just replaced) and the latest candidate.
 		ev.retain(d, cand)
 		em.emit(end)
 		if em.met != nil {
@@ -347,16 +348,12 @@ func worstOf(results []evalResult) (float64, error) {
 	return worst, nil
 }
 
-// topNeighbors reduces one evaluation pass to the top fraction of the
-// neighborhood by cost, most expensive first. The stable sort runs over the
-// index-ordered result slice, so ties between equal-cost neighbors break by
-// neighborhood index regardless of worker count.
-func topNeighbors(neighborhood []*workload.Workload, results []evalResult, frac float64) ([]*workload.Workload, error) {
-	type scored struct {
-		w *workload.Workload
-		c float64
-	}
-	var all []scored
+// topNeighbors reduces one evaluation pass to the neighborhood indices of
+// the top fraction by cost, most expensive first. The stable sort runs over
+// the index-ordered result slice, so ties between equal-cost neighbors break
+// by neighborhood index regardless of worker count.
+func topNeighbors(results []evalResult, frac float64) ([]int, error) {
+	var idx []int
 	for i, r := range results {
 		if r.err != nil {
 			if errors.Is(r.err, errWorkloadUncostable) {
@@ -364,24 +361,14 @@ func topNeighbors(neighborhood []*workload.Workload, results []evalResult, frac 
 			}
 			return nil, r.err
 		}
-		all = append(all, scored{neighborhood[i], r.cost})
+		idx = append(idx, i)
 	}
-	if len(all) == 0 {
+	if len(idx) == 0 {
 		return nil, ErrUncostableNeighborhood
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].c > all[j].c })
-	k := int(math.Ceil(frac * float64(len(all))))
-	if k < 1 {
-		k = 1
-	}
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]*workload.Workload, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].w
-	}
-	return out, nil
+	sort.SliceStable(idx, func(a, b int) bool { return results[idx[a]].cost > results[idx[b]].cost })
+	k := min(max(int(math.Ceil(frac*float64(len(idx)))), 1), len(idx))
+	return idx[:k], nil
 }
 
 // MoveWorkload implements Algorithm 3: build a merged workload closer to the
@@ -401,80 +388,89 @@ func topNeighbors(neighborhood []*workload.Workload, results []evalResult, frac 
 // search while keeping the designer's objective balanced between W0 and the
 // perturbation directions.)
 func (cg *CliffGuard) MoveWorkload(ctx context.Context, w0 *workload.Workload, worstNeighbors []*workload.Workload, d *designer.Design, alpha float64) *workload.Workload {
-	return cg.moveWorkload(ctx, w0, worstNeighbors, d, alpha, nil)
-}
-
-// moveWorkload is MoveWorkload with an optional unit-cost memo: inside the
-// robust loop the per-query latencies under the incumbent design were just
-// computed by the ranking pass, so units (keyed by d's fingerprint) turns
-// the latency-times-frequency loop into pure lookups.
-func (cg *CliffGuard) moveWorkload(ctx context.Context, w0 *workload.Workload, worstNeighbors []*workload.Workload, d *designer.Design, alpha float64, units *evalcache.Cache) *workload.Workload {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// weight(q, W) aggregated by query identity.
-	w0Weight := make(map[*workload.Query]float64)
-	for _, it := range w0.Items {
-		w0Weight[it.Q] += it.Weight
+	u := newUniverse(w0, worstNeighbors)
+	targets := make([]int, len(worstNeighbors))
+	for i := range targets {
+		targets[i] = i
 	}
-	neighborWeight := make(map[*workload.Query]float64)
-	var order []*workload.Query
-	seen := make(map[*workload.Query]bool)
-	for _, q := range w0.Queries() {
-		if !seen[q] {
-			seen[q] = true
-			order = append(order, q)
-		}
-	}
-	for _, wn := range worstNeighbors {
-		for _, it := range wn.Items {
-			if w0Weight[it.Q] > 0 {
-				// W0's own queries re-appear inside every sampled neighbor;
-				// their movement pressure is already represented by the
-				// weight(q, W0) term.
-				continue
-			}
-			neighborWeight[it.Q] += it.Weight
-			if !seen[it.Q] {
-				seen[it.Q] = true
-				order = append(order, it.Q)
-			}
-		}
-	}
+	return u.moveWorkload(targets, alpha, cg.unitCall(ctx, u, d))
+}
 
-	// Raw movement pressure: latency x frequency per neighbor query. Iterate
-	// the deterministic order slice, not the neighborWeight map: rawTotal is a
-	// float sum, and map iteration order would make its rounding — and hence
-	// the moved workload's weights — vary from run to run.
-	raw := make(map[*workload.Query]float64, len(neighborWeight))
+// moveWorkload is MoveWorkload over the universe's neighbors targets (by
+// index, repeats allowed). unit returns the current design's unit cost of a
+// universe entry; ok is false for an unsupported query or a hard error, which
+// the move skips. Inside the robust loop unit reads the incumbent's vector,
+// which the ranking pass already filled.
+func (u *universe) moveWorkload(targets []int, alpha float64, unit func(int32) (float64, bool)) *workload.Workload {
+	// weight(q, W0) is u.w0Weight; order lists W0's distinct queries, then
+	// every other query of the worst neighbors in first-appearance order.
+	// weight[x] accumulates q's weight across the worst neighbors, then holds
+	// its raw movement pressure.
+	const seen, moving = 1, 2
+	weight, state := u.moveWeight, u.moveState
+	clear(weight)
+	clear(state)
+	order := u.moveOrder[:0]
+	for x := 0; x < u.nW0; x++ {
+		state[x] = seen
+		order = append(order, int32(x))
+	}
+	visit := func(x int32, w float64) {
+		if u.w0Weight[x] > 0 {
+			// W0's own queries re-appear inside every sampled neighbor;
+			// their movement pressure is already represented by the
+			// weight(q, W0) term.
+			return
+		}
+		weight[x] += w
+		if state[x]&seen == 0 {
+			order = append(order, x)
+		}
+		state[x] |= seen | moving
+	}
+	for _, i := range targets {
+		n := &u.nbrs[i]
+		if n.prefix {
+			for k, x := range u.w0Idx {
+				visit(x, u.w0[k].Weight)
+			}
+		}
+		for k, x := range n.idx {
+			visit(x, n.tail[k].Weight)
+		}
+	}
+	u.moveOrder = order
+
+	// Raw movement pressure: latency x frequency per neighbor query, summed
+	// in the deterministic order, so rawTotal's rounding never varies.
 	var rawTotal float64
-	fp := d.Fingerprint()
-	for _, q := range order {
-		nw, ok := neighborWeight[q]
-		if !ok {
+	for _, x := range order {
+		if state[x]&moving == 0 {
 			continue
 		}
-		// Unsupported queries and hard errors are skipped either way, so the
-		// memoized and legacy paths build identical moved workloads.
-		fq, unsupported, _, err := cg.unitCost(ctx, q, d, units, fp)
-		if err != nil || unsupported || fq <= 0 {
+		fq, ok := unit(x)
+		if !ok || fq <= 0 {
+			weight[x] = 0
 			continue
 		}
-		r := fq * nw
-		raw[q] = r
+		r := fq * weight[x]
+		weight[x] = r
 		rawTotal += r
 	}
 
 	scale := 0.0
 	if rawTotal > 0 {
-		scale = alpha * w0.TotalWeight() / rawTotal
+		scale = alpha * u.w0Total / rawTotal
 	}
 
-	moved := &workload.Workload{}
-	for _, q := range order {
-		omega := w0Weight[q] + raw[q]*scale
+	moved := &workload.Workload{Items: make([]workload.Item, 0, len(order))}
+	for _, x := range order {
+		omega := u.w0Weight[x] + weight[x]*scale
 		if omega > 0 && !math.IsInf(omega, 0) && !math.IsNaN(omega) {
-			moved.Add(q, omega)
+			moved.Add(u.queries[x], omega)
 		}
 	}
 	return moved

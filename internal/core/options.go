@@ -101,10 +101,10 @@ type Options struct {
 	// Observer receives the loop's typed instrumentation events
 	// (obs.IterationStart/End, obs.NeighborEvaluated, ...). nil disables
 	// event emission at ~zero cost. The observer MUST be safe for
-	// concurrent OnEvent calls when Parallelism != 1: NeighborEvaluated is
-	// emitted from the evaluator's worker goroutines. Events never carry
-	// wall-clock time, so attaching an observer cannot perturb the
-	// determinism of designs or traces.
+	// concurrent OnEvent calls when Parallelism != 1: the reference full
+	// pass emits NeighborEvaluated from its worker goroutines. Events
+	// never carry wall-clock time, so attaching an observer cannot perturb
+	// the determinism of designs or traces.
 	Observer obs.Observer
 	// Metrics, when non-nil, aggregates atomic counters and latency
 	// histograms across the run (sampler draws, cost-model calls, pool

@@ -4,39 +4,32 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"cliffguard/internal/designer"
-	"cliffguard/internal/evalcache"
 	"cliffguard/internal/obs"
+	"cliffguard/internal/pool"
 	"cliffguard/internal/workload"
 )
 
-// The parallel neighborhood evaluation engine. Every iteration of Algorithm 2
-// scores the whole sampled Gamma-neighborhood twice (worst-case scan and
-// worst-neighbor ranking); those n+1 workload evaluations are independent, so
-// they fan out to a bounded worker pool. Determinism is preserved by
-// construction: each workload's cost is accumulated sequentially inside one
-// goroutine (fixed float summation order), results land in an index-aligned
-// slice, and every reduction — max, stable sort, error selection — walks that
-// slice in index order. A fixed seed therefore yields bit-identical designs
-// and traces for any worker count.
-//
-// Instrumentation follows the same discipline: NeighborEvaluated events fire
-// from worker goroutines (observers must tolerate concurrency; the event
-// multiset per pass is deterministic even though arrival order is not), and
-// pool occupancy gauges are plain atomic adds. With a nil observer and nil
-// metrics the emitter fields are nil and every instrumentation site is a
-// single pointer check.
+// The parallel neighborhood evaluation engine: pool sizing, the reductions'
+// error contract, and the memo-free reference pass (evalNeighborhood) that
+// FullPassEval and NeighborhoodCosts run. The robust loop itself evaluates
+// through the indexed evaluator (incremental.go) on the same pool.
+// Determinism holds by construction: each workload's cost is summed inside
+// one goroutine in item order, results land in an index-aligned slice, and
+// every reduction — max, stable sort, error selection — walks that slice in
+// index order, so a fixed seed yields bit-identical designs and traces for
+// any worker count. The reference pass fires NeighborEvaluated events from
+// worker goroutines (the multiset per pass is deterministic, the arrival
+// order is not). With a nil observer and nil metrics every instrumentation
+// site is a single pointer check.
 
 // errWorkloadUncostable marks a single workload in which every query is
-// outside the cost model's supported subset. It is internal: per-workload
-// uncostability is tolerated (the workload is skipped), and only when the
-// whole neighborhood is uncostable does it surface as
-// ErrUncostableNeighborhood.
-var errWorkloadUncostable = errors.New("core: workload has no costable queries")
+// outside the cost model's supported subset. Per-workload uncostability is
+// tolerated (the workload is skipped); only when the whole neighborhood is
+// uncostable does it surface as ErrUncostableNeighborhood.
+var errWorkloadUncostable = designer.ErrNoCostableQuery
 
 // ErrUncostableNeighborhood is returned by Design/DesignWithTrace when no
 // workload in the sampled Gamma-neighborhood has a single costable query.
@@ -77,82 +70,46 @@ type evalResult struct {
 	err  error
 }
 
-// workers resolves Options.Parallelism to a pool size for n tasks:
-// non-positive means runtime.NumCPU(), and the pool never exceeds the task
-// count.
-func (cg *CliffGuard) workers(n int) int {
-	p := cg.Opts.Parallelism
-	if p <= 0 {
-		p = runtime.NumCPU()
+// fanOut runs task(i) for every i in [0, n) on the worker pool sized by
+// Options.Parallelism (pool.Size: non-positive means runtime.NumCPU()),
+// keeping the pool occupancy gauges.
+func (cg *CliffGuard) fanOut(n int, em emitter, task func(i int)) {
+	if em.met == nil {
+		pool.Run(cg.Opts.Parallelism, n, func(_, i int) { task(i) })
+		return
 	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	em.met.PoolQueueDepth.Add(int64(n))
+	pool.Run(cg.Opts.Parallelism, n, func(_, i int) {
+		em.met.PoolQueueDepth.Add(-1)
+		em.met.PoolWorkersBusy.Add(1)
+		task(i)
+		em.met.PoolWorkersBusy.Add(-1)
+	})
 }
 
 // evalNeighborhood evaluates f(W, D) for every workload under design d,
-// fanning out to the worker pool. The returned slice is index-aligned with
-// the input regardless of completion order. iter and phase tag the emitted
-// NeighborEvaluated events (iter is -1 for the pre-loop initial scan).
-// units, when non-nil, memoizes unit costs under d's fingerprint (the
-// sharded cache is safe for the pool's concurrent workers); nil keeps the
-// legacy call-the-model-every-time behavior.
-func (cg *CliffGuard) evalNeighborhood(ctx context.Context, neighborhood []*workload.Workload, d *designer.Design, em emitter, iter int, phase string, units *evalcache.Cache) []evalResult {
-	fp := d.Fingerprint()
+// fanning out to the worker pool, with one cost-model call per (query,
+// workload): the memo-free reference pass behind NeighborhoodCosts and
+// FullPassEval. The returned slice is index-aligned with the input regardless
+// of completion order. iter and phase tag the emitted NeighborEvaluated
+// events (iter is -1 for the pre-loop initial scan).
+func (cg *CliffGuard) evalNeighborhood(ctx context.Context, neighborhood []*workload.Workload, d *designer.Design, em emitter, iter int, phase string) []evalResult {
 	res := make([]evalResult, len(neighborhood))
-	workers := cg.workers(len(neighborhood))
-	if workers == 1 {
-		for i, w := range neighborhood {
-			res[i] = cg.evalOne(ctx, w, d, em, iter, phase, i, units, fp)
-		}
-		return res
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if em.met != nil {
-					em.met.PoolQueueDepth.Add(-1)
-					em.met.PoolWorkersBusy.Add(1)
-				}
-				res[i] = cg.evalOne(ctx, neighborhood[i], d, em, iter, phase, i, units, fp)
-				if em.met != nil {
-					em.met.PoolWorkersBusy.Add(-1)
-				}
-			}
-		}()
-	}
-	for i := range neighborhood {
-		if em.met != nil {
-			em.met.PoolQueueDepth.Add(1)
-		}
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	cg.fanOut(len(neighborhood), em, func(i int) {
+		res[i] = cg.evalOne(ctx, neighborhood[i], d, em, iter, phase, i)
+	})
 	return res
 }
 
-func (cg *CliffGuard) evalOne(ctx context.Context, w *workload.Workload, d *designer.Design, em emitter, iter int, phase string, index int, units *evalcache.Cache, fp uint64) evalResult {
+func (cg *CliffGuard) evalOne(ctx context.Context, w *workload.Workload, d *designer.Design, em emitter, iter int, phase string, index int) evalResult {
 	if err := ctx.Err(); err != nil {
 		return evalResult{err: err}
 	}
 	start := em.clock()
-	c, usedModel, err := cg.workloadCost(ctx, w, d, units, fp)
+	c, err := designer.MeanCost(ctx, cg.Cost, w, d)
 	if em.met != nil {
 		em.met.NeighborsEvaluated.Inc()
-		if usedModel {
-			em.met.EvalSlowPath.Inc()
-		} else {
-			em.met.EvalFastPath.Inc()
-		}
+		em.met.EvalSlowPath.Inc()
 		em.met.EvalLatency.Observe(time.Since(start))
 	}
 	if em.obs != nil {
@@ -168,78 +125,17 @@ func (cg *CliffGuard) evalOne(ctx context.Context, w *workload.Workload, d *desi
 	return evalResult{cost: c, err: err}
 }
 
-// workloadCost evaluates f(W, D), normalized by total weight so that
-// workloads with different total weights (the sampler adds mass) are
-// comparable. Queries outside the cost model's supported subset are skipped;
-// any other cost-model error (including ctx cancellation) aborts the
-// evaluation.
-//
-// f(W, D) is linear in the item weights — a weighted mean of per-query unit
-// costs — so with a warm units cache the whole evaluation is a dot product
-// over memoized float64s, bit-identical to the uncached sum (same values,
-// same summation order). usedModel reports whether any cost-model call was
-// actually made (false = the evaluation was served entirely from the memo).
-func (cg *CliffGuard) workloadCost(ctx context.Context, w *workload.Workload, d *designer.Design, units *evalcache.Cache, fp uint64) (cost float64, usedModel bool, err error) {
-	var total, weight float64
-	for _, it := range w.Items {
-		c, unsupported, computed, err := cg.unitCost(ctx, it.Q, d, units, fp)
-		if computed {
-			usedModel = true
-		}
-		if err != nil {
-			return 0, usedModel, err
-		}
-		if unsupported {
-			continue
-		}
-		total += it.Weight * c
-		weight += it.Weight
-	}
-	if weight == 0 {
-		return 0, usedModel, errWorkloadUncostable
-	}
-	return total / weight, usedModel, nil
-}
-
-// unitCost returns the what-if cost of one query under design d (fingerprint
-// fp), memoizing through units when non-nil. designer.ErrUnsupported is a
-// deterministic verdict and is memoized alongside costs (unsupported=true);
-// hard errors (cancellation, cost-model failure) are returned uncached so a
-// transient failure can never poison the memo. computed reports whether the
-// cost model was invoked.
-func (cg *CliffGuard) unitCost(ctx context.Context, q *workload.Query, d *designer.Design, units *evalcache.Cache, fp uint64) (cost float64, unsupported, computed bool, err error) {
-	if units != nil {
-		if c, uns, ok := units.Lookup(q, fp); ok {
-			return c, uns, false, nil
-		}
-	}
-	c, err := cg.Cost.Cost(ctx, q, d)
-	if err != nil {
-		if errors.Is(err, designer.ErrUnsupported) {
-			if units != nil {
-				units.Store(q, fp, 0, true)
-			}
-			return 0, true, true, nil
-		}
-		return 0, false, true, err
-	}
-	if units != nil {
-		units.Store(q, fp, c, false)
-	}
-	return c, false, true, nil
-}
-
 // NeighborhoodCosts evaluates f(W, D) for every workload in parallel and
 // returns the index-aligned costs; workloads with no costable queries yield
-// NaN. It exposes the evaluation engine that worstCase/worstNeighbors are
-// built on (and is what BenchmarkNeighborhoodEval measures). It runs with
-// instrumentation disabled: the zero emitter keeps this path at its
-// pre-instrumentation cost.
+// NaN. It runs the memo-free reference pass, whose scores the robust loop's
+// indexed evaluator reproduces bit for bit (BenchmarkNeighborhoodEval
+// measures it). It runs with instrumentation disabled: the zero emitter
+// keeps this path at its pre-instrumentation cost.
 func (cg *CliffGuard) NeighborhoodCosts(ctx context.Context, neighborhood []*workload.Workload, d *designer.Design) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results := cg.evalNeighborhood(ctx, neighborhood, d, emitter{}, -1, obs.PhaseInitial, nil)
+	results := cg.evalNeighborhood(ctx, neighborhood, d, emitter{}, -1, obs.PhaseInitial)
 	out := make([]float64, len(results))
 	for i, r := range results {
 		if r.err != nil {

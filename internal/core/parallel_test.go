@@ -12,6 +12,7 @@ import (
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/distance"
+	"cliffguard/internal/pool"
 	"cliffguard/internal/sample"
 	"cliffguard/internal/workload"
 )
@@ -231,22 +232,23 @@ func TestMoveWorkloadDeterministic(t *testing.T) {
 	}
 }
 
-// TestWorkersResolution pins the Parallelism -> pool-size mapping.
+// TestWorkersResolution pins the Parallelism -> pool-size mapping the run's
+// worker pool (fanOut) applies.
 func TestWorkersResolution(t *testing.T) {
 	cg := &CliffGuard{}
 	cg.Opts.Parallelism = 0
-	if got := cg.workers(1000); got != runtime.NumCPU() {
+	if got := pool.Size(cg.Opts.Parallelism, 1000); got != runtime.NumCPU() {
 		t.Errorf("default workers = %d, want NumCPU %d", got, runtime.NumCPU())
 	}
 	cg.Opts.Parallelism = 4
-	if got := cg.workers(2); got != 2 {
+	if got := pool.Size(cg.Opts.Parallelism, 2); got != 2 {
 		t.Errorf("workers capped by task count: got %d, want 2", got)
 	}
-	if got := cg.workers(100); got != 4 {
+	if got := pool.Size(cg.Opts.Parallelism, 100); got != 4 {
 		t.Errorf("workers = %d, want 4", got)
 	}
 	cg.Opts.Parallelism = -3
-	if got := cg.workers(1000); got != runtime.NumCPU() {
+	if got := pool.Size(cg.Opts.Parallelism, 1000); got != runtime.NumCPU() {
 		t.Errorf("negative parallelism: got %d, want NumCPU", got)
 	}
 }

@@ -36,6 +36,11 @@ type RunStats struct {
 	// from the previous run's store. The online controller sets it; core
 	// never does.
 	WarmHits uint64
+	// UniverseQueries is the number of distinct queries the run numbered in
+	// its neighborhood; UniverseCells counts the unit-cost entries its live
+	// evaluation passes filled, one per (query, scored design).
+	UniverseQueries int
+	UniverseCells   uint64
 }
 
 // RunState is the lifecycle state of one asynchronous robust-design run.

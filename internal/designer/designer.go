@@ -206,6 +206,34 @@ func WorkloadCost(ctx context.Context, cm CostModel, w *workload.Workload, d *De
 	return total, nil
 }
 
+// ErrNoCostableQuery reports a workload none of whose queries the cost
+// model supports (every Cost returned ErrUnsupported).
+var ErrNoCostableQuery = errors.New("designer: no query of the workload is costable under the cost model")
+
+// MeanCost returns f(W, D) normalized by costable weight: the weighted mean
+// of w's unit costs under d, summed in item order, skipping ErrUnsupported
+// queries, so workloads of different total weight compare. A workload with
+// no costable query yields ErrNoCostableQuery; any other cost-model error
+// (cancellation included) is returned as is.
+func MeanCost(ctx context.Context, cm CostModel, w *workload.Workload, d *Design) (float64, error) {
+	var total, weight float64
+	for _, it := range w.Items {
+		c, err := cm.Cost(ctx, it.Q, d)
+		if err != nil {
+			if errors.Is(err, ErrUnsupported) {
+				continue
+			}
+			return 0, err
+		}
+		total += it.Weight * c
+		weight += it.Weight
+	}
+	if weight == 0 {
+		return 0, ErrNoCostableQuery
+	}
+	return total / weight, nil
+}
+
 // Designer finds a design for a workload within its (construction-time)
 // storage budget. Implementations are the paper's "existing designers";
 // CliffGuard wraps one. Design observes ctx cancellation: a cancelled

@@ -25,7 +25,8 @@ import (
 //     asked for — the previous run's included.
 //
 // When Read != Write only Read is consulted: a value the run itself computed
-// earlier is the per-run evalcache.Cache's to serve, not the layer's.
+// earlier is its unit-cost vectors' to serve (internal/core), not the
+// layer's.
 //
 // designer.ErrUnsupported verdicts are memoized (they are as deterministic as
 // costs); hard errors are returned but never stored. Values must only ever

@@ -1,3 +1,8 @@
+// Package evalcache memoizes unit costs beyond a single run: Layer is a
+// designer.CostModel that stores (engine class, query content, design
+// fingerprint) -> cost in Shared stores, a striped map (internal/stripe).
+// Within a run, the robust loop's unit-cost vectors (internal/core) serve
+// repeats, so the Layer sees each (query, design) the run fills.
 package evalcache
 
 import (
@@ -5,9 +10,8 @@ import (
 	"cliffguard/internal/stripe"
 )
 
-// SharedKey identifies one memoized unit cost in a Shared store. Unlike the
-// per-run Cache (which keys by query *pointer* — the fastest possible
-// identity inside one process-local run), Shared keys by content:
+// SharedKey identifies one memoized unit cost in a Shared store. It keys by
+// content, not by query pointer:
 //
 //   - Class is the engine's cost-model class fingerprint (engine kind +
 //     schema): two tenants share entries only when their cost models are
@@ -37,16 +41,24 @@ func (k SharedKey) Mix() uint64 {
 }
 
 // Shared is a content-keyed unit-cost store, read and written through a
-// Layer: cliffguardd keeps one per process beneath every tenant's per-run
-// Cache, and an online controller hands one from each re-design to the next.
-// It is the same striped map as Cache; values are pure functions of their
-// key, so concurrent redundant computation is benign.
+// Layer: cliffguardd keeps one per process beneath every tenant's runs, and
+// an online controller hands one from each re-design to the next. Values are
+// pure functions of their key, so concurrent redundant computation is
+// benign.
 //
 // The store is unbounded: nothing evicts entries, so it grows with
 // |distinct designs seen| x |distinct queries|. An entry cap is open work
 // (ROADMAP item 2).
 type Shared struct {
 	m stripe.Map[SharedKey, entry]
+}
+
+// entry is one memoized outcome: a cost, or the cost model's "query not
+// supported" verdict (designer.ErrUnsupported), which is as deterministic as
+// a cost and equally worth memoizing. Hard errors are never stored.
+type entry struct {
+	cost        float64
+	unsupported bool
 }
 
 // NewShared returns an empty shared memo.

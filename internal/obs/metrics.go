@@ -213,8 +213,8 @@ type Metrics struct {
 
 	// Robust-loop progress (internal/core).
 	NeighborsEvaluated  Counter // per-workload neighborhood evaluations
-	EvalFastPath        Counter // workload evaluations served entirely from the unit-cost memo (zero cost-model calls)
-	EvalSlowPath        Counter // workload evaluations that invoked the cost model at least once
+	EvalFastPath        Counter // workload evaluations that needed no cost-model call of their own (replayed, or every unit cost already filled)
+	EvalSlowPath        Counter // workload evaluations holding a unit cost the pass computed first (every reference-pass evaluation)
 	MovesAccepted       Counter
 	MovesRejected       Counter
 	IterationsCompleted Counter
@@ -278,7 +278,7 @@ type Metrics struct {
 func NewMetrics() *Metrics { return &Metrics{} }
 
 // RegisterCache registers a sharded memo cache's snapshot function under a
-// name (e.g. "evalcache"); the exporters pull per-shard hit/miss stats
+// name (e.g. "shared-unitcost"); the exporters pull per-shard hit/miss stats
 // through it. Re-registering a name replaces the previous function.
 func (m *Metrics) RegisterCache(name string, snapshot func() CacheStats) {
 	if m == nil || snapshot == nil {

@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/obs"
+	"cliffguard/internal/pool"
 	"cliffguard/internal/workload"
 )
 
@@ -58,10 +57,6 @@ func New(cost designer.CostModel, members ...designer.Designer) *Portfolio {
 
 // Name implements designer.Designer.
 func (p *Portfolio) Name() string { return "Portfolio" }
-
-// errNoCostableWorkload marks a design under which no query of the workload
-// is costable; such members are skipped like erroring ones.
-var errNoCostableWorkload = errors.New("portfolio: no query of the workload is costable under the cost model")
 
 // memberOut is one member's race outcome, index-aligned with Members.
 type memberOut struct {
@@ -135,12 +130,12 @@ func (p *Portfolio) Design(ctx context.Context, w *workload.Workload) (*designer
 		fp := out.d.Fingerprint()
 		sc, ok := scores[fp]
 		if !ok {
-			c, err := p.workloadCost(ctx, w, out.d)
+			c, err := designer.MeanCost(ctx, p.Cost, w, out.d)
 			sc = score{cost: c, err: err}
 			scores[fp] = sc
 		}
 		if sc.err != nil {
-			if !errors.Is(sc.err, errNoCostableWorkload) {
+			if !errors.Is(sc.err, designer.ErrNoCostableQuery) {
 				return nil, sc.err
 			}
 			if p.Metrics != nil {
@@ -172,7 +167,7 @@ func (p *Portfolio) Design(ctx context.Context, w *workload.Workload) (*designer
 // timeout-bounded child context; outputs are member-index-aligned.
 func (p *Portfolio) race(ctx context.Context, w *workload.Workload) []memberOut {
 	outs := make([]memberOut, len(p.Members))
-	runOne := func(i int) {
+	pool.Run(p.Parallelism, len(p.Members), func(_, i int) {
 		mctx := ctx
 		cancel := context.CancelFunc(func() {})
 		if p.MemberTimeout > 0 {
@@ -184,70 +179,6 @@ func (p *Portfolio) race(ctx context.Context, w *workload.Workload) []memberOut 
 			err = errors.New("designer returned a nil design")
 		}
 		outs[i] = memberOut{d: d, err: err}
-	}
-	workers := p.workers(len(p.Members))
-	if workers == 1 {
-		for i := range p.Members {
-			runOne(i)
-		}
-		return outs
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
-		}()
-	}
-	for i := range p.Members {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	})
 	return outs
-}
-
-// workloadCost evaluates f(W, D) normalized by costable weight — the same
-// semantics as the robust loop's evaluator: unsupported queries are skipped,
-// a workload with no costable query yields errNoCostableWorkload, hard
-// errors propagate.
-func (p *Portfolio) workloadCost(ctx context.Context, w *workload.Workload, d *designer.Design) (float64, error) {
-	var total, weight float64
-	for _, it := range w.Items {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		c, err := p.Cost.Cost(ctx, it.Q, d)
-		if err != nil {
-			if errors.Is(err, designer.ErrUnsupported) {
-				continue
-			}
-			return 0, err
-		}
-		total += it.Weight * c
-		weight += it.Weight
-	}
-	if weight == 0 {
-		return 0, errNoCostableWorkload
-	}
-	return total / weight, nil
-}
-
-// workers resolves Parallelism to a pool size for n tasks.
-func (p *Portfolio) workers(n int) int {
-	par := p.Parallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-	if par > n {
-		par = n
-	}
-	if par < 1 {
-		par = 1
-	}
-	return par
 }

@@ -34,10 +34,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"cliffguard/internal/distance"
 	"cliffguard/internal/obs"
+	"cliffguard/internal/pool"
 	"cliffguard/internal/workload"
 )
 
@@ -263,30 +263,17 @@ func (s *Sampler) Neighborhood(rng *rand.Rand, w0 *workload.Workload, gamma floa
 		results[i], errs[i] = s.SampleAt(sub, w0, alpha)
 	}
 
-	if p := s.workers(n); p == 1 {
-		sub := rand.New(rand.NewSource(0))
-		for i := 0; i < n; i++ {
-			draw(sub, i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < p; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sub := rand.New(rand.NewSource(0))
-				for i := range idx {
-					draw(sub, i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	par := s.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
+	subs := make([]*rand.Rand, pool.Size(par, n))
+	pool.Run(par, n, func(w, i int) {
+		if subs[w] == nil {
+			subs[w] = rand.New(rand.NewSource(0))
+		}
+		draw(subs[w], i)
+	})
 
 	// Merge in draw-index order so the output is independent of completion
 	// order; failed draws are dropped here.
@@ -317,21 +304,6 @@ func splitmix64(root, i uint64) uint64 {
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	return x ^ (x >> 31)
-}
-
-// workers resolves the worker count for an n-draw neighborhood.
-func (s *Sampler) workers(n int) int {
-	p := s.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // countEvals adds Distance evaluations to the sampler's eval counter.

@@ -1,11 +1,11 @@
-// Package stripe provides the lock-striped map under both unit-cost memos
-// (internal/evalcache): the robust loop's per-(query, design) unit costs and
-// the content-keyed cross-run store. The striping exists so that
-// CliffGuard's parallel neighborhood evaluation — many goroutines costing
-// overlapping query sets — does not serialize on a single mutex.
+// Package stripe provides the lock-striped map under the content-keyed
+// cross-run unit-cost store (evalcache.Shared). The striping exists so that
+// concurrent runs and CliffGuard's parallel vector fills — many goroutines
+// costing overlapping query sets through one store — do not serialize on a
+// single mutex.
 //
 // Each key type picks its own stripe through its Mix method, so the hash
-// that spreads keys is written next to the key it spreads. The memos store
+// that spreads keys is written next to the key it spreads. The stores hold
 // pure functions of their keys, which is why callers tolerate duplicate
 // computation under a miss race: every writer stores the same value.
 package stripe
@@ -74,21 +74,6 @@ func (m *Map[K, V]) Store(k K, v V) {
 	}
 	s.m[k] = v
 	s.mu.Unlock()
-}
-
-// DeleteFunc removes every entry whose key satisfies del. del runs under a
-// stripe's write lock, so it must not call back into the Map.
-func (m *Map[K, V]) DeleteFunc(del func(K) bool) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for k := range s.m {
-			if del(k) {
-				delete(s.m, k)
-			}
-		}
-		s.mu.Unlock()
-	}
 }
 
 // Len returns the total number of entries (diagnostics and tests).

@@ -54,9 +54,6 @@ var keyCases = []keyCase{
 	newCase("path", func(q *workload.Query, j int) pathKey {
 		return pathKey{Q: q, Path: paths[j]}
 	}),
-	newCase("evalcache", func(q *workload.Query, j int) evalcache.Key {
-		return evalcache.Key{Q: q, Design: designs[j]}
-	}),
 	newCase("shared", func(q *workload.Query, j int) evalcache.SharedKey {
 		return evalcache.SharedKey{Class: 7, Query: workload.ContentHash(q), Design: designs[j]}
 	}),
@@ -110,9 +107,9 @@ func testLookupStore[K stripe.Key](t *testing.T, key func(*workload.Query, int) 
 }
 
 // TestConcurrentHammer races 16 goroutines over a shared key set, mixing
-// hits, misses, redundant computes, stats scrapes and periodic no-op
-// DeleteFunc sweeps. Run under -race; the assertion is that every value
-// read back matches the pure function of its key.
+// hits, misses, redundant computes and periodic stats and length scrapes.
+// Run under -race; the assertion is that every value read back matches the
+// pure function of its key.
 func TestConcurrentHammer(t *testing.T) {
 	for _, c := range keyCases {
 		t.Run(c.name, c.hammer)
@@ -147,9 +144,6 @@ func testConcurrentHammer[K stripe.Key](t *testing.T, key func(*workload.Query, 
 					return
 				}
 				if i%97 == 0 {
-					// Deletes nothing, but still takes every write lock
-					// against the readers.
-					m.DeleteFunc(func(K) bool { return false })
 					_ = m.Stats()
 					_ = m.Len()
 				}
