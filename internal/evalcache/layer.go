@@ -3,7 +3,6 @@ package evalcache
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"cliffguard/internal/designer"
@@ -11,10 +10,10 @@ import (
 )
 
 // Layer is a designer.CostModel that memoizes Inner's unit costs in
-// content-keyed Shared stores, keyed (Class, workload.ContentHash, design
-// fingerprint). Memoized values are exactly what Inner returned, so a run is
-// bit-identical with or without the layer. It is the one mechanism behind
-// both kinds of reuse beyond a single run:
+// content-keyed Shared stores, keyed (Class, design fingerprint,
+// workload.ContentHash). Memoized values are exactly what Inner returned, so
+// a run is bit-identical with or without the layer. It is the one mechanism
+// behind both kinds of reuse beyond a single run:
 //
 //   - Cross-tenant sharing (cliffguardd): Read and Write are the same
 //     process-wide store, so every run of every tenant whose engine class,
@@ -22,11 +21,16 @@ import (
 //   - Online warm starts: each re-design reads the previous run's store and
 //     writes a fresh one, which becomes the next run's Read. A Read hit is
 //     copied into Write, so Write ends up holding every unit cost the run
-//     asked for — the previous run's included.
+//     asked for — the previous run's included (unless Write's cap evicted
+//     it).
 //
 // When Read != Write only Read is consulted: a value the run itself computed
 // earlier is its unit-cost vectors' to serve (internal/core), not the
-// layer's.
+// layer's. Probing Read never creates a table in it.
+//
+// A call is one read of the query's stored hash and one probe of a design
+// table: the layer keeps the tables of the last design it saw, and a vector
+// fill costs one design across the run's whole query universe.
 //
 // designer.ErrUnsupported verdicts are memoized (they are as deterministic as
 // costs); hard errors are returned but never stored. Values must only ever
@@ -45,9 +49,21 @@ type Layer struct {
 	// not; the serving layer attributes both to the run's tenant once, when
 	// the run ends.
 	hits, misses atomic.Uint64
-	// qh memoizes workload.ContentHash by query pointer: a run costs the
-	// same few hundred queries many thousands of times.
-	qh sync.Map // *workload.Query -> uint64
+	// last holds the tables of the last design fingerprint Cost saw.
+	last atomic.Pointer[designTables]
+}
+
+// designTables is a Layer's view of one design: its table in Write and in
+// Read (nil when Read has none; the same table when Read == Write).
+type designTables struct {
+	key         TableKey
+	read, write *table
+}
+
+// live reports whether neither table has been evicted since it was looked
+// up.
+func (d *designTables) live() bool {
+	return !d.write.dead.Load() && (d.read == nil || !d.read.dead.Load())
 }
 
 // Hits returns how many calls Read answered without invoking Inner.
@@ -57,37 +73,47 @@ func (l *Layer) Hits() uint64 { return l.hits.Load() }
 // is nil).
 func (l *Layer) Misses() uint64 { return l.misses.Load() }
 
-func (l *Layer) queryHash(q *workload.Query) uint64 {
-	if v, ok := l.qh.Load(q); ok {
-		return v.(uint64)
+// tables returns the design's tables, reusing the last ones while they are
+// for the same design and live.
+func (l *Layer) tables(design uint64) *designTables {
+	if d := l.last.Load(); d != nil && d.key.Design == design && d.live() {
+		return d
 	}
-	h := workload.ContentHash(q)
-	l.qh.Store(q, h)
-	return h
+	d := &designTables{key: TableKey{Class: l.Class, Design: design}}
+	d.write = l.Write.table(d.key, true)
+	switch {
+	case l.Read == l.Write:
+		d.read = d.write
+	case l.Read != nil:
+		d.read = l.Read.table(d.key, false)
+	}
+	l.last.Store(d)
+	return d
 }
 
 // Cost implements designer.CostModel.
 func (l *Layer) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (float64, error) {
-	key := SharedKey{Class: l.Class, Query: l.queryHash(q), Design: d.Fingerprint()}
+	t := l.tables(d.Fingerprint())
+	h := workload.ContentHash(q)
 	if l.Read != nil {
-		if cost, unsupported, ok := l.Read.Lookup(key); ok {
+		if e, ok := l.Read.probe(t.read, t.key, h); ok {
 			l.hits.Add(1)
 			if l.Write != l.Read {
-				l.Write.Store(key, cost, unsupported)
+				l.Write.put(t.write, h, e)
 			}
-			if unsupported {
+			if e.unsupported {
 				return 0, designer.ErrUnsupported
 			}
-			return cost, nil
+			return e.cost, nil
 		}
 	}
 	l.misses.Add(1)
 	cost, err := l.Inner.Cost(ctx, q, d)
 	switch {
 	case err == nil:
-		l.Write.Store(key, cost, false)
+		l.Write.put(t.write, h, entry{cost: cost})
 	case errors.Is(err, designer.ErrUnsupported):
-		l.Write.Store(key, 0, true)
+		l.Write.put(t.write, h, entry{unsupported: true})
 	}
 	return cost, err
 }

@@ -335,3 +335,92 @@ func TestLayerConcurrentHammer(t *testing.T) {
 		t.Errorf("hits: shared %d, handoff %d, want both > 0", layers[0].Hits(), layers[1].Hits())
 	}
 }
+
+// TestLayerProbeOfReadCreatesNoTable: with Read != Write, a design Read has
+// no table for misses there (and is counted) without creating one.
+func TestLayerProbeOfReadCreatesNoTable(t *testing.T) {
+	read, write := NewShared(), NewShared()
+	l := &Layer{Inner: &fakeCost{}, Read: read, Write: write}
+	for i := 0; i < 2; i++ {
+		if _, err := l.Cost(context.Background(), layerQuery(1), layerDesigns[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := read.tables.Len(); n != 0 {
+		t.Fatalf("Read holds %d tables after two probes, want 0", n)
+	}
+	if st := read.Stats(); st.Misses != 2 || st.Entries != 0 {
+		t.Fatalf("Read stats = %d misses, %d entries; want 2, 0", st.Misses, st.Entries)
+	}
+	if n := write.tables.Len(); n != 1 {
+		t.Fatalf("Write holds %d tables, want 1", n)
+	}
+}
+
+// TestLayerOutlivesEvictedTables: a layer whose cached design table is
+// evicted under it re-resolves the table, and every value it returns is the
+// inner model's.
+func TestLayerOutlivesEvictedTables(t *testing.T) {
+	defer SetEntryCap(5)()
+	shared := NewShared()
+	l := &Layer{Inner: &fakeCost{}, Read: shared, Write: shared}
+	for round := 0; round < 3; round++ {
+		for d := range layerDesigns {
+			for col := 0; col < 8; col++ {
+				got, err := l.Cost(context.Background(), layerQuery(col), layerDesigns[d])
+				if want, _ := fakeValue(col, d); err != nil || got != want {
+					t.Fatalf("round %d (%d, %d) = (%v, %v), want %v", round, col, d, got, err, want)
+				}
+				if n := shared.Len(); n > 5 {
+					t.Fatalf("%d resident entries, cap 5", n)
+				}
+			}
+		}
+	}
+	if st := shared.Stats(); st.Hits != l.Hits() || st.Misses != l.Misses() {
+		t.Fatalf("store counts %d hits / %d misses, layer %d / %d", st.Hits, st.Misses, l.Hits(), l.Misses())
+	}
+}
+
+// TestLayerKeysLiteralQueries: a query built as a literal, which carries no
+// stored hash, keys like the FromSpec query of the same content.
+func TestLayerKeysLiteralQueries(t *testing.T) {
+	shared := NewShared()
+	inner := &fakeCost{}
+	l := &Layer{Inner: inner, Read: shared, Write: shared}
+	built := layerQuery(4)
+	literal := &workload.Query{
+		Select: built.Select.Clone(), Where: built.Where.Clone(),
+		Spec: &workload.Spec{Table: "facts", SelectCols: []int{4}, Preds: []workload.Pred{{Col: 4, Op: workload.Eq, Lo: 7, Hi: 7, Sel: 0.01}}},
+	}
+	other := &workload.Query{Select: built.Select.Clone(), Spec: &workload.Spec{Table: "facts", SelectCols: []int{5}}}
+	ctx := context.Background()
+	if _, err := l.Cost(ctx, built, layerDesigns[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := l.Cost(ctx, literal, layerDesigns[1]); err != nil || got != 41.25 || inner.calls.Load() != 1 {
+		t.Fatalf("literal query = (%v, %v) after %d inner calls, want a hit of 41.25", got, err, inner.calls.Load())
+	}
+	if got, err := l.Cost(ctx, other, layerDesigns[1]); err != nil || got != 51.25 || inner.calls.Load() != 2 {
+		t.Fatalf("different literal query = (%v, %v) after %d inner calls, want a miss of 51.25", got, err, inner.calls.Load())
+	}
+}
+
+// TestWarmLayerHitDoesNotAllocate: a Layer call answered by a populated
+// Shared is one field read and one table probe, with no allocation.
+func TestWarmLayerHitDoesNotAllocate(t *testing.T) {
+	shared := NewShared()
+	l := &Layer{Inner: &fakeCost{}, Read: shared, Write: shared}
+	q, d := layerQuery(3), layerDesigns[2]
+	ctx := context.Background()
+	if _, err := l.Cost(ctx, q, d); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if n := testing.AllocsPerRun(200, func() { _, err = l.Cost(ctx, q, d) }); n != 0 || err != nil {
+		t.Fatalf("warm hit: %v allocs/op (err %v), want 0", n, err)
+	}
+	if l.Hits() < 200 {
+		t.Fatalf("Hits = %d, want every timed call to hit", l.Hits())
+	}
+}

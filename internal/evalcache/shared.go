@@ -1,41 +1,57 @@
 // Package evalcache memoizes unit costs beyond a single run: Layer is a
-// designer.CostModel that stores (engine class, query content, design
-// fingerprint) -> cost in Shared stores, a striped map (internal/stripe).
-// Within a run, the robust loop's unit-cost vectors (internal/core) serve
-// repeats, so the Layer sees each (query, design) the run fills.
+// designer.CostModel that stores (engine class, design fingerprint, query
+// content) -> cost in Shared stores. A Shared keeps one table per (engine
+// class, design) in a striped map (internal/stripe); each table is a plain
+// map keyed by the query's content hash (workload.ContentHash, carried on
+// the Query). Resident entries are capped, and CLOCK eviction drops whole
+// tables. Within a run, the robust loop's unit-cost vectors (internal/core)
+// serve repeats, so the Layer sees each (query, design) the run fills, one
+// design across the run's whole query universe at a time.
 package evalcache
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"cliffguard/internal/obs"
 	"cliffguard/internal/stripe"
 )
 
-// SharedKey identifies one memoized unit cost in a Shared store. It keys by
-// content, not by query pointer:
+// maxEntries caps a Shared's resident unit costs. cliffguardd's served-mix
+// benchmark settles at about 127.5k entries; the cap sits well above that,
+// so eviction starts only in a process that has seen many times more
+// designs.
+const maxEntries = 1 << 20
+
+// entryCap is the cap NewShared gives a store: maxEntries, lowered only by
+// tests (export_test.go) to drive eviction.
+var entryCap int64 = maxEntries
+
+// TableKey names one table of a Shared store: the unit costs of one design
+// under one engine class. Within it a unit cost is keyed by content, not by
+// query pointer:
 //
 //   - Class is the engine's cost-model class fingerprint (engine kind +
 //     schema): two tenants share entries only when their cost models are
 //     interchangeable pure functions.
-//   - Query is workload.ContentHash of the query — identical SQL parsed by
-//     two different tenants hashes identically even though the Query pointers
-//     and IDs differ.
 //   - Design is the design fingerprint (designer.Design.Fingerprint).
+//   - The table's key is workload.ContentHash of the query — identical SQL
+//     parsed by two different tenants hashes identically even though the
+//     Query pointers and IDs differ.
 //
 // A value is therefore valid for every (tenant, run) whose engine class,
 // query content, and design coincide — which is what turns the second tenant
 // submitting a popular workload into a warm-cache run.
-type SharedKey struct {
+type TableKey struct {
 	Class  uint64
-	Query  uint64
 	Design uint64
 }
 
-// Mix implements stripe.Key over all three key words.
-func (k SharedKey) Mix() uint64 {
-	h := (k.Query + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-	h ^= k.Design
-	h *= 0x94d049bb133111eb
+// Mix implements stripe.Key over both key words.
+func (k TableKey) Mix() uint64 {
+	h := (k.Design + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 	h ^= k.Class
+	h *= 0x94d049bb133111eb
 	h ^= h >> 33
 	return h
 }
@@ -44,13 +60,37 @@ func (k SharedKey) Mix() uint64 {
 // Layer: cliffguardd keeps one per process beneath every tenant's runs, and
 // an online controller hands one from each re-design to the next. Values are
 // pure functions of their key, so concurrent redundant computation is
-// benign.
+// benign: every writer stores the same value.
 //
-// The store is unbounded: nothing evicts entries, so it grows with
-// |distinct designs seen| x |distinct queries|. An entry cap is open work
-// (ROADMAP item 2).
+// The store holds at most entryCap entries. Past the cap, a CLOCK sweep
+// (second chance) over the tables drops whole tables: a hit sets a table's
+// reference bit, and the hand clears set bits and evicts the first table
+// whose bit was clear. Eviction changes hit rates, never a value.
 type Shared struct {
-	m stripe.Map[SharedKey, entry]
+	tables  stripe.Map[TableKey, *table]
+	entries atomic.Int64 // resident entries over all live tables
+	limit   int64
+
+	// mu serializes creating and evicting tables; clock is the ring the
+	// hand sweeps, in creation order.
+	mu    sync.Mutex
+	clock []*table
+	hand  int
+}
+
+// table is the unit costs of one (engine class, design), keyed by query
+// content hash. Its counters count the probes it answered; when it is
+// evicted they move to its stripe's tallies, so Stats keeps counting them.
+type table struct {
+	key TableKey
+	// ref is the CLOCK reference bit. dead marks an evicted table, whose
+	// probes miss and whose stores are dropped; it is set under mu, under
+	// which the counters move, so none is counted twice or lost.
+	ref, dead    atomic.Bool
+	hits, misses atomic.Uint64
+
+	mu sync.RWMutex
+	m  map[uint64]entry
 }
 
 // entry is one memoized outcome: a cost, or the cost model's "query not
@@ -62,24 +102,103 @@ type entry struct {
 }
 
 // NewShared returns an empty shared memo.
-func NewShared() *Shared { return &Shared{} }
+func NewShared() *Shared { return &Shared{limit: entryCap} }
 
-// Lookup returns the memoized unit cost for the key, if present. unsupported
-// reports a memoized designer.ErrUnsupported verdict (cost is 0 then).
-func (s *Shared) Lookup(k SharedKey) (cost float64, unsupported, ok bool) {
-	e, ok := s.m.Lookup(k)
-	return e.cost, e.unsupported, ok
+// table returns the table for k. When none exists it creates one if create
+// is set, and returns nil otherwise.
+func (s *Shared) table(k TableKey, create bool) *table {
+	if t, ok := s.tables.Lookup(k); ok || !create {
+		return t
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t, ok := s.tables.Lookup(k); ok {
+		return t
+	}
+	t := &table{key: k, m: make(map[uint64]entry)}
+	s.tables.Store(k, t)
+	s.clock = append(s.clock, t)
+	return t
 }
 
-// Store memoizes the unit cost (or the unsupported verdict) for the key.
-// Hard errors must never be stored; the caller enforces that.
-func (s *Shared) Store(k SharedKey, cost float64, unsupported bool) {
-	s.m.Store(k, entry{cost: cost, unsupported: unsupported})
+// probe looks query hash q up in t, the table for k (nil when there is
+// none), and counts the hit or miss: on t while it is live, on k's stripe
+// otherwise.
+func (s *Shared) probe(t *table, k TableKey, q uint64) (entry, bool) {
+	if t != nil {
+		t.mu.RLock()
+		if !t.dead.Load() {
+			e, ok := t.m[q]
+			if ok {
+				t.hits.Add(1)
+				if !t.ref.Load() {
+					t.ref.Store(true)
+				}
+			} else {
+				t.misses.Add(1)
+			}
+			t.mu.RUnlock()
+			return e, ok
+		}
+		t.mu.RUnlock()
+	}
+	s.tables.Miss(k)
+	return entry{}, false
 }
 
-// Len returns the total number of memoized entries.
-func (s *Shared) Len() int { return s.m.Len() }
+// put memoizes e for query hash q in t, unless t has been evicted, and
+// evicts tables once the store is over its cap.
+func (s *Shared) put(t *table, q uint64, e entry) {
+	t.mu.Lock()
+	if t.dead.Load() {
+		t.mu.Unlock()
+		return
+	}
+	n := len(t.m)
+	t.m[q] = e
+	grew := len(t.m) > n
+	t.mu.Unlock()
+	if grew && s.entries.Add(1) > s.limit {
+		s.evict()
+	}
+}
 
-// Stats snapshots hit/miss tallies and entry counts in the shape
-// obs.Metrics.RegisterCache consumes.
-func (s *Shared) Stats() obs.CacheStats { return s.m.Stats() }
+// evict runs the CLOCK hand until the store is back under its cap.
+func (s *Shared) evict() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.entries.Load() > s.limit && len(s.clock) > 0 {
+		if s.hand >= len(s.clock) {
+			s.hand = 0
+		}
+		t := s.clock[s.hand]
+		if t.ref.Swap(false) {
+			s.hand++
+			continue
+		}
+		s.clock = append(s.clock[:s.hand], s.clock[s.hand+1:]...)
+		t.mu.Lock()
+		t.dead.Store(true)
+		n := len(t.m)
+		t.m = nil
+		t.mu.Unlock()
+		s.entries.Add(-int64(n))
+		s.tables.Delete(t.key, t.hits.Load(), t.misses.Load())
+	}
+}
+
+// Len returns the number of resident entries.
+func (s *Shared) Len() int { return int(s.entries.Load()) }
+
+// Stats snapshots query-level hit/miss tallies and entry counts in the shape
+// obs.Metrics.RegisterCache consumes. A stripe's row sums the design tables
+// it holds, plus the tallies of tables evicted from it and of probes that
+// found no table.
+func (s *Shared) Stats() obs.CacheStats {
+	return s.tables.Stats(func(t *table) obs.CacheShardStats {
+		t.mu.RLock()
+		n := len(t.m)
+		t.mu.RUnlock()
+		return obs.CacheShardStats{Hits: t.hits.Load(), Misses: t.misses.Load(), Entries: n}
+	})
+}

@@ -9,6 +9,7 @@ import (
 
 	"cliffguard/internal/distance"
 	"cliffguard/internal/obs"
+	"cliffguard/internal/pool"
 	"cliffguard/internal/workload"
 )
 
@@ -249,5 +250,23 @@ func TestNeighborhoodReseedMatchesFreshSources(t *testing.T) {
 		if !reflect.DeepEqual(neighborhoodFingerprint(got), want) {
 			t.Fatalf("p=%d: re-seeded neighborhood differs from fresh-source draws", p)
 		}
+	}
+}
+
+// TestNeighborhoodPoolSizeIsPoolSize: the sampler sizes its pool by
+// pool.Size like core and the portfolio, so a non-positive Parallelism means
+// NumCPU whatever GOMAXPROCS is.
+func TestNeighborhoodPoolSizeIsPoolSize(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, p := range []int{0, -1, 1, 3} {
+		for _, n := range []int{1, 2, 1 << 10} {
+			s := &Sampler{Parallelism: p}
+			if got, want := s.workers(n), pool.Size(p, n); got != want {
+				t.Errorf("Parallelism %d, %d draws: pool of %d, pool.Size says %d", p, n, got, want)
+			}
+		}
+	}
+	if got, want := (&Sampler{}).workers(1<<10), runtime.NumCPU(); got != want {
+		t.Errorf("Parallelism 0 at GOMAXPROCS 1: pool of %d, want NumCPU %d", got, want)
 	}
 }

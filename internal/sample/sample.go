@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 
 	"cliffguard/internal/distance"
 	"cliffguard/internal/obs"
@@ -71,9 +70,10 @@ type Sampler struct {
 	// templates, so the perturbed mass models broad template churn rather
 	// than a few runaway queries.
 	PerturbationSize int
-	// Parallelism bounds the workers Neighborhood fans its draws across.
-	// <= 0 means GOMAXPROCS; 1 runs on the caller's goroutine. Results are
-	// bit-identical at every setting (per-draw RNG substreams).
+	// Parallelism bounds the workers Neighborhood fans its draws across,
+	// resolved by pool.Size like every other pool: <= 0 means NumCPU; 1 runs
+	// on the caller's goroutine. Results are bit-identical at every setting
+	// (per-draw RNG substreams).
 	Parallelism int
 	// Metrics, when non-nil, counts draws, perturbation-set retries, failed
 	// draws, fast/slow-path landings, and sampler Distance evaluations.
@@ -263,12 +263,8 @@ func (s *Sampler) Neighborhood(rng *rand.Rand, w0 *workload.Workload, gamma floa
 		results[i], errs[i] = s.SampleAt(sub, w0, alpha)
 	}
 
-	par := s.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	subs := make([]*rand.Rand, pool.Size(par, n))
-	pool.Run(par, n, func(w, i int) {
+	subs := make([]*rand.Rand, s.workers(n))
+	pool.Run(s.Parallelism, n, func(w, i int) {
 		if subs[w] == nil {
 			subs[w] = rand.New(rand.NewSource(0))
 		}
@@ -291,6 +287,9 @@ func (s *Sampler) Neighborhood(rng *rand.Rand, w0 *workload.Workload, gamma floa
 	}
 	return out, nil
 }
+
+// workers is the size of the pool Neighborhood runs n draws on.
+func (s *Sampler) workers(n int) int { return pool.Size(s.Parallelism, n) }
 
 // splitmix64 derives the seed of draw substream i from the root value: one
 // round of the SplitMix64 output function over root + (i+1)·golden-gamma.

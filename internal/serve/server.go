@@ -126,8 +126,14 @@ func NewServer(cfg Config) *Server {
 // Metrics returns the server's registry.
 func (s *Server) Metrics() *obs.Metrics { return s.metrics }
 
+// maxFinishedRuns is how many finished runs a tenant retains. When a run
+// ends past it, the tenant forgets its oldest finished runs (a GET of one
+// returns 404); runs still queued or running are never forgotten.
+const maxFinishedRuns = 64
+
 // tenant is one guard instance: an opened engine, the accumulated workload,
-// and the tenant's run history.
+// and the tenant's run history (its newest maxFinishedRuns finished runs
+// and every run in flight).
 type tenant struct {
 	id          string
 	spec        engine.Spec
@@ -371,6 +377,29 @@ func (t *tenant) runIDs() []string {
 	return append([]string(nil), t.order...)
 }
 
+// pruneRuns forgets the tenant's oldest finished runs beyond
+// maxFinishedRuns.
+func (t *tenant) pruneRuns() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	excess := -maxFinishedRuns
+	for _, id := range t.order {
+		if t.runs[id].status().Terminal() {
+			excess++
+		}
+	}
+	kept := t.order[:0]
+	for _, id := range t.order {
+		if excess > 0 && t.runs[id].status().Terminal() {
+			delete(t.runs, id)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	t.order = kept
+}
+
 // Submit admits a design run for the tenant: it snapshots nothing yet (the
 // workload is cloned when a worker slot frees up), assigns the run ID, and
 // returns immediately. Rejections: errDraining during shutdown, errOverloaded
@@ -429,9 +458,11 @@ func (s *Server) submit(t *tenant, req RunRequest, requestID string) (*run, erro
 
 // execute runs one admitted run to completion on its own goroutine: wait for
 // a worker slot (or cancellation), snapshot the tenant workload, start the
-// guard, and flush the run's file sink when it finishes.
+// guard, flush the run's file sink when it finishes, and prune the tenant's
+// finished runs.
 func (s *Server) execute(t *tenant, r *run, ctx context.Context) {
 	defer s.runWG.Done()
+	defer t.pruneRuns()
 	defer r.cancel()
 
 	select {

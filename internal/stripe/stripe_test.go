@@ -7,15 +7,16 @@ import (
 	"time"
 
 	"cliffguard/internal/evalcache"
+	"cliffguard/internal/obs"
 	"cliffguard/internal/stripe"
 	"cliffguard/internal/workload"
 )
 
 // Distinct second key components: path fingerprints (0 is a structure-free
-// path) and design fingerprints.
+// path) and engine class fingerprints.
 var (
 	paths   = []uint64{0, 0xaf63bd4c8601b7df, 0x08328707b4eb6d0f, 0x7b3e5a9c1d2f4680}
-	designs = []uint64{1, 1 << 20, 0xdeadbeef, 4}
+	classes = []uint64{1, 1 << 20, 0xdeadbeef, 4}
 )
 
 // pathKey is a test-local key of the per-(query, access-path) shape: a query
@@ -54,8 +55,10 @@ var keyCases = []keyCase{
 	newCase("path", func(q *workload.Query, j int) pathKey {
 		return pathKey{Q: q, Path: paths[j]}
 	}),
-	newCase("shared", func(q *workload.Query, j int) evalcache.SharedKey {
-		return evalcache.SharedKey{Class: 7, Query: workload.ContentHash(q), Design: designs[j]}
+	// The shared store's design tables, one per (engine class, design); a
+	// query's content hash stands in for a design fingerprint.
+	newCase("shared", func(q *workload.Query, j int) evalcache.TableKey {
+		return evalcache.TableKey{Class: classes[j], Design: workload.ContentHash(q)}
 	}),
 }
 
@@ -100,11 +103,30 @@ func testLookupStore[K stripe.Key](t *testing.T, key func(*workload.Query, int) 
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
 	}
-	if st := m.Stats(); st.Hits != 2 || st.Misses != 3 || st.Entries != 1 || len(st.Shards) != stripe.NumShards {
-		t.Fatalf("Stats = %d hits, %d misses, %d entries, %d shards; want 2, 3, 1, %d",
+	// Lookup counts nothing; Miss counts on the stripe, and each value adds
+	// its own row through Stats' value function.
+	m.Miss(key(qs[1], 0))
+	if st := m.Stats(oneEntry); st.Hits != 0 || st.Misses != 1 || st.Entries != 1 || len(st.Shards) != stripe.NumShards {
+		t.Fatalf("Stats = %d hits, %d misses, %d entries, %d shards; want 0, 1, 1, %d",
 			st.Hits, st.Misses, st.Entries, len(st.Shards), stripe.NumShards)
 	}
+	// Delete moves the value's tallies to its stripe.
+	m.Delete(key(qs[0], 0), 2, 3)
+	if _, ok := m.Lookup(key(qs[0], 0)); ok || m.Len() != 0 {
+		t.Fatalf("deleted key still present (Len %d)", m.Len())
+	}
+	st := m.Stats(oneEntry)
+	if st.Hits != 2 || st.Misses != 4 || st.Entries != 0 {
+		t.Fatalf("Stats after Delete = %d hits, %d misses, %d entries; want 2, 4, 0", st.Hits, st.Misses, st.Entries)
+	}
+	if row := st.Shards[stripe.StripeOf(key(qs[0], 0))]; row.Hits != 2 {
+		t.Fatalf("deleted key's stripe row has %d hits, want 2", row.Hits)
+	}
 }
+
+// oneEntry is the Stats value function of a map whose values count as one
+// entry each.
+func oneEntry(float64) obs.CacheShardStats { return obs.CacheShardStats{Entries: 1} }
 
 // TestConcurrentHammer races 16 goroutines over a shared key set, mixing
 // hits, misses, redundant computes and periodic stats and length scrapes.
@@ -135,6 +157,7 @@ func testConcurrentHammer[K stripe.Key](t *testing.T, key func(*workload.Query, 
 				j := (i / len(qs)) % variants
 				got, ok := m.Lookup(key(q, j))
 				if !ok {
+					m.Miss(key(q, j))
 					computes.Add(1)
 					got = value(q, j)
 					m.Store(key(q, j), got)
@@ -144,7 +167,7 @@ func testConcurrentHammer[K stripe.Key](t *testing.T, key func(*workload.Query, 
 					return
 				}
 				if i%97 == 0 {
-					_ = m.Stats()
+					_ = m.Stats(oneEntry)
 					_ = m.Len()
 				}
 			}
@@ -155,10 +178,10 @@ func testConcurrentHammer[K stripe.Key](t *testing.T, key func(*workload.Query, 
 	if n := m.Len(); n != keys {
 		t.Fatalf("Len = %d, want %d", n, keys)
 	}
-	st := m.Stats()
-	if st.Hits == 0 || st.Misses == 0 || st.Entries != keys {
-		t.Fatalf("Stats = %d hits, %d misses, %d entries; want both > 0 and %d entries",
-			st.Hits, st.Misses, st.Entries, keys)
+	st := m.Stats(oneEntry)
+	if st.Misses != uint64(computes.Load()) || st.Entries != keys {
+		t.Fatalf("Stats = %d misses, %d entries; want %d (one per compute) and %d entries",
+			st.Misses, st.Entries, computes.Load(), keys)
 	}
 	// Duplicate computes under miss races are allowed but must be rare
 	// relative to total accesses (16*500); a blowup means Lookup is broken.
@@ -187,8 +210,8 @@ func testShardSpread[K stripe.Key](t *testing.T, key func(*workload.Query, int) 
 	}
 }
 
-// TestLookupHitDoesNotAllocate: a memo hit is on the hot path of every
-// neighborhood pass.
+// TestLookupHitDoesNotAllocate: a Lookup hit opens the shared store's table
+// for every design a run costs.
 func TestLookupHitDoesNotAllocate(t *testing.T) {
 	for _, c := range keyCases {
 		t.Run(c.name, c.hitAllocs)

@@ -140,9 +140,15 @@ type Query struct {
 	OrderBy ColSet
 
 	Spec *Spec
+
+	// hash is ContentHash, computed once by FromSpec; 0 for a query built
+	// as a literal, whose hash ContentHash computes on every call.
+	hash uint64
 }
 
-// FromSpec builds a Query whose clause sets are derived from the Spec.
+// FromSpec builds a Query whose clause sets are derived from the Spec, and
+// stores its ContentHash. The returned Query and its Spec must not be
+// mutated afterwards (ID, Timestamp and SQL excepted: the hash ignores them).
 func FromSpec(id int64, ts time.Time, spec *Spec) *Query {
 	q := &Query{ID: id, Timestamp: ts, Spec: spec}
 	for _, c := range spec.SelectCols {
@@ -162,6 +168,7 @@ func FromSpec(id int64, ts time.Time, spec *Spec) *Query {
 	for _, o := range spec.OrderBy {
 		q.OrderBy.Add(o.Col)
 	}
+	q.hash = computeHash(q)
 	return q
 }
 
