@@ -99,10 +99,12 @@ serve-smoke:
 	$(GO) run ./tools/servesmoke
 
 # Parallel neighborhood-evaluation benchmarks (cold and warm cache), then
-# the vertsim what-if kernel: one Cost, the nominal designer's pair table
-# and one nominal Design on R1's first month, then ingest: a 1M-line
-# timestamped log and the fixed cost of a one-line call.
+# the vertsim what-if kernel: one Cost, then on both vertsim and rowsim the
+# nominal designer's pair table and one nominal Design on R1's first month,
+# then ingest: a 1M-line timestamped log and the fixed cost of a one-line
+# call.
 bench:
 	$(GO) test ./internal/bench/ -run '^$$' -bench BenchmarkNeighborhoodEval -benchmem
 	$(GO) test ./internal/vertsim -run '^$$' -bench 'WhatIfCost|BuildPairTable|Design' -benchmem
+	$(GO) test ./internal/rowsim -run '^$$' -bench 'BuildPairTable|Design' -benchmem
 	$(GO) test ./internal/ingest -run '^$$' -bench 'Reader1M|ReaderOneLine' -benchmem

@@ -279,8 +279,8 @@ func (l *callLog) Cost(ctx context.Context, q *workload.Query, d *Design) (float
 
 // TestBuildPairTableOrder pins the parts of the table's contract the
 // designer-level tests cannot see: an empty pool makes no call, the pool
-// keeps first occurrences, and calls go base first, then structure outer,
-// query inner.
+// keeps first occurrences, calls go base first, then structure outer, query
+// inner, and only the cells below Base are kept.
 func TestBuildPairTableOrder(t *testing.T) {
 	w := workload.New(mkQuery(1, 0), mkQuery(2, 1))
 	log := &callLog{CostModel: &tableCost{base: 10, serves: map[string]map[int64]float64{"b": {2: 3}}}}
@@ -301,8 +301,8 @@ func TestBuildPairTableOrder(t *testing.T) {
 	if got := fmt.Sprint(log.calls); got != want {
 		t.Fatalf("calls = %s, want %s", got, want)
 	}
-	if tab.Pair[1][1] != 3 || tab.Base[1] != 10 {
-		t.Fatalf("table = %v / %v", tab.Base, tab.Pair)
+	if fmt.Sprint(tab.Helps, tab.HelpCost) != "[[] [1]] [[] [3]]" || tab.Base[1] != 10 {
+		t.Fatalf("table = %v / %v / %v", tab.Base, tab.Helps, tab.HelpCost)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/designer"
@@ -128,9 +129,11 @@ func sameCost(a float64, errA error, b float64, errB error) error {
 
 // DensePairTable checks designer.BuildPairTable(cm, w, candidates) against
 // a dense oracle that calls cm for every query under the empty design and
-// for every (structure, query) pair: the pool, queries and weights match,
-// Base and Pair match cell for cell bit for bit, and Helps[s] is exactly
-// {q : Pair[s][q] < Base[q]}, ascending.
+// for every (structure, query) pair: the pool, queries, weights and Base
+// match, Helps[s] is exactly {q : oracle cost of (s, q) < Base[q]},
+// ascending, each kept cell (HelpCost) matches the oracle bit for bit, and
+// every cell the table does not keep costs at least Base under the oracle
+// (an ErrUnsupported pair counts as +Inf).
 func DensePairTable(ctx context.Context, cm designer.CostModel, w *workload.Workload, candidates []designer.Structure) error {
 	t, err := designer.BuildPairTable(ctx, cm, w, candidates)
 	if err != nil {
@@ -174,6 +177,7 @@ func DensePairTable(ctx context.Context, cm designer.CostModel, w *workload.Work
 	for si, s := range pool {
 		d := designer.NewDesign(s)
 		var helps []int
+		var costs []float64
 		for qi, q := range queries {
 			c, err := cm.Cost(ctx, q, d)
 			if errors.Is(err, designer.ErrUnsupported) {
@@ -181,18 +185,128 @@ func DensePairTable(ctx context.Context, cm designer.CostModel, w *workload.Work
 			} else if err != nil {
 				return err
 			}
-			if math.Float64bits(t.Pair[si][qi]) != math.Float64bits(c) {
-				return fmt.Errorf("Pair[%d][%d] (%s, %s) = %v, oracle %v", si, qi, s.Key(), q, t.Pair[si][qi], c)
-			}
 			if c < base[qi] {
 				helps = append(helps, qi)
+				costs = append(costs, c)
 			}
 		}
 		if !slices.Equal(t.Helps[si], helps) {
 			return fmt.Errorf("Helps[%d] (%s) = %v, want %v", si, s.Key(), t.Helps[si], helps)
 		}
+		if len(t.HelpCost[si]) != len(costs) {
+			return fmt.Errorf("HelpCost[%d] (%s) has %d cells, Helps %d", si, s.Key(), len(t.HelpCost[si]), len(costs))
+		}
+		for k, c := range costs {
+			if got := t.HelpCost[si][k]; math.Float64bits(got) != math.Float64bits(c) {
+				return fmt.Errorf("HelpCost[%d][%d] (%s, %s) = %v, oracle %v", si, k, s.Key(), queries[helps[k]], got, c)
+			}
+		}
 	}
 	return nil
+}
+
+// Kernel checks cm's designer.PairKernel, prepared over queries, against
+// cm.Cost for every structure of pool: the cells a structure reports are
+// ascending, each is a query the structure serves (when it implements
+// designer.Server) at cm.Cost(q, {s}) bit for bit, and every query it does
+// not report costs the same under {s} as under the empty design, or is
+// ErrUnsupported under both. It also requires the kernel to report every
+// query whose cost {s} lowers. It returns the number of cells reported.
+func Kernel(ctx context.Context, cm designer.CostModel, queries []*workload.Query, pool []designer.Structure) (int, error) {
+	pc, ok := cm.(designer.PairCoster)
+	if !ok {
+		return 0, fmt.Errorf("%T does not implement designer.PairCoster", cm)
+	}
+	k := pc.PreparePairs(queries)
+	defer k.Release()
+	cells := 0
+	var qis []int
+	var costs []float64
+	for _, s := range pool {
+		qis, costs = k.AppendPairs(qis[:0], costs[:0], s)
+		cells += len(qis)
+		if len(costs) != len(qis) {
+			return cells, fmt.Errorf("%s: %d query indices, %d costs", s.Key(), len(qis), len(costs))
+		}
+		for i := 1; i < len(qis); i++ {
+			if qis[i] <= qis[i-1] {
+				return cells, fmt.Errorf("%s: query indices %v are not strictly ascending", s.Key(), qis)
+			}
+		}
+		d := designer.NewDesign(s)
+		next := 0
+		for qi, q := range queries {
+			with, errWith := cm.Cost(ctx, q, d)
+			if next < len(qis) && qis[next] == qi {
+				if srv, ok := s.(designer.Server); ok && !srv.Serves(q) {
+					return cells, fmt.Errorf("%s reports %s, which it does not serve", s.Key(), q)
+				}
+				if errWith != nil || math.Float64bits(with) != math.Float64bits(costs[next]) {
+					return cells, fmt.Errorf("%s on %s: kernel %v, Cost %v (%v)", s.Key(), q, costs[next], with, errWith)
+				}
+				next++
+				continue
+			}
+			without, errWithout := cm.Cost(ctx, q, nil)
+			if err := sameCost(without, errWithout, with, errWith); err != nil {
+				return cells, fmt.Errorf("%s skips %s, yet {%s} changes its cost: %w", s.Key(), q, s.Key(), err)
+			}
+		}
+		if next != len(qis) {
+			return cells, fmt.Errorf("%s reports query indices %v outside the %d prepared", s.Key(), qis[next:], len(queries))
+		}
+	}
+	return cells, nil
+}
+
+// ConcurrentBuilds builds pair tables of w and of its first half over pool
+// from several goroutines at once, alternating the two so that pooled
+// scratch is reused at different sizes, and requires every table to equal
+// the one built alone, bit for bit.
+func ConcurrentBuilds(ctx context.Context, cm designer.CostModel, w *workload.Workload, pool []designer.Structure, goroutines, rounds int) error {
+	half := &workload.Workload{Items: w.Items[:w.Len()/2]}
+	var want [2]*designer.PairTable
+	for i, wl := range []*workload.Workload{w, half} {
+		t, err := designer.BuildPairTable(ctx, cm, wl, pool)
+		if err != nil {
+			return err
+		}
+		want[i] = t
+	}
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds && errs[g] == nil; r++ {
+				i := (g + r) % 2
+				t, err := designer.BuildPairTable(ctx, cm, []*workload.Workload{w, half}[i], pool)
+				if err != nil {
+					errs[g] = err
+				} else if !sameTable(t, want[i]) {
+					errs[g] = fmt.Errorf("goroutine %d, round %d: the table differs from the one built alone", g, r)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// sameTable reports whether two tables keep the same queries, Base and
+// cells, bit for bit.
+func sameTable(a, b *designer.PairTable) bool {
+	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !slices.Equal(a.Queries, b.Queries) || !slices.EqualFunc(a.Base, b.Base, bits) || len(a.Helps) != len(b.Helps) {
+		return false
+	}
+	for si := range a.Helps {
+		if !slices.Equal(a.Helps[si], b.Helps[si]) || !slices.EqualFunc(a.HelpCost[si], b.HelpCost[si], bits) {
+			return false
+		}
+	}
+	return true
 }
 
 // ServedPairs counts the cost-model calls BuildPairTable makes for the pair

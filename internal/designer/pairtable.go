@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"cliffguard/internal/ilp"
 	"cliffguard/internal/workload"
@@ -20,51 +21,92 @@ type CandidateProvider interface {
 // PairTable is the what-if table every structure-selection designer works
 // from. The engines are min-composed — a query's cost under a design is the
 // minimum of its per-structure access-path costs — so Base[q] (the cost of
-// Queries[q] under the empty design) and Pair[s][q] (its cost with Pool[s]
-// alone) determine the cost of every design over the pool. Each designer
-// differs only in how it searches the table: GreedySelect completes greedily
-// by benefit per byte, AutoAdmin prunes per query and seeds exhaustively,
-// the ILP designers lower it to an ilp.Problem.
+// Queries[q] under the empty design) and the singleton costs (each query's
+// cost with one pool structure alone) determine the cost of every design
+// over the pool. Each designer differs only in how it searches the table:
+// GreedySelect completes greedily by benefit per byte, AutoAdmin prunes per
+// query and seeds exhaustively, the ILP designers lower it to an
+// ilp.Problem.
 //
 // BuildPairTable's error contract, shared by every designer built on it:
 //   - Pool is deduplicated by key, keeping first occurrences (nil skipped).
 //   - An empty pool makes no cost-model call and leaves the table empty.
 //   - A query whose base cost returns ErrUnsupported drops out of Queries: it
 //     costs the same under every design, so it cannot change a selection.
-//   - A singleton pair returning ErrUnsupported is +Inf: that structure never
-//     serves that query.
+//   - A singleton pair returning ErrUnsupported is not kept: that structure
+//     never serves that query.
 //   - Any other error, cancellation included, aborts the build, wrapped.
-//   - A structure that implements Server and does not serve q is Base[q],
-//     with no cost-model call.
+//   - A structure that implements Server and does not serve q keeps no cell
+//     for q, with no cost-model call.
 //
-// Helps[s] lists, ascending, the query indices where Pool[s] alone beats the
-// base cost (Pair[s][q] < Base[q]). The search steps (BenefitPerByte,
-// Greedy, Lower) walk only those cells: every search starts from Base and
-// only lowers it, so a cell outside Helps[s] can never lower a running
-// minimum, and skipping it leaves every sum's terms and order unchanged.
-// Pair stays dense for the designers that read whole columns.
+// The table is sparse. Helps[s] lists, ascending, the query indices where
+// Pool[s] alone beats the base cost, and HelpCost[s][k] is the cost of
+// Queries[Helps[s][k]] with Pool[s] alone; every other cell reads Base. The
+// search steps (BenefitPerByte, Greedy, Lower) walk only the kept cells:
+// every search starts from Base and only lowers it, so a cell that does not
+// beat Base can never lower a running minimum, and skipping it leaves every
+// sum's terms and order unchanged.
 type PairTable struct {
-	Pool    []Structure
-	Queries []*workload.Query
-	Weights []float64
-	Base    []float64
-	Pair    [][]float64
-	Helps   [][]int
+	Pool     []Structure
+	Queries  []*workload.Query
+	Weights  []float64
+	Base     []float64
+	Helps    [][]int
+	HelpCost [][]float64
 }
+
+// PairCoster is implemented by cost models that cost singleton designs over
+// one set of queries faster than a Cost call per pair: BuildPairTable uses
+// the kernel when its cost model implements PairCoster. A wrapper that
+// counts or times Cost calls must not implement it (nor embed a type that
+// does), or the pair cells would bypass the wrapper.
+type PairCoster interface {
+	PreparePairs(queries []*workload.Query) PairKernel
+}
+
+// PairKernel costs singleton designs over the queries it was prepared for.
+// It is used by one goroutine and must not be used after Release.
+type PairKernel interface {
+	// AppendPairs appends, ascending by index into the prepared queries,
+	// each query s serves to qis and its cost under NewDesign(s) to costs,
+	// bit-identical to the cost model's Cost, and returns both slices. A
+	// query it skips costs no less than its empty-design cost under
+	// NewDesign(s), or is ErrUnsupported there. Each appended cell counts as
+	// one cost-model call in the engine's metrics.
+	AppendPairs(qis []int, costs []float64, s Structure) ([]int, []float64)
+	// Release returns the kernel's scratch memory for reuse.
+	Release()
+}
+
+// buildScratch is the reusable memory of one BuildPairTable call: the pool
+// deduplication set and the kept cells before they are copied out.
+type buildScratch struct {
+	seen  map[string]bool
+	helps []int
+	costs []float64
+	ends  []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return &buildScratch{seen: make(map[string]bool)} }}
 
 // BuildPairTable costs every query of w under the empty design, then every
 // (structure, query) pair — structure outer, query inner — with the
-// structure alone, skipping the pairs a Server structure does not serve.
+// structure alone, skipping the pairs a Server structure does not serve, and
+// keeps the pairs that beat the base cost. A cost model implementing
+// PairCoster costs the pairs through its kernel instead, with the same
+// result.
 func BuildPairTable(ctx context.Context, cm CostModel, w *workload.Workload, candidates []Structure) (*PairTable, error) {
+	sc := scratchPool.Get().(*buildScratch)
+	defer scratchPool.Put(sc)
 	t := &PairTable{Pool: make([]Structure, 0, len(candidates))}
-	seen := make(map[string]bool, len(candidates))
 	for _, c := range candidates {
-		if c == nil || seen[c.Key()] {
+		if c == nil || sc.seen[c.Key()] {
 			continue
 		}
-		seen[c.Key()] = true
+		sc.seen[c.Key()] = true
 		t.Pool = append(t.Pool, c)
 	}
+	clear(sc.seen)
 	if len(t.Pool) == 0 {
 		return t, nil
 	}
@@ -85,39 +127,82 @@ func BuildPairTable(ctx context.Context, cm CostModel, w *workload.Workload, can
 		t.Base = append(t.Base, c)
 	}
 
-	nq := len(t.Queries)
-	cells := make([]float64, len(t.Pool)*nq)
-	t.Pair = make([][]float64, len(t.Pool))
+	var err error
+	sc.helps, sc.costs, sc.ends = sc.helps[:0], sc.costs[:0], sc.ends[:0]
+	if pc, ok := cm.(PairCoster); ok {
+		err = sc.kernelPairs(ctx, pc, t)
+	} else {
+		err = sc.costPairs(ctx, cm, t)
+	}
+	if err != nil {
+		return nil, err
+	}
+	helps := slices.Clone(sc.helps)
+	costs := slices.Clone(sc.costs)
 	t.Helps = make([][]int, len(t.Pool))
-	var helps []int // one backing array; each row's slice is capped
-	for si, s := range t.Pool {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("costing pairs: %w", err)
-		}
-		row := cells[si*nq : (si+1)*nq : (si+1)*nq]
-		d := NewDesign(s)
-		srv, sparse := s.(Server)
-		start := len(helps)
-		for qi, q := range t.Queries {
-			c := t.Base[qi]
-			if !sparse || srv.Serves(q) {
-				var err error
-				if c, err = cm.Cost(ctx, q, d); err != nil {
-					if !errors.Is(err, ErrUnsupported) {
-						return nil, fmt.Errorf("costing %s with %s: %w", q, s.Key(), err)
-					}
-					c = math.Inf(1)
-				}
-			}
-			row[qi] = c
-			if c < t.Base[qi] {
-				helps = append(helps, qi)
-			}
-		}
-		t.Pair[si] = row
-		t.Helps[si] = helps[start:len(helps):len(helps)]
+	t.HelpCost = make([][]float64, len(t.Pool))
+	start := 0
+	for si, end := range sc.ends {
+		t.Helps[si] = helps[start:end:end]
+		t.HelpCost[si] = costs[start:end:end]
+		start = end
 	}
 	return t, nil
+}
+
+// costPairs fills the scratch cells through Cost, one call per pair a
+// structure may serve, in the order BuildPairTable documents.
+func (sc *buildScratch) costPairs(ctx context.Context, cm CostModel, t *PairTable) error {
+	for _, s := range t.Pool {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("costing pairs: %w", err)
+		}
+		d := NewDesign(s)
+		srv, sparse := s.(Server)
+		for qi, q := range t.Queries {
+			if sparse && !srv.Serves(q) {
+				continue
+			}
+			c, err := cm.Cost(ctx, q, d)
+			if err != nil {
+				if !errors.Is(err, ErrUnsupported) {
+					return fmt.Errorf("costing %s with %s: %w", q, s.Key(), err)
+				}
+				continue
+			}
+			if c < t.Base[qi] {
+				sc.helps = append(sc.helps, qi)
+				sc.costs = append(sc.costs, c)
+			}
+		}
+		sc.ends = append(sc.ends, len(sc.helps))
+	}
+	return nil
+}
+
+// kernelPairs fills the scratch cells through a PairCoster's kernel: each
+// structure's served cells are appended, then compacted in place to the
+// ones that beat Base.
+func (sc *buildScratch) kernelPairs(ctx context.Context, pc PairCoster, t *PairTable) error {
+	k := pc.PreparePairs(t.Queries)
+	defer k.Release()
+	for _, s := range t.Pool {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("costing pairs: %w", err)
+		}
+		start := len(sc.helps)
+		sc.helps, sc.costs = k.AppendPairs(sc.helps, sc.costs, s)
+		n := start
+		for i := start; i < len(sc.helps); i++ {
+			if qi, c := sc.helps[i], sc.costs[i]; c < t.Base[qi] {
+				sc.helps[n], sc.costs[n] = qi, c
+				n++
+			}
+		}
+		sc.helps, sc.costs = sc.helps[:n], sc.costs[:n]
+		sc.ends = append(sc.ends, n)
+	}
+	return nil
 }
 
 // Indices returns every pool index, ascending.
@@ -130,12 +215,13 @@ func (t *PairTable) Indices() []int {
 }
 
 // BenefitPerByte is structure si's standalone benefit over the empty design,
-// sum_q Weights[q] * max(Base[q] - Pair[si][q], 0), per byte of its size.
+// sum_q Weights[q] * max(Base[q] - cost of q with Pool[si] alone, 0), per
+// byte of its size.
 func (t *PairTable) BenefitPerByte(si int) float64 {
 	var total float64
-	row := t.Pair[si]
-	for _, qi := range t.Helps[si] {
-		total += t.Weights[qi] * (t.Base[qi] - row[qi])
+	costs := t.HelpCost[si]
+	for k, qi := range t.Helps[si] {
+		total += t.Weights[qi] * (t.Base[qi] - costs[k])
 	}
 	return total / float64(max(t.Pool[si].SizeBytes(), 1))
 }
@@ -181,9 +267,9 @@ func (t *PairTable) Greedy(ctx context.Context, idx []int, taken []bool, cur []f
 				continue
 			}
 			var gain float64
-			row := t.Pair[si]
-			for _, qi := range t.Helps[si] {
-				if c := row[qi]; c < cur[qi] {
+			costs := t.HelpCost[si]
+			for k, qi := range t.Helps[si] {
+				if c := costs[k]; c < cur[qi] {
 					gain += t.Weights[qi] * (cur[qi] - c)
 				}
 			}
@@ -208,9 +294,9 @@ func (t *PairTable) Greedy(ctx context.Context, idx []int, taken []bool, cur []f
 // Lower adds structure si to the running per-query minimum cur, which must
 // not exceed Base anywhere.
 func (t *PairTable) Lower(cur []float64, si int) {
-	row := t.Pair[si]
-	for _, qi := range t.Helps[si] {
-		if c := row[qi]; c < cur[qi] {
+	costs := t.HelpCost[si]
+	for k, qi := range t.Helps[si] {
+		if c := costs[k]; c < cur[qi] {
 			cur[qi] = c
 		}
 	}
@@ -239,24 +325,33 @@ func (t *PairTable) Design(sel []int) *Design {
 }
 
 // Problem lowers the table, restricted to the pool indices keep, to the
-// 0/1 integer program: structure k of the problem is Pool[keep[k]].
+// 0/1 integer program: structure k of the problem is Pool[keep[k]]. Every
+// cell starts at Base and the kept cells overwrite it. That is exact: the
+// solver compares each cell against a running minimum that never exceeds
+// Base, so a cell that does not beat Base never counts, whatever its value.
 func (t *PairTable) Problem(keep []int, budget int64) *ilp.Problem {
+	nk := len(keep)
 	p := &ilp.Problem{
 		Weights: t.Weights,
 		Base:    t.Base,
 		Cost:    make([][]float64, len(t.Queries)),
-		Size:    make([]int64, len(keep)),
+		Size:    make([]int64, nk),
 		Budget:  budget,
+	}
+	cells := make([]float64, len(t.Queries)*nk)
+	for qi, base := range t.Base {
+		row := cells[qi*nk : (qi+1)*nk : (qi+1)*nk]
+		for ki := range row {
+			row[ki] = base
+		}
+		p.Cost[qi] = row
 	}
 	for ki, si := range keep {
 		p.Size[ki] = t.Pool[si].SizeBytes()
-	}
-	for qi := range t.Queries {
-		row := make([]float64, len(keep))
-		for ki, si := range keep {
-			row[ki] = t.Pair[si][qi]
+		costs := t.HelpCost[si]
+		for k, qi := range t.Helps[si] {
+			p.Cost[qi][ki] = costs[k]
 		}
-		p.Cost[qi] = row
 	}
 	return p
 }

@@ -128,7 +128,11 @@ type Status struct {
 	Redesigns     uint64
 	Published     uint64
 	SafetyRejects uint64
-	Window        WindowStats
+	// HandoffEntries counts the unit costs resident in the warm-start
+	// handoff store (0 with DisableWarmStart); the store's entry cap bounds
+	// it.
+	HandoffEntries int
+	Window         WindowStats
 }
 
 // Controller owns one tenant's online state: the sliding window, the
@@ -206,7 +210,7 @@ func (c *Controller) LastResult() *Result {
 func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Status{
+	st := Status{
 		HasIncumbent:  c.incumbent != nil,
 		LastDelta:     c.lastDelta,
 		LastThreshold: c.lastThreshold,
@@ -217,6 +221,10 @@ func (c *Controller) Status() Status {
 		SafetyRejects: c.safetyRejects,
 		Window:        c.window.Stats(),
 	}
+	if c.handoff != nil {
+		st.HandoffEntries = c.handoff.Len()
+	}
+	return st
 }
 
 // Observe absorbs one query into the window and runs the drift monitor at

@@ -13,11 +13,12 @@
 package portfolio
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/workload"
@@ -109,19 +110,34 @@ func (a *AutoAdmin) Design(ctx context.Context, w *workload.Workload) (*designer
 // benefit per byte.
 func (a *AutoAdmin) pruneCandidates(t *designer.PairTable) []int {
 	m := a.perQuery()
-	keep := make([]bool, len(t.Pool))
 	type scored struct {
 		si      int
 		benefit float64
 	}
-	for qi, base := range t.Base {
-		var best []scored
-		for si, row := range t.Pair {
-			if b := base - row[qi]; b > 0 {
-				best = append(best, scored{si, b})
-			}
+	// Transpose the kept cells: byQuery[start[qi]:start[qi+1]] are the
+	// structures that beat Queries[qi]'s base cost, in pool order. A cell
+	// outside Helps has no positive benefit, so it is never a pick.
+	start := make([]int, len(t.Queries)+1)
+	for _, helps := range t.Helps {
+		for _, qi := range helps {
+			start[qi+1]++
 		}
-		sort.SliceStable(best, func(i, j int) bool { return best[i].benefit > best[j].benefit })
+	}
+	for qi := range t.Queries {
+		start[qi+1] += start[qi]
+	}
+	byQuery := make([]scored, start[len(t.Queries)])
+	next := slices.Clone(start[:len(t.Queries)])
+	for si, helps := range t.Helps {
+		for k, qi := range helps {
+			byQuery[next[qi]] = scored{si, t.Base[qi] - t.HelpCost[si][k]}
+			next[qi]++
+		}
+	}
+	keep := make([]bool, len(t.Pool))
+	for qi := range t.Queries {
+		best := byQuery[start[qi]:start[qi+1]]
+		slices.SortStableFunc(best, func(x, y scored) int { return cmp.Compare(y.benefit, x.benefit) })
 		if len(best) > m {
 			best = best[:m]
 		}

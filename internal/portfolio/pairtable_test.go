@@ -167,12 +167,40 @@ type servingStub struct {
 
 func (s *servingStub) Serves(q *workload.Query) bool { return !s.skip[q.ID] }
 
-// The dense search steps the pair table ran before it kept Helps: reference
-// implementations for the sparse ones, which must match them bit for bit.
+// The dense search steps the pair table ran before it went sparse:
+// reference implementations for the sparse ones, which must match them bit
+// for bit. They read a dense matrix costed through the model for every
+// pair, not the table's kept cells.
 
-func denseBenefitPerByte(t *designer.PairTable, si int) float64 {
+// denseTable is a pair table's pool, weights and Base with the dense cell
+// matrix: cell[si][qi] is the model's cost of Queries[qi] with Pool[si]
+// alone, +Inf where that is ErrUnsupported.
+type denseTable struct {
+	*designer.PairTable
+	cell [][]float64
+}
+
+func newDenseTable(ctx context.Context, cm designer.CostModel, t *designer.PairTable) (*denseTable, error) {
+	cell := make([][]float64, len(t.Pool))
+	for si, s := range t.Pool {
+		d := designer.NewDesign(s)
+		cell[si] = make([]float64, len(t.Queries))
+		for qi, q := range t.Queries {
+			c, err := cm.Cost(ctx, q, d)
+			if errors.Is(err, designer.ErrUnsupported) {
+				c = math.Inf(1)
+			} else if err != nil {
+				return nil, err
+			}
+			cell[si][qi] = c
+		}
+	}
+	return &denseTable{t, cell}, nil
+}
+
+func denseBenefitPerByte(t *denseTable, si int) float64 {
 	var total float64
-	for qi, c := range t.Pair[si] {
+	for qi, c := range t.cell[si] {
 		if b := t.Base[qi] - c; b > 0 {
 			total += t.Weights[qi] * b
 		}
@@ -180,7 +208,7 @@ func denseBenefitPerByte(t *designer.PairTable, si int) float64 {
 	return total / float64(max(t.Pool[si].SizeBytes(), 1))
 }
 
-func denseTop(t *designer.PairTable, idx []int, k int) []int {
+func denseTop(t *denseTable, idx []int, k int) []int {
 	if k < 0 || len(idx) <= k {
 		return idx
 	}
@@ -195,15 +223,15 @@ func denseTop(t *designer.PairTable, idx []int, k int) []int {
 	return top
 }
 
-func denseLower(t *designer.PairTable, cur []float64, si int) {
-	for qi, c := range t.Pair[si] {
+func denseLower(t *denseTable, cur []float64, si int) {
+	for qi, c := range t.cell[si] {
 		if c < cur[qi] {
 			cur[qi] = c
 		}
 	}
 }
 
-func denseGreedy(t *designer.PairTable, idx []int, taken []bool, cur []float64, used, budget int64) []int {
+func denseGreedy(t *denseTable, idx []int, taken []bool, cur []float64, used, budget int64) []int {
 	var picks []int
 	for {
 		bestIdx := -1
@@ -217,7 +245,7 @@ func denseGreedy(t *designer.PairTable, idx []int, taken []bool, cur []float64, 
 				continue
 			}
 			var gain float64
-			for qi, c := range t.Pair[si] {
+			for qi, c := range t.cell[si] {
 				if c < cur[qi] {
 					gain += t.Weights[qi] * (cur[qi] - c)
 				}
@@ -245,42 +273,48 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// checkSparseSearch checks the sparse table built over pool (whose
-// structures report Serves) against the dense table built over the same
-// structures without Serves: equal cells, Helps exactly the cells below
-// Base, and every search step equal to its dense reference, bit for bit.
+// checkSparseSearch checks the table built over pool (whose structures
+// report Serves) and the one built over the same structures without Serves
+// against the dense matrix the model gives: both keep exactly the cells
+// below Base, at the model's cost, and every search step equals its dense
+// reference, bit for bit.
 func checkSparseSearch(t *testing.T, m designer.CostModel, w *workload.Workload, pool, plain []designer.Structure, budget int64) {
 	ctx := context.Background()
 	sparse, err := designer.BuildPairTable(ctx, m, w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := designer.BuildPairTable(ctx, m, w, plain)
+	unserved, err := designer.BuildPairTable(ctx, m, w, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameBits(sparse.Base, dense.Base) || len(sparse.Pair) != len(dense.Pair) {
-		t.Fatalf("Base %v, dense %v", sparse.Base, dense.Base)
+	dense, err := newDenseTable(ctx, m, sparse)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for si := range sparse.Pair {
-		if !sameBits(sparse.Pair[si], dense.Pair[si]) {
-			t.Fatalf("Pair[%d] = %v, dense %v", si, sparse.Pair[si], dense.Pair[si])
-		}
+	if !sameBits(sparse.Base, unserved.Base) || len(sparse.Helps) != len(unserved.Helps) {
+		t.Fatalf("Base %v, without Serves %v", sparse.Base, unserved.Base)
+	}
+	for si := range sparse.Pool {
 		var helps []int
-		for qi, c := range dense.Pair[si] {
+		var costs []float64
+		for qi, c := range dense.cell[si] {
 			if c < dense.Base[qi] {
 				helps = append(helps, qi)
+				costs = append(costs, c)
 			}
 		}
-		if !slices.Equal(sparse.Helps[si], helps) {
-			t.Fatalf("Helps[%d] = %v, want %v", si, sparse.Helps[si], helps)
+		for _, tab := range []*designer.PairTable{sparse, unserved} {
+			if !slices.Equal(tab.Helps[si], helps) || !sameBits(tab.HelpCost[si], costs) {
+				t.Fatalf("Helps[%d] = %v at %v, want %v at %v", si, tab.Helps[si], tab.HelpCost[si], helps, costs)
+			}
 		}
-		if a, b := sparse.BenefitPerByte(si), denseBenefitPerByte(sparse, si); math.Float64bits(a) != math.Float64bits(b) {
+		if a, b := sparse.BenefitPerByte(si), denseBenefitPerByte(dense, si); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("BenefitPerByte(%d) = %v, dense %v", si, a, b)
 		}
 	}
 	for k := -1; k <= len(sparse.Pool); k++ {
-		if a, b := sparse.Top(sparse.Indices(), k), denseTop(sparse, sparse.Indices(), k); !slices.Equal(a, b) {
+		if a, b := sparse.Top(sparse.Indices(), k), denseTop(dense, sparse.Indices(), k); !slices.Equal(a, b) {
 			t.Fatalf("Top(%d) = %v, dense %v", k, a, b)
 		}
 	}
@@ -296,7 +330,7 @@ func checkSparseSearch(t *testing.T, m designer.CostModel, w *workload.Workload,
 			taken[seed], denseTaken[seed] = true, true
 			sparse.Lower(cur, seed)
 			ref := append([]float64(nil), sparse.Base...)
-			denseLower(sparse, ref, seed)
+			denseLower(dense, ref, seed)
 			if !sameBits(cur, ref) {
 				t.Fatalf("Lower(%d) = %v, dense %v", seed, cur, ref)
 			}
@@ -306,7 +340,7 @@ func checkSparseSearch(t *testing.T, m designer.CostModel, w *workload.Workload,
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := denseGreedy(sparse, sparse.Indices(), denseTaken, denseCur, used, budget)
+		want := denseGreedy(dense, sparse.Indices(), denseTaken, denseCur, used, budget)
 		if !slices.Equal(picks, want) || !sameBits(cur, denseCur) || !slices.Equal(taken, denseTaken) {
 			t.Fatalf("seed %d: Greedy picks %v cur %v, dense %v cur %v", seed, picks, cur, want, denseCur)
 		}
@@ -333,8 +367,8 @@ func checkSparseSearch(t *testing.T, m designer.CostModel, w *workload.Workload,
 // built on the pair table: each design fits the budget, and an Exact ILP
 // design attains the brute-force surrogate optimum and is no worse than
 // GreedySelect's or AutoAdmin's. The structures report Serves false on the
-// queries they do not touch, and the sparse table and its search steps must
-// match the dense ones built over the same structures without Serves.
+// queries they do not touch, and the tables built with and without Serves,
+// and their search steps, must match the dense matrix costed from the model.
 func FuzzPairTable(f *testing.F) {
 	f.Add([]byte{4, 3, 128, 10, 20, 30, 40, 50, 1, 60, 2, 70, 3, 9, 17, 33, 65, 129, 200, 8, 100, 150})
 	f.Add([]byte{8, 6, 64, 1, 2, 3, 4, 5, 6, 7, 8, 90, 1, 80, 2, 0, 3, 70, 4, 60, 5, 50, 6})

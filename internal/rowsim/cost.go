@@ -106,30 +106,32 @@ func (db *DB) bestAccess(q *workload.Query, d *designer.Design) (designer.Struct
 // the lowest cost below the full-scan cost (nil: the scan wins).
 func (db *DB) cheapest(q *workload.Query, d *designer.Design) (designer.Structure, float64) {
 	var bestS designer.Structure
-	best := db.scanCost(q)
+	qp := db.parts(q)
+	best := qp.scanCost()
 	if d != nil {
 		for _, s := range d.Structures {
-			var c float64
-			switch st := s.(type) {
-			case *Index:
-				if !st.Serves(q) {
-					continue
-				}
-				c = db.indexCost(q, st)
-			case *MatView:
-				if !st.Serves(q) {
-					continue
-				}
-				c = db.mvCost(q, st)
-			default:
-				continue
-			}
-			if c < best {
+			if c, ok := db.pathCost(q, &qp, s); ok && c < best {
 				best, bestS = c, s
 			}
 		}
 	}
 	return bestS, best
+}
+
+// pathCost is the cost of answering checked query q through structure s;
+// false when s does not serve q or is not a row-store structure.
+func (db *DB) pathCost(q *workload.Query, qp *queryParts, s designer.Structure) (float64, bool) {
+	switch st := s.(type) {
+	case *Index:
+		if st.Serves(q) {
+			return db.indexCost(q, qp, st), true
+		}
+	case *MatView:
+		if st.Serves(q) {
+			return db.mvCost(q, qp, st), true
+		}
+	}
+	return 0, false
 }
 
 func (db *DB) check(q *workload.Query) error {
@@ -149,23 +151,36 @@ func (db *DB) check(q *workload.Query) error {
 	return fmt.Errorf("rowsim: column %d outside anchor %q: %w", bad, q.Spec.Table, designer.ErrUnsupported)
 }
 
-// scanCost is a full-table scan: the row store reads entire rows.
-func (db *DB) scanCost(q *workload.Query) float64 {
+// queryParts are the parts of a checked query's cost that no access path
+// changes: the anchor's modeled rows and row width, the spec's total
+// selectivity, and the aggregation and sort cost over the selected rows,
+// which the scan and every index path share.
+type queryParts struct {
+	rows, rowW, sel, post float64
+}
+
+// parts derives a checked query's queryParts.
+func (db *DB) parts(q *workload.Query) queryParts {
 	t, _ := db.Schema.Table(q.Spec.Table)
-	rows := db.rows(t)
-	cost := fixedOverheadMs + rows*float64(t.RowWidth())/scanBytesPerMs
-	return cost + db.postCost(q, rows*totalSel(q.Spec))
+	qp := queryParts{rows: db.rows(t), rowW: float64(t.RowWidth()), sel: totalSel(q.Spec)}
+	qp.post = db.postCost(q, qp.rows*qp.sel)
+	return qp
+}
+
+// scanCost is a full-table scan: the row store reads entire rows.
+func (qp *queryParts) scanCost() float64 {
+	cost := fixedOverheadMs + qp.rows*qp.rowW/scanBytesPerMs
+	return cost + qp.post
 }
 
 // indexCost estimates access via an index that serves q: the matched key
 // prefix is the equality-prefix (optionally ending in one range) of q's
 // predicates on the index key. A covering index avoids base-table fetches
 // entirely.
-func (db *DB) indexCost(q *workload.Query, idx *Index) float64 {
-	spec := q.Spec
+func (db *DB) indexCost(q *workload.Query, qp *queryParts, idx *Index) float64 {
 	matchSel := 1.0
 	for _, keyCol := range idx.Cols {
-		p, ok := predOn(spec.Preds, keyCol)
+		p, ok := predOn(q.Spec.Preds, keyCol)
 		if !ok {
 			break
 		}
@@ -174,11 +189,9 @@ func (db *DB) indexCost(q *workload.Query, idx *Index) float64 {
 			break
 		}
 	}
-	t, _ := db.Schema.Table(spec.Table)
-	rows := db.rows(t)
-	fetched := math.Max(rows*matchSel, 1)
+	fetched := math.Max(qp.rows*matchSel, 1)
 
-	cost := fixedOverheadMs + probeMsPerLookup*math.Log2(rows+2)
+	cost := fixedOverheadMs + probeMsPerLookup*math.Log2(qp.rows+2)
 	if idx.covers(q) {
 		// Index-only scan over the matched range.
 		var width float64
@@ -189,23 +202,22 @@ func (db *DB) indexCost(q *workload.Query, idx *Index) float64 {
 		cost += fetched * width / scanBytesPerMs
 	} else {
 		// Base-table fetch per matched row, with random access penalty.
-		cost += fetched * float64(t.RowWidth()) * randomPenalty / scanBytesPerMs
+		cost += fetched * qp.rowW * randomPenalty / scanBytesPerMs
 	}
-	return cost + db.postCost(q, rows*totalSel(spec))
+	return cost + qp.post
 }
 
 // mvCost estimates answering a query the view serves by scanning the view's
 // groups and re-aggregating them.
-func (db *DB) mvCost(q *workload.Query, mv *MatView) float64 {
-	spec := q.Spec
-	mvRows := math.Min(float64(mv.Groups()), db.rows(mustTable(db.Schema, spec.Table)))
+func (db *DB) mvCost(q *workload.Query, qp *queryParts, mv *MatView) float64 {
+	mvRows := math.Min(float64(mv.Groups()), qp.rows)
 	var width float64
 	for _, c := range mv.GroupBy {
 		width += float64(db.Schema.Column(c).Type.Width())
 	}
 	width += float64(len(mv.Aggs)) * 8
 	cost := fixedOverheadMs + mvRows*width/scanBytesPerMs
-	return cost + db.postCost(q, mvRows*totalSel(spec))
+	return cost + db.postCost(q, mvRows*qp.sel)
 }
 
 // postCost adds aggregation and sort costs downstream of the access path.

@@ -12,7 +12,7 @@ import (
 
 // r1Pool returns R1's first month, the nominal designer, its compressed
 // form of the month, and its candidate pool for it.
-func r1Pool(t *testing.T) (*DB, *workload.Workload, *Designer, *workload.Workload, []designer.Structure) {
+func r1Pool(t testing.TB) (*DB, *workload.Workload, *Designer, *workload.Workload, []designer.Structure) {
 	s, month, err := designertest.R1Month(1)
 	if err != nil {
 		t.Fatal(err)
@@ -47,6 +47,33 @@ func TestServesContract(t *testing.T) {
 	}
 }
 
+// TestPairKernel checks the pair kernel against Cost(q, {s}) for every
+// candidate of an R1 window over the window's queries and sampler mutants of
+// them.
+func TestPairKernel(t *testing.T) {
+	db, _, _, cw, pool := r1Pool(t)
+	queries := designertest.Mutants(db.Schema, cw, 7)
+	cells, err := designertest.Kernel(context.Background(), db, queries, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells == 0 {
+		t.Fatal("the kernel reported no cell")
+	}
+	t.Logf("%d queries, %d candidates: %d cells", len(queries), len(pool), cells)
+}
+
+// TestPairTableConcurrentBuilds builds the nominal designer's pair tables
+// from several goroutines sharing one DB (run it under -race): the kernel and
+// the build take their scratch from pools, and every table must equal the
+// one built alone.
+func TestPairTableConcurrentBuilds(t *testing.T) {
+	db, _, _, cw, pool := r1Pool(t)
+	if err := designertest.ConcurrentBuilds(context.Background(), db, cw, pool, 4, 20); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDesignCostModelCalls pins the nominal designer's cost-model calls on
 // R1's first month: one per compressed query for the base costs, plus one
 // per (structure, query) pair the structure serves.
@@ -70,5 +97,77 @@ func TestDesignCostModelCalls(t *testing.T) {
 	}
 	if got >= dense {
 		t.Fatalf("Design made %d cost-model calls, no fewer than the dense table's %d", got, dense)
+	}
+}
+
+// TestDesignAllocations gates one nominal Design on R1's first month. The
+// bound is the 2,796 allocations measured once the pair table was built
+// through the kernel and stored sparsely, plus 10%. It made 2,999 before.
+func TestDesignAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	_, month, d, _, _ := r1Pool(t)
+	ctx := context.Background()
+	const bound = 3080
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := d.Design(ctx, month); err != nil {
+			t.Fatal(err)
+		}
+	}); n > bound {
+		t.Fatalf("Design allocates %.0f times, want at most %d", n, bound)
+	} else {
+		t.Logf("Design: %.0f allocations", n)
+	}
+}
+
+// TestBuildPairTableAllocations gates the nominal designer's pair table on
+// R1's first month. It allocates the table's own slices, 9 times, while the
+// kernel's and the build's scratch are reused; the bound leaves room for one run
+// that finds the scratch pools emptied by a GC. It made 212 allocations
+// with a dense cell matrix and one Cost call per served pair.
+func TestBuildPairTableAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	_, _, d, cw, pool := r1Pool(t)
+	ctx := context.Background()
+	const bound = 12
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := designer.BuildPairTable(ctx, d.DB, cw, pool); err != nil {
+			t.Fatal(err)
+		}
+	}); n > bound {
+		t.Fatalf("BuildPairTable allocates %.0f times, want at most %d", n, bound)
+	} else {
+		t.Logf("BuildPairTable: %.0f allocations", n)
+	}
+}
+
+// BenchmarkBuildPairTable builds the nominal designer's pair table for R1's
+// first month.
+func BenchmarkBuildPairTable(b *testing.B) {
+	_, _, d, cw, pool := r1Pool(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := designer.BuildPairTable(ctx, d.DB, cw, pool); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDesign runs the nominal designer on R1's first month: workload
+// compression, candidate generation and the greedy pair-table selection.
+func BenchmarkDesign(b *testing.B) {
+	_, month, d, _, _ := r1Pool(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Design(ctx, month); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

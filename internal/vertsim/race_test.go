@@ -1,0 +1,8 @@
+//go:build race
+
+package vertsim
+
+// raceEnabled reports a -race build, in which sync.Pool drops a random share
+// of the objects put back, so allocation counts that rely on pooled scratch
+// are not reproducible.
+const raceEnabled = true
