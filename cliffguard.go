@@ -98,9 +98,11 @@ type (
 	// Options.Normalized to clamp them to defaults instead. Parallelism
 	// bounds the one worker pool that samples and scores the neighborhood;
 	// designs, traces, and events are bit-identical at any value. Neighborhood
-	// evaluation always runs through the incremental-evaluation memo (the
-	// unit-cost cache and evaluation-pass replay); it is bit-identical to a
-	// full pass, which the tests and the EVAL benchmark check.
+	// evaluation is indexed: the run numbers its neighborhood's queries once,
+	// and each scored design keeps one unit-cost vector over them, so a design
+	// scored again replays its vector instead of calling the cost model. It
+	// is bit-identical to a full pass, which the tests and the EVAL benchmark
+	// check.
 	Options = core.Options
 	// Guard is the CliffGuard robust designer (Algorithm 2 of the paper).
 	Guard = core.CliffGuard

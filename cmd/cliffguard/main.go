@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"cliffguard"
+	"cliffguard/internal/serve"
 )
 
 func main() {
@@ -38,13 +39,9 @@ func main() {
 	var (
 		path    = flag.String("workload", "", "workload: a SQL query-log file, or a directory with schema.sql + queries/ (required)")
 		engine  = flag.String("engine", "vertica", "engine: vertica (projections) or rowstore (indices+matviews)")
-		gamma   = flag.Float64("gamma", 0.002, "robustness knob Gamma (0 = nominal design)")
 		budget  = flag.Int64("budget", 2560, "storage budget in MiB")
 		scale   = flag.Int64("scale", 1, "warehouse scale factor")
-		seed    = flag.Int64("seed", 7, "sampling seed")
-		samples = flag.Int("samples", 40, "Gamma-neighborhood sample count")
-		iters   = flag.Int("iterations", 12, "robust-move iterations")
-		par     = flag.Int("parallelism", 0, "neighborhood-evaluation workers (0 = NumCPU)")
+		loop    = loopFlags(flag.CommandLine)
 		verbose = flag.Bool("v", false, "print the per-iteration trace")
 		outJSON = flag.String("out", "", "also write the design as JSON to this file")
 
@@ -61,11 +58,6 @@ func main() {
 		coldRedesign = flag.Bool("cold", false,
 			"online: disable the warm-start unit-cost handoff (every re-design repeats all cost-model calls; designs are bit-identical either way)")
 
-		designers = flag.String("designers", "advisor",
-			"comma-separated designer portfolio raced on every design call: advisor (the engine's nominal designer), autoadmin, ilp")
-		memberTimeout = flag.Duration("member-timeout", 0,
-			"per-member design timeout for the portfolio (0 = no bound); a timed-out member is skipped, not fatal")
-
 		events   = flag.String("events", "", "write the loop's event stream as JSONL to this file")
 		spans    = flag.String("spans", "", "write the wall-clock span side-channel as JSONL to this file (cliffreport summarize -spans)")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /vars (MetricsSnapshot JSON, the same shape as the span metrics record) on this address, e.g. :8080 or :0")
@@ -80,7 +72,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *onlineMode && *gamma <= 0 {
+	req := loop()
+	if err := req.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	if *onlineMode && req.Gamma <= 0 {
 		log.Fatal("-online needs -gamma > 0 (online mode guards a Gamma-neighborhood)")
 	}
 
@@ -101,13 +97,6 @@ func main() {
 		st.Streamed, w.Len(), st.Skipped, *path)
 
 	eng, err := cliffguard.OpenEngine(cliffguard.EngineSpec{Kind: *engine, Schema: s})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var db cliffguard.CostModel = eng
-	nominal := eng.NominalDesigner(*budget << 20)
-
-	members, err := buildDesigners(*designers, db, nominal, *budget<<20)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -184,49 +173,32 @@ func main() {
 	}
 
 	if *onlineMode {
-		err := runOnline(ctx, s, w, db, members, reg, observer, onlineParams{
-			gamma: *gamma, samples: *samples, iterations: *iters, seed: *seed,
-			parallelism: *par, memberTimeout: *memberTimeout,
-			driftFraction: *driftFraction, checkEvery: *checkEvery,
-			buckets: *winBuckets, bucketSize: *bucketSize, cold: *coldRedesign,
-			verbose: *verbose,
-		})
-		if err != nil {
+		spec := serve.OnlineSpec{
+			RunRequest: req, DriftFraction: *driftFraction, CheckEvery: *checkEvery,
+			Buckets: *winBuckets, BucketSize: *bucketSize, DisableWarmStart: *coldRedesign,
+		}
+		if err := runOnline(ctx, eng, *budget<<20, spec, w, reg, observer, *verbose); err != nil {
 			log.Fatal(err)
 		}
 		flushObservers()
 		return
 	}
 
+	// Batch, at any Gamma: at Gamma = 0 the run returns the nominal design
+	// (the portfolio's, with several -designers) without sampling.
 	start := time.Now()
-	var design *cliffguard.Design
-	if *gamma == 0 {
-		if len(members) == 1 {
-			design, err = members[0].Design(ctx, w)
-		} else {
-			pf := cliffguard.NewPortfolio(db, members...)
-			pf.Parallelism = *par
-			pf.MemberTimeout = *memberTimeout
-			pf.Observer = observer
-			pf.Metrics = reg
-			design, err = pf.Design(ctx, w)
-		}
-	} else {
-		opts := cliffguard.Options{
-			Gamma: *gamma, Samples: *samples, Iterations: *iters, Seed: *seed,
-			Parallelism: *par, Portfolio: members[1:], MemberTimeout: *memberTimeout,
-		}.WithObserver(observer).WithMetrics(reg)
-		guard, gerr := cliffguard.New(members[0], db, s, opts)
-		if gerr != nil {
-			log.Fatal(gerr)
-		}
-		var traces []cliffguard.Trace
-		design, traces, err = guard.DesignWithTrace(ctx, w)
-		if *verbose {
-			for _, tr := range traces {
-				fmt.Printf("iter %2d: alpha=%.3f worst-case %.0f -> candidate %.0f improved=%v\n",
-					tr.Iteration, tr.Alpha, tr.WorstCase, tr.CandidateCost, tr.Improved)
-			}
+	spec := req.Spec()
+	spec.Opened, spec.BudgetBytes, spec.Workload = eng, *budget<<20, w
+	spec.Options = spec.Options.WithObserver(observer).WithMetrics(reg)
+	h, err := serve.StartRun(ctx, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	design, traces, err := h.Await(context.Background())
+	if *verbose {
+		for _, tr := range traces {
+			fmt.Printf("iter %2d: alpha=%.3f worst-case %.0f -> candidate %.0f improved=%v\n",
+				tr.Iteration, tr.Alpha, tr.WorstCase, tr.CandidateCost, tr.Improved)
 		}
 	}
 	if err != nil {
@@ -234,55 +206,46 @@ func main() {
 	}
 	flushObservers()
 
-	before, _ := cliffguard.WorkloadCost(ctx, db, w, nil)
-	after, _ := cliffguard.WorkloadCost(ctx, db, w, design)
+	before, _ := cliffguard.WorkloadCost(ctx, eng, w, nil)
+	after, _ := cliffguard.WorkloadCost(ctx, eng, w, design)
 	fmt.Printf("design found in %s: %d structures, %d MiB\n",
 		time.Since(start).Round(time.Millisecond), design.Len(), design.SizeBytes()>>20)
 	fmt.Printf("estimated workload cost: %.0f ms -> %.0f ms (%.1fx)\n", before, after, safeRatio(before, after))
 	fmt.Println(design)
 
 	if *outJSON != "" {
-		if err := writeDesignJSON(*outJSON, *engine, *gamma, design, before, after); err != nil {
+		if err := writeDesignJSON(*outJSON, *engine, req.Gamma, design, before, after); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("design written to %s\n", *outJSON)
 	}
 }
 
-// buildDesigners resolves the -designers flag into a designer list. The
-// first entry fills the robust loop's nominal slot; the rest become
-// Options.Portfolio members raced against it.
-func buildDesigners(spec string, db cliffguard.CostModel, nominal cliffguard.Designer, budgetBytes int64) ([]cliffguard.Designer, error) {
-	provider, _ := nominal.(cliffguard.CandidateProvider)
-	var out []cliffguard.Designer
-	seen := map[string]bool{}
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(strings.ToLower(name))
-		if name == "" || seen[name] {
-			continue
+// loopFlags registers the robust loop's flags on fs and returns the function
+// that lowers their parsed values to the one loop specification.
+func loopFlags(fs *flag.FlagSet) func() serve.RunRequest {
+	var (
+		gamma   = fs.Float64("gamma", 0.002, "robustness knob Gamma (0 = nominal design)")
+		seed    = fs.Int64("seed", 7, "sampling seed")
+		samples = fs.Int("samples", 40, "Gamma-neighborhood sample count")
+		iters   = fs.Int("iterations", 12, "robust-move iterations")
+		par     = fs.Int("parallelism", 0, "neighborhood-evaluation workers (0 = NumCPU)")
+
+		designers = fs.String("designers", "advisor",
+			"comma-separated designer portfolio raced on every design call: advisor (the engine's nominal designer), autoadmin, ilp")
+		memberTimeout = fs.Duration("member-timeout", 0,
+			"per-member design timeout for the portfolio (0 = no bound); a timed-out member is skipped, not fatal")
+	)
+	return func() serve.RunRequest {
+		req := serve.RunRequest{
+			Gamma: *gamma, Samples: *samples, Iterations: *iters, Seed: *seed,
+			Parallelism: *par, Designers: strings.Split(*designers, ","),
 		}
-		seen[name] = true
-		switch name {
-		case "advisor":
-			out = append(out, nominal)
-		case "autoadmin":
-			if provider == nil {
-				return nil, fmt.Errorf("designer %q needs a candidate-providing nominal designer", name)
-			}
-			out = append(out, cliffguard.NewAutoAdminDesigner(db, provider, budgetBytes))
-		case "ilp":
-			if provider == nil {
-				return nil, fmt.Errorf("designer %q needs a candidate-providing nominal designer", name)
-			}
-			out = append(out, cliffguard.NewILPDesigner(db, provider, budgetBytes))
-		default:
-			return nil, fmt.Errorf("unknown designer %q (want advisor, autoadmin or ilp)", name)
+		if *memberTimeout != 0 {
+			req.MemberTimeout = memberTimeout.String()
 		}
+		return req
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-designers %q names no designers", spec)
-	}
-	return out, nil
 }
 
 // designDoc is the JSON shape of an exported design.

@@ -2,16 +2,21 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/obs"
+	"cliffguard/internal/serve"
 	"cliffguard/internal/wlgen"
 )
 
@@ -124,5 +129,89 @@ func TestOnlineHonoursMemberTimeout(t *testing.T) {
 			t.Fatalf("cliffguard %v: err = %v, want a member deadline failure\nstdout:\n%s\nstderr:\n%s",
 				mode, err, stdout.String(), stderr.String())
 		}
+	}
+}
+
+// TestLoopFlagsLowerToRunRequest drives the loop-field rows that
+// internal/serve's TestLoopFieldsReachEveryEntryPoint drives through the /v1
+// endpoints through the CLI's flags instead: each must lower to the very
+// RunRequest the row's JSON decodes to, and no flags at all to the base row.
+func TestLoopFlagsLowerToRunRequest(t *testing.T) {
+	raw, err := os.ReadFile("../../internal/serve/testdata/loop_fields.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lf struct {
+		Base   map[string]any `json:"base"`
+		Fields []struct {
+			Field string         `json:"field"`
+			Set   map[string]any `json:"set"`
+			Flags []string       `json:"flags"`
+		} `json:"fields"`
+	}
+	if err := json.Unmarshal(raw, &lf); err != nil {
+		t.Fatal(err)
+	}
+	lower := func(args []string) serve.RunRequest {
+		fs := flag.NewFlagSet("cliffguard", flag.ContinueOnError)
+		loop := loopFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return loop()
+	}
+	decode := func(fields map[string]any) serve.RunRequest {
+		body, _ := json.Marshal(fields)
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req serve.RunRequest
+		if err := dec.Decode(&req); err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	if got, want := lower(nil), decode(lf.Base); !reflect.DeepEqual(got, want) {
+		t.Fatalf("CLI defaults lower to %+v, want the base row %+v", got, want)
+	}
+	for _, row := range lf.Fields {
+		if row.Flags == nil {
+			continue // no CLI flag sets this field
+		}
+		fields := maps.Clone(lf.Base)
+		maps.Copy(fields, row.Set)
+		if got, want := lower(row.Flags), decode(fields); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: flags %v lower to %+v, want %+v", row.Field, row.Flags, got, want)
+		}
+	}
+}
+
+// The CLI carries -member-timeout as a time.Duration and the run request as
+// its string: the round trip through the request must be exact.
+func TestMemberTimeoutRoundTrip(t *testing.T) {
+	for _, d := range []time.Duration{0, 1, 999, time.Microsecond + 1, 1500 * time.Millisecond,
+		90 * time.Minute, time.Hour + time.Nanosecond, 1<<63 - 1} {
+		fs := flag.NewFlagSet("cliffguard", flag.ContinueOnError)
+		loop := loopFlags(fs)
+		if err := fs.Parse([]string{"-member-timeout", d.String()}); err != nil {
+			t.Fatal(err)
+		}
+		req := loop()
+		if err := req.Validate(); err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+		if got := req.Options().MemberTimeout; got != d {
+			t.Errorf("-member-timeout %v lowers through %q to %v", d, req.MemberTimeout, got)
+		}
+	}
+}
+
+// An unknown -designers name is rejected right after flag parsing, before
+// the workload is read.
+func TestUnknownDesignerRejectedBeforeIngest(t *testing.T) {
+	cmd := command(t, "-workload", filepath.Join(t.TempDir(), "missing.sql"), "-designers", "advisor,nope")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil || !strings.Contains(stderr.String(), `unknown designer "nope"`) {
+		t.Fatalf("err = %v, stderr %q; want an unknown-designer failure", err, stderr.String())
 	}
 }

@@ -6,51 +6,18 @@ import (
 	"time"
 
 	"cliffguard"
+	"cliffguard/internal/serve"
 )
-
-// onlineParams carry the -online flag group into the replay loop.
-type onlineParams struct {
-	gamma         float64
-	samples       int
-	iterations    int
-	seed          int64
-	parallelism   int
-	memberTimeout time.Duration
-	driftFraction float64
-	checkEvery    int
-	buckets       int
-	bucketSize    int
-	cold          bool
-	verbose       bool
-}
 
 // runOnline replays the loaded workload through online mode: every query
 // streams into the sliding window in file order; the first full window
 // bootstraps the incumbent design, and each fired drift check triggers a
 // warm-started re-design guarded by the safety acceptance rule. This is the
-// CLI twin of the server's /online endpoints — same controller, same
-// determinism — for replaying recorded query logs offline.
-func runOnline(ctx context.Context, s *cliffguard.Schema, w *cliffguard.Workload, cost cliffguard.CostModel, members []cliffguard.Designer, reg *cliffguard.Metrics, observer cliffguard.Observer, p onlineParams) error {
-	metric := cliffguard.NewEuclidean(s)
-	sampler := cliffguard.NewSampler(metric, s)
-	sampler.Metrics = reg
-	ctrl, err := cliffguard.NewOnlineController(cliffguard.OnlineConfig{
-		Designer: members[0],
-		Cost:     cost,
-		Sampler:  sampler,
-		Metric:   metric,
-		Options: cliffguard.Options{
-			Gamma: p.gamma, Samples: p.samples, Iterations: p.iterations,
-			Seed: p.seed, Parallelism: p.parallelism,
-			Portfolio: members[1:], MemberTimeout: p.memberTimeout,
-		},
-		DriftFraction:    p.driftFraction,
-		CheckEvery:       p.checkEvery,
-		Window:           cliffguard.OnlineWindowConfig{Buckets: p.buckets, BucketSize: p.bucketSize},
-		DisableWarmStart: p.cold,
-		Metrics:          reg,
-		Observer:         observer,
-	})
+// CLI twin of the server's /online endpoints — the controller comes from the
+// same constructor, with the same determinism — for replaying recorded query
+// logs offline.
+func runOnline(ctx context.Context, eng cliffguard.Engine, budgetBytes int64, spec serve.OnlineSpec, w *cliffguard.Workload, reg *cliffguard.Metrics, observer cliffguard.Observer, verbose bool) error {
+	ctrl, _, err := serve.NewOnline(eng, budgetBytes, spec, nil, reg, observer)
 	if err != nil {
 		return err
 	}
@@ -68,7 +35,7 @@ func runOnline(ctx context.Context, s *cliffguard.Schema, w *cliffguard.Workload
 		fmt.Printf("redesign @%-6d %-9s %s in %s: %d structures, worst-case %.0f ms, %d warm hits\n",
 			at, reason, verdict, time.Since(start).Round(time.Millisecond),
 			res.Design.Len(), res.Stats.FinalWorst, res.WarmHits)
-		if p.verbose {
+		if verbose {
 			for _, tr := range res.Traces {
 				fmt.Printf("  iter %2d: alpha=%.3f worst-case %.0f -> candidate %.0f improved=%v\n",
 					tr.Iteration, tr.Alpha, tr.WorstCase, tr.CandidateCost, tr.Improved)

@@ -73,7 +73,7 @@ func FuzzOnlineObserve(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	st, err := srv.buildOnline(tn, OnlineSpec{Gamma: 0.002, Buckets: 2, BucketSize: 16})
+	st, err := srv.buildOnline(tn, OnlineSpec{RunRequest: RunRequest{Gamma: 0.002}, Buckets: 2, BucketSize: 16})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -6,12 +6,12 @@ import (
 	"math"
 	"net/http"
 
-	"cliffguard/internal/core"
 	"cliffguard/internal/designer"
+	"cliffguard/internal/engine"
 	"cliffguard/internal/evalcache"
 	"cliffguard/internal/ingest"
+	"cliffguard/internal/obs"
 	"cliffguard/internal/online"
-	"cliffguard/internal/sample"
 )
 
 // Per-tenant online mode: a sliding-window drift controller layered on the
@@ -37,17 +37,9 @@ type onlineState struct {
 
 // OnlineSpec is the request body of POST /v1/tenants/{tenant}/online.
 type OnlineSpec struct {
-	// Gamma, Samples, Iterations, Seed, Parallelism configure each re-design
-	// run, exactly as in RunRequest. Gamma must be > 0.
-	Gamma       float64 `json:"gamma"`
-	Samples     int     `json:"samples,omitempty"`
-	Iterations  int     `json:"iterations,omitempty"`
-	Seed        int64   `json:"seed,omitempty"`
-	Parallelism int     `json:"parallelism,omitempty"`
-	// Metric and Designers mirror RunRequest (drift is measured with the
-	// same metric the neighborhood is defined by).
-	Metric    string   `json:"metric,omitempty"`
-	Designers []string `json:"designers,omitempty"`
+	// RunRequest configures each re-design run, as it configures a batch
+	// run; Gamma must be > 0. Drift is measured with its metric.
+	RunRequest
 	// DriftFraction scales the drift threshold (fire when
 	// delta > DriftFraction*Gamma; 0 = 1.0). CheckEvery checks drift every N
 	// accepted observations (0 = on bucket rotation).
@@ -141,42 +133,57 @@ func (s *Server) onlineOrErr(r *http.Request) (*tenant, *onlineState, error) {
 	return t, st, nil
 }
 
-// buildOnline assembles an online.Controller from the wire spec against the
-// tenant's engine. The run's evaluation path costs queries through the
-// server's cross-tenant memo; the controller layers its own run-to-run
-// handoff on top (values are identical to the raw engine either way, so the
-// handoff's contract — same cost model across a controller's runs — holds by
-// construction).
-func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
-	metric, err := resolveMetric(spec.Metric, t.eng.Schema().NumColumns())
+// NewOnline builds the online controller of spec against an opened engine,
+// through the same assembly as StartRun. With shared set, its re-designs
+// cost queries through a Layer over it, which is returned so that callers can
+// attribute its hits; the controller layers its own run-to-run handoff on top
+// (values are identical to the raw engine either way, so the handoff's
+// contract, one cost model across a controller's runs, holds). met and ob
+// instrument the controller; either may be nil.
+func NewOnline(eng engine.Engine, budgetBytes int64, spec OnlineSpec, shared *evalcache.Shared, met *obs.Metrics, ob obs.Observer) (*online.Controller, *evalcache.Layer, error) {
+	cfg, layer, err := onlineConfig(eng, budgetBytes, spec, shared, met, ob)
 	if err != nil {
-		return nil, errBadRequest(err)
+		return nil, nil, err
 	}
-	members, err := resolveDesigners(spec.Designers, t.eng, t.budgetBytes)
+	ctrl, err := online.New(cfg)
 	if err != nil {
-		return nil, errBadRequest(err)
+		return nil, nil, err
 	}
-	sampler := sample.New(metric, sample.NewMutator(t.eng.Schema()))
-	sampler.Metrics = s.metrics
-	var cost designer.CostModel = t.eng
-	var shared *evalcache.Layer
-	if s.shared != nil {
-		shared = &evalcache.Layer{Inner: t.eng, Class: t.eng.Class(), Read: s.shared, Write: s.shared}
-		cost = shared
+	return ctrl, layer, nil
+}
+
+// onlineConfig is the controller configuration NewOnline builds.
+func onlineConfig(eng engine.Engine, budgetBytes int64, spec OnlineSpec, shared *evalcache.Shared, met *obs.Metrics, ob obs.Observer) (online.Config, *evalcache.Layer, error) {
+	run := spec.Spec()
+	run.Opened, run.BudgetBytes, run.Shared = eng, budgetBytes, shared
+	run.Options.Metrics = met
+	a, err := assemble(run)
+	if err != nil {
+		return online.Config{}, nil, err
 	}
-	ctrl, err := online.New(online.Config{
-		Designer:         members[0],
-		Cost:             cost,
-		Sampler:          sampler,
-		Metric:           metric,
-		Options:          spec.options(members[1:]),
+	return online.Config{
+		Designer:         a.nominal,
+		Cost:             a.cost,
+		Sampler:          a.sampler,
+		Metric:           a.metric,
+		Options:          a.opts,
 		DriftFraction:    spec.DriftFraction,
 		CheckEvery:       spec.CheckEvery,
 		Window:           online.WindowConfig{Buckets: spec.Buckets, BucketSize: spec.BucketSize},
 		DisableSeed:      spec.DisableSeed,
 		DisableWarmStart: spec.DisableWarmStart,
-		Metrics:          s.metrics,
-	})
+		Metrics:          met,
+		Observer:         ob,
+	}, a.layer, nil
+}
+
+// buildOnline checks the wire spec and builds the tenant's online state over
+// the server's cross-tenant memo.
+func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
+	if err := spec.validate(); err != nil {
+		return nil, errBadRequest(err)
+	}
+	ctrl, shared, err := NewOnline(t.eng, t.budgetBytes, spec, s.shared, s.metrics, nil)
 	if err != nil {
 		return nil, errBadRequest(err)
 	}
@@ -200,15 +207,6 @@ func (s *Server) redesign(t *tenant, st *onlineState) (*online.Result, error) {
 		})
 	}
 	return res, err
-}
-
-// options lowers the spec to the core options of each re-design run.
-func (spec OnlineSpec) options(portfolio []designer.Designer) core.Options {
-	return core.Options{
-		Gamma: spec.Gamma, Samples: spec.Samples, Iterations: spec.Iterations,
-		Seed: spec.Seed, Parallelism: spec.Parallelism,
-		Portfolio: portfolio,
-	}
 }
 
 // onlineInfo renders the tenant's online status.

@@ -4,8 +4,10 @@
 // RunSpec is everything the library path assembles by hand — engine, metric,
 // designer portfolio, loop options, workload — as one declarative value;
 // StartRun turns it into an asynchronous RunHandle with status, cancellation,
-// await, and access to the run's event stream, spans, and report. The server
-// and the CLIs construct runs exclusively through this path, so an HTTP
+// await, and access to the run's event stream, spans, and report. RunRequest
+// is its wire form, the one loop specification: the server's run and online
+// endpoints and the cliffguard CLI's batch and online modes all lower one
+// through RunRequest.Spec and build through the same assembly, so an HTTP
 // submission and a library call with the same spec produce bit-identical
 // designs, traces, and event streams.
 package serve
@@ -14,6 +16,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -98,36 +101,22 @@ func resolveMetric(name string, numColumns int) (distance.Metric, error) {
 	return nil, fmt.Errorf("serve: unknown metric %q (want euclidean or separate)", name)
 }
 
-// resolveDesigners maps designer names to the portfolio, mirroring the
-// cliffguard CLI's -designers flag exactly (dedup, case-insensitive, advisor
-// first by convention but any order is honored).
-func resolveDesigners(names []string, eng engine.Engine, budgetBytes int64) ([]designer.Designer, error) {
+// designerNames resolves a designer list: names are trimmed, lower-cased and
+// deduplicated in order, an empty list means ["advisor"], and an unknown name
+// or a list that names none is an error.
+func designerNames(names []string) ([]string, error) {
 	if len(names) == 0 {
-		names = []string{"advisor"}
+		return []string{"advisor"}, nil
 	}
-	nominal := eng.NominalDesigner(budgetBytes)
-	provider, _ := nominal.(portfolio.CandidateProvider)
-	var out []designer.Designer
-	seen := map[string]bool{}
+	var out []string
 	for _, name := range names {
 		name = strings.TrimSpace(strings.ToLower(name))
-		if name == "" || seen[name] {
+		if name == "" || slices.Contains(out, name) {
 			continue
 		}
-		seen[name] = true
 		switch name {
-		case "advisor":
-			out = append(out, nominal)
-		case "autoadmin":
-			if provider == nil {
-				return nil, fmt.Errorf("serve: designer %q needs a candidate-providing nominal designer", name)
-			}
-			out = append(out, portfolio.NewAutoAdmin(eng, provider, budgetBytes))
-		case "ilp":
-			if provider == nil {
-				return nil, fmt.Errorf("serve: designer %q needs a candidate-providing nominal designer", name)
-			}
-			out = append(out, portfolio.NewILPDesigner(eng, provider, budgetBytes))
+		case "advisor", "autoadmin", "ilp":
+			out = append(out, name)
 		default:
 			return nil, fmt.Errorf("serve: unknown designer %q (want advisor, autoadmin or ilp)", name)
 		}
@@ -138,21 +127,69 @@ func resolveDesigners(names []string, eng engine.Engine, budgetBytes int64) ([]d
 	return out, nil
 }
 
-// StartRun validates the spec, assembles the guard, and launches the run
-// asynchronously. The returned handle owns a per-run event recorder and span
-// buffer regardless of what the spec's Options attach, so every run's stream
-// and report are retrievable afterwards.
-//
-// Cancelling ctx (or RunHandle.Cancel) aborts the run; its handle then
-// reports StatusCancelled.
-func StartRun(ctx context.Context, spec RunSpec) (*RunHandle, error) {
-	if spec.Workload == nil || spec.Workload.Len() == 0 {
-		return nil, fmt.Errorf("serve: spec has no workload")
+// resolveDesigners builds the named portfolio against the engine: "advisor"
+// is the engine's nominal designer, and the candidate-pool designers draw
+// their candidates from it.
+func resolveDesigners(names []string, eng engine.Engine, budgetBytes int64) ([]designer.Designer, error) {
+	names, err := designerNames(names)
+	if err != nil {
+		return nil, err
 	}
+	nominal := eng.NominalDesigner(budgetBytes)
+	provider, _ := nominal.(portfolio.CandidateProvider)
+	out := make([]designer.Designer, len(names))
+	for i, name := range names {
+		if name != "advisor" && provider == nil {
+			return nil, fmt.Errorf("serve: designer %q needs a candidate-providing nominal designer", name)
+		}
+		switch name {
+		case "advisor":
+			out[i] = nominal
+		case "autoadmin":
+			out[i] = portfolio.NewAutoAdmin(eng, provider, budgetBytes)
+		case "ilp":
+			out[i] = portfolio.NewILPDesigner(eng, provider, budgetBytes)
+		}
+	}
+	return out, nil
+}
+
+// validate is the one check of a loop specification: the metric and
+// designer names and the core options. The /v1 endpoints reach it at
+// admission, and every run and online controller through assemble.
+func (spec RunSpec) validate() error {
 	if len(spec.Options.Portfolio) != 0 {
-		return nil, fmt.Errorf("serve: set RunSpec.Designers, not Options.Portfolio")
+		return fmt.Errorf("serve: set RunSpec.Designers, not Options.Portfolio")
 	}
-	if err := spec.Options.Validate(); err != nil {
+	if _, err := resolveMetric(spec.Metric, 1); err != nil {
+		return err
+	}
+	if _, err := designerNames(spec.Designers); err != nil {
+		return err
+	}
+	return spec.Options.Validate()
+}
+
+// assembly is a checked spec resolved against its engine: the robust loop's
+// building blocks, shared by StartRun and NewOnline.
+type assembly struct {
+	nominal designer.Designer // the first named designer
+	cost    designer.CostModel
+	sampler *sample.Sampler
+	metric  distance.Metric
+	// opts are spec.Options with the other named designers as the
+	// portfolio.
+	opts core.Options
+	// layer reads and writes spec.Shared under the engine (nil without it).
+	layer *evalcache.Layer
+}
+
+// assemble checks the spec, opens its engine unless one is given, and builds
+// the metric, the designers, the sampler and, over spec.Shared, the
+// cross-tenant Layer the loop costs its neighborhoods through (the designers
+// keep the raw engine; values are identical either way).
+func assemble(spec RunSpec) (*assembly, error) {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	eng := spec.Opened
@@ -174,9 +211,35 @@ func StartRun(ctx context.Context, spec RunSpec) (*RunHandle, error) {
 	if err != nil {
 		return nil, err
 	}
+	a := &assembly{nominal: members[0], cost: eng, metric: metric, opts: spec.Options}
+	a.opts.Portfolio = members[1:]
+	if spec.Shared != nil {
+		a.layer = &evalcache.Layer{Inner: eng, Class: eng.Class(), Read: spec.Shared, Write: spec.Shared}
+		a.cost = a.layer
+	}
+	a.sampler = sample.New(metric, sample.NewMutator(eng.Schema()))
+	a.sampler.Metrics = spec.Options.Metrics
+	return a, nil
+}
+
+// StartRun validates the spec, assembles the guard, and launches the run
+// asynchronously. The returned handle owns a per-run event recorder and span
+// buffer regardless of what the spec's Options attach, so every run's stream
+// and report are retrievable afterwards.
+//
+// Cancelling ctx (or RunHandle.Cancel) aborts the run; its handle then
+// reports StatusCancelled.
+func StartRun(ctx context.Context, spec RunSpec) (*RunHandle, error) {
+	if spec.Workload == nil || spec.Workload.Len() == 0 {
+		return nil, fmt.Errorf("serve: spec has no workload")
+	}
+	a, err := assemble(spec)
+	if err != nil {
+		return nil, err
+	}
 
 	h := &RunHandle{rec: &obs.Recorder{}, spans: &bytes.Buffer{}, done: make(chan struct{}),
-		tenant: spec.Tenant, tenantSeries: spec.tenantSeries}
+		tenant: spec.Tenant, tenantSeries: spec.tenantSeries, shared: a.layer}
 	h.spanRec = obs.NewSpanRecorder(h.spans)
 	if spec.RequestID != "" {
 		h.spanRec.SetRequestID(spec.RequestID)
@@ -187,22 +250,9 @@ func StartRun(ctx context.Context, spec RunSpec) (*RunHandle, error) {
 		h.spanRec.RecordSpan(obs.SpanQueueWait, -1, spec.EnqueuedAt, time.Now())
 	}
 
-	opts := spec.Options
-	opts.Portfolio = members[1:]
-	opts = opts.WithObserver(h.rec).WithObserver(h.spanRec)
+	opts := a.opts.WithObserver(h.rec).WithObserver(h.spanRec)
 	h.metrics = opts.Metrics
-
-	// The loop's evaluation path costs queries through the cross-tenant memo
-	// when one is installed; the designers see the raw engine either way.
-	var cost designer.CostModel = eng
-	if spec.Shared != nil {
-		h.shared = &evalcache.Layer{Inner: eng, Class: eng.Class(), Read: spec.Shared, Write: spec.Shared}
-		cost = h.shared
-	}
-
-	sampler := sample.New(metric, sample.NewMutator(eng.Schema()))
-	sampler.Metrics = opts.Metrics
-	guard := core.New(members[0], cost, sampler, opts)
+	guard := core.New(a.nominal, a.cost, a.sampler, opts)
 
 	h.core = guard.Start(ctx, spec.Workload)
 	go func() {

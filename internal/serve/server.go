@@ -492,20 +492,16 @@ func (s *Server) execute(t *tenant, r *run, ctx context.Context) {
 		Detail: fmt.Sprintf("queue_wait=%s", wait.Round(time.Microsecond)),
 	})
 
-	spec := RunSpec{
-		Opened:      t.eng,
-		BudgetBytes: t.budgetBytes,
-		Metric:      r.req.Metric,
-		Designers:   r.req.Designers,
-		Options:     r.req.Options().WithMetrics(s.metrics),
-		Workload:    t.snapshotWorkload(),
-		Shared:      s.shared,
-		Tenant:      t.id,
-		RequestID:   r.requestID,
-		EnqueuedAt:  r.enqueuedAt,
-
-		tenantSeries: func(update func()) { s.tenantSeries(t, update) },
-	}
+	spec := r.req.Spec()
+	spec.Opened = t.eng
+	spec.BudgetBytes = t.budgetBytes
+	spec.Options = spec.Options.WithMetrics(s.metrics)
+	spec.Workload = t.snapshotWorkload()
+	spec.Shared = s.shared
+	spec.Tenant = t.id
+	spec.RequestID = r.requestID
+	spec.EnqueuedAt = r.enqueuedAt
+	spec.tenantSeries = func(update func()) { s.tenantSeries(t, update) }
 	if s.cfg.EventsDir != "" {
 		path := filepath.Join(s.cfg.EventsDir, fmt.Sprintf("%s-%s.events.jsonl", t.id, r.id))
 		if f, err := os.Create(path); err == nil {

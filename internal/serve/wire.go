@@ -137,56 +137,59 @@ type WorkloadInfo struct {
 	Added     int `json:"added,omitempty"`
 }
 
-// RunRequest is the request body of POST /v1/tenants/{tenant}/runs: the wire
-// form of a RunSpec minus what the tenant already pins (engine, budget,
-// workload).
+// RunRequest is the one loop specification: the request body of POST
+// /v1/tenants/{tenant}/runs, embedded in OnlineSpec, and what the cliffguard
+// CLI fills from its flags. It is the wire form of a RunSpec minus what the
+// caller already pins (engine, budget, workload).
 type RunRequest struct {
 	Gamma         float64  `json:"gamma"`
 	Samples       int      `json:"samples,omitempty"`
 	Iterations    int      `json:"iterations,omitempty"`
 	Seed          int64    `json:"seed,omitempty"`
 	Parallelism   int      `json:"parallelism,omitempty"`
-	Shards        int      `json:"shards,omitempty"` // deprecated alias of Parallelism, kept so older clients still decode
 	TopFraction   float64  `json:"top_fraction,omitempty"`
 	Metric        string   `json:"metric,omitempty"`
 	Designers     []string `json:"designers,omitempty"`
 	MemberTimeout string   `json:"member_timeout,omitempty"`
 }
 
-func (r RunRequest) validate() error {
-	if r.Gamma <= 0 {
-		return fmt.Errorf("gamma must be > 0 (the nominal design needs no server)")
-	}
-	if r.Shards < 0 {
-		return fmt.Errorf("shards = %d, must be >= 0", r.Shards)
-	}
-	if _, err := resolveMetric(r.Metric, 1); err != nil {
-		return err
-	}
+// Validate checks the request's member timeout, metric and designer names,
+// and loop options: the check every entry point reaches. Gamma = 0 passes
+// here (the CLI's nominal design); the /v1 endpoints also require Gamma > 0.
+func (r RunRequest) Validate() error {
 	if r.MemberTimeout != "" {
 		if _, err := time.ParseDuration(r.MemberTimeout); err != nil {
 			return fmt.Errorf("member_timeout: %w", err)
 		}
 	}
-	return r.Options().Validate()
+	return r.Spec().validate()
 }
 
-// Options lowers the wire request to loop options. A positive Shards stands
-// in for an unset Parallelism.
+// validate is Validate plus the /v1 endpoints' rule that Gamma > 0.
+func (r RunRequest) validate() error {
+	if r.Gamma <= 0 {
+		return fmt.Errorf("gamma must be > 0 (served runs and online mode guard a Gamma-neighborhood)")
+	}
+	return r.Validate()
+}
+
+// Options lowers the loop fields to core options.
 func (r RunRequest) Options() core.Options {
 	var mt time.Duration
 	if r.MemberTimeout != "" {
 		mt, _ = time.ParseDuration(r.MemberTimeout)
 	}
-	par := r.Parallelism
-	if par == 0 && r.Shards > 0 {
-		par = r.Shards
-	}
 	return core.Options{
 		Gamma: r.Gamma, Samples: r.Samples, Iterations: r.Iterations,
-		Seed: r.Seed, Parallelism: par,
+		Seed: r.Seed, Parallelism: r.Parallelism,
 		TopFraction: r.TopFraction, MemberTimeout: mt,
 	}
+}
+
+// Spec lowers the request to the RunSpec that runs it. The caller adds the
+// engine, budget, workload and any instrumentation.
+func (r RunRequest) Spec() RunSpec {
+	return RunSpec{Metric: r.Metric, Designers: r.Designers, Options: r.Options()}
 }
 
 // RunInfo describes one run's lifecycle.

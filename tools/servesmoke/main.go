@@ -57,6 +57,7 @@ func main() {
 
 var runBody = map[string]any{
 	"gamma": 0.0008, "samples": 8, "iterations": 3, "seed": 7, "parallelism": 2,
+	"metric": "separate", "designers": []string{"advisor", "autoadmin"},
 }
 
 func run() error {
@@ -231,8 +232,8 @@ func workloadSQL() (string, error) {
 	return b.String(), nil
 }
 
-// compareWithLibrary runs the identical RunSpec in process and requires the
-// served design and trace to match it exactly.
+// compareWithLibrary lowers runBody to a RunSpec as the server does, runs it
+// in process, and requires the served design and trace to match it exactly.
 func compareWithLibrary(sql string, design, trace map[string]any) error {
 	w, _, err := serve.ParseWorkload(datagen.Warehouse(1), strings.NewReader(sql), 1)
 	if err != nil {
@@ -243,11 +244,9 @@ func compareWithLibrary(sql string, design, trace map[string]any) error {
 	if err := json.Unmarshal(raw, &req); err != nil {
 		return err
 	}
-	h, err := serve.StartRun(context.Background(), serve.RunSpec{
-		Engine:   engine.Spec{Kind: engine.KindRowStore},
-		Options:  req.Options(),
-		Workload: w,
-	})
+	spec := req.Spec()
+	spec.Engine, spec.Workload = engine.Spec{Kind: engine.KindRowStore}, w
+	h, err := serve.StartRun(context.Background(), spec)
 	if err != nil {
 		return err
 	}
