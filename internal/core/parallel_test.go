@@ -34,7 +34,9 @@ func (unsupportedCost) Cost(context.Context, *workload.Query, *designer.Design) 
 }
 
 // gatedCost wraps a cost model and signals the first Cost call, so a test can
-// cancel a context that is provably mid-design.
+// cancel a context that is provably mid-design. The first call (and any call
+// racing it) returns only once ctx is done, so the design cannot finish
+// before the cancellation lands.
 type gatedCost struct {
 	inner designer.CostModel
 	once  sync.Once
@@ -42,7 +44,10 @@ type gatedCost struct {
 }
 
 func (g *gatedCost) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (float64, error) {
-	g.once.Do(func() { close(g.first) })
+	g.once.Do(func() {
+		close(g.first)
+		<-ctx.Done()
+	})
 	return g.inner.Cost(ctx, q, d)
 }
 

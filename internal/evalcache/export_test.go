@@ -20,8 +20,7 @@ type SharedKey struct {
 // the probe. unsupported reports a memoized designer.ErrUnsupported verdict
 // (cost is 0 then).
 func (s *Shared) Lookup(k SharedKey) (cost float64, unsupported, ok bool) {
-	tk := TableKey{Class: k.Class, Design: k.Design}
-	e, ok := s.probe(s.table(tk, false), tk, k.Query)
+	e, ok := s.probe(s.table(TableKey{Class: k.Class, Design: k.Design}, false), k.Query)
 	return e.cost, e.unsupported, ok
 }
 

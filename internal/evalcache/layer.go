@@ -96,7 +96,7 @@ func (l *Layer) Cost(ctx context.Context, q *workload.Query, d *designer.Design)
 	t := l.tables(d.Fingerprint())
 	h := workload.ContentHash(q)
 	if l.Read != nil {
-		if e, ok := l.Read.probe(t.read, t.key, h); ok {
+		if e, ok := l.Read.probe(t.read, h); ok {
 			l.hits.Add(1)
 			if l.Write != l.Read {
 				l.Write.put(t.write, h, e)

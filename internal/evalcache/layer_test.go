@@ -336,6 +336,95 @@ func TestLayerConcurrentHammer(t *testing.T) {
 	}
 }
 
+// TestStoreChurnHammer races 16 goroutines through layers over one capped
+// store, shared, so that its directory creates and evicts tables throughout:
+// layers with Read == Write == shared (cliffguardd's wiring), handoff layers
+// reading shared into a fresh store, and handoff layers reading a primed
+// store into shared (the online wiring). Stats and Len scrapes interleave.
+// Run under -race. Every value must be the pure function of its key; each
+// goroutine's successive Stats see a non-decreasing probe count; and at the
+// end every store has counted each probe of the layers reading it exactly
+// once, evicted tables' included, and holds Stats().Entries == Len() <= cap.
+// The shared layers store every (design, query) key in shared, many more
+// than its cap, so tables were evicted.
+func TestStoreChurnHammer(t *testing.T) {
+	const (
+		cols    = 9 // 0..8: colUnsupported's verdict is memoized too
+		capN    = 40
+		designs = 16
+	)
+	defer SetEntryCap(capN)()
+	qs := make([]*workload.Query, cols)
+	for i := range qs {
+		qs[i] = layerQuery(i)
+	}
+	ds := make([]*designer.Design, designs)
+	for i := range ds {
+		var ss []designer.Structure
+		for j := 0; j <= i%3; j++ {
+			ss = append(ss, fakeStructure(fmt.Sprint("h", i, "-", j)))
+		}
+		ds[i] = designer.NewDesign(ss...)
+	}
+	shared, prev := NewShared(), NewShared()
+	for i, d := range ds {
+		for col := i % 2; col < cols; col += 2 {
+			cost, err := fakeValue(col, d.Len())
+			prev.Store(SharedKey{Query: workload.ContentHash(qs[col]), Design: d.Fingerprint()}, cost, err != nil)
+		}
+	}
+	layers := []*Layer{
+		{Inner: &fakeCost{}, Read: shared, Write: shared},
+		{Inner: &fakeCost{}, Read: shared, Write: shared},
+		{Inner: &fakeCost{}, Read: shared, Write: NewShared()},
+		{Inner: &fakeCost{}, Read: prev, Write: shared},
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			l := layers[g%len(layers)]
+			var seen uint64
+			for i := 0; i < 4*cols*designs; i++ {
+				col, d := i%cols, (i/cols+g)%designs
+				got, err := l.Cost(context.Background(), qs[col], ds[d])
+				want, wantErr := fakeValue(col, ds[d].Len())
+				if got != want || !errors.Is(err, wantErr) {
+					t.Errorf("Cost(%d, design %d) = (%v, %v), want (%v, %v)", col, d, got, err, want, wantErr)
+					return
+				}
+				if i%17 == g%17 {
+					st := shared.Stats()
+					_ = shared.Len()
+					n := st.Hits + st.Misses
+					if n < seen {
+						t.Errorf("shared counts %d probes after %d", n, seen)
+						return
+					}
+					seen = n
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, s := range []*Shared{shared, prev, layers[2].Write} {
+		var probes uint64
+		for _, l := range layers {
+			if l.Read == s {
+				probes += l.Hits() + l.Misses()
+			}
+		}
+		st := s.Stats()
+		if st.Hits+st.Misses != probes {
+			t.Errorf("store counts %d hits + %d misses, its layers made %d probes", st.Hits, st.Misses, probes)
+		}
+		if n := s.Len(); st.Entries != n || n > capN {
+			t.Errorf("Stats counts %d entries, Len %d, cap %d", st.Entries, n, capN)
+		}
+	}
+}
+
 // TestLayerProbeOfReadCreatesNoTable: with Read != Write, a design Read has
 // no table for misses there (and is counted) without creating one.
 func TestLayerProbeOfReadCreatesNoTable(t *testing.T) {
@@ -346,13 +435,13 @@ func TestLayerProbeOfReadCreatesNoTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := read.tables.Len(); n != 0 {
+	if n := len(read.tables); n != 0 {
 		t.Fatalf("Read holds %d tables after two probes, want 0", n)
 	}
 	if st := read.Stats(); st.Misses != 2 || st.Entries != 0 {
 		t.Fatalf("Read stats = %d misses, %d entries; want 2, 0", st.Misses, st.Entries)
 	}
-	if n := write.tables.Len(); n != 1 {
+	if n := len(write.tables); n != 1 {
 		t.Fatalf("Write holds %d tables, want 1", n)
 	}
 }

@@ -1,12 +1,12 @@
 // Package evalcache memoizes unit costs beyond a single run: Layer is a
 // designer.CostModel that stores (engine class, design fingerprint, query
 // content) -> cost in Shared stores. A Shared keeps one table per (engine
-// class, design) in a striped map (internal/stripe); each table is a plain
-// map keyed by the query's content hash (workload.ContentHash, carried on
-// the Query). Resident entries are capped, and CLOCK eviction drops whole
-// tables. Within a run, the robust loop's unit-cost vectors (internal/core)
-// serve repeats, so the Layer sees each (query, design) the run fills, one
-// design across the run's whole query universe at a time.
+// class, design) in a map under its mutex; each table is a plain map keyed
+// by the query's content hash (workload.ContentHash, carried on the Query).
+// Resident entries are capped, and CLOCK eviction drops whole tables. Within
+// a run, the robust loop's unit-cost vectors (internal/core) serve repeats,
+// so the Layer sees each (query, design) the run fills, one design across
+// the run's whole query universe at a time.
 package evalcache
 
 import (
@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"cliffguard/internal/obs"
-	"cliffguard/internal/stripe"
 )
 
 // maxEntries caps a Shared's resident unit costs. cliffguardd's served-mix
@@ -47,15 +46,6 @@ type TableKey struct {
 	Design uint64
 }
 
-// Mix implements stripe.Key over both key words.
-func (k TableKey) Mix() uint64 {
-	h := (k.Design + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-	h ^= k.Class
-	h *= 0x94d049bb133111eb
-	h ^= h >> 33
-	return h
-}
-
 // Shared is a content-keyed unit-cost store, read and written through a
 // Layer: cliffguardd keeps one per process beneath every tenant's runs, and
 // an online controller hands one from each re-design to the next. Values are
@@ -67,20 +57,26 @@ func (k TableKey) Mix() uint64 {
 // reference bit, and the hand clears set bits and evicts the first table
 // whose bit was clear. Eviction changes hit rates, never a value.
 type Shared struct {
-	tables  stripe.Map[TableKey, *table]
 	entries atomic.Int64 // resident entries over all live tables
 	limit   int64
 
-	// mu serializes creating and evicting tables; clock is the ring the
-	// hand sweeps, in creation order.
-	mu    sync.Mutex
-	clock []*table
-	hand  int
+	// mu guards the directory of tables and serializes creating and
+	// evicting them; clock is the ring the hand sweeps, in creation order.
+	// A Layer looks a design's tables up once per design change, so the
+	// directory sees about one probe per scored design.
+	mu     sync.Mutex
+	tables map[TableKey]*table
+	clock  []*table
+	hand   int
+	// hits and misses tally the probes no live table counts: those of
+	// evicted tables, which evict moves here under mu, and probes that
+	// found no table (misses).
+	hits, misses atomic.Uint64
 }
 
 // table is the unit costs of one (engine class, design), keyed by query
 // content hash. Its counters count the probes it answered; when it is
-// evicted they move to its stripe's tallies, so Stats keeps counting them.
+// evicted they move to the store's tallies, so Stats keeps counting them.
 type table struct {
 	key TableKey
 	// ref is the CLOCK reference bit. dead marks an evicted table, whose
@@ -102,29 +98,27 @@ type entry struct {
 }
 
 // NewShared returns an empty shared memo.
-func NewShared() *Shared { return &Shared{limit: entryCap} }
+func NewShared() *Shared {
+	return &Shared{limit: entryCap, tables: make(map[TableKey]*table)}
+}
 
 // table returns the table for k. When none exists it creates one if create
 // is set, and returns nil otherwise.
 func (s *Shared) table(k TableKey, create bool) *table {
-	if t, ok := s.tables.Lookup(k); ok || !create {
-		return t
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tables.Lookup(k); ok {
-		return t
+	t, ok := s.tables[k]
+	if !ok && create {
+		t = &table{key: k, m: make(map[uint64]entry)}
+		s.tables[k] = t
+		s.clock = append(s.clock, t)
 	}
-	t := &table{key: k, m: make(map[uint64]entry)}
-	s.tables.Store(k, t)
-	s.clock = append(s.clock, t)
 	return t
 }
 
-// probe looks query hash q up in t, the table for k (nil when there is
-// none), and counts the hit or miss: on t while it is live, on k's stripe
-// otherwise.
-func (s *Shared) probe(t *table, k TableKey, q uint64) (entry, bool) {
+// probe looks query hash q up in t (nil when there is no table) and counts
+// the hit or miss: on t while it is live, in the store's misses otherwise.
+func (s *Shared) probe(t *table, q uint64) (entry, bool) {
 	if t != nil {
 		t.mu.RLock()
 		if !t.dead.Load() {
@@ -142,7 +136,7 @@ func (s *Shared) probe(t *table, k TableKey, q uint64) (entry, bool) {
 		}
 		t.mu.RUnlock()
 	}
-	s.tables.Miss(k)
+	s.misses.Add(1)
 	return entry{}, false
 }
 
@@ -183,22 +177,29 @@ func (s *Shared) evict() {
 		t.m = nil
 		t.mu.Unlock()
 		s.entries.Add(-int64(n))
-		s.tables.Delete(t.key, t.hits.Load(), t.misses.Load())
+		delete(s.tables, t.key)
+		s.hits.Add(t.hits.Load())
+		s.misses.Add(t.misses.Load())
 	}
 }
 
 // Len returns the number of resident entries.
 func (s *Shared) Len() int { return int(s.entries.Load()) }
 
-// Stats snapshots query-level hit/miss tallies and entry counts in the shape
-// obs.Metrics.RegisterCache consumes. A stripe's row sums the design tables
-// it holds, plus the tallies of tables evicted from it and of probes that
-// found no table.
+// Stats snapshots query-level hit/miss tallies and the entry count in the
+// shape obs.Metrics.RegisterCache consumes: the live tables' counters plus
+// the store's own tallies. evict moves a table's counters under mu, under
+// which Stats reads, so each probe is counted exactly once.
 func (s *Shared) Stats() obs.CacheStats {
-	return s.tables.Stats(func(t *table) obs.CacheShardStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := obs.CacheStats{Hits: s.hits.Load(), Misses: s.misses.Load()}
+	for _, t := range s.tables {
 		t.mu.RLock()
-		n := len(t.m)
+		out.Entries += len(t.m)
 		t.mu.RUnlock()
-		return obs.CacheShardStats{Hits: t.hits.Load(), Misses: t.misses.Load(), Entries: n}
-	})
+		out.Hits += t.hits.Load()
+		out.Misses += t.misses.Load()
+	}
+	return out
 }

@@ -3,8 +3,7 @@
 // files) in one pass, parses each statement against a schema, and folds
 // duplicate queries into single weighted workload items keyed by
 // workload.Query.FoldKey. Resident memory is O(distinct statements), not
-// O(log lines) — the property that makes million-query logs tractable
-// (ROADMAP item 5).
+// O(log lines) — the property that makes million-query logs tractable.
 //
 // Folding is exact, not approximate: FoldKey captures the full execution
 // Spec (literals and selectivities included), and the workload package's

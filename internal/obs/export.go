@@ -7,13 +7,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 )
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (counters as *_total, gauges plain, latency histograms with
-// cumulative le buckets in seconds, cache stats with cache/shard labels).
+// cumulative le buckets in seconds, cache stats with a cache label).
 func (m *Metrics) WritePrometheus(w io.Writer) error {
 	if m == nil {
 		return nil
@@ -167,35 +168,22 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 
 	snaps := m.CacheSnapshots()
 	if len(snaps) > 0 {
+		names := make([]string, 0, len(snaps))
+		for name := range snaps {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 		fmt.Fprintf(ew, "# HELP cliffguard_costcache_hits_total Memo-cache hits per cache.\n# TYPE cliffguard_costcache_hits_total counter\n")
-		for _, name := range m.cacheNames() {
+		for _, name := range names {
 			fmt.Fprintf(ew, "cliffguard_costcache_hits_total{cache=%q} %d\n", name, snaps[name].Hits)
 		}
 		fmt.Fprintf(ew, "# HELP cliffguard_costcache_misses_total Memo-cache misses per cache.\n# TYPE cliffguard_costcache_misses_total counter\n")
-		for _, name := range m.cacheNames() {
+		for _, name := range names {
 			fmt.Fprintf(ew, "cliffguard_costcache_misses_total{cache=%q} %d\n", name, snaps[name].Misses)
 		}
 		fmt.Fprintf(ew, "# HELP cliffguard_costcache_entries Memoized pairs per cache.\n# TYPE cliffguard_costcache_entries gauge\n")
-		for _, name := range m.cacheNames() {
+		for _, name := range names {
 			fmt.Fprintf(ew, "cliffguard_costcache_entries{cache=%q} %d\n", name, snaps[name].Entries)
-		}
-		fmt.Fprintf(ew, "# HELP cliffguard_costcache_shard_hits_total Memo-cache hits per stripe.\n# TYPE cliffguard_costcache_shard_hits_total counter\n")
-		for _, name := range m.cacheNames() {
-			for i, sh := range snaps[name].Shards {
-				if sh.Hits == 0 && sh.Misses == 0 {
-					continue
-				}
-				fmt.Fprintf(ew, "cliffguard_costcache_shard_hits_total{cache=%q,shard=\"%d\"} %d\n", name, i, sh.Hits)
-			}
-		}
-		fmt.Fprintf(ew, "# HELP cliffguard_costcache_shard_misses_total Memo-cache misses per stripe.\n# TYPE cliffguard_costcache_shard_misses_total counter\n")
-		for _, name := range m.cacheNames() {
-			for i, sh := range snaps[name].Shards {
-				if sh.Hits == 0 && sh.Misses == 0 {
-					continue
-				}
-				fmt.Fprintf(ew, "cliffguard_costcache_shard_misses_total{cache=%q,shard=\"%d\"} %d\n", name, i, sh.Misses)
-			}
 		}
 	}
 	return ew.err

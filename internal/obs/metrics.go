@@ -178,19 +178,12 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// CacheShardStats is one stripe's counters of a sharded memo cache.
-type CacheShardStats struct {
+// CacheStats is a point-in-time snapshot of a memo cache: its hit and miss
+// tallies and resident entries.
+type CacheStats struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	Entries int    `json:"entries"`
-}
-
-// CacheStats is a point-in-time snapshot of a sharded memo cache.
-type CacheStats struct {
-	Hits    uint64            `json:"hits"`
-	Misses  uint64            `json:"misses"`
-	Entries int               `json:"entries"`
-	Shards  []CacheShardStats `json:"shards,omitempty"`
 }
 
 // Metrics is the loop's atomic counter registry. All fields are safe for
@@ -277,9 +270,9 @@ type Metrics struct {
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// RegisterCache registers a sharded memo cache's snapshot function under a
-// name (e.g. "shared-unitcost"); the exporters pull per-shard hit/miss stats
-// through it. Re-registering a name replaces the previous function.
+// RegisterCache registers a memo cache's snapshot function under a name
+// (e.g. "shared-unitcost"); the exporters pull its hit/miss and entry
+// counts through it. Re-registering a name replaces the previous function.
 func (m *Metrics) RegisterCache(name string, snapshot func() CacheStats) {
 	if m == nil || snapshot == nil {
 		return
@@ -292,7 +285,7 @@ func (m *Metrics) RegisterCache(name string, snapshot func() CacheStats) {
 	m.mu.Unlock()
 }
 
-// CacheSnapshots returns the registered caches' stats, sorted by name.
+// CacheSnapshots returns the registered caches' stats, keyed by name.
 func (m *Metrics) CacheSnapshots() map[string]CacheStats {
 	if m == nil {
 		return nil
@@ -475,17 +468,4 @@ func labeledLat(snap map[string]HistogramSnapshot) map[string]LatencyStats {
 		out[label] = s.Latency()
 	}
 	return out
-}
-
-// cacheNames returns the registered cache names in sorted order (stable
-// export output).
-func (m *Metrics) cacheNames() []string {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.caches))
-	for name := range m.caches {
-		names = append(names, name)
-	}
-	m.mu.Unlock()
-	sort.Strings(names)
-	return names
 }

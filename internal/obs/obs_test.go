@@ -268,8 +268,7 @@ func TestMetricsPrometheusAndExpvar(t *testing.T) {
 	m.PoolQueueDepth.Set(3)
 	m.EvalLatency.Observe(2 * time.Millisecond)
 	m.RegisterCache("evalcache", func() CacheStats {
-		return CacheStats{Hits: 10, Misses: 4, Entries: 4,
-			Shards: []CacheShardStats{{Hits: 10, Misses: 4, Entries: 4}}}
+		return CacheStats{Hits: 10, Misses: 4, Entries: 4}
 	})
 
 	var buf bytes.Buffer
@@ -285,7 +284,8 @@ func TestMetricsPrometheusAndExpvar(t *testing.T) {
 		`cliffguard_phase_latency_seconds_count{phase="eval"} 1`,
 		`cliffguard_phase_latency_quantile_seconds{phase="eval",quantile="0.5"}`,
 		`cliffguard_costcache_hits_total{cache="evalcache"} 10`,
-		`cliffguard_costcache_shard_misses_total{cache="evalcache",shard="0"} 4`,
+		`cliffguard_costcache_misses_total{cache="evalcache"} 4`,
+		`cliffguard_costcache_entries{cache="evalcache"} 4`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

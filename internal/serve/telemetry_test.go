@@ -463,8 +463,7 @@ func TestVarsServesMetricsSnapshot(t *testing.T) {
 	m.SharedHitsByTenant.Add("acme", 3)
 	m.SharedMissByTenant.Inc("acme")
 	m.RegisterCache("evalcache", func() obs.CacheStats {
-		return obs.CacheStats{Hits: 10, Misses: 4, Entries: 4,
-			Shards: []obs.CacheShardStats{{Hits: 10, Misses: 4, Entries: 4}}}
+		return obs.CacheStats{Hits: 10, Misses: 4, Entries: 4}
 	})
 
 	roundTrip := func(raw []byte) obs.MetricsSnapshot {
@@ -504,21 +503,26 @@ func TestVarsServesMetricsSnapshot(t *testing.T) {
 // The live service metrics: after real traffic, /metrics must expose the
 // per-route × status-class latency family, per-tenant run/queue-wait series,
 // and per-tenant shared-memo attribution; /vars carries the same families
-// at the MetricsSnapshot's top-level keys.
+// at the MetricsSnapshot's top-level keys. After two tenants' runs over one
+// workload, the shared store's scraped families equal /v1/statez's
+// shared_cache, and no per-stripe family is left.
 func TestServiceMetricsExposed(t *testing.T) {
 	srv := NewServer(Config{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
+	sql := testSQL(t)
 
 	call(t, client, "GET", ts.URL+"/v1/healthz", "", "")
-	call(t, client, "POST", ts.URL+"/v1/tenants", "application/json",
-		`{"id":"metered","engine":{"kind":"rowstore"}}`)
-	call(t, client, "POST", ts.URL+"/v1/tenants/metered/workload", "text/plain", testSQL(t))
-	_, env := call(t, client, "POST", ts.URL+"/v1/tenants/metered/runs", "application/json", testRunBody)
-	var ri RunInfo
-	reencode(t, env.Data, &ri)
-	pollRun(t, client, ts.URL+"/v1/tenants/metered/runs/"+ri.ID)
+	for _, tenant := range []string{"metered", "peer"} {
+		call(t, client, "POST", ts.URL+"/v1/tenants", "application/json",
+			fmt.Sprintf(`{"id":%q,"engine":{"kind":"rowstore"}}`, tenant))
+		call(t, client, "POST", ts.URL+"/v1/tenants/"+tenant+"/workload", "text/plain", sql)
+		_, env := call(t, client, "POST", ts.URL+"/v1/tenants/"+tenant+"/runs", "application/json", testRunBody)
+		var ri RunInfo
+		reencode(t, env.Data, &ri)
+		pollRun(t, client, ts.URL+"/v1/tenants/"+tenant+"/runs/"+ri.ID)
+	}
 	call(t, client, "GET", ts.URL+"/v1/tenants/ghost", "", "") // a 4xx series
 
 	code, body := raw(t, client, ts.URL+"/metrics")
@@ -537,6 +541,30 @@ func TestServiceMetricsExposed(t *testing.T) {
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("metrics scrape missing %q", want)
+		}
+	}
+	_, senv := call(t, client, "GET", ts.URL+"/v1/statez", "", "")
+	var st StateInfo
+	reencode(t, senv.Data, &st)
+	if st.SharedCache.Hits == 0 {
+		t.Errorf("statez shared_cache = %+v: the second tenant's run hit nothing", st.SharedCache)
+	}
+	scraped := map[string]string{}
+	for _, line := range strings.Split(page, "\n") {
+		if strings.HasPrefix(line, "cliffguard_costcache_shard_") {
+			t.Errorf("per-stripe family still exported: %s", line)
+		}
+		if name, value, ok := strings.Cut(line, `{cache="shared-unitcost"} `); ok {
+			scraped[name] = value
+		}
+	}
+	for name, want := range map[string]string{
+		"cliffguard_costcache_hits_total":   fmt.Sprint(st.SharedCache.Hits),
+		"cliffguard_costcache_misses_total": fmt.Sprint(st.SharedCache.Misses),
+		"cliffguard_costcache_entries":      fmt.Sprint(st.SharedCache.Entries),
+	} {
+		if got := scraped[name]; got != want {
+			t.Errorf(`%s{cache="shared-unitcost"} = %q, statez says %s`, name, got, want)
 		}
 	}
 	vcode, vars := raw(t, client, ts.URL+"/vars")

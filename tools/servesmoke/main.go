@@ -10,9 +10,10 @@
 //  3. create a second tenant with the identical workload, run it, and require
 //     the shared unit-cost memo to report cross-tenant hits via /v1/statez;
 //  4. scrape /metrics and require the service telemetry families (per-route
-//     request latency, per-tenant runs and queue wait) plus a populated
-//     /v1/debug/requestz flight ring; every /v1 response along the way must
-//     have carried an X-Request-Id, and an inbound ID must echo back;
+//     request latency, per-tenant runs and queue wait, the shared unit-cost
+//     store's hits) plus a populated /v1/debug/requestz flight ring; every
+//     /v1 response along the way must have carried an X-Request-Id, and an
+//     inbound ID must echo back;
 //  5. decode /vars into an obs.MetricsSnapshot, summarize it as
 //     `cliffreport serve-summary` does, and require each tenant's run count
 //     and the 2xx run-submission count to equal the runs submitted;
@@ -316,6 +317,7 @@ func checkTelemetry(base string) error {
 		`cliffguard_tenant_runs_total{tenant="smoke-a"}`,
 		`cliffguard_tenant_queue_wait_seconds_count{tenant="smoke-a"}`,
 		`cliffguard_tenant_run_duration_seconds_count{tenant="smoke-b"}`,
+		`cliffguard_costcache_hits_total{cache="shared-unitcost"}`,
 	} {
 		if !strings.Contains(string(page), family) {
 			return fmt.Errorf("/metrics scrape missing %q", family)
