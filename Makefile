@@ -44,7 +44,8 @@ race:
 # splitting (pipelined reader vs the line-at-a-time reference), the JSONL
 # stream decoders, the ILP solver's brute-force cross-check, the pair-table
 # designers (budget, Exact ILP vs brute force and the greedy designers, and
-# the sparse table and search steps vs their dense references), the /v1
+# the sparse table and search steps vs their dense references), both
+# engines' vector kernels against Cost on fuzzed queries and designs, the /v1
 # run-request, online-spec and tenant-spec decoders, and the online observe
 # stream, on top of the checked-in corpora (go's -fuzz takes one target per
 # invocation, so a pattern that prefixes another target's name is anchored).
@@ -59,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeSpans -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzILPSolve -fuzztime=5s ./internal/ilp/
 	$(GO) test -fuzz=FuzzPairTable -fuzztime=5s ./internal/portfolio/
+	$(GO) test -fuzz=FuzzVectorKernel -fuzztime=5s ./internal/engine/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=5s ./internal/serve/
 	$(GO) test -fuzz=FuzzOnlineSpec -fuzztime=5s ./internal/serve/
 	$(GO) test -fuzz=FuzzTenantSpec -fuzztime=5s ./internal/serve/

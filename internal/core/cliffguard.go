@@ -273,8 +273,16 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (_ *design
 // input workload with deterministic winner selection. The portfolio shares
 // the run's observer and metrics so per-member DesignerInvoked events and
 // win counters land in the same streams as the rest of the loop.
+//
+// A nominal that implements designer.SessionDesigner fills the slot with a
+// session opened for this run: it keeps the candidate derivations and pair
+// cells that the run's designer calls repeat. Only the run holds it, so it
+// dies with the run. Portfolio members keep the plain path.
 func (cg *CliffGuard) resolveNominal(opts Options, em emitter) designer.Designer {
 	if len(opts.Portfolio) == 0 {
+		if sd, ok := cg.Nominal.(designer.SessionDesigner); ok {
+			return sd.Session()
+		}
 		return cg.Nominal
 	}
 	members := make([]designer.Designer, 0, 1+len(opts.Portfolio))

@@ -10,6 +10,7 @@ import (
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/obs"
+	"cliffguard/internal/pool"
 	"cliffguard/internal/workload"
 )
 
@@ -43,6 +44,21 @@ type runEval struct {
 	vecs  []*costVec // kept vectors: the incumbent's and candidates'
 	spare []*costVec // dropped vectors, reused by the next live pass
 	cells uint64     // entries filled across the run
+
+	// kernel fills vectors when the cost model is a designer.VectorCoster:
+	// the universe prepared once per run. blocks is its per-worker scratch.
+	kernel designer.VectorKernel
+	blocks []fillBlock
+}
+
+// kernelBlocks is the fewest blocks a kernel fill hands each worker.
+const kernelBlocks = 16
+
+// fillBlock is one worker's scratch for a kernel fill of one 64-entry
+// block.
+type fillBlock struct {
+	xs   [64]int32
+	errs [64]error
 }
 
 // costVec is one design's unit costs over the universe and the results of
@@ -59,9 +75,15 @@ type costVec struct {
 
 func (v *costVec) isBad(x int32) bool { return v.bad[x>>6]&(1<<(x&63)) != 0 }
 
-// newRunEval numbers the neighborhood (w0 is its last member).
+// newRunEval numbers the neighborhood (w0 is its last member) and, when the
+// cost model is a designer.VectorCoster, prepares its kernel over the
+// universe.
 func (cg *CliffGuard) newRunEval(opts Options, w0 *workload.Workload, neighborhood []*workload.Workload) *runEval {
-	return &runEval{cg: cg, full: opts.fullPassEval, u: newUniverse(w0, neighborhood), nbrs: neighborhood}
+	re := &runEval{cg: cg, full: opts.fullPassEval, u: newUniverse(w0, neighborhood), nbrs: neighborhood}
+	if vc, ok := cg.Cost.(designer.VectorCoster); ok && !re.full {
+		re.kernel = vc.PrepareVector(re.u.queries)
+	}
+	return re
 }
 
 // vec returns the kept vector of the design with fingerprint fp, or nil.
@@ -119,16 +141,56 @@ func (re *runEval) take(fp uint64) *costVec {
 }
 
 // fill computes every entry of v under d, 64-entry blocks (one word of bad)
-// per pool task. It returns ctx.Err() if the context ended first, checking
-// before every entry; hard cost-model errors go to v.errs and the fill goes
+// per pool task, through the kernel when there is one. It returns ctx.Err()
+// if the context ended first, checking before every entry (every block on
+// the kernel path); hard cost-model errors go to v.errs and the fill goes
 // on.
 func (re *runEval) fill(ctx context.Context, v *costVec, d *designer.Design, em emitter) error {
 	n := len(re.u.queries)
 	done := ctx.Done()
 	var stopped atomic.Bool
 	var mu sync.Mutex // guards v.errs
-	re.cg.fanOut((n+63)/64, em, func(b int) {
-		for x := b * 64; x < min(b*64+64, n) && !stopped.Load(); x++ {
+	record := func(x int, err error) {
+		if !errors.Is(err, designer.ErrUnsupported) {
+			mu.Lock()
+			v.errs[int32(x)] = err
+			mu.Unlock()
+		}
+		v.bad[x>>6] |= 1 << (x & 63)
+	}
+	blocks, par := (n+63)/64, re.cg.Opts.Parallelism
+	if re.kernel != nil {
+		re.kernel.Bind(d)
+		// A kernel entry takes tens of nanoseconds, so a worker woken for
+		// fewer than kernelBlocks blocks costs more than it fills.
+		par = pool.Size(par, max(blocks/kernelBlocks, 1))
+		if len(re.blocks) < par {
+			re.blocks = make([]fillBlock, par)
+		}
+	}
+	fanOut(par, blocks, em, func(w, b int) {
+		lo, hi := b*64, min(b*64+64, n)
+		if re.kernel != nil {
+			select {
+			case <-done:
+				stopped.Store(true)
+				return
+			default:
+			}
+			fb := &re.blocks[w]
+			for x := lo; x < hi; x++ {
+				fb.xs[x-lo] = int32(x)
+			}
+			re.kernel.Fill(fb.xs[:hi-lo], v.cost[lo:hi], fb.errs[:hi-lo])
+			for k, err := range fb.errs[:hi-lo] {
+				if err != nil {
+					record(lo+k, err)
+					fb.errs[k] = nil
+				}
+			}
+			return
+		}
+		for x := lo; x < hi && !stopped.Load(); x++ {
 			select {
 			case <-done:
 				stopped.Store(true)
@@ -140,12 +202,7 @@ func (re *runEval) fill(ctx context.Context, v *costVec, d *designer.Design, em 
 				v.cost[x] = c
 				continue
 			}
-			if !errors.Is(err, designer.ErrUnsupported) {
-				mu.Lock()
-				v.errs[int32(x)] = err
-				mu.Unlock()
-			}
-			v.bad[x>>6] |= 1 << (x & 63)
+			record(x, err)
 		}
 	})
 	if stopped.Load() {

@@ -11,6 +11,7 @@ import (
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/designer"
 	"cliffguard/internal/distance"
+	"cliffguard/internal/evalcache"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/sample"
 	"cliffguard/internal/vertsim"
@@ -463,12 +464,29 @@ func TestIndexedPassAllocations(t *testing.T) {
 }
 
 // BenchmarkIndexedPass measures one live plus one replayed pass over R1
-// month 0 (12 samples, vertsim).
+// month 0 (12 samples, vertsim). The warm variants cost through an
+// evalcache.Layer over a Shared store that an earlier pass populated, as a
+// served run over the cross-tenant memo does, so every live entry is a hit;
+// at parallelism 4 the workers probe one design table at once.
 func BenchmarkIndexedPass(b *testing.B) {
 	cg, w0, nbrs, d := r1Pass(b)
-	for _, p := range []int{1, 2} {
-		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
-			cg.Opts.Parallelism = p
+	db := cg.Cost
+	for _, c := range []struct {
+		warm bool
+		p    int
+	}{{false, 1}, {false, 2}, {true, 1}, {true, 4}} {
+		name := fmt.Sprintf("parallelism=%d", c.p)
+		if c.warm {
+			name = "warm/" + name
+		}
+		b.Run(name, func(b *testing.B) {
+			cg.Opts.Parallelism = c.p
+			cg.Cost = db
+			if c.warm {
+				shared := evalcache.NewShared()
+				cg.Cost = &evalcache.Layer{Inner: db, Read: shared, Write: shared}
+				indexedRound(b, cg.newRunEval(Options{}, w0, nbrs), d, designer.NewDesign())
+			}
 			re := cg.newRunEval(Options{}, w0, nbrs)
 			other := designer.NewDesign()
 			b.ReportAllocs()
@@ -479,4 +497,48 @@ func BenchmarkIndexedPass(b *testing.B) {
 			b.ReportMetric(float64(len(re.u.queries)), "queries")
 		})
 	}
+	cg.Cost = db
+}
+
+// TestKernelFillMatchesFullPass scores a universe large enough that the
+// kernel fill fans out (40 samples over R1 month 0) at Parallelism 1 and 4,
+// directly on vertsim and through a warm Layer, and requires every result
+// to equal the memo-free full pass bit for bit. Run it under -race.
+func TestKernelFillMatchesFullPass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates R1")
+	}
+	cg, w0, _, d := r1Pass(t)
+	nbrs, err := cg.Sampler.Neighborhood(rand.New(rand.NewSource(7)), w0, 0.002, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbrs = append(nbrs, w0)
+	designs := []*designer.Design{d, designer.NewDesign(), designer.NewDesign(d.Structures[:len(d.Structures)/2]...)}
+	db := cg.Cost
+	want := make([][]evalResult, len(designs))
+	for i, dd := range designs {
+		want[i] = cg.evalNeighborhood(context.Background(), nbrs, dd, emitter{}, 0, obs.PhaseCandidate)
+	}
+	shared := evalcache.NewShared()
+	for _, layer := range []bool{false, true, true} {
+		for _, p := range []int{1, 4} {
+			cg.Opts.Parallelism, cg.Cost = p, db
+			if layer {
+				cg.Cost = &evalcache.Layer{Inner: db, Read: shared, Write: shared}
+			}
+			re := cg.newRunEval(Options{}, w0, nbrs)
+			if re.kernel == nil || len(re.u.queries) < 2*kernelBlocks*64 {
+				t.Fatalf("layer=%v: kernel %v over %d queries, want one that fans out", layer, re.kernel != nil, len(re.u.queries))
+			}
+			for i, dd := range designs {
+				for k, r := range re.score(context.Background(), dd, emitter{}, 0, obs.PhaseCandidate) {
+					if !sameResult(r, want[i][k]) {
+						t.Fatalf("layer=%v p=%d design %d neighbor %d: %+v, full pass %+v", layer, p, i, k, r, want[i][k])
+					}
+				}
+			}
+		}
+	}
+	cg.Cost = db
 }

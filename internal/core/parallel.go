@@ -70,19 +70,19 @@ type evalResult struct {
 	err  error
 }
 
-// fanOut runs task(i) for every i in [0, n) on the worker pool sized by
-// Options.Parallelism (pool.Size: non-positive means runtime.NumCPU()),
-// keeping the pool occupancy gauges.
-func (cg *CliffGuard) fanOut(n int, em emitter, task func(i int)) {
+// fanOut runs task(w, i) for every i in [0, n) on a worker pool sized by
+// parallelism (pool.Size: non-positive means runtime.NumCPU()), keeping the
+// pool occupancy gauges; w names the worker, as in pool.Run.
+func fanOut(parallelism, n int, em emitter, task func(w, i int)) {
 	if em.met == nil {
-		pool.Run(cg.Opts.Parallelism, n, func(_, i int) { task(i) })
+		pool.Run(parallelism, n, task)
 		return
 	}
 	em.met.PoolQueueDepth.Add(int64(n))
-	pool.Run(cg.Opts.Parallelism, n, func(_, i int) {
+	pool.Run(parallelism, n, func(w, i int) {
 		em.met.PoolQueueDepth.Add(-1)
 		em.met.PoolWorkersBusy.Add(1)
-		task(i)
+		task(w, i)
 		em.met.PoolWorkersBusy.Add(-1)
 	})
 }
@@ -95,7 +95,7 @@ func (cg *CliffGuard) fanOut(n int, em emitter, task func(i int)) {
 // events (iter is -1 for the pre-loop initial scan).
 func (cg *CliffGuard) evalNeighborhood(ctx context.Context, neighborhood []*workload.Workload, d *designer.Design, em emitter, iter int, phase string) []evalResult {
 	res := make([]evalResult, len(neighborhood))
-	cg.fanOut(len(neighborhood), em, func(i int) {
+	fanOut(cg.Opts.Parallelism, len(neighborhood), em, func(_, i int) {
 		res[i] = cg.evalOne(ctx, neighborhood[i], d, em, iter, phase, i)
 	})
 	return res

@@ -299,6 +299,11 @@ func GreedySelect(ctx context.Context, cm CostModel, w *workload.Workload, candi
 	if err != nil {
 		return nil, err
 	}
+	return t.greedyDesign(ctx, budget)
+}
+
+// greedyDesign is GreedySelect's search over a built table.
+func (t *PairTable) greedyDesign(ctx context.Context, budget int64) (*Design, error) {
 	cur := append([]float64(nil), t.Base...)
 	sel, err := t.Greedy(ctx, t.Indices(), make([]bool, len(t.Pool)), cur, 0, budget)
 	if err != nil {

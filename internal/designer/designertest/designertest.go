@@ -1,8 +1,9 @@
 // Package designertest checks the contracts an engine promises the designer
 // package, on whatever queries and candidate pools the engine's own tests
 // supply: designer.Server's "a structure that does not serve q leaves q's
-// cost bit-identical", and designer.BuildPairTable's sparse table against a
-// dense oracle that costs every pair.
+// cost bit-identical", designer.BuildPairTable's sparse table (and a
+// session's designer.PairRows tables) against a dense oracle that costs
+// every pair, and the pair and vector kernels against Cost.
 package designertest
 
 import (
@@ -12,7 +13,9 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"sync"
+	"time"
 
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/designer"
@@ -139,6 +142,36 @@ func DensePairTable(ctx context.Context, cm designer.CostModel, w *workload.Work
 	if err != nil {
 		return err
 	}
+	return dense(ctx, cm, t, w, candidates)
+}
+
+// DensePairRows builds the tables of ws[i] over pools[i] in order through
+// one designer.PairRows, as a designer session does across a run's calls,
+// and checks each against the dense oracle of DensePairTable and against
+// designer.BuildPairTable's table, bit for bit.
+func DensePairRows(ctx context.Context, cm designer.CostModel, ws []*workload.Workload, pools [][]designer.Structure) error {
+	rows := designer.NewPairRows(cm)
+	for i, w := range ws {
+		t, err := rows.Table(ctx, w, pools[i])
+		if err != nil {
+			return err
+		}
+		if err := dense(ctx, cm, t, w, pools[i]); err != nil {
+			return fmt.Errorf("table %d: %w", i, err)
+		}
+		want, err := designer.BuildPairTable(ctx, cm, w, pools[i])
+		if err != nil {
+			return err
+		}
+		if !sameTable(t, want) || !slices.Equal(t.Weights, want.Weights) {
+			return fmt.Errorf("table %d differs from BuildPairTable's", i)
+		}
+	}
+	return nil
+}
+
+// dense checks t, built from w and candidates, against the dense oracle.
+func dense(ctx context.Context, cm designer.CostModel, t *designer.PairTable, w *workload.Workload, candidates []designer.Structure) error {
 	pool := designer.NewDesign(candidates...).Structures
 	if len(pool) != len(t.Pool) {
 		return fmt.Errorf("pool of %d structures, want %d", len(t.Pool), len(pool))
@@ -205,25 +238,41 @@ func DensePairTable(ctx context.Context, cm designer.CostModel, w *workload.Work
 	return nil
 }
 
-// Kernel checks cm's designer.PairKernel, prepared over queries, against
-// cm.Cost for every structure of pool: the cells a structure reports are
-// ascending, each is a query the structure serves (when it implements
+// Kernel checks cm's designer.PairKernel, with queries added to it, against
+// cm.Cost for every structure of pool: Add returns cm.Cost(q, nil) bit for
+// bit and adds exactly the queries that cost, the cells a structure reports
+// are ascending, each is a query the structure serves (when it implements
 // designer.Server) at cm.Cost(q, {s}) bit for bit, and every query it does
 // not report costs the same under {s} as under the empty design, or is
 // ErrUnsupported under both. It also requires the kernel to report every
-// query whose cost {s} lowers. It returns the number of cells reported.
+// query whose cost {s} lowers, and AppendPairs from the midpoint to report
+// exactly the cells at or past it. It returns the number of cells reported.
 func Kernel(ctx context.Context, cm designer.CostModel, queries []*workload.Query, pool []designer.Structure) (int, error) {
 	pc, ok := cm.(designer.PairCoster)
 	if !ok {
 		return 0, fmt.Errorf("%T does not implement designer.PairCoster", cm)
 	}
-	k := pc.PreparePairs(queries)
+	k := pc.PreparePairs()
 	defer k.Release()
+	var added []*workload.Query // by kernel index
+	for _, q := range queries {
+		base, errBase := k.Add(q)
+		want, errWant := cm.Cost(ctx, q, nil)
+		if err := sameCost(want, errWant, base, errBase); err != nil {
+			return 0, fmt.Errorf("Add(%s): %w", q, err)
+		}
+		if errBase == nil {
+			added = append(added, q)
+		}
+		if k.Len() != len(added) {
+			return 0, fmt.Errorf("after Add(%s) the kernel holds %d queries, want %d", q, k.Len(), len(added))
+		}
+	}
 	cells := 0
-	var qis []int
+	var qis, tail []int
 	var costs []float64
 	for _, s := range pool {
-		qis, costs = k.AppendPairs(qis[:0], costs[:0], s)
+		qis, costs = k.AppendPairs(qis[:0], costs[:0], s, 0)
 		cells += len(qis)
 		if len(costs) != len(qis) {
 			return cells, fmt.Errorf("%s: %d query indices, %d costs", s.Key(), len(qis), len(costs))
@@ -233,9 +282,14 @@ func Kernel(ctx context.Context, cm designer.CostModel, queries []*workload.Quer
 				return cells, fmt.Errorf("%s: query indices %v are not strictly ascending", s.Key(), qis)
 			}
 		}
+		mid := len(added) / 2
+		tail, _ = k.AppendPairs(tail[:0], nil, s, mid)
+		if want := qis[sort.SearchInts(qis, mid):]; !slices.Equal(tail, want) {
+			return cells, fmt.Errorf("%s: from %d the kernel reports %v, want %v", s.Key(), mid, tail, want)
+		}
 		d := designer.NewDesign(s)
 		next := 0
-		for qi, q := range queries {
+		for qi, q := range added {
 			with, errWith := cm.Cost(ctx, q, d)
 			if next < len(qis) && qis[next] == qi {
 				if srv, ok := s.(designer.Server); ok && !srv.Serves(q) {
@@ -253,7 +307,7 @@ func Kernel(ctx context.Context, cm designer.CostModel, queries []*workload.Quer
 			}
 		}
 		if next != len(qis) {
-			return cells, fmt.Errorf("%s reports query indices %v outside the %d prepared", s.Key(), qis[next:], len(queries))
+			return cells, fmt.Errorf("%s reports query indices %v outside the %d added", s.Key(), qis[next:], len(added))
 		}
 	}
 	return cells, nil
@@ -329,4 +383,127 @@ func ServedPairs(ctx context.Context, cm designer.CostModel, w *workload.Workloa
 		}
 	}
 	return n, nil
+}
+
+// Unsupported returns queries outside the single-anchor engines' costable
+// subset over s: one without a Spec, one on an unknown table, one whose
+// column lies outside its anchor, and one with an invalid column ID.
+func Unsupported(s *schema.Schema) []*workload.Query {
+	tables := s.Tables()
+	a, b := tables[0], tables[len(tables)-1]
+	return []*workload.Query{
+		{},
+		workload.FromSpec(workload.NextID(), time.Time{}, &workload.Spec{Table: "nope", SelectCols: []int{a.Columns[0].ID}}),
+		workload.FromSpec(workload.NextID(), time.Time{}, &workload.Spec{Table: a.Name, SelectCols: []int{a.Columns[0].ID, b.Columns[0].ID}}),
+		workload.FromSpec(workload.NextID(), time.Time{}, &workload.Spec{Table: a.Name, SelectCols: []int{s.NumColumns() + 7}}),
+	}
+}
+
+// Vector checks cm's designer.VectorKernel, prepared over queries, against
+// cm.Cost under every design of designs and the nil design: every entry,
+// filled in blocks of up to 64 in index order, again in shuffled blocks of
+// uneven sizes, and again by four goroutines at once (run it under -race),
+// matches cm.Cost(q, d) bit for bit, and errs exactly when Cost does, with
+// ErrUnsupported when Cost's error is. It returns the number of entries
+// checked.
+func Vector(ctx context.Context, cm designer.CostModel, queries []*workload.Query, designs []*designer.Design) (int, error) {
+	vc, ok := cm.(designer.VectorCoster)
+	if !ok {
+		return 0, fmt.Errorf("%T does not implement designer.VectorCoster", cm)
+	}
+	k := vc.PrepareVector(queries)
+	if k == nil {
+		return 0, fmt.Errorf("%T prepared no vector kernel", cm)
+	}
+	n := len(queries)
+	inOrder := make([]int32, n)
+	for i := range inOrder {
+		inOrder[i] = int32(i)
+	}
+	shuffled := slices.Clone(inOrder)
+	rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	cost := make([]float64, n)
+	errs := make([]error, n)
+	checked := 0
+	for _, d := range append([]*designer.Design{nil}, designs...) {
+		k.Bind(d)
+		for pass, xs := range [][]int32{inOrder, shuffled, inOrder} {
+			var wg sync.WaitGroup
+			for lo, size, b := 0, 64, 0; lo < n; lo, b = lo+size, b+1 {
+				if pass == 1 {
+					size = 1 + (lo*7)%64
+				}
+				hi := min(lo+size, n)
+				if pass < 2 {
+					k.Fill(xs[lo:hi], cost[lo:hi], errs[lo:hi])
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					k.Fill(xs[lo:hi], cost[lo:hi], errs[lo:hi])
+				}()
+				if b%4 == 3 {
+					wg.Wait()
+				}
+			}
+			wg.Wait()
+			for i, x := range xs {
+				want, errWant := cm.Cost(ctx, queries[x], d)
+				switch {
+				case (errs[i] == nil) != (errWant == nil):
+					return checked, fmt.Errorf("%s under %v: kernel error %v, Cost error %v", queries[x], d, errs[i], errWant)
+				case errWant != nil && errors.Is(errWant, designer.ErrUnsupported) != errors.Is(errs[i], designer.ErrUnsupported):
+					return checked, fmt.Errorf("%s under %v: kernel error %v, Cost error %v", queries[x], d, errs[i], errWant)
+				case errWant == nil && math.Float64bits(cost[i]) != math.Float64bits(want):
+					return checked, fmt.Errorf("%s under %v: kernel %v, Cost %v", queries[x], d, cost[i], want)
+				}
+				checked++
+			}
+		}
+	}
+	return checked, nil
+}
+
+// RunWorkloads returns the shape of the workloads one robust run designs
+// for: w itself, then n workloads of w's items plus a few sampler mutants of
+// w's queries (drawn with a rand seeded by seed; 4% of w's size), the way
+// each moved workload adds worst neighbors' queries to W0. Mutant shares
+// overlap, so later workloads repeat queries that earlier ones added.
+func RunWorkloads(s *schema.Schema, w *workload.Workload, seed int64, n int) []*workload.Workload {
+	mutants := Mutants(s, w, seed)[w.Len():]
+	out := []*workload.Workload{w}
+	step := max(len(mutants)/50, 1)
+	for i := 0; i < n; i++ {
+		moved := w.Clone()
+		for _, q := range mutants[min(i*step, len(mutants)):min((i+2)*step, len(mutants))] {
+			moved.Add(q, 0.5+float64(i))
+		}
+		out = append(out, moved)
+	}
+	return out
+}
+
+// Session designs ws in order through one session of d and requires every
+// design to equal d.Design's on the same workload: the same structures in
+// the same order.
+func Session(ctx context.Context, d designer.SessionDesigner, ws []*workload.Workload) error {
+	s := d.Session()
+	if s.Name() != d.Name() {
+		return fmt.Errorf("session named %q, designer %q", s.Name(), d.Name())
+	}
+	for i, w := range ws {
+		got, err := s.Design(ctx, w)
+		if err != nil {
+			return err
+		}
+		want, err := d.Design(ctx, w)
+		if err != nil {
+			return err
+		}
+		if !slices.EqualFunc(got.Structures, want.Structures, func(a, b designer.Structure) bool { return a.Key() == b.Key() }) {
+			return fmt.Errorf("workload %d: the session designed %v, the designer %v", i, got, want)
+		}
+	}
+	return nil
 }

@@ -56,24 +56,33 @@ type PairTable struct {
 }
 
 // PairCoster is implemented by cost models that cost singleton designs over
-// one set of queries faster than a Cost call per pair: BuildPairTable uses
-// the kernel when its cost model implements PairCoster. A wrapper that
-// counts or times Cost calls must not implement it (nor embed a type that
-// does), or the pair cells would bypass the wrapper.
+// one set of queries faster than a Cost call per pair: BuildPairTable and
+// PairRows use the kernel when their cost model implements PairCoster. A
+// wrapper that counts or times Cost calls must not implement it (nor embed a
+// type that does), or the pair cells would bypass the wrapper.
 type PairCoster interface {
-	PreparePairs(queries []*workload.Query) PairKernel
+	PreparePairs() PairKernel
 }
 
-// PairKernel costs singleton designs over the queries it was prepared for.
-// It is used by one goroutine and must not be used after Release.
+// PairKernel costs singleton designs over the queries added to it. Queries
+// are added one at a time, so a run-scoped PairRows can grow one kernel with
+// the queries its designer calls show it. A kernel is used by one goroutine
+// and must not be used after Release.
 type PairKernel interface {
-	// AppendPairs appends, ascending by index into the prepared queries,
-	// each query s serves to qis and its cost under NewDesign(s) to costs,
-	// bit-identical to the cost model's Cost, and returns both slices. A
-	// query it skips costs no less than its empty-design cost under
-	// NewDesign(s), or is ErrUnsupported there. Each appended cell counts as
-	// one cost-model call in the engine's metrics.
-	AppendPairs(qis []int, costs []float64, s Structure) ([]int, []float64)
+	// Add prepares q as the next query, index Len(), and returns its cost
+	// under the empty design, bit-identical to the cost model's Cost(q,
+	// nil). A query whose empty-design cost is an error (ErrUnsupported) is
+	// not added. It counts as one cost-model call in the engine's metrics.
+	Add(q *workload.Query) (float64, error)
+	// Len returns the number of queries added.
+	Len() int
+	// AppendPairs appends, ascending, the index of each added query with
+	// index >= from that s serves to qis and its cost under NewDesign(s) to
+	// costs, bit-identical to the cost model's Cost, and returns both
+	// slices. A query it skips costs no less than its empty-design cost
+	// under NewDesign(s), or is ErrUnsupported there. Each appended cell
+	// counts as one cost-model call in the engine's metrics.
+	AppendPairs(qis []int, costs []float64, s Structure, from int) ([]int, []float64)
 	// Release returns the kernel's scratch memory for reuse.
 	Release()
 }
@@ -98,15 +107,7 @@ var scratchPool = sync.Pool{New: func() any { return &buildScratch{seen: make(ma
 func BuildPairTable(ctx context.Context, cm CostModel, w *workload.Workload, candidates []Structure) (*PairTable, error) {
 	sc := scratchPool.Get().(*buildScratch)
 	defer scratchPool.Put(sc)
-	t := &PairTable{Pool: make([]Structure, 0, len(candidates))}
-	for _, c := range candidates {
-		if c == nil || sc.seen[c.Key()] {
-			continue
-		}
-		sc.seen[c.Key()] = true
-		t.Pool = append(t.Pool, c)
-	}
-	clear(sc.seen)
+	t := &PairTable{Pool: sc.dedup(candidates)}
 	if len(t.Pool) == 0 {
 		return t, nil
 	}
@@ -114,8 +115,21 @@ func BuildPairTable(ctx context.Context, cm CostModel, w *workload.Workload, can
 	t.Queries = make([]*workload.Query, 0, len(w.Items))
 	t.Weights = make([]float64, 0, len(w.Items))
 	t.Base = make([]float64, 0, len(w.Items))
+	var k PairKernel
+	if pc, ok := cm.(PairCoster); ok {
+		k = pc.PreparePairs()
+		defer k.Release()
+	}
 	for _, it := range w.Items {
-		c, err := cm.Cost(ctx, it.Q, nil)
+		var c float64
+		err := ctx.Err()
+		if err == nil {
+			if k != nil {
+				c, err = k.Add(it.Q)
+			} else {
+				c, err = cm.Cost(ctx, it.Q, nil)
+			}
+		}
 		if err != nil {
 			if errors.Is(err, ErrUnsupported) {
 				continue
@@ -129,14 +143,34 @@ func BuildPairTable(ctx context.Context, cm CostModel, w *workload.Workload, can
 
 	var err error
 	sc.helps, sc.costs, sc.ends = sc.helps[:0], sc.costs[:0], sc.ends[:0]
-	if pc, ok := cm.(PairCoster); ok {
-		err = sc.kernelPairs(ctx, pc, t)
+	if k != nil {
+		err = sc.kernelPairs(ctx, k, t)
 	} else {
 		err = sc.costPairs(ctx, cm, t)
 	}
 	if err != nil {
 		return nil, err
 	}
+	return sc.table(t), nil
+}
+
+// dedup returns the pool of candidates: deduplicated by key, keeping first
+// occurrences, nil skipped.
+func (sc *buildScratch) dedup(candidates []Structure) []Structure {
+	pool := make([]Structure, 0, len(candidates))
+	for _, c := range candidates {
+		if c == nil || sc.seen[c.Key()] {
+			continue
+		}
+		sc.seen[c.Key()] = true
+		pool = append(pool, c)
+	}
+	clear(sc.seen)
+	return pool
+}
+
+// table copies the scratch cells out into t's sparse rows.
+func (sc *buildScratch) table(t *PairTable) *PairTable {
 	helps := slices.Clone(sc.helps)
 	costs := slices.Clone(sc.costs)
 	t.Helps = make([][]int, len(t.Pool))
@@ -147,7 +181,7 @@ func BuildPairTable(ctx context.Context, cm CostModel, w *workload.Workload, can
 		t.HelpCost[si] = costs[start:end:end]
 		start = end
 	}
-	return t, nil
+	return t
 }
 
 // costPairs fills the scratch cells through Cost, one call per pair a
@@ -180,18 +214,16 @@ func (sc *buildScratch) costPairs(ctx context.Context, cm CostModel, t *PairTabl
 	return nil
 }
 
-// kernelPairs fills the scratch cells through a PairCoster's kernel: each
-// structure's served cells are appended, then compacted in place to the
-// ones that beat Base.
-func (sc *buildScratch) kernelPairs(ctx context.Context, pc PairCoster, t *PairTable) error {
-	k := pc.PreparePairs(t.Queries)
-	defer k.Release()
+// kernelPairs fills the scratch cells through a PairCoster's kernel, which
+// holds t's queries: each structure's served cells are appended, then
+// compacted in place to the ones that beat Base.
+func (sc *buildScratch) kernelPairs(ctx context.Context, k PairKernel, t *PairTable) error {
 	for _, s := range t.Pool {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("costing pairs: %w", err)
 		}
 		start := len(sc.helps)
-		sc.helps, sc.costs = k.AppendPairs(sc.helps, sc.costs, s)
+		sc.helps, sc.costs = k.AppendPairs(sc.helps, sc.costs, s, 0)
 		n := start
 		for i := start; i < len(sc.helps); i++ {
 			if qi, c := sc.helps[i], sc.costs[i]; c < t.Base[qi] {

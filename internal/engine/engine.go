@@ -90,8 +90,9 @@ func (s Spec) Normalize() (Spec, error) {
 // different constructors for. Implementations wrap exactly one simulator
 // instance (vertsim.DB, rowsim.DB or aqesim.DB), recoverable via Unwrap.
 // The vertica and rowstore engines also forward their simulator's
-// designer.PairCoster, so every designer handed the engine builds its pair
-// tables through the kernel.
+// designer.PairCoster and designer.VectorCoster, so every designer handed
+// the engine builds its pair tables through the kernel, and the robust loop
+// fills its unit-cost vectors through one.
 type Engine interface {
 	designer.CostModel
 
@@ -176,8 +177,9 @@ type verticaEngine struct {
 func (e *verticaEngine) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (float64, error) {
 	return e.db.Cost(ctx, q, d)
 }
-func (e *verticaEngine) PreparePairs(queries []*workload.Query) designer.PairKernel {
-	return e.db.PreparePairs(queries)
+func (e *verticaEngine) PreparePairs() designer.PairKernel { return e.db.PreparePairs() }
+func (e *verticaEngine) PrepareVector(queries []*workload.Query) designer.VectorKernel {
+	return e.db.PrepareVector(queries)
 }
 func (e *verticaEngine) NominalDesigner(budgetBytes int64) designer.Designer {
 	return vertsim.NewDesigner(e.db, budgetBytes)
@@ -193,8 +195,9 @@ type rowStoreEngine struct {
 func (e *rowStoreEngine) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (float64, error) {
 	return e.db.Cost(ctx, q, d)
 }
-func (e *rowStoreEngine) PreparePairs(queries []*workload.Query) designer.PairKernel {
-	return e.db.PreparePairs(queries)
+func (e *rowStoreEngine) PreparePairs() designer.PairKernel { return e.db.PreparePairs() }
+func (e *rowStoreEngine) PrepareVector(queries []*workload.Query) designer.VectorKernel {
+	return e.db.PrepareVector(queries)
 }
 func (e *rowStoreEngine) NominalDesigner(budgetBytes int64) designer.Designer {
 	return rowsim.NewDesigner(e.db, budgetBytes)

@@ -3,6 +3,7 @@ package evalcache
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 
 	"cliffguard/internal/designer"
@@ -116,4 +117,128 @@ func (l *Layer) Cost(ctx context.Context, q *workload.Query, d *designer.Design)
 		l.Write.put(t.write, h, entry{unsupported: true})
 	}
 	return cost, err
+}
+
+// PrepareVector implements designer.VectorCoster when Inner does (it returns
+// nil otherwise): the layer's kernel answers each entry from Read or from
+// Inner's kernel, with Cost's semantics. Per 64-entry block it resolves the
+// design's tables once, probes Read and stores into Write under one lock
+// each, and adds the block's hits and misses to the counters once, so
+// workers filling one design do not contend entry by entry. One difference
+// from Cost, in the counts only: with Read == Write, two queries of equal
+// content in one block both miss and both reach Inner, where Cost, one
+// entry at a time, would answer the second from the first's store.
+func (l *Layer) PrepareVector(queries []*workload.Query) designer.VectorKernel {
+	vc, ok := l.Inner.(designer.VectorCoster)
+	if !ok {
+		return nil
+	}
+	inner := vc.PrepareVector(queries)
+	if inner == nil {
+		return nil
+	}
+	k := &layerKernel{l: l, inner: inner, hashes: make([]uint64, len(queries))}
+	for i, q := range queries {
+		k.hashes[i] = workload.ContentHash(q)
+	}
+	return k
+}
+
+// layerKernel is a Layer's designer.VectorKernel.
+type layerKernel struct {
+	l      *Layer
+	inner  designer.VectorKernel
+	hashes []uint64 // by query index
+	design uint64   // the bound design's fingerprint
+}
+
+// layerBlock is one block's scratch: the block's hashes and probed
+// entries, the misses handed to the inner kernel, and the entries to store.
+type layerBlock struct {
+	hs    [64]uint64
+	es    [64]entry
+	found [64]bool
+	pos   [64]int32 // a miss's position in the block
+	xs    [64]int32
+	cost  [64]float64
+	errs  [64]error
+	puts  [64]uint64
+	vals  [64]entry
+}
+
+var layerBlocks = sync.Pool{New: func() any { return new(layerBlock) }}
+
+// Bind implements designer.VectorKernel.
+func (k *layerKernel) Bind(d *designer.Design) {
+	k.design = d.Fingerprint()
+	k.inner.Bind(d)
+}
+
+// Fill implements designer.VectorKernel.
+func (k *layerKernel) Fill(xs []int32, cost []float64, errs []error) {
+	b := layerBlocks.Get().(*layerBlock)
+	for lo := 0; lo < len(xs); lo += 64 {
+		hi := min(lo+64, len(xs))
+		k.fill(b, xs[lo:hi], cost[lo:hi], errs[lo:hi])
+	}
+	layerBlocks.Put(b)
+}
+
+// fill is Fill over at most 64 entries: Cost's semantics, entry by entry,
+// with one probe of Read and one store into Write.
+func (k *layerKernel) fill(b *layerBlock, xs []int32, cost []float64, errs []error) {
+	l, n := k.l, len(xs)
+	t := l.tables(k.design)
+	hs, found := b.hs[:n], b.found[:n]
+	for i, x := range xs {
+		hs[i] = k.hashes[x]
+	}
+	hits := 0
+	if l.Read != nil {
+		hits = l.Read.probeBlock(t.read, hs, b.es[:n], found)
+	} else {
+		clear(found)
+	}
+	if hits > 0 {
+		l.hits.Add(uint64(hits))
+	}
+	if hits < n {
+		l.misses.Add(uint64(n - hits))
+	}
+	puts, misses := 0, 0
+	for i, x := range xs {
+		if !found[i] {
+			b.pos[misses], b.xs[misses] = int32(i), x
+			misses++
+			continue
+		}
+		e := b.es[i]
+		if e.unsupported {
+			cost[i], errs[i] = 0, designer.ErrUnsupported
+		} else {
+			cost[i], errs[i] = e.cost, nil
+		}
+		if l.Write != l.Read {
+			b.puts[puts], b.vals[puts] = hs[i], e
+			puts++
+		}
+	}
+	if misses > 0 {
+		k.inner.Fill(b.xs[:misses], b.cost[:misses], b.errs[:misses])
+		for j, i := range b.pos[:misses] {
+			c, err := b.cost[j], b.errs[j]
+			b.errs[j] = nil
+			cost[i], errs[i] = c, err
+			switch {
+			case err == nil:
+				b.puts[puts], b.vals[puts] = hs[i], entry{cost: c}
+			case errors.Is(err, designer.ErrUnsupported):
+				b.puts[puts], b.vals[puts] = hs[i], entry{unsupported: true}
+			default:
+				continue
+			}
+			puts++
+		}
+	}
+	l.Write.putBlock(t.write, b.puts[:puts], b.vals[:puts])
 }

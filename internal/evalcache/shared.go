@@ -140,6 +140,58 @@ func (s *Shared) probe(t *table, q uint64) (entry, bool) {
 	return entry{}, false
 }
 
+// probeBlock looks every query hash of hs up in t (nil when there is no
+// table) under one read lock, setting es[k] and found[k], and counts the
+// block's hits and misses once, as probe would one by one. It returns the
+// number of hits.
+func (s *Shared) probeBlock(t *table, hs []uint64, es []entry, found []bool) int {
+	hits := 0
+	if t != nil {
+		t.mu.RLock()
+		if !t.dead.Load() {
+			for k, h := range hs {
+				es[k], found[k] = t.m[h]
+				if found[k] {
+					hits++
+				}
+			}
+			t.hits.Add(uint64(hits))
+			t.misses.Add(uint64(len(hs) - hits))
+			if hits > 0 && !t.ref.Load() {
+				t.ref.Store(true)
+			}
+			t.mu.RUnlock()
+			return hits
+		}
+		t.mu.RUnlock()
+	}
+	clear(found[:len(hs)])
+	s.misses.Add(uint64(len(hs)))
+	return 0
+}
+
+// putBlock memoizes es[k] for query hash hs[k] in t under one lock, as put
+// would one by one.
+func (s *Shared) putBlock(t *table, hs []uint64, es []entry) {
+	if len(hs) == 0 {
+		return
+	}
+	t.mu.Lock()
+	if t.dead.Load() {
+		t.mu.Unlock()
+		return
+	}
+	n := len(t.m)
+	for k, h := range hs {
+		t.m[h] = es[k]
+	}
+	grew := int64(len(t.m) - n)
+	t.mu.Unlock()
+	if grew > 0 && s.entries.Add(grew) > s.limit {
+		s.evict()
+	}
+}
+
 // put memoizes e for query hash q in t, unless t has been evicted, and
 // evicts tables once the store is over its cap.
 func (s *Shared) put(t *table, q uint64, e entry) {

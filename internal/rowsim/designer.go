@@ -46,11 +46,72 @@ func (d *Designer) Name() string { return "DBMS-X-Advisor" }
 // Design implements designer.Designer.
 func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
 	cw := d.Compress(w)
-	cands := d.candidates(cw)
+	cands := d.candidates(cw, nil)
 	if d.DB.met != nil {
 		d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
 	}
 	return designer.GreedySelect(ctx, d.DB, cw, cands, d.Budget)
+}
+
+// Session implements designer.SessionDesigner: a designer for the calls of
+// one robust run that derives each query's candidates and costs each pair
+// cell once per run (designer.PairRows).
+func (d *Designer) Session() designer.Designer {
+	return &session{d: d, derived: map[*workload.Query]*derivation{}, rows: designer.NewPairRows(d.DB)}
+}
+
+// session is a Designer's run-scoped form. Its Design is the Designer's,
+// with derivations and pair cells kept across calls.
+type session struct {
+	d       *Designer
+	derived map[*workload.Query]*derivation
+	rows    *designer.PairRows
+}
+
+func (s *session) Name() string { return s.d.Name() }
+
+func (s *session) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
+	cw := s.d.Compress(w)
+	cands := s.d.candidates(cw, s.derived)
+	if s.d.DB.met != nil {
+		s.d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
+	}
+	return s.rows.GreedySelect(ctx, cw, cands, s.d.Budget)
+}
+
+// derivation is what candidate generation derives from one query alone,
+// whatever workload it appears in: its columns, its index key and its
+// tailored structures (nil where none is built or the constructor rejects
+// it).
+type derivation struct {
+	q               *workload.Query
+	cols            workload.ColSet
+	keyCols         []int // equalities by selectivity, then one range
+	plain, covering *Index
+	view            *MatView
+}
+
+// derive returns q's derivation, or nil when the cost model cannot cost q;
+// memo, when not nil, keeps both answers across calls.
+func (d *Designer) derive(q *workload.Query, memo map[*workload.Query]*derivation) *derivation {
+	if dv, ok := memo[q]; ok {
+		return dv
+	}
+	var dv *derivation
+	if d.DB.check(q) == nil {
+		dv = d.tailored(q)
+	}
+	if memo != nil {
+		memo[q] = dv
+	}
+	return dv
+}
+
+func (d *Designer) maxKeyCols() int {
+	if d.MaxKeyCols > 0 {
+		return d.MaxKeyCols
+	}
+	return 3
 }
 
 // Compress applies the workload-compression heuristics: template collapse,
@@ -79,31 +140,27 @@ func (d *Designer) Compress(w *workload.Workload) *workload.Workload {
 // Candidates generates the candidate pool: per-template indices (key-only
 // and covering) and materialized views for aggregate templates.
 func (d *Designer) Candidates(w *workload.Workload) []designer.Structure {
-	return d.candidates(designer.CompressByTemplate(w))
+	return d.candidates(designer.CompressByTemplate(w), nil)
 }
 
-// candidates is Candidates over an already template-compressed workload.
-func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
+// candidates is Candidates over an already template-compressed workload,
+// taking each query's derivation from memo when it is not nil.
+func (d *Designer) candidates(cw *workload.Workload, memo map[*workload.Query]*derivation) []designer.Structure {
 	type wq struct {
-		q      *workload.Query
+		*derivation
 		weight float64
 	}
 	var wqs []wq
 	for _, it := range cw.Items {
-		if d.DB.check(it.Q) != nil {
-			continue
+		if dv := d.derive(it.Q, memo); dv != nil {
+			wqs = append(wqs, wq{dv, it.Weight})
 		}
-		wqs = append(wqs, wq{it.Q, it.Weight})
 	}
 	sort.SliceStable(wqs, func(i, j int) bool { return wqs[i].weight > wqs[j].weight })
 
 	maxCand := d.MaxCandidates
 	if maxCand <= 0 {
 		maxCand = 512
-	}
-	maxKey := d.MaxKeyCols
-	if maxKey <= 0 {
-		maxKey = 3
 	}
 
 	var out []designer.Structure
@@ -123,13 +180,13 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 		table    string
 		cols     workload.ColSet
 		members  int
-		heaviest *workload.Spec
+		heaviest *derivation
 		gbCols   workload.ColSet
 		aggs     []workload.Agg
 	}
 	var clusters []*cluster
 	for _, e := range wqs {
-		cols := e.q.Columns()
+		cols := e.cols
 		var best *cluster
 		bestJ := 0.0
 		for _, cl := range clusters {
@@ -145,7 +202,7 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 			}
 		}
 		if best == nil {
-			best = &cluster{table: e.q.Spec.Table, cols: cols, heaviest: e.q.Spec}
+			best = &cluster{table: e.q.Spec.Table, cols: cols, heaviest: e.derivation}
 			clusters = append(clusters, best)
 		} else {
 			best.cols = best.cols.Union(cols)
@@ -174,18 +231,7 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 		if cl.members < 3 || len(out) >= maxCand {
 			continue
 		}
-		var keyCols []int
-		for _, p := range cl.heaviest.SortPredsBySelectivity() {
-			if p.Op == workload.Eq && len(keyCols) < maxKey {
-				keyCols = append(keyCols, p.Col)
-			}
-		}
-		for _, p := range cl.heaviest.SortPredsBySelectivity() {
-			if p.Op != workload.Eq && len(keyCols) < maxKey {
-				keyCols = append(keyCols, p.Col)
-				break
-			}
-		}
+		keyCols := cl.heaviest.keyCols
 		if len(keyCols) == 0 {
 			continue
 		}
@@ -219,74 +265,90 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 		if len(out) >= maxCand {
 			break
 		}
-		spec := e.q.Spec
-
-		// Index keys: equality predicates by ascending selectivity, then the
-		// most selective range predicate.
-		var keyCols []int
-		preds := spec.SortPredsBySelectivity()
-		for _, p := range preds {
-			if p.Op == workload.Eq && len(keyCols) < maxKey {
-				keyCols = append(keyCols, p.Col)
-			}
+		if e.plain != nil {
+			add(e.plain, nil)
 		}
-		for _, p := range preds {
-			if p.Op != workload.Eq && len(keyCols) < maxKey {
-				keyCols = append(keyCols, p.Col)
-				break
-			}
+		if e.covering != nil {
+			add(e.covering, nil)
 		}
-		if len(keyCols) > 0 {
-			// Plain index.
-			add(d.DB.NewIndex(spec.Table, keyCols, nil))
-			// Covering index: include the rest of the referenced columns if
-			// the query is narrow enough to make index-only plans plausible.
-			ref := spec.ReferencedCols()
-			if len(ref) <= 8 {
-				var include []int
-				keySet := workload.NewColSet(keyCols...)
-				for _, c := range ref {
-					if !keySet.Has(c) {
-						include = append(include, c)
-					}
-				}
-				add(d.DB.NewIndex(spec.Table, keyCols, include))
-			}
-		}
-
-		// Materialized view for aggregate templates: group by the query's
-		// group-by plus its predicate columns (so filters remain answerable).
-		if len(spec.GroupBy) > 0 && len(spec.Aggs) > 0 {
-			gb := append([]int(nil), spec.GroupBy...)
-			gbSet := workload.NewColSet(gb...)
-			for _, p := range spec.Preds {
-				if !gbSet.Has(p.Col) {
-					gb = append(gb, p.Col)
-					gbSet.Add(p.Col)
-				}
-			}
-			aggs := append([]workload.Agg(nil), spec.Aggs...)
-			// Always carry COUNT(*) so AVG queries can roll up.
-			hasCount := false
-			for _, a := range aggs {
-				if a.Fn == workload.Count && a.Col < 0 {
-					hasCount = true
-				}
-			}
-			if !hasCount {
-				aggs = append(aggs, workload.Agg{Fn: workload.Count, Col: -1})
-			}
-			// AVG is stored as SUM + COUNT.
-			var stored []workload.Agg
-			for _, a := range aggs {
-				if a.Fn == workload.Avg {
-					stored = append(stored, workload.Agg{Fn: workload.Sum, Col: a.Col})
-				} else {
-					stored = append(stored, a)
-				}
-			}
-			add(d.DB.NewMatView(spec.Table, gb, stored))
+		if e.view != nil {
+			add(e.view, nil)
 		}
 	}
 	return out
+}
+
+// tailored derives a checked query's structures: plain and covering indexes
+// on its key, and a materialized view for an aggregate template.
+func (d *Designer) tailored(q *workload.Query) *derivation {
+	spec := q.Spec
+	maxKey := d.maxKeyCols()
+	dv := &derivation{q: q, cols: q.Columns()}
+
+	// Index keys: equality predicates by ascending selectivity, then the
+	// most selective range predicate.
+	preds := spec.SortPredsBySelectivity()
+	for _, p := range preds {
+		if p.Op == workload.Eq && len(dv.keyCols) < maxKey {
+			dv.keyCols = append(dv.keyCols, p.Col)
+		}
+	}
+	for _, p := range preds {
+		if p.Op != workload.Eq && len(dv.keyCols) < maxKey {
+			dv.keyCols = append(dv.keyCols, p.Col)
+			break
+		}
+	}
+	if keyCols := dv.keyCols; len(keyCols) > 0 {
+		// Plain index.
+		dv.plain, _ = d.DB.NewIndex(spec.Table, keyCols, nil)
+		// Covering index: include the rest of the referenced columns if
+		// the query is narrow enough to make index-only plans plausible.
+		ref := spec.ReferencedCols()
+		if len(ref) <= 8 {
+			var include []int
+			keySet := workload.NewColSet(keyCols...)
+			for _, c := range ref {
+				if !keySet.Has(c) {
+					include = append(include, c)
+				}
+			}
+			dv.covering, _ = d.DB.NewIndex(spec.Table, keyCols, include)
+		}
+	}
+
+	// Materialized view for aggregate templates: group by the query's
+	// group-by plus its predicate columns (so filters remain answerable).
+	if len(spec.GroupBy) > 0 && len(spec.Aggs) > 0 {
+		gb := append([]int(nil), spec.GroupBy...)
+		gbSet := workload.NewColSet(gb...)
+		for _, p := range spec.Preds {
+			if !gbSet.Has(p.Col) {
+				gb = append(gb, p.Col)
+				gbSet.Add(p.Col)
+			}
+		}
+		aggs := append([]workload.Agg(nil), spec.Aggs...)
+		// Always carry COUNT(*) so AVG queries can roll up.
+		hasCount := false
+		for _, a := range aggs {
+			if a.Fn == workload.Count && a.Col < 0 {
+				hasCount = true
+			}
+		}
+		if !hasCount {
+			aggs = append(aggs, workload.Agg{Fn: workload.Count, Col: -1})
+		}
+		// AVG is stored as SUM + COUNT.
+		var stored []workload.Agg
+		for _, a := range aggs {
+			if a.Fn == workload.Avg {
+				stored = append(stored, workload.Agg{Fn: workload.Sum, Col: a.Col})
+			} else {
+				stored = append(stored, a)
+			}
+		}
+		dv.view, _ = d.DB.NewMatView(spec.Table, gb, stored)
+	}
+	return dv
 }

@@ -171,3 +171,101 @@ func BenchmarkDesign(b *testing.B) {
 		}
 	}
 }
+
+// TestVectorKernel checks the vector kernel against Cost on R1 month 0's
+// queries at two seeds, sampler mutants of them and unsupported queries, under
+// the nil design, random designs of their candidates, and a design
+// with structures on every table, most of them on other anchors than a
+// given query's.
+func TestVectorKernel(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		s, month, err := designertest.R1Month(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := Open(s)
+		cw := designer.CompressByTemplate(month)
+		pool := NewDesigner(db, 2560<<20).Candidates(cw)
+		queries := append(designertest.Mutants(s, cw, seed), designertest.Unsupported(s)...)
+		designs := append(designertest.RandomDesigns(pool, 4, 12, seed), everyTable(t, db))
+		n, err := designertest.Vector(context.Background(), db, queries, designs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("seed %d: %d queries, %d entries checked", seed, len(queries), n)
+	}
+}
+
+// TestSessionTables checks a designer session's pair tables, built through
+// one designer.PairRows over the workloads of a run (one of them reversed,
+// one listing a query twice), against the dense oracle and BuildPairTable, and the session's
+// designs against the designer's.
+func TestSessionTables(t *testing.T) {
+	db, _, d, cw, pool := r1Pool(t)
+	ctx := context.Background()
+	ws := designertest.RunWorkloads(db.Schema, cw, 3, 4)
+	// Reversed, a workload lists its queries against the session's order;
+	// one listing a query twice takes BuildPairTable's path.
+	rev := &workload.Workload{}
+	for i := ws[3].Len() - 1; i >= 0; i-- {
+		rev.Add(ws[3].Items[i].Q, ws[3].Items[i].Weight)
+	}
+	dup := ws[2].Clone()
+	dup.Add(cw.Items[0].Q, 2)
+	ws = append(ws, rev, dup)
+	pools := [][]designer.Structure{pool}
+	for _, w := range ws[1:] {
+		pools = append(pools, d.Candidates(w))
+	}
+	if err := designertest.DensePairRows(ctx, db, ws, pools); err != nil {
+		t.Fatal(err)
+	}
+	if err := designertest.Session(ctx, d, ws); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// everyTable returns a design with an index and a view on every table of
+// db's schema.
+func everyTable(t *testing.T, db *DB) *designer.Design {
+	var ss []designer.Structure
+	for _, tbl := range db.Schema.Tables() {
+		first, last := tbl.Columns[0].ID, tbl.Columns[len(tbl.Columns)-1].ID
+		idx, err := db.NewIndex(tbl.Name, []int{first}, []int{last})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mv, err := db.NewMatView(tbl.Name, []int{first}, []workload.Agg{{Fn: workload.Count, Col: -1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss = append(ss, idx, mv)
+	}
+	return designer.NewDesign(ss...)
+}
+
+// BenchmarkDesignRun designs the five workloads of a run's shape on R1's
+// first month (designertest.RunWorkloads): call by call with the plain
+// designer, and through one session, which keeps derivations and pair
+// cells across the calls.
+func BenchmarkDesignRun(b *testing.B) {
+	db, month, d, _, _ := r1Pool(b)
+	ws := designertest.RunWorkloads(db.Schema, month, 1, 4)
+	ctx := context.Background()
+	for _, session := range []bool{false, true} {
+		b.Run(map[bool]string{false: "calls", true: "session"}[session], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var nominal designer.Designer = d
+				if session {
+					nominal = d.Session()
+				}
+				for _, w := range ws {
+					if _, err := nominal.Design(ctx, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

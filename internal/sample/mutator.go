@@ -63,11 +63,12 @@ func (p *popPicker) pick(rng *rand.Rand) schema.Column {
 	return p.cols[i]
 }
 
-// popModelFor returns the cached popularity model for w0, building it on
-// first use. Single-entry cache: the sampler hammers one W0 at a time, and a
-// racing rebuild is deterministic, so either instance is correct.
-func (m *Mutator) popModelFor(w0 *workload.Workload) *popModel {
-	key := popCacheKey{w: w0, n: w0.Len(), total: w0.TotalWeight()}
+// popModelFor returns the cached popularity model for w0, whose total
+// weight is total, building it on first use. Single-entry cache: the sampler
+// hammers one W0 at a time, and a racing rebuild is deterministic, so either
+// instance is correct.
+func (m *Mutator) popModelFor(w0 *workload.Workload, total float64) *popModel {
+	key := popCacheKey{w: w0, n: w0.Len(), total: total}
 	m.mu.Lock()
 	if m.popVal != nil && m.popKey == key {
 		v := m.popVal
@@ -114,10 +115,11 @@ func (m *Mutator) Candidates(rng *rand.Rand, w0 *workload.Workload, k int) []*wo
 	if w0.Len() == 0 || k <= 0 {
 		return nil
 	}
-	model := m.popModelFor(w0)
+	total := w0.TotalWeight()
+	model := m.popModelFor(w0, total)
 	out := make([]*workload.Query, 0, k)
 	for i := 0; i < k; i++ {
-		base := m.pick(rng, w0)
+		base := m.pick(rng, w0, total)
 		if base == nil || base.Spec == nil {
 			continue
 		}
@@ -145,9 +147,9 @@ func columnPopularity(w0 *workload.Workload) map[int]float64 {
 	return pop
 }
 
-// pick draws a query from w0 with probability proportional to weight.
-func (m *Mutator) pick(rng *rand.Rand, w0 *workload.Workload) *workload.Query {
-	total := w0.TotalWeight()
+// pick draws a query from w0, whose total weight is total, with
+// probability proportional to weight.
+func (m *Mutator) pick(rng *rand.Rand, w0 *workload.Workload, total float64) *workload.Query {
 	if total <= 0 {
 		return nil
 	}

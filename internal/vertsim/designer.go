@@ -38,34 +38,95 @@ func (d *Designer) Name() string { return "VerticaDBD" }
 // generate per-template and merged candidates, then greedy-select.
 func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
 	cw := designer.CompressByTemplate(w)
-	cands := d.candidates(cw)
+	cands := d.candidates(cw, nil)
 	if d.DB.met != nil {
 		d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
 	}
 	return designer.GreedySelect(ctx, d.DB, cw, cands, d.Budget)
 }
 
-// weightedQuery pairs a representative query with its template weight.
+// Session implements designer.SessionDesigner: a designer for the calls of
+// one robust run that derives each query's candidates and costs each pair
+// cell once per run (designer.PairRows).
+func (d *Designer) Session() designer.Designer {
+	return &session{d: d, derived: map[*workload.Query]*derivation{}, rows: designer.NewPairRows(d.DB)}
+}
+
+// session is a Designer's run-scoped form. Its Design is the Designer's,
+// with derivations and pair cells kept across calls.
+type session struct {
+	d       *Designer
+	derived map[*workload.Query]*derivation
+	rows    *designer.PairRows
+}
+
+func (s *session) Name() string { return s.d.Name() }
+
+func (s *session) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
+	cw := designer.CompressByTemplate(w)
+	cands := s.d.candidates(cw, s.derived)
+	if s.d.DB.met != nil {
+		s.d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
+	}
+	return s.rows.GreedySelect(ctx, cw, cands, s.d.Budget)
+}
+
+// weightedQuery pairs a representative query's derivation with its template
+// weight.
 type weightedQuery struct {
-	q      *workload.Query
+	*derivation
 	weight float64
+}
+
+// derivation is what candidate generation derives from one query alone,
+// whatever workload it appears in: the query's columns, its sort key and its
+// tailored projections (nil where NewProjection rejects them).
+type derivation struct {
+	q       *workload.Query
+	cols    workload.ColSet
+	sortKey []workload.OrderCol // sortKey(spec, false)
+	primary *Projection
+	// topN is the ORDER BY-led projection of a pure top-N query, else nil.
+	topN *Projection
+}
+
+// derive returns q's derivation, or nil when the cost model cannot cost q;
+// memo, when not nil, keeps both answers across calls.
+func (d *Designer) derive(q *workload.Query, memo map[*workload.Query]*derivation) *derivation {
+	if dv, ok := memo[q]; ok {
+		return dv
+	}
+	var dv *derivation
+	if _, err := d.DB.prepare(q); err == nil {
+		spec := q.Spec
+		cols := spec.ReferencedCols()
+		dv = &derivation{q: q, cols: q.Columns(), sortKey: d.sortKey(spec, false)}
+		dv.primary, _ = NewProjection(d.DB.Schema, spec.Table, cols, dv.sortKey)
+		if len(spec.OrderBy) > 0 && len(spec.GroupBy) == 0 {
+			dv.topN, _ = NewProjection(d.DB.Schema, spec.Table, cols, d.sortKey(spec, true))
+		}
+	}
+	if memo != nil {
+		memo[q] = dv
+	}
+	return dv
 }
 
 // Candidates generates the candidate projection pool for a workload: one or
 // two tailored projections per template plus merged projections for
 // strongly overlapping template pairs.
 func (d *Designer) Candidates(w *workload.Workload) []designer.Structure {
-	return d.candidates(designer.CompressByTemplate(w))
+	return d.candidates(designer.CompressByTemplate(w), nil)
 }
 
-// candidates is Candidates over an already template-compressed workload.
-func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
+// candidates is Candidates over an already template-compressed workload,
+// taking each query's derivation from memo when it is not nil.
+func (d *Designer) candidates(cw *workload.Workload, memo map[*workload.Query]*derivation) []designer.Structure {
 	wqs := make([]weightedQuery, 0, cw.Len())
 	for _, it := range cw.Items {
-		if _, err := d.DB.prepare(it.Q); err != nil {
-			continue
+		if dv := d.derive(it.Q, memo); dv != nil {
+			wqs = append(wqs, weightedQuery{dv, it.Weight})
 		}
-		wqs = append(wqs, weightedQuery{it.Q, it.Weight})
 	}
 	sort.SliceStable(wqs, func(i, j int) bool { return wqs[i].weight > wqs[j].weight })
 	maxCand := d.MaxCandidates
@@ -75,12 +136,17 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 
 	var out []designer.Structure
 	seen := make(map[string]bool)
-	add := func(p *Projection, err error) {
-		if err != nil || p == nil || seen[p.Key()] {
+	put := func(p *Projection) {
+		if p == nil || seen[p.Key()] {
 			return
 		}
 		seen[p.Key()] = true
 		out = append(out, p)
+	}
+	add := func(p *Projection, err error) {
+		if err == nil {
+			put(p)
+		}
 	}
 
 	// Per-template candidates take at most half the pool: the cluster-union
@@ -92,16 +158,10 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 		if len(out) >= perTemplateCap {
 			break
 		}
-		spec := wq.q.Spec
-		cols := spec.ReferencedCols()
-
 		// Primary: sort by most-selective predicates, then group-by.
-		add(NewProjection(d.DB.Schema, spec.Table, cols, d.sortKey(spec, false)))
-
+		put(wq.primary)
 		// Secondary for pure top-N queries: ORDER BY-leading sort order.
-		if len(spec.OrderBy) > 0 && len(spec.GroupBy) == 0 {
-			add(NewProjection(d.DB.Schema, spec.Table, cols, d.sortKey(spec, true)))
-		}
+		put(wq.topN)
 	}
 
 	// Merged candidates: agglomerate overlapping templates of the same table
@@ -117,13 +177,13 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 		weight   float64
 		predWt   map[int]float64 // pred column -> accumulated weight (eq boosted)
 		groupWt  map[int]float64
-		heaviest *workload.Spec
-		second   *workload.Spec
+		heaviest *derivation
+		second   *derivation
 	}
 	var clusters []*cluster
 	const maxClusterCols = 22
 	for _, wq := range wqs {
-		cols := wq.q.Columns()
+		cols := wq.cols
 		var best *cluster
 		bestJ := 0.0
 		for _, cl := range clusters {
@@ -161,9 +221,9 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 		// wqs is sorted by weight, so the first two members to join are the
 		// cluster's heaviest.
 		if best.heaviest == nil {
-			best.heaviest = wq.q.Spec
+			best.heaviest = wq.derivation
 		} else if best.second == nil {
-			best.second = wq.q.Spec
+			best.second = wq.derivation
 		}
 		for _, p := range wq.q.Spec.Preds {
 			boost := 1.0
@@ -198,10 +258,10 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 		// plans inside the wider projection — Vertica's classic trick of
 		// keeping several projections that differ only in sort order.
 		if cl.heaviest != nil && len(out) < maxCand {
-			add(NewProjection(d.DB.Schema, cl.table, ids, d.sortKey(cl.heaviest, false)))
+			add(NewProjection(d.DB.Schema, cl.table, ids, cl.heaviest.sortKey))
 		}
 		if cl.second != nil && len(out) < maxCand {
-			add(NewProjection(d.DB.Schema, cl.table, ids, d.sortKey(cl.second, false)))
+			add(NewProjection(d.DB.Schema, cl.table, ids, cl.second.sortKey))
 		}
 		// One variant per popular predicate column as the leading sort key:
 		// members (and near-variants) filtering on that column get a pruned

@@ -183,6 +183,19 @@ func (q *Query) Columns() ColSet {
 	return ColSet{words: out}
 }
 
+// AppendColumns appends the words of Columns() to arena and returns the
+// union as a ColSet over the appended words, with the grown arena, so a
+// kernel that keeps many queries' unions allocates one arena for all of
+// them. The returned set must not be modified.
+func (q *Query) AppendColumns(arena []uint64) (ColSet, []uint64) {
+	n := max(len(q.Select.words), len(q.Where.words), len(q.GroupBy.words), len(q.OrderBy.words))
+	start := len(arena)
+	for i := 0; i < n; i++ {
+		arena = append(arena, wordAt(q.Select, i)|wordAt(q.Where, i)|wordAt(q.GroupBy, i)|wordAt(q.OrderBy, i))
+	}
+	return ColSet{words: arena[start:len(arena):len(arena)]}, arena
+}
+
 // EachRef calls fn on every column of the clause-set union in ascending
 // order, stopping early when fn returns false; it reports whether the walk
 // ran to the end. For a query built by FromSpec the union is exactly
