@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz-smoke bench apidiff api-baseline report-check bench-gates serve-smoke
+.PHONY: ci vet build test race allocs fuzz-smoke bench apidiff api-baseline report-check bench-gates serve-smoke
 
 # The full local gate: what should pass before every commit.
-ci: vet build race fuzz-smoke apidiff report-check serve-smoke bench-gates
+ci: vet build race allocs fuzz-smoke apidiff report-check serve-smoke bench-gates
 
 # Fail on incompatible changes to the public cliffguard package (removed or
 # altered exported declarations vs api/cliffguard.api). Intentional breaks:
@@ -40,12 +40,20 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The allocation gates of the sampler and both nominal designers, outside
+# the race detector: under -race sync.Pool drops pooled scratch at random,
+# so these tests skip themselves in the race run above.
+allocs:
+	$(GO) test -count=1 -run Allocations ./internal/sample/ ./internal/vertsim/ ./internal/rowsim/
+
 # Short fuzz of the SQL parser, the schema DDL decoder, ingest's statement
 # splitting (pipelined reader vs the line-at-a-time reference), the JSONL
 # stream decoders, the ILP solver's brute-force cross-check, the pair-table
 # designers (budget, Exact ILP vs brute force and the greedy designers, and
 # the sparse table and search steps vs their dense references), both
-# engines' vector kernels against Cost on fuzzed queries and designs, the /v1
+# engines' vector kernels against Cost on fuzzed queries and designs, the
+# scratch mutator and both engines' candidate generators against their
+# reference copies (reference_test.go) on fuzzed R1 slices, the /v1
 # run-request, online-spec and tenant-spec decoders, and the online observe
 # stream, on top of the checked-in corpora (go's -fuzz takes one target per
 # invocation, so a pattern that prefixes another target's name is anchored).
@@ -61,6 +69,9 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzILPSolve -fuzztime=5s ./internal/ilp/
 	$(GO) test -fuzz=FuzzPairTable -fuzztime=5s ./internal/portfolio/
 	$(GO) test -fuzz=FuzzVectorKernel -fuzztime=5s ./internal/engine/
+	$(GO) test -fuzz=FuzzMutantsMatchReference -fuzztime=5s ./internal/sample/
+	$(GO) test -fuzz=FuzzCandidatesMatchReference -fuzztime=5s ./internal/vertsim/
+	$(GO) test -fuzz=FuzzCandidatesMatchReference -fuzztime=5s ./internal/rowsim/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=5s ./internal/serve/
 	$(GO) test -fuzz=FuzzOnlineSpec -fuzztime=5s ./internal/serve/
 	$(GO) test -fuzz=FuzzTenantSpec -fuzztime=5s ./internal/serve/
@@ -102,11 +113,14 @@ serve-smoke:
 
 # Parallel neighborhood-evaluation benchmarks (cold and warm cache), then
 # the vertsim what-if kernel: one Cost, then on both vertsim and rowsim the
-# nominal designer's pair table and one nominal Design on R1's first month,
-# then ingest: a 1M-line timestamped log and the fixed cost of a one-line
-# call.
+# nominal designer's pair table, one nominal Design and one session's five
+# calls (DesignRun) on R1's first month, then the sampler's Neighborhood
+# draw and mutator, core's indexed pass over a run's universe, and ingest: a
+# 1M-line timestamped log and the fixed cost of a one-line call.
 bench:
 	$(GO) test ./internal/bench/ -run '^$$' -bench BenchmarkNeighborhoodEval -benchmem
 	$(GO) test ./internal/vertsim -run '^$$' -bench 'WhatIfCost|BuildPairTable|Design' -benchmem
 	$(GO) test ./internal/rowsim -run '^$$' -bench 'BuildPairTable|Design' -benchmem
+	$(GO) test ./internal/sample -run '^$$' -bench 'Neighborhood|Mutate' -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench IndexedPass -benchmem
 	$(GO) test ./internal/ingest -run '^$$' -bench 'Reader1M|ReaderOneLine' -benchmem

@@ -1,6 +1,7 @@
 package designer
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,7 +48,8 @@ func refCompressByTemplate(w *workload.Workload) *workload.Workload {
 // month plus sampler mutants under random weights (ties included), the
 // compressed workload has the reference's items in the reference's order,
 // with the same representatives and the same weight bits. Compressing the
-// result again changes nothing.
+// result again changes nothing, and neither does compressing through one
+// session's Compressor, call after call.
 func TestCompressByTemplateMatchesReference(t *testing.T) {
 	s := datagen.Warehouse(1)
 	cfg := wlgen.R1Config(s, 1)
@@ -72,6 +74,12 @@ func TestCompressByTemplateMatchesReference(t *testing.T) {
 		if got.Len() >= w.Len() {
 			t.Fatalf("%s: %d items compressed to %d; no template repeats", name, w.Len(), got.Len())
 		}
+	}
+	// One session's compressor over the workloads in turn: a query keyed
+	// by an earlier call keeps its template number.
+	c := NewCompressor(true)
+	for i, w := range []*workload.Workload{month, mixed, month, mixed} {
+		sameItems(t, fmt.Sprintf("session call %d", i), c.Compress(w), refCompressByTemplate(w))
 	}
 }
 

@@ -248,27 +248,61 @@ type Designer interface {
 // weighted representative (the highest-weight instance). Designers use this
 // both for tractability and — in the DBMS-X-style designer — as the paper's
 // "workload compression" anti-overfitting heuristic.
-//
-// Keys are looked up through one reused AppendTemplateKey buffer, so only a
-// new template allocates its key.
 func CompressByTemplate(w *workload.Workload) *workload.Workload {
-	type group struct {
-		rep    *workload.Query
-		repW   float64
-		weight float64
+	return NewCompressor(false).Compress(w)
+}
+
+// Compressor is CompressByTemplate over numbered templates. It numbers each
+// SWGO template by key, through one reused AppendTemplateKey buffer, so
+// only a new template allocates its key; a compressor made for a session
+// also remembers each query's template number, so a query seen by an
+// earlier call is not keyed again. It is used by one goroutine.
+type Compressor struct {
+	perQuery map[*workload.Query]int32 // nil: key every item
+	numbers  map[string]int32
+	key      []byte
+	// by template number: the group the current call put it in, valid when
+	// its pass is the call's
+	marks  []groupMark
+	pass   uint32
+	groups []compressGroup
+}
+
+type groupMark struct {
+	pass  uint32
+	group int32
+}
+
+type compressGroup struct {
+	rep    *workload.Query
+	repW   float64
+	weight float64
+}
+
+// NewCompressor returns an empty compressor; session reports whether it
+// remembers each query's template number across calls.
+func NewCompressor(session bool) *Compressor {
+	c := &Compressor{numbers: map[string]int32{}}
+	if session {
+		c.perQuery = map[*workload.Query]int32{}
 	}
-	index := make(map[string]int)
-	var groups []group
-	var key []byte
+	return c
+}
+
+// Compress returns CompressByTemplate(w): one item per template in order of
+// first occurrence, weighted by the template's weights summed in item
+// order, whose query is the template's first item of the highest weight.
+func (c *Compressor) Compress(w *workload.Workload) *workload.Workload {
+	c.pass++
+	groups := c.groups[:0]
 	for _, it := range w.Items {
-		key = it.Q.AppendTemplateKey(key[:0], workload.MaskSWGO)
-		i, ok := index[string(key)]
-		if !ok {
-			i = len(groups)
-			index[string(key)] = i
-			groups = append(groups, group{})
+		t := c.template(it.Q)
+		m := &c.marks[t]
+		if m.pass != c.pass {
+			*m = groupMark{pass: c.pass, group: int32(len(groups))}
+			groups = append(groups, compressGroup{})
 		}
-		g := &groups[i]
+		g := &groups[m.group]
 		g.weight += it.Weight
 		if it.Weight > g.repW || g.rep == nil {
 			g.rep, g.repW = it.Q, it.Weight
@@ -278,7 +312,27 @@ func CompressByTemplate(w *workload.Workload) *workload.Workload {
 	for _, g := range groups {
 		out.Add(g.rep, g.weight)
 	}
+	clear(groups)
+	c.groups = groups[:0]
 	return out
+}
+
+// template returns q's template number.
+func (c *Compressor) template(q *workload.Query) int32 {
+	if t, ok := c.perQuery[q]; ok {
+		return t
+	}
+	c.key = q.AppendTemplateKey(c.key[:0], workload.MaskSWGO)
+	t, ok := c.numbers[string(c.key)]
+	if !ok {
+		t = int32(len(c.marks))
+		c.numbers[string(c.key)] = t
+		c.marks = append(c.marks, groupMark{})
+	}
+	if c.perQuery != nil {
+		c.perQuery[q] = t
+	}
+	return t
 }
 
 // GreedySelect implements the selection loop shared by the nominal

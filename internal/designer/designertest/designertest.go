@@ -40,6 +40,34 @@ func R1Month(seed int64) (*schema.Schema, *workload.Workload, error) {
 	return s, set.Months[0], nil
 }
 
+// R1Months returns the canonical warehouse schema and the first n 4-week
+// windows of the R1 preset for seed, generating only the months asked for.
+func R1Months(seed int64, n int) (*schema.Schema, []*workload.Workload, error) {
+	s := datagen.Warehouse(1)
+	cfg := wlgen.R1Config(s, seed)
+	cfg.Months = max(n, 2)
+	cfg.DriftTargets = cfg.DriftTargets[:cfg.Months-1]
+	set, err := cfg.Generate()
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, set.Months[:n], nil
+}
+
+// SameKeys requires got and want to hold structures of the same keys in the
+// same order.
+func SameKeys(got, want []designer.Structure) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d structures, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Key() != want[i].Key() {
+			return fmt.Errorf("structure %d is %s, want %s", i, got[i].Key(), want[i].Key())
+		}
+	}
+	return nil
+}
+
 // Mutants returns w's queries followed by one sampler mutant of each, drawn
 // with a rand seeded by seed: near misses of the queries a pool was built
 // for, where a structure's applicability test is most likely to be wrong.
@@ -146,13 +174,25 @@ func DensePairTable(ctx context.Context, cm designer.CostModel, w *workload.Work
 }
 
 // DensePairRows builds the tables of ws[i] over pools[i] in order through
-// one designer.PairRows, as a designer session does across a run's calls,
-// and checks each against the dense oracle of DensePairTable and against
+// one designer.PairRows, with the pool deduplicated by slot in one
+// designer.Interner, as a designer session does across a run's calls, and
+// checks each against the dense oracle of DensePairTable and against
 // designer.BuildPairTable's table, bit for bit.
 func DensePairRows(ctx context.Context, cm designer.CostModel, ws []*workload.Workload, pools [][]designer.Structure) error {
-	rows := designer.NewPairRows(cm)
+	rows, in := designer.NewPairRows(cm), designer.NewInterner()
 	for i, w := range ws {
-		t, err := rows.Table(ctx, w, pools[i])
+		var pool []designer.Structure
+		var slots []int32
+		in.Begin()
+		for _, s := range pools[i] {
+			if s == nil {
+				continue
+			}
+			if s, x := in.Add(s); in.Mark(x) {
+				pool, slots = append(pool, s), append(slots, x)
+			}
+		}
+		t, err := rows.Table(ctx, w, pool, slots)
 		if err != nil {
 			return err
 		}

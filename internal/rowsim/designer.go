@@ -3,7 +3,7 @@ package rowsim
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/workload"
@@ -46,7 +46,7 @@ func (d *Designer) Name() string { return "DBMS-X-Advisor" }
 // Design implements designer.Designer.
 func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
 	cw := d.Compress(w)
-	cands := d.candidates(cw, nil)
+	cands, _ := d.generator(false).candidates(cw)
 	if d.DB.met != nil {
 		d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
 	}
@@ -54,57 +54,161 @@ func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.
 }
 
 // Session implements designer.SessionDesigner: a designer for the calls of
-// one robust run that derives each query's candidates and costs each pair
+// one robust run that keys each query's template (designer.Compressor),
+// derives its candidates, builds each index and view and costs each pair
 // cell once per run (designer.PairRows).
 func (d *Designer) Session() designer.Designer {
-	return &session{d: d, derived: map[*workload.Query]*derivation{}, rows: designer.NewPairRows(d.DB)}
+	return &session{g: d.generator(true), rows: designer.NewPairRows(d.DB), c: designer.NewCompressor(true)}
 }
 
 // session is a Designer's run-scoped form. Its Design is the Designer's,
-// with derivations and pair cells kept across calls.
+// with template numbers, derivations, structures and pair cells kept
+// across calls.
 type session struct {
-	d       *Designer
-	derived map[*workload.Query]*derivation
-	rows    *designer.PairRows
+	g    *generator
+	rows *designer.PairRows
+	c    *designer.Compressor
 }
 
-func (s *session) Name() string { return s.d.Name() }
+func (s *session) Name() string { return s.g.d.Name() }
 
 func (s *session) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
-	cw := s.d.Compress(w)
-	cands := s.d.candidates(cw, s.derived)
-	if s.d.DB.met != nil {
-		s.d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
+	cw := s.g.d.compress(s.c.Compress(w))
+	cands, slots := s.g.candidates(cw)
+	if s.g.d.DB.met != nil {
+		s.g.d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
 	}
-	return s.rows.GreedySelect(ctx, cw, cands, s.d.Budget)
+	return s.rows.GreedySelect(ctx, cw, cands, slots, s.g.d.Budget)
 }
 
 // derivation is what candidate generation derives from one query alone,
 // whatever workload it appears in: its columns, its index key and its
 // tailored structures (nil where none is built or the constructor rejects
-// it).
+// it), with their slots in the generator's interner.
 type derivation struct {
 	q               *workload.Query
 	cols            workload.ColSet
 	keyCols         []int // equalities by selectivity, then one range
 	plain, covering *Index
 	view            *MatView
+
+	plainSlot, coveringSlot, viewSlot int32
+}
+
+// generator generates candidate pools: for one call of the plain designer,
+// or for every call of a session, which keeps each query's derivation and
+// every index and view it builds (interned by key, so a structure built
+// once is handed back on later calls) together with its reused scratch.
+type generator struct {
+	d       *Designer
+	derived map[*workload.Query]*derivation // nil: derive per call
+	in      *designer.Interner
+
+	// Scratch, reused across a session's calls.
+	wqs      []weightedQuery
+	clusters []cluster
+	out      []designer.Structure
+	slots    []int32
+	ids      []int
+	keyCols  []int
+	include  []int
+	aggs     []workload.Agg
+	key      []byte
+}
+
+func (d *Designer) generator(session bool) *generator {
+	g := &generator{d: d, in: designer.NewInterner()}
+	if session {
+		g.derived = map[*workload.Query]*derivation{}
+	}
+	return g
+}
+
+// weightedQuery pairs a representative query's derivation with its
+// compressed weight.
+type weightedQuery struct {
+	*derivation
+	weight float64
+}
+
+// cluster is one family of overlapping templates of a table. Its sets and
+// aggregate list are the generator's own memory, rebuilt per call.
+type cluster struct {
+	table    string
+	cols     workload.ColSet
+	members  int
+	heaviest *derivation
+	gbCols   workload.ColSet
+	aggs     []workload.Agg
 }
 
 // derive returns q's derivation, or nil when the cost model cannot cost q;
-// memo, when not nil, keeps both answers across calls.
-func (d *Designer) derive(q *workload.Query, memo map[*workload.Query]*derivation) *derivation {
-	if dv, ok := memo[q]; ok {
+// a session keeps both answers across calls.
+func (g *generator) derive(q *workload.Query) *derivation {
+	if dv, ok := g.derived[q]; ok {
 		return dv
 	}
 	var dv *derivation
-	if d.DB.check(q) == nil {
-		dv = d.tailored(q)
+	if g.d.DB.check(q) == nil {
+		dv = g.d.tailored(q)
+		dv.plainSlot, dv.coveringSlot, dv.viewSlot = -1, -1, -1
+		if dv.plain != nil {
+			dv.plain, dv.plainSlot = g.index(g.in.Add(dv.plain))
+		}
+		if dv.covering != nil {
+			dv.covering, dv.coveringSlot = g.index(g.in.Add(dv.covering))
+		}
+		if dv.view != nil {
+			var s designer.Structure
+			s, dv.viewSlot = g.in.Add(dv.view)
+			dv.view = s.(*MatView)
+		}
 	}
-	if memo != nil {
-		memo[q] = dv
+	if g.derived != nil {
+		g.derived[q] = dv
 	}
 	return dv
+}
+
+func (g *generator) index(s designer.Structure, slot int32) (*Index, int32) {
+	return s.(*Index), slot
+}
+
+// clusterIndex returns DB.NewIndex(table, keyCols, include), or nil where it
+// fails, with its slot; include is ascending and holds no key column. An
+// index of the same key built before is handed back without a build.
+func (g *generator) clusterIndex(table string, keyCols, include []int) (designer.Structure, int32) {
+	dedup := g.keyCols[:0]
+	for _, c := range keyCols {
+		if !slices.Contains(dedup, c) {
+			dedup = append(dedup, c)
+		}
+	}
+	g.keyCols = dedup
+	g.key = appendIndexKey(g.key[:0], table, dedup, include)
+	if s, x := g.in.Lookup(g.key); x >= 0 {
+		return s, x
+	}
+	idx, err := g.d.DB.NewIndex(table, keyCols, include)
+	if err != nil {
+		return nil, -1
+	}
+	return g.in.Add(idx)
+}
+
+// clusterView returns DB.NewMatView(table, gb, aggs), or nil where it fails,
+// with its slot; gb is ascending and duplicate-free. A view of the same key
+// built before is handed back without a build.
+func (g *generator) clusterView(table string, gb []int, aggs []workload.Agg) (designer.Structure, int32) {
+	g.key = appendMatViewKey(g.key[:0], table, gb, aggs)
+	if s, x := g.in.Lookup(g.key); x >= 0 {
+		return s, x
+	}
+	mv, err := g.d.DB.NewMatView(table, gb, aggs)
+	if err != nil {
+		return nil, -1
+	}
+	return g.in.Add(mv)
 }
 
 func (d *Designer) maxKeyCols() int {
@@ -117,7 +221,12 @@ func (d *Designer) maxKeyCols() int {
 // Compress applies the workload-compression heuristics: template collapse,
 // weight damping, and rare-template pruning.
 func (d *Designer) Compress(w *workload.Workload) *workload.Workload {
-	cw := designer.CompressByTemplate(w)
+	return d.compress(designer.CompressByTemplate(w))
+}
+
+// compress applies the heuristics after the template collapse to cw, a
+// template-compressed workload.
+func (d *Designer) compress(cw *workload.Workload) *workload.Workload {
 	total := cw.TotalWeight()
 	out := &workload.Workload{}
 	minShare := d.MinTemplateShare
@@ -140,56 +249,57 @@ func (d *Designer) Compress(w *workload.Workload) *workload.Workload {
 // Candidates generates the candidate pool: per-template indices (key-only
 // and covering) and materialized views for aggregate templates.
 func (d *Designer) Candidates(w *workload.Workload) []designer.Structure {
-	return d.candidates(designer.CompressByTemplate(w), nil)
+	cands, _ := d.generator(false).candidates(designer.CompressByTemplate(w))
+	return cands
 }
 
 // candidates is Candidates over an already template-compressed workload,
-// taking each query's derivation from memo when it is not nil.
-func (d *Designer) candidates(cw *workload.Workload, memo map[*workload.Query]*derivation) []designer.Structure {
-	type wq struct {
-		*derivation
-		weight float64
-	}
-	var wqs []wq
+// with each candidate's slot in g's interner. A session's returned slices
+// are reused by its next call.
+func (g *generator) candidates(cw *workload.Workload) ([]designer.Structure, []int32) {
+	d := g.d
+	wqs := g.wqs[:0]
 	for _, it := range cw.Items {
-		if dv := d.derive(it.Q, memo); dv != nil {
-			wqs = append(wqs, wq{dv, it.Weight})
+		if dv := g.derive(it.Q); dv != nil {
+			wqs = append(wqs, weightedQuery{dv, it.Weight})
 		}
 	}
-	sort.SliceStable(wqs, func(i, j int) bool { return wqs[i].weight > wqs[j].weight })
+	slices.SortStableFunc(wqs, func(a, b weightedQuery) int {
+		switch {
+		case a.weight > b.weight:
+			return -1
+		case a.weight < b.weight:
+			return 1
+		}
+		return 0
+	})
+	g.wqs = wqs
 
 	maxCand := d.MaxCandidates
 	if maxCand <= 0 {
 		maxCand = 512
 	}
 
-	var out []designer.Structure
-	seen := make(map[string]bool)
-	add := func(s designer.Structure, err error) {
-		if err != nil || s == nil || seen[s.Key()] || len(out) >= maxCand {
+	out, slots := g.out[:0], g.slots[:0]
+	g.in.Begin()
+	add := func(s designer.Structure, slot int32) {
+		if s == nil || len(out) >= maxCand || !g.in.Mark(slot) {
 			return
 		}
-		seen[s.Key()] = true
 		out = append(out, s)
+		slots = append(slots, slot)
 	}
 
 	// Family clusters (three or more near-duplicate templates, as produced
 	// by perturbed workloads) earn hedged covering indexes whose include set
 	// is the family union: any member or near-variant becomes index-only.
-	type cluster struct {
-		table    string
-		cols     workload.ColSet
-		members  int
-		heaviest *derivation
-		gbCols   workload.ColSet
-		aggs     []workload.Agg
-	}
-	var clusters []*cluster
+	clusters := g.clusters[:0]
 	for _, e := range wqs {
 		cols := e.cols
-		var best *cluster
+		best := -1
 		bestJ := 0.0
-		for _, cl := range clusters {
+		for ci := range clusters {
+			cl := &clusters[ci]
 			if cl.table != e.q.Spec.Table {
 				continue
 			}
@@ -198,36 +308,37 @@ func (d *Designer) candidates(cw *workload.Workload, memo map[*workload.Query]*d
 			}
 			j := float64(cl.cols.IntersectLen(cols)) / float64(cols.Len())
 			if j >= 0.8 && j > bestJ {
-				best, bestJ = cl, j
+				best, bestJ = ci, j
 			}
 		}
-		if best == nil {
-			best = &cluster{table: e.q.Spec.Table, cols: cols, heaviest: e.derivation}
-			clusters = append(clusters, best)
+		var cl *cluster
+		if best < 0 {
+			// A new cluster reuses the storage of a previous call's.
+			clusters = slices.Grow(clusters, 1)[:len(clusters)+1]
+			cl = &clusters[len(clusters)-1]
+			*cl = cluster{table: e.q.Spec.Table, cols: cl.cols, heaviest: e.derivation, gbCols: cl.gbCols, aggs: cl.aggs[:0]}
+			cl.cols.SetUnion(cols, workload.ColSet{})
+			cl.gbCols.Clear()
 		} else {
-			best.cols = best.cols.Union(cols)
+			cl = &clusters[best]
+			cl.cols.SetUnion(cl.cols, cols)
 		}
-		best.members++
+		cl.members++
 		for _, c := range e.q.Spec.GroupBy {
-			best.gbCols.Add(c)
+			cl.gbCols.Add(c)
 		}
 		for _, p := range e.q.Spec.Preds {
-			best.gbCols.Add(p.Col)
+			cl.gbCols.Add(p.Col)
 		}
 		for _, a := range e.q.Spec.Aggs {
-			dup := false
-			for _, x := range best.aggs {
-				if x.Fn == a.Fn && x.Col == a.Col {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				best.aggs = append(best.aggs, a)
+			if !slices.Contains(cl.aggs, a) {
+				cl.aggs = append(cl.aggs, a)
 			}
 		}
 	}
-	for _, cl := range clusters {
+	g.clusters = clusters
+	for ci := range clusters {
+		cl := &clusters[ci]
 		if cl.members < 3 || len(out) >= maxCand {
 			continue
 		}
@@ -235,21 +346,22 @@ func (d *Designer) candidates(cw *workload.Workload, memo map[*workload.Query]*d
 		if len(keyCols) == 0 {
 			continue
 		}
-		keySet := workload.NewColSet(keyCols...)
-		var include []int
-		for _, c := range cl.cols.IDs() {
-			if !keySet.Has(c) {
+		g.ids = cl.cols.AppendIDs(g.ids[:0])
+		include := g.include[:0]
+		for _, c := range g.ids {
+			if !slices.Contains(keyCols, c) {
 				include = append(include, c)
 			}
 		}
-		add(d.DB.NewIndex(cl.table, keyCols, include))
+		g.include = include
+		add(g.clusterIndex(cl.table, keyCols, include))
 
 		// Family materialized view: the union of the members' grouping and
 		// filter columns with the union of their aggregates (AVG stored as
 		// SUM + COUNT). One view then answers every member and their
 		// near-variants by roll-up.
-		if gb := cl.gbCols.IDs(); len(gb) > 0 && len(gb) <= 6 && len(cl.aggs) > 0 {
-			stored := []workload.Agg{{Fn: workload.Count, Col: -1}}
+		if g.ids = cl.gbCols.AppendIDs(g.ids[:0]); len(g.ids) > 0 && len(g.ids) <= 6 && len(cl.aggs) > 0 {
+			stored := append(g.aggs[:0], workload.Agg{Fn: workload.Count, Col: -1})
 			for _, a := range cl.aggs {
 				if a.Fn == workload.Avg {
 					stored = append(stored, workload.Agg{Fn: workload.Sum, Col: a.Col})
@@ -257,7 +369,8 @@ func (d *Designer) candidates(cw *workload.Workload, memo map[*workload.Query]*d
 					stored = append(stored, a)
 				}
 			}
-			add(d.DB.NewMatView(cl.table, gb, stored))
+			g.aggs = stored
+			add(g.clusterView(cl.table, g.ids, stored))
 		}
 	}
 
@@ -266,16 +379,17 @@ func (d *Designer) candidates(cw *workload.Workload, memo map[*workload.Query]*d
 			break
 		}
 		if e.plain != nil {
-			add(e.plain, nil)
+			add(e.plain, e.plainSlot)
 		}
 		if e.covering != nil {
-			add(e.covering, nil)
+			add(e.covering, e.coveringSlot)
 		}
 		if e.view != nil {
-			add(e.view, nil)
+			add(e.view, e.viewSlot)
 		}
 	}
-	return out
+	g.out, g.slots = out, slots
+	return out, slots
 }
 
 // tailored derives a checked query's structures: plain and covering indexes

@@ -101,15 +101,18 @@ func TestDesignCostModelCalls(t *testing.T) {
 }
 
 // TestDesignAllocations gates one nominal Design on R1's first month. The
-// bound is the 2,796 allocations measured once the pair table was built
-// through the kernel and stored sparsely, plus 10%. It made 2,999 before.
+// bound is about 10% above the 1,654 allocations measured once index and
+// view keys were appended to a buffer (not formatted through fmt and maps)
+// and cluster structures were keyed before they were built. It made 2,808
+// before, and 2,999 before the pair table was built through the kernel and
+// stored sparsely.
 func TestDesignAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled scratch at random under -race")
 	}
 	_, month, d, _, _ := r1Pool(t)
 	ctx := context.Background()
-	const bound = 3080
+	const bound = 1808
 	if n := testing.AllocsPerRun(5, func() {
 		if _, err := d.Design(ctx, month); err != nil {
 			t.Fatal(err)
@@ -118,6 +121,33 @@ func TestDesignAllocations(t *testing.T) {
 		t.Fatalf("Design allocates %.0f times, want at most %d", n, bound)
 	} else {
 		t.Logf("Design: %.0f allocations", n)
+	}
+}
+
+// TestSessionRunAllocations gates one session's five calls on the
+// workloads of BenchmarkDesignRun. The bound is the 2,633 allocations
+// measured once the session interned the structures it builds and numbered
+// each query's template once, plus 10%; it made 6,575 when each call rebuilt its cluster structures and keyed them
+// through maps.
+func TestSessionRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	db, month, d, _, _ := r1Pool(t)
+	ws := designertest.RunWorkloads(db.Schema, month, 1, 4)
+	ctx := context.Background()
+	const bound = 2896
+	if n := testing.AllocsPerRun(3, func() {
+		nominal := d.Session()
+		for _, w := range ws {
+			if _, err := nominal.Design(ctx, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n > bound {
+		t.Fatalf("a session's five calls allocate %.0f times, want at most %d", n, bound)
+	} else {
+		t.Logf("session run: %.0f allocations", n)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"cliffguard/internal/schema"
 	"cliffguard/internal/workload"
@@ -44,16 +44,14 @@ func NewIndex(s *schema.Schema, table string, cols, include []int) (*Index, erro
 		return nil, fmt.Errorf("rowsim: index on %q has no key columns", table)
 	}
 	var width int64 = rowIDWidth
-	seen := make(map[int]bool)
 	var keyCols []int
 	for _, c := range cols {
 		if err := checkCol(s, table, c); err != nil {
 			return nil, err
 		}
-		if seen[c] {
+		if slices.Contains(keyCols, c) {
 			continue
 		}
-		seen[c] = true
 		keyCols = append(keyCols, c)
 		width += s.Column(c).Type.Width()
 	}
@@ -62,18 +60,30 @@ func NewIndex(s *schema.Schema, table string, cols, include []int) (*Index, erro
 		if err := checkCol(s, table, c); err != nil {
 			return nil, err
 		}
-		if seen[c] {
+		if slices.Contains(keyCols, c) || slices.Contains(inc, c) {
 			continue
 		}
-		seen[c] = true
 		inc = append(inc, c)
 		width += s.Column(c).Type.Width()
 	}
 	sort.Ints(inc)
 	idx := &Index{Table: table, Cols: keyCols, Include: inc}
 	idx.size = t.Rows * width
-	idx.key = fmt.Sprintf("idx:%s:%s:inc=%s", table, intsKey(keyCols), intsKey(inc))
+	var buf [64]byte
+	idx.key = string(appendIndexKey(buf[:0], table, keyCols, inc))
 	return idx, nil
+}
+
+// appendIndexKey appends the key of the index on table over the
+// deduplicated key columns cols, including the ascending, deduplicated
+// non-key columns include, to b.
+func appendIndexKey(b []byte, table string, cols, include []int) []byte {
+	b = append(b, "idx:"...)
+	b = append(b, table...)
+	b = append(b, ':')
+	b = appendInts(b, cols)
+	b = append(b, ":inc="...)
+	return appendInts(b, include)
 }
 
 func checkCol(s *schema.Schema, table string, c int) error {
@@ -178,18 +188,15 @@ func NewMatView(s *schema.Schema, table string, groupBy []int, aggs []workload.A
 	}
 	sort.Ints(gb)
 	var dedupAggs []workload.Agg
-	aggSeen := make(map[string]bool)
 	for _, a := range aggs {
 		if a.Col >= 0 {
 			if err := checkCol(s, table, a.Col); err != nil {
 				return nil, err
 			}
 		}
-		k := fmt.Sprintf("%d:%d", a.Fn, a.Col)
-		if aggSeen[k] {
+		if slices.Contains(dedupAggs, a) {
 			continue
 		}
-		aggSeen[k] = true
 		dedupAggs = append(dedupAggs, a)
 		width += 8
 	}
@@ -198,15 +205,33 @@ func NewMatView(s *schema.Schema, table string, groupBy []int, aggs []workload.A
 	}
 	mv := &MatView{Table: table, GroupBy: gb, Aggs: dedupAggs, groups: groups}
 	mv.size = groups * width
-	var ab strings.Builder
-	for i, a := range dedupAggs {
-		if i > 0 {
-			ab.WriteByte(',')
-		}
-		fmt.Fprintf(&ab, "%s(%d)", a.Fn, a.Col)
-	}
-	mv.key = fmt.Sprintf("mv:%s:gb=%s:aggs=%s", table, intsKey(gb), ab.String())
+	var buf [96]byte
+	mv.key = string(appendMatViewKey(buf[:0], table, gb, dedupAggs))
 	return mv, nil
+}
+
+// appendMatViewKey appends the key of the view on table grouped by the
+// ascending, deduplicated columns gb with the aggregates aggs, deduplicated
+// in order here as NewMatView deduplicates them, to b.
+func appendMatViewKey(b []byte, table string, gb []int, aggs []workload.Agg) []byte {
+	b = append(b, "mv:"...)
+	b = append(b, table...)
+	b = append(b, ":gb="...)
+	b = appendInts(b, gb)
+	b = append(b, ":aggs="...)
+	for i, a := range aggs {
+		if slices.Contains(aggs[:i], a) {
+			continue
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, a.Fn.String()...)
+		b = append(b, '(')
+		b = strconv.AppendInt(b, int64(a.Col), 10)
+		b = append(b, ')')
+	}
+	return b
 }
 
 // Key implements designer.Structure.
@@ -292,10 +317,15 @@ func (m *MatView) GroupSet() workload.ColSet {
 	return set
 }
 
-func intsKey(xs []int) string {
-	parts := make([]string, len(xs))
+func intsKey(xs []int) string { return string(appendInts(nil, xs)) }
+
+// appendInts appends xs in decimal, comma-separated, to b.
+func appendInts(b []byte, xs []int) []byte {
 	for i, x := range xs {
-		parts[i] = fmt.Sprintf("%d", x)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
 	}
-	return strings.Join(parts, ",")
+	return b
 }

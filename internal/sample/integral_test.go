@@ -42,7 +42,7 @@ func sampleAtIntegral(s *Sampler, rng *rand.Rand, w0 *workload.Workload, alpha f
 		}
 	}
 	for try := 0; try < s.maxTries(); try++ {
-		cands := s.Source.Candidates(rng, w0, k)
+		cands := s.Source.Candidates(rng, w0, k, nil)
 		var fresh []*workload.Query
 		for _, q := range cands {
 			if !frozen.HasKey(q.TemplateKey(workload.MaskSWGO)) {

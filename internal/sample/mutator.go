@@ -20,6 +20,11 @@ import (
 // popularity prior derived from w0 is cached per workload identity behind a
 // mutex, so the repeated operand of a neighborhood (always W0) pays the
 // O(items × columns) prior construction once rather than once per draw.
+//
+// Each call builds its mutants in pooled scratch (one scratch per
+// concurrent call) and then builds the queries it returns in one batch
+// (workload.FromDrafts), so a call allocates a fixed handful of arrays, not
+// a Spec and clause sets per mutant.
 type Mutator struct {
 	Schema *schema.Schema
 	// MaxFlips bounds how many columns a single mutation adds/removes
@@ -29,6 +34,8 @@ type Mutator struct {
 	mu     sync.Mutex
 	popKey popCacheKey
 	popVal *popModel
+
+	scratch sync.Pool // *mutantScratch
 }
 
 // popCacheKey identifies a workload for popularity-prior caching; length and
@@ -40,9 +47,10 @@ type popCacheKey struct {
 }
 
 // popModel is the popularity prior for one workload: a cumulative weighted
-// column sampler per schema table. Immutable once built.
+// column sampler per schema table, indexed by the table's ordinal
+// (schema.Ordinal). Immutable once built.
 type popModel struct {
-	byTable map[string]*popPicker
+	pickers []popPicker
 }
 
 // popPicker draws a column of one table with probability proportional to its
@@ -77,9 +85,11 @@ func (m *Mutator) popModelFor(w0 *workload.Workload, total float64) *popModel {
 	}
 	m.mu.Unlock()
 
-	pop := columnPopularity(w0)
-	model := &popModel{byTable: make(map[string]*popPicker)}
-	for _, tbl := range m.Schema.Tables() {
+	pop := columnPopularity(w0, m.Schema.NumColumns())
+	tables := m.Schema.Tables()
+	model := &popModel{pickers: make([]popPicker, len(tables))}
+	cum := make([]float64, m.Schema.NumColumns())
+	for ti, tbl := range tables {
 		var maxW float64
 		for _, c := range tbl.Columns {
 			if w := pop[c.ID]; w > maxW {
@@ -89,12 +99,13 @@ func (m *Mutator) popModelFor(w0 *workload.Workload, total float64) *popModel {
 		// Additive smoothing keeps cold columns reachable (same constants as
 		// the historical pickByPopularity).
 		smoothing := maxW*0.1 + 1e-9
-		p := &popPicker{cols: tbl.Columns, cum: make([]float64, len(tbl.Columns))}
+		n := len(tbl.Columns)
+		p := &model.pickers[ti]
+		p.cols, p.cum, cum = tbl.Columns, cum[:n:n], cum[n:]
 		for i, c := range tbl.Columns {
 			p.total += pop[c.ID] + smoothing
 			p.cum[i] = p.total
 		}
-		model.byTable[tbl.Name] = p
 	}
 
 	m.mu.Lock()
@@ -110,36 +121,125 @@ func NewMutator(s *schema.Schema) *Mutator { return &Mutator{Schema: s, MaxFlips
 // proportional) queries of w0. Mutations pick replacement columns in
 // proportion to how often each column appears across w0 — the workload's own
 // hot columns are where drift is most likely to land, and no knowledge of
-// the actual future is used.
-func (m *Mutator) Candidates(rng *rand.Rand, w0 *workload.Workload, k int) []*workload.Query {
+// the actual future is used. The known filter reads the scratch mutant, so
+// only the survivors are built; it takes no rng draw.
+func (m *Mutator) Candidates(rng *rand.Rand, w0 *workload.Workload, k int, known *workload.FrozenVector) []*workload.Query {
 	if w0.Len() == 0 || k <= 0 {
 		return nil
 	}
 	total := w0.TotalWeight()
 	model := m.popModelFor(w0, total)
-	out := make([]*workload.Query, 0, k)
+	sc := m.getScratch()
+	defer m.scratch.Put(sc)
 	for i := 0; i < k; i++ {
 		base := m.pick(rng, w0, total)
 		if base == nil || base.Spec == nil {
 			continue
 		}
-		if q := m.mutateWith(rng, base, model); q != nil {
-			out = append(out, q)
+		if !m.mutate(rng, sc, base.Spec, model) {
+			continue
 		}
+		if known != nil {
+			sc.q.Refill(&sc.spec)
+			sc.key = sc.q.AppendTemplateKey(sc.key[:0], workload.MaskSWGO)
+			if known.HasKeyBytes(sc.key) {
+				continue
+			}
+		}
+		sc.stage(base)
 	}
+	return sc.build()
+}
+
+// mutantScratch is one call's working memory: the mutant being built, a
+// query over it whose template key the filter reads, and the staged
+// survivors, whose Spec slices point into the staging arrays until build
+// copies them out.
+type mutantScratch struct {
+	spec workload.Spec
+	q    workload.Query
+	// made marks the clause slices of spec that a mutation of a cloned Spec
+	// would leave non-nil: a clone by append is nil where the base is empty,
+	// and only an append makes it non-nil. spec's own slices are reused, so
+	// they are never nil; stage copies nil where made is unset.
+	made   uint8
+	key    []byte
+	drafts []workload.Draft
+	ints   []int
+	aggs   []workload.Agg
+	preds  []workload.Pred
+	orders []workload.OrderCol
+}
+
+func (m *Mutator) getScratch() *mutantScratch {
+	if sc, ok := m.scratch.Get().(*mutantScratch); ok {
+		return sc
+	}
+	return &mutantScratch{}
+}
+
+// stage appends the current mutant, with base's ID and timestamp, to the
+// survivors. A staging array that grows leaves the earlier survivors on the
+// old array, whose contents stay as they were.
+func (sc *mutantScratch) stage(base *workload.Query) {
+	s := &sc.spec
+	d := workload.Draft{ID: base.ID, Timestamp: base.Timestamp, Spec: workload.Spec{Table: s.Table, Limit: s.Limit}}
+	d.Spec.SelectCols, sc.ints = stageSlice(sc.ints, s.SelectCols, sc.made&madeSelect != 0)
+	d.Spec.Aggs, sc.aggs = stageSlice(sc.aggs, s.Aggs, sc.made&madeAggs != 0)
+	d.Spec.Preds, sc.preds = stageSlice(sc.preds, s.Preds, sc.made&madePreds != 0)
+	d.Spec.GroupBy, sc.ints = stageSlice(sc.ints, s.GroupBy, sc.made&madeGroupBy != 0)
+	d.Spec.OrderBy, sc.orders = stageSlice(sc.orders, s.OrderBy, sc.made&madeOrderBy != 0)
+	sc.drafts = append(sc.drafts, d)
+}
+
+// The bits of mutantScratch.made.
+const (
+	madeSelect uint8 = 1 << iota
+	madeAggs
+	madePreds
+	madeGroupBy
+	madeOrderBy
+)
+
+// stageSlice appends src to arena and returns the appended part, or nil
+// when made is unset (src is then empty). An empty src that is made stages
+// as an empty slice that is not nil.
+func stageSlice[T any](arena, src []T, made bool) ([]T, []T) {
+	switch {
+	case !made:
+		return nil, arena
+	case len(src) == 0:
+		return src[:0:0], arena
+	}
+	start := len(arena)
+	arena = append(arena, src...)
+	return arena[start:len(arena):len(arena)], arena
+}
+
+// build returns the staged survivors as queries and empties the staging
+// arrays for the scratch's next call.
+func (sc *mutantScratch) build() []*workload.Query {
+	out := workload.FromDrafts(sc.drafts)
+	clear(sc.drafts)
+	sc.drafts = sc.drafts[:0]
+	sc.ints, sc.aggs, sc.preds, sc.orders = sc.ints[:0], sc.aggs[:0], sc.preds[:0], sc.orders[:0]
 	return out
 }
 
 // columnPopularity returns a flattened (square-root) weighted frequency of
-// each column across the workload's queries. The flattening matters: drift
-// reaches warm columns, not just the very hottest ones, so the perturbation
-// prior should not mirror the workload's frequency skew exactly.
-func columnPopularity(w0 *workload.Workload) map[int]float64 {
-	pop := make(map[int]float64)
+// each column across the workload's queries, indexed by column ID over the
+// schema's n columns. The flattening matters: drift reaches warm columns,
+// not just the very hottest ones, so the perturbation prior should not
+// mirror the workload's frequency skew exactly.
+func columnPopularity(w0 *workload.Workload, n int) []float64 {
+	pop := make([]float64, n)
 	for _, it := range w0.Items {
-		for _, c := range it.Q.Columns().IDs() {
-			pop[c] += it.Weight
-		}
+		it.Q.EachRef(func(c int) bool {
+			if c < n {
+				pop[c] += it.Weight
+			}
+			return true
+		})
 	}
 	for c, w := range pop {
 		pop[c] = math.Sqrt(w)
@@ -169,41 +269,70 @@ func (m *Mutator) pick(rng *rand.Rand, w0 *workload.Workload, total float64) *wo
 // uses the popularity-weighted variant. Returns nil if the base query's
 // table is unknown.
 func (m *Mutator) Mutate(rng *rand.Rand, q *workload.Query) *workload.Query {
-	return m.mutateWith(rng, q, nil)
-}
-
-// mutateWith is Mutate with an optional column-popularity prior.
-func (m *Mutator) mutateWith(rng *rand.Rand, q *workload.Query, model *popModel) *workload.Query {
-	tbl, ok := m.Schema.Table(q.Spec.Table)
-	if !ok {
+	sc := m.getScratch()
+	defer m.scratch.Put(sc)
+	if !m.mutate(rng, sc, q.Spec, nil) {
 		return nil
 	}
-	spec := cloneSpec(q.Spec)
+	sc.stage(q)
+	return sc.build()[0]
+}
+
+// mutate builds a mutant of base in sc.spec, drawing replacement columns
+// from model when it is not nil, and reports false (with no rng draw) when
+// base's table is unknown. Its flips read and write only sc's reused
+// slices, in the order and with the rng draws of a mutation of a cloned
+// Spec.
+func (m *Mutator) mutate(rng *rand.Rand, sc *mutantScratch, base *workload.Spec, model *popModel) bool {
+	tbl, ok := m.Schema.Table(base.Table)
+	if !ok {
+		return false
+	}
+	s := &sc.spec
+	*s = workload.Spec{
+		Table:      base.Table,
+		Limit:      base.Limit,
+		SelectCols: append(s.SelectCols[:0], base.SelectCols...),
+		Aggs:       append(s.Aggs[:0], base.Aggs...),
+		Preds:      append(s.Preds[:0], base.Preds...),
+		GroupBy:    append(s.GroupBy[:0], base.GroupBy...),
+		OrderBy:    append(s.OrderBy[:0], base.OrderBy...),
+	}
+	sc.made = 0
+	for bit, n := range [...]int{len(s.SelectCols), len(s.Aggs), len(s.Preds), len(s.GroupBy), len(s.OrderBy)} {
+		if n > 0 {
+			sc.made |= 1 << bit
+		}
+	}
+	var p *popPicker
+	if model != nil {
+		if ti := m.Schema.Ordinal(tbl); ti >= 0 {
+			p = &model.pickers[ti]
+		}
+	}
 	maxFlips := m.MaxFlips
 	if maxFlips <= 0 {
 		maxFlips = 5
 	}
 	flips := 1 + rng.Intn(maxFlips)
 	for i := 0; i < flips; i++ {
-		m.flip(rng, spec, tbl, model)
+		sc.flip(rng, tbl, p)
 	}
-	if len(spec.SelectCols) == 0 && len(spec.Aggs) == 0 {
+	if len(s.SelectCols) == 0 && len(s.Aggs) == 0 {
 		// A query must select something; restore one projected column.
-		spec.SelectCols = append(spec.SelectCols, tbl.Columns[rng.Intn(len(tbl.Columns))].ID)
+		s.SelectCols = append(s.SelectCols, tbl.Columns[rng.Intn(len(tbl.Columns))].ID)
+		sc.made |= madeSelect
 	}
-	nq := workload.FromSpec(q.ID, q.Timestamp, spec)
-	return nq
+	return true
 }
 
-// flip applies one random structural mutation to the spec.
-func (m *Mutator) flip(rng *rand.Rand, spec *workload.Spec, tbl *schema.Table, model *popModel) {
+// flip applies one random structural mutation to the scratch spec, drawing
+// the column from p when it is not nil, else uniformly from tbl.
+func (sc *mutantScratch) flip(rng *rand.Rand, tbl *schema.Table, p *popPicker) {
+	spec := &sc.spec
 	var col schema.Column
-	if model != nil {
-		if p := model.byTable[tbl.Name]; p != nil {
-			col = p.pick(rng)
-		} else {
-			col = tbl.Columns[rng.Intn(len(tbl.Columns))]
-		}
+	if p != nil {
+		col = p.pick(rng)
 	} else {
 		col = tbl.Columns[rng.Intn(len(tbl.Columns))]
 	}
@@ -211,6 +340,7 @@ func (m *Mutator) flip(rng *rand.Rand, spec *workload.Spec, tbl *schema.Table, m
 	case 0: // add a select column
 		if !containsInt(spec.SelectCols, col.ID) {
 			spec.SelectCols = append(spec.SelectCols, col.ID)
+			sc.made |= madeSelect
 		}
 	case 1: // drop a select column
 		if len(spec.SelectCols) > 1 {
@@ -219,6 +349,7 @@ func (m *Mutator) flip(rng *rand.Rand, spec *workload.Spec, tbl *schema.Table, m
 	case 2: // add a predicate with a random point/range filter
 		if !predOn(spec.Preds, col.ID) {
 			spec.Preds = append(spec.Preds, randomPred(rng, col))
+			sc.made |= madePreds
 		}
 	case 3: // drop a predicate
 		if len(spec.Preds) > 0 {
@@ -228,8 +359,10 @@ func (m *Mutator) flip(rng *rand.Rand, spec *workload.Spec, tbl *schema.Table, m
 	case 4: // add a group-by column
 		if !containsInt(spec.GroupBy, col.ID) {
 			spec.GroupBy = append(spec.GroupBy, col.ID)
+			sc.made |= madeGroupBy
 			if len(spec.Aggs) == 0 {
 				spec.Aggs = append(spec.Aggs, workload.Agg{Fn: workload.Count, Col: -1})
+				sc.made |= madeAggs
 			}
 		}
 	case 5: // drop a group-by column
@@ -262,16 +395,6 @@ func randomPred(rng *rand.Rand, col schema.Column) workload.Pred {
 	lo := rng.Int63n(maxI64(card-span, 1))
 	return workload.Pred{Col: col.ID, Op: workload.Between, Lo: lo, Hi: lo + span - 1,
 		Sel: float64(span) / float64(card)}
-}
-
-func cloneSpec(s *workload.Spec) *workload.Spec {
-	out := &workload.Spec{Table: s.Table, Limit: s.Limit}
-	out.SelectCols = append([]int(nil), s.SelectCols...)
-	out.Aggs = append([]workload.Agg(nil), s.Aggs...)
-	out.Preds = append([]workload.Pred(nil), s.Preds...)
-	out.GroupBy = append([]int(nil), s.GroupBy...)
-	out.OrderBy = append([]workload.OrderCol(nil), s.OrderBy...)
-	return out
 }
 
 func containsInt(s []int, v int) bool {

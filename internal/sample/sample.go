@@ -47,12 +47,15 @@ import (
 // Implementations must be safe for concurrent Candidates calls with distinct
 // rng instances: the parallel Neighborhood invokes one call per in-flight
 // draw. They must not retain rng past the call, because Neighborhood
-// re-seeds it for the worker's next draw. The built-in Mutator is stateless
-// and satisfies both.
+// re-seeds it for the worker's next draw. The built-in Mutator satisfies
+// both: each call takes its own pooled scratch.
 type QuerySource interface {
-	// Candidates returns up to k candidate queries. Implementations may
-	// return fewer if they cannot generate enough distinct templates.
-	Candidates(rng *rand.Rand, w0 *workload.Workload, k int) []*workload.Query
+	// Candidates draws up to k candidate queries and returns, in draw order,
+	// those whose TemplateKey(workload.MaskSWGO) is not a key of known
+	// (every candidate when known is nil). Implementations may return fewer
+	// if they cannot generate enough distinct templates. The filter must
+	// not change how the call consumes rng.
+	Candidates(rng *rand.Rand, w0 *workload.Workload, k int, known *workload.FrozenVector) []*workload.Query
 }
 
 // Sampler samples workloads in the Gamma-neighborhood of a target workload.
@@ -132,13 +135,7 @@ func (s *Sampler) SampleAt(rng *rand.Rand, w0 *workload.Workload, alpha float64)
 		if try > 0 && s.Metrics != nil {
 			s.Metrics.SamplerRetries.Inc()
 		}
-		cands := s.Source.Candidates(rng, w0, k)
-		var fresh []*workload.Query
-		for _, q := range cands {
-			if !frozen.HasKey(q.TemplateKey(workload.MaskSWGO)) {
-				fresh = append(fresh, q)
-			}
-		}
+		fresh := s.Source.Candidates(rng, w0, k, frozen)
 		if len(fresh) > 0 {
 			cand := workload.New(fresh...)
 			var b float64
@@ -172,7 +169,8 @@ func (s *Sampler) SampleAt(rng *rand.Rand, w0 *workload.Workload, alpha float64)
 	c := n * lambda / (kf * (1 - lambda))
 
 	build := func(c float64) *workload.Workload {
-		out := w0.Clone()
+		out := &workload.Workload{Items: make([]workload.Item, len(w0.Items), len(w0.Items)+qset.Len())}
+		copy(out.Items, w0.Items)
 		for _, it := range qset.Items {
 			out.Add(it.Q, c*it.Weight)
 		}

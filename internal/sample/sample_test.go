@@ -172,7 +172,7 @@ func TestMutatorProducesValidQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w0 := baseWorkload(s, rng, 10)
 
-	cands := mut.Candidates(rng, w0, 50)
+	cands := mut.Candidates(rng, w0, 50, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -246,11 +246,11 @@ func TestMutatorEmptyInputs(t *testing.T) {
 	s := testSchema()
 	mut := NewMutator(s)
 	rng := rand.New(rand.NewSource(7))
-	if got := mut.Candidates(rng, &workload.Workload{}, 5); got != nil {
+	if got := mut.Candidates(rng, &workload.Workload{}, 5, nil); got != nil {
 		t.Error("empty workload should yield no candidates")
 	}
 	w0 := baseWorkload(s, rng, 2)
-	if got := mut.Candidates(rng, w0, 0); got != nil {
+	if got := mut.Candidates(rng, w0, 0, nil); got != nil {
 		t.Error("k=0 should yield no candidates")
 	}
 }

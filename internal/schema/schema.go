@@ -227,6 +227,21 @@ func (s *Schema) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
+// Ordinal returns t's position in Tables(), or -1 when t is not one of s's
+// tables. New numbers the tables' columns contiguously in declaration
+// order, so this is a binary search on t's first column ID.
+func (s *Schema) Ordinal(t *Table) int {
+	if t == nil || len(t.Columns) == 0 {
+		return -1
+	}
+	id := t.Columns[0].ID
+	i := sort.Search(len(s.tables), func(i int) bool { return s.tables[i].Columns[0].ID >= id })
+	if i < len(s.tables) && s.tables[i] == t {
+		return i
+	}
+	return -1
+}
+
 // Column returns the column with the given global ID.
 func (s *Schema) Column(id int) Column {
 	return s.columns[id]

@@ -481,22 +481,15 @@ func TestPerTenantEventStreamsDeterministic(t *testing.T) {
 	}
 }
 
-// waitRun blocks until a submitted run's handle finishes.
+// waitRun blocks until a submitted run reads terminal, which it does once
+// its terminal transition is recorded.
 func waitRun(t *testing.T, r *run) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		if h := r.getHandle(); h != nil {
-			select {
-			case <-h.Done():
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-		} else if st := r.status(); st.Terminal() {
-			return
-		}
+	for !r.status().Terminal() {
 		if time.Now().After(deadline) {
 			t.Fatalf("run %s never finished (status %s)", r.id, r.status())
 		}
+		time.Sleep(time.Millisecond)
 	}
 }

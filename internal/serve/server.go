@@ -165,10 +165,14 @@ type run struct {
 	requestID  string
 	enqueuedAt time.Time
 
-	mu       sync.Mutex
-	handle   *RunHandle // nil while queued (or if admission failed)
-	preErr   error      // error before a handle existed
-	preState RunStatus  // terminal state reached before a handle existed
+	mu     sync.Mutex
+	handle *RunHandle // nil while queued (or if admission failed)
+	// final is the run's terminal state and finalErr its error, both set by
+	// finish once the terminal runz transition is recorded: until then a
+	// finished handle still reads as running, so a client that polls a run
+	// to its end finds that transition in /v1/debug/runz.
+	final    RunStatus
+	finalErr error
 
 	sink *obs.JSONLSink // optional EventsDir sink
 	file *os.File
@@ -186,9 +190,11 @@ func (r *run) getHandle() *RunHandle {
 	return r.handle
 }
 
-func (r *run) preFinish(st RunStatus, err error) {
+// finish makes the run's terminal state visible; the caller has recorded
+// its transition into st.
+func (r *run) finish(st RunStatus, err error) {
 	r.mu.Lock()
-	r.preState, r.preErr = st, err
+	r.final, r.finalErr = st, err
 	r.mu.Unlock()
 }
 
@@ -198,10 +204,10 @@ func (r *run) status() RunStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch {
+	case r.final != "":
+		return r.final
 	case r.handle != nil:
-		return r.handle.Status()
-	case r.preState != "":
-		return r.preState
+		return StatusRunning
 	default:
 		return StatusQueued
 	}
@@ -210,10 +216,7 @@ func (r *run) status() RunStatus {
 func (r *run) err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.handle != nil {
-		return r.handle.Err()
-	}
-	return r.preErr
+	return r.finalErr
 }
 
 var tenantIDRe = regexp.MustCompile(`^[a-zA-Z0-9_-]{1,64}$`)
@@ -470,11 +473,11 @@ func (s *Server) execute(t *tenant, r *run, ctx context.Context) {
 		s.mu.Lock()
 		s.queued--
 		s.mu.Unlock()
-		r.preFinish(StatusCancelled, ctx.Err())
 		s.recordTransition(RunTransition{
 			RequestID: r.requestID, Tenant: t.id, Run: r.id,
 			From: string(StatusQueued), To: string(StatusCancelled),
 		})
+		r.finish(StatusCancelled, ctx.Err())
 		return
 	case s.slots <- struct{}{}:
 	}
@@ -513,27 +516,29 @@ func (s *Server) execute(t *tenant, r *run, ctx context.Context) {
 	}
 	h, err := StartRun(ctx, spec)
 	if err != nil {
-		r.preFinish(StatusFailed, err)
 		s.closeRunSink(r)
 		s.observeRunDuration(t, pickedUp)
 		s.recordTransition(RunTransition{
 			RequestID: r.requestID, Tenant: t.id, Run: r.id,
 			From: string(StatusRunning), To: string(StatusFailed), Detail: err.Error(),
 		})
+		r.finish(StatusFailed, err)
 		return
 	}
 	r.setHandle(h)
 	<-h.Done()
 	s.closeRunSink(r)
 	s.observeRunDuration(t, pickedUp)
+	st, err := h.Status(), h.Err()
 	final := RunTransition{
 		RequestID: r.requestID, Tenant: t.id, Run: r.id,
-		From: string(StatusRunning), To: string(h.Status()),
+		From: string(StatusRunning), To: string(st),
 	}
-	if err := h.Err(); err != nil {
+	if err != nil {
 		final.Detail = err.Error()
 	}
 	s.recordTransition(final)
+	r.finish(st, err)
 }
 
 // observeRunDuration records a run's pickup-to-terminal time for t.

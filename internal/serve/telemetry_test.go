@@ -443,6 +443,39 @@ func TestFlightRecorder(t *testing.T) {
 	}
 }
 
+// A run reads terminal only once its terminal transition is in
+// /v1/debug/runz: every run polled to its end finds its "done" transition
+// there at once. The runs are short, so a poll lands soon after the handle
+// finishes, where a status that ran ahead of the transition would show.
+func TestRunzHoldsTransitionOnceTerminal(t *testing.T) {
+	srv := NewServer(Config{Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	call(t, client, "POST", ts.URL+"/v1/tenants", "application/json",
+		`{"id":"settle","engine":{"kind":"rowstore"}}`)
+	call(t, client, "POST", ts.URL+"/v1/tenants/settle/workload", "text/plain", testSQL(t))
+	for i := 0; i < 6; i++ {
+		body := fmt.Sprintf(`{"gamma":0.0008,"samples":2,"iterations":1,"seed":%d,"parallelism":1}`, i)
+		_, env := call(t, client, "POST", ts.URL+"/v1/tenants/settle/runs", "application/json", body)
+		var ri RunInfo
+		reencode(t, env.Data, &ri)
+		if info := pollRun(t, client, ts.URL+"/v1/tenants/settle/runs/"+ri.ID); info.Status != string(StatusDone) {
+			t.Fatalf("run %s ended %s: %s", ri.ID, info.Status, info.Error)
+		}
+		_, env = call(t, client, "GET", ts.URL+"/v1/debug/runz", "", "")
+		var runz RunzInfo
+		reencode(t, env.Data, &runz)
+		done := false
+		for _, tr := range runz.Transitions {
+			done = done || (tr.Run == ri.ID && tr.To == string(StatusDone))
+		}
+		if !done {
+			t.Fatalf("run %s reads done, but runz has no transition into done: %+v", ri.ID, runz.Transitions)
+		}
+	}
+}
+
 // /vars serves the registry's MetricsSnapshot on both mounts, the CLIs'
 // obs.Serve listener and the daemon's handler: each body decodes to what a
 // JSON round trip of Snapshot gives.

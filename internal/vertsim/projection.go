@@ -83,12 +83,19 @@ func NewProjection(s *schema.Schema, anchor string, cols []int, sortCols []workl
 	}
 	p.size = int64(float64(t.Rows*width) * compression)
 	var buf [128]byte
-	b := append(buf[:0], "proj:"...)
+	p.key = string(appendProjKey(buf[:0], anchor, set, dedup))
+	return p, nil
+}
+
+// appendProjKey appends the key of the projection of anchor over cols
+// sorted by sortCols, already deduplicated, to b.
+func appendProjKey(b []byte, anchor string, cols workload.ColSet, sortCols []workload.OrderCol) []byte {
+	b = append(b, "proj:"...)
 	b = append(b, anchor...)
 	b = append(b, ':')
-	b = set.AppendKey(b)
+	b = cols.AppendKey(b)
 	b = append(b, ":sort="...)
-	for i, oc := range dedup {
+	for i, oc := range sortCols {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -97,8 +104,7 @@ func NewProjection(s *schema.Schema, anchor string, cols []int, sortCols []workl
 			b = append(b, '-')
 		}
 	}
-	p.key = string(b)
-	return p, nil
+	return b
 }
 
 // hasSortCol reports whether key already sorts on col.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -255,4 +256,295 @@ func TestKernelMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The rest of this file keeps candidate generation as it was before its cluster
+// bookkeeping went map-free and a session's structures were interned: a
+// derivation per call, per-cluster weight maps, a map-sorted topCols and a
+// seen-by-key map. TestCandidatesMatchReference and
+// FuzzCandidatesMatchReference diff the generator's pools against it, key by
+// key.
+
+// refDerive is derive without a memo.
+func (d *Designer) refDerive(q *workload.Query) *derivation {
+	var dv *derivation
+	if _, err := d.DB.prepare(q); err == nil {
+		spec := q.Spec
+		cols := spec.ReferencedCols()
+		dv = &derivation{q: q, cols: q.Columns(), sortKey: d.sortKey(spec, false)}
+		dv.primary, _ = NewProjection(d.DB.Schema, spec.Table, cols, dv.sortKey)
+		if len(spec.OrderBy) > 0 && len(spec.GroupBy) == 0 {
+			dv.topN, _ = NewProjection(d.DB.Schema, spec.Table, cols, d.sortKey(spec, true))
+		}
+	}
+	return dv
+}
+
+// refCandidates is Candidates over an already template-compressed workload.
+func (d *Designer) refCandidates(cw *workload.Workload) []designer.Structure {
+	wqs := make([]weightedQuery, 0, cw.Len())
+	for _, it := range cw.Items {
+		if dv := d.refDerive(it.Q); dv != nil {
+			wqs = append(wqs, weightedQuery{dv, it.Weight})
+		}
+	}
+	sort.SliceStable(wqs, func(i, j int) bool { return wqs[i].weight > wqs[j].weight })
+	maxCand := d.MaxCandidates
+	if maxCand <= 0 {
+		maxCand = 640
+	}
+
+	var out []designer.Structure
+	seen := make(map[string]bool)
+	put := func(p *Projection) {
+		if p == nil || seen[p.Key()] {
+			return
+		}
+		seen[p.Key()] = true
+		out = append(out, p)
+	}
+	add := func(p *Projection, err error) {
+		if err == nil {
+			put(p)
+		}
+	}
+
+	// Per-template candidates take at most half the pool: the cluster-union
+	// candidates below are the ones that serve many templates at once, and
+	// they must never be crowded out on template-rich (e.g. perturbed)
+	// workloads.
+	perTemplateCap := maxCand / 2
+	for _, wq := range wqs {
+		if len(out) >= perTemplateCap {
+			break
+		}
+		// Primary: sort by most-selective predicates, then group-by.
+		put(wq.primary)
+		// Secondary for pure top-N queries: ORDER BY-leading sort order.
+		put(wq.topN)
+	}
+
+	// Merged candidates: agglomerate overlapping templates of the same table
+	// into cluster-union projections. A cluster projection covers every
+	// member (and, importantly, small variations of them), which is how the
+	// designer stretches the budget across similar queries — and how a
+	// workload that contains perturbed variants (CliffGuard's moved
+	// workloads) turns into wider, drift-tolerant projections.
+	type cluster struct {
+		table    string
+		cols     workload.ColSet
+		members  int
+		weight   float64
+		predWt   map[int]float64 // pred column -> accumulated weight (eq boosted)
+		groupWt  map[int]float64
+		heaviest *derivation
+		second   *derivation
+	}
+	var clusters []*cluster
+	const maxClusterCols = 22
+	for _, wq := range wqs {
+		cols := wq.cols
+		var best *cluster
+		bestJ := 0.0
+		for _, cl := range clusters {
+			if cl.table != wq.q.Spec.Table {
+				continue
+			}
+			if cl.cols.UnionLen(cols) > maxClusterCols {
+				continue
+			}
+			// Containment rather than symmetric Jaccard: a template joins a
+			// cluster when it is mostly inside the cluster's union already.
+			// Perturbed variants of a template are ~90% inside its cluster, so
+			// they keep joining as the union widens; organically distinct
+			// templates (sharing only their hot columns, typically 50-75%
+			// containment) stay out. This mirrors how commercial designers
+			// merge only near-duplicate queries.
+			j := float64(cl.cols.IntersectLen(cols)) / float64(cols.Len())
+			if j >= 0.8 && j > bestJ {
+				best, bestJ = cl, j
+			}
+		}
+		if best == nil {
+			best = &cluster{
+				table:   wq.q.Spec.Table,
+				cols:    cols,
+				predWt:  make(map[int]float64),
+				groupWt: make(map[int]float64),
+			}
+			clusters = append(clusters, best)
+		} else {
+			best.cols = best.cols.Union(cols)
+		}
+		best.members++
+		best.weight += wq.weight
+		// wqs is sorted by weight, so the first two members to join are the
+		// cluster's heaviest.
+		if best.heaviest == nil {
+			best.heaviest = wq.derivation
+		} else if best.second == nil {
+			best.second = wq.derivation
+		}
+		for _, p := range wq.q.Spec.Preds {
+			boost := 1.0
+			if p.Op == workload.Eq {
+				boost = 2.0 // equalities extend the usable sort prefix
+			}
+			best.predWt[p.Col] += wq.weight * boost / (p.Sel + 1e-6)
+		}
+		for _, g := range wq.q.Spec.GroupBy {
+			best.groupWt[g] += wq.weight
+		}
+	}
+	for _, cl := range clusters {
+		// Only genuine families — three or more near-duplicate templates —
+		// earn speculative union projections.
+		if cl.members < 3 || len(out) >= maxCand {
+			continue
+		}
+		// Sort key: the cluster's most valuable predicate columns (weight x
+		// selectivity), then shared group-by columns.
+		key := refTopCols(cl.predWt, d.maxSortCols())
+		for _, g := range refTopCols(cl.groupWt, d.maxSortCols()-len(key)) {
+			key = append(key, g)
+		}
+		var sortCols []workload.OrderCol
+		for _, c := range key {
+			sortCols = append(sortCols, workload.OrderCol{Col: c})
+		}
+		ids := cl.cols.IDs()
+		add(NewProjection(d.DB.Schema, cl.table, ids, sortCols))
+		// Variants sorted for the heaviest members, preserving their ideal
+		// plans inside the wider projection — Vertica's classic trick of
+		// keeping several projections that differ only in sort order.
+		if cl.heaviest != nil && len(out) < maxCand {
+			add(NewProjection(d.DB.Schema, cl.table, ids, cl.heaviest.sortKey))
+		}
+		if cl.second != nil && len(out) < maxCand {
+			add(NewProjection(d.DB.Schema, cl.table, ids, cl.second.sortKey))
+		}
+		// One variant per popular predicate column as the leading sort key:
+		// members (and near-variants) filtering on that column get a pruned
+		// scan no matter which other predicates they carry.
+		base := refTopCols(cl.predWt, d.maxSortCols())
+		for _, lead := range refTopCols(cl.predWt, 8) {
+			if len(out) >= maxCand {
+				break
+			}
+			variant := []workload.OrderCol{{Col: lead}}
+			for _, c := range base {
+				if c != lead && len(variant) < d.maxSortCols() {
+					variant = append(variant, workload.OrderCol{Col: c})
+				}
+			}
+			add(NewProjection(d.DB.Schema, cl.table, ids, variant))
+		}
+	}
+	return out
+}
+
+// refTopCols returns up to k map keys by descending weight (deterministic
+// tie-break on column ID).
+func refTopCols(wt map[int]float64, k int) []int {
+	if k <= 0 {
+		return nil
+	}
+	cols := make([]int, 0, len(wt))
+	for c := range wt {
+		cols = append(cols, c)
+	}
+	sort.SliceStable(cols, func(a, b int) bool {
+		if wt[cols[a]] != wt[cols[b]] {
+			return wt[cols[a]] > wt[cols[b]]
+		}
+		return cols[a] < cols[b]
+	})
+	if len(cols) > k {
+		cols = cols[:k]
+	}
+	return cols
+}
+
+// sameCandidates requires the pools of the plain designer and of one
+// generator session, over ws in order, to be refCandidates' pools, key by
+// key, and the session's slots to number the keys of its interner.
+func sameCandidates(d *Designer, ws []*workload.Workload) error {
+	g := d.generator(true)
+	for i, w := range ws {
+		cw := designer.CompressByTemplate(w)
+		want := d.refCandidates(cw)
+		if err := designertest.SameKeys(d.Candidates(w), want); err != nil {
+			return fmt.Errorf("workload %d, plain: %w", i, err)
+		}
+		got, slots := g.candidates(cw)
+		if err := designertest.SameKeys(got, want); err != nil {
+			return fmt.Errorf("workload %d, session: %w", i, err)
+		}
+		for j, s := range got {
+			if p, x := g.in.Lookup([]byte(s.Key())); x != slots[j] || p != s {
+				return fmt.Errorf("workload %d: candidate %d has slot %d, interned as %d", i, j, slots[j], x)
+			}
+		}
+	}
+	return nil
+}
+
+// TestCandidatesMatchReference diffs candidate generation against
+// refCandidates on run-shaped workloads (each month, then the month with
+// sampler mutants added, designertest.RunWorkloads) of the first R1 months
+// at seeds 1 and 2, at the default candidate cap and a tight one.
+func TestCandidatesMatchReference(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		s, months, err := designertest.R1Months(seed, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := Open(s)
+		for mi, month := range months {
+			ws := designertest.RunWorkloads(s, month, seed, 4)
+			for _, maxCand := range []int{640, 24} {
+				d := NewDesigner(db, 2560<<20)
+				d.MaxCandidates = maxCand
+				if err := sameCandidates(d, ws); err != nil {
+					t.Fatalf("seed %d month %d cap %d: %v", seed, mi, maxCand, err)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCandidatesMatchReference diffs candidate generation against
+// refCandidates on fuzzed workloads: a slice of R1 month 0 (seed 1) and
+// sampler mutants of it, with fuzzed weights, designed in two calls of one
+// session, at a fuzzed candidate cap and sort-key length.
+func FuzzCandidatesMatchReference(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(300), uint16(40), 1.0, uint16(640), uint8(4))
+	f.Add(int64(2), uint16(17), uint16(60), uint16(200), 0.5, uint16(30), uint8(2))
+	f.Add(int64(9), uint16(90), uint16(5), uint16(7), 7.0, uint16(3), uint8(0))
+	s, month, err := designertest.R1Month(1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	db := Open(s)
+	queries := designertest.Mutants(s, month, 1)
+	f.Fuzz(func(t *testing.T, seed int64, start, n, mutants uint16, scale float64, maxCand uint16, sortCols uint8) {
+		lo := int(start) % month.Len()
+		w := &workload.Workload{}
+		for i, q := range queries[lo:min(month.Len(), lo+int(n))] {
+			weight := 1 + float64((int64(i)*7+seed)&7)
+			w.Add(q, weight)
+		}
+		moved := w.Clone()
+		for i, q := range queries[month.Len():][:min(month.Len(), int(mutants))] {
+			if scale > 0 && scale < 1e6 {
+				moved.Add(q, scale*float64(1+i%3))
+			}
+		}
+		d := NewDesigner(db, 2560<<20)
+		d.MaxCandidates = int(maxCand)
+		d.MaxSortCols = int(sortCols % 7)
+		if err := sameCandidates(d, []*workload.Workload{w, moved, w}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

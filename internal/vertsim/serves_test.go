@@ -114,15 +114,16 @@ func BenchmarkBuildPairTable(b *testing.B) {
 }
 
 // TestDesignAllocations gates one nominal Design on R1's first month. The
-// bound is the 1,690 allocations measured once the pair table was built
-// through the kernel and stored sparsely, plus 10%. It was 1,951 before,
-// and 16,483 when candidate keys went through fmt and sort keys were
-// deduped with maps.
+// bound is about 10% above the 1,483 allocations measured once cluster
+// bookkeeping went map-free and cluster projections were keyed before they
+// were built. It was 1,697 before, 1,951 before the pair table was built through
+// the kernel and stored sparsely, and 16,483 when candidate keys went
+// through fmt and sort keys were deduped with maps.
 func TestDesignAllocations(t *testing.T) {
 	db, month, _, _ := r1Pool(t)
 	dz := NewDesigner(db, 2560<<20)
 	ctx := context.Background()
-	const bound = 1860
+	const bound = 1620
 	if n := testing.AllocsPerRun(5, func() {
 		if _, err := dz.Design(ctx, month); err != nil {
 			t.Fatal(err)
@@ -131,6 +132,34 @@ func TestDesignAllocations(t *testing.T) {
 		t.Fatalf("Design allocates %.0f times, want at most %d", n, bound)
 	} else {
 		t.Logf("Design: %.0f allocations", n)
+	}
+}
+
+// TestSessionRunAllocations gates one session's five calls on the
+// workloads of BenchmarkDesignRun. The bound is the 5,213 allocations
+// measured once the session interned the structures it builds and numbered
+// each query's template once, plus 10%; it made 8,832 when each call rebuilt its cluster structures and keyed them
+// through maps.
+func TestSessionRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	db, month, _, _ := r1Pool(t)
+	d := NewDesigner(db, 2560<<20)
+	ws := designertest.RunWorkloads(db.Schema, month, 1, 4)
+	ctx := context.Background()
+	const bound = 5734
+	if n := testing.AllocsPerRun(3, func() {
+		nominal := d.Session()
+		for _, w := range ws {
+			if _, err := nominal.Design(ctx, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n > bound {
+		t.Fatalf("a session's five calls allocate %.0f times, want at most %d", n, bound)
+	} else {
+		t.Logf("session run: %.0f allocations", n)
 	}
 }
 

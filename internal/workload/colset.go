@@ -23,13 +23,26 @@ func NewColSet(ids ...int) ColSet {
 	return s
 }
 
+// grow makes word a valid index of s.words, zero-extending them in place
+// when they have room (only a set emptied by Clear or rebuilt by SetUnion
+// has room past its length).
 func (s *ColSet) grow(word int) {
-	if word >= len(s.words) {
+	switch {
+	case word < len(s.words):
+	case word < cap(s.words):
+		n := len(s.words)
+		s.words = s.words[:word+1]
+		clear(s.words[n:])
+	default:
 		words := make([]uint64, word+1)
 		copy(words, s.words)
 		s.words = words
 	}
 }
+
+// Clear empties s, keeping its words for reuse. s must not share its words
+// with a set that is still in use elsewhere.
+func (s *ColSet) Clear() { s.words = s.words[:0] }
 
 // Add inserts a column ID. Negative IDs panic.
 func (s *ColSet) Add(id int) {
@@ -100,6 +113,23 @@ func (s ColSet) Union(t ColSet) ColSet {
 		out[i] |= w
 	}
 	return ColSet{words: out}
+}
+
+// SetUnion makes s the union of a and b in s's own words, which it reuses
+// when they have room, so a scratch set rebuilt many times allocates only
+// to grow. a or b may be s itself. s must not share its words with a set
+// that is still in use elsewhere.
+func (s *ColSet) SetUnion(a, b ColSet) {
+	n := max(len(a.words), len(b.words))
+	words := s.words
+	if cap(words) < n {
+		words = make([]uint64, n)
+	}
+	words = words[:n]
+	for i := range words {
+		words[i] = wordAt(a, i) | wordAt(b, i)
+	}
+	s.words = words
 }
 
 // Intersect returns the set intersection of s and t.
@@ -205,7 +235,11 @@ func (s ColSet) Hamming(t ColSet) int {
 
 // IDs returns the member column IDs in ascending order.
 func (s ColSet) IDs() []int {
-	ids := make([]int, 0, s.Len())
+	return s.AppendIDs(make([]int, 0, s.Len()))
+}
+
+// AppendIDs appends the member column IDs to ids in ascending order.
+func (s ColSet) AppendIDs(ids []int) []int {
 	for wi, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
@@ -245,7 +279,18 @@ func appendWordsKey(b []byte, n int, word func(i int) uint64) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendUint(b, word(i), 16)
+		b = appendHex(b, word(i))
+	}
+	return b
+}
+
+// appendHex appends v in lower-case hex without leading zeros, as
+// strconv.AppendUint(b, v, 16) does.
+func appendHex(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	n := max(1, (bits.Len64(v)+3)/4)
+	for shift := 4 * (n - 1); shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>uint(shift)&15])
 	}
 	return b
 }

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"bytes"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -41,6 +44,21 @@ func (fv *FrozenVector) Len() int { return len(fv.Keys) }
 func (fv *FrozenVector) HasKey(k string) bool {
 	i := sort.SearchStrings(fv.Keys, k)
 	return i < len(fv.Keys) && fv.Keys[i] == k
+}
+
+// HasKeyBytes is HasKey for a key held in a byte buffer; it allocates
+// nothing.
+func (fv *FrozenVector) HasKeyBytes(k []byte) bool {
+	lo, hi := 0, len(fv.Keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if fv.Keys[m] < string(k) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(fv.Keys) && fv.Keys[lo] == string(k)
 }
 
 // SelfQuad returns the vector's unnormalized quadratic self-term
@@ -167,39 +185,71 @@ func (w *Workload) FrozenSeparate() *FrozenSeparateVector {
 // invalidateFrozen drops every cached frozen vector; called on mutation.
 func (w *Workload) invalidateFrozen() { w.frozen.Store(nil) }
 
-// buildFrozen flattens VectorWithSets into key-sorted slices. The map
-// accumulation below must stay byte-for-byte the arithmetic of
-// VectorWithSets (two-phase: raw weights summed per key, divided once):
-// frozen and map-based distances are asserted bit-identical.
+// buildFrozen flattens VectorWithSets into key-sorted slices. Its
+// arithmetic must stay VectorWithSets' (two-phase: raw weights summed per
+// key in item order, divided once): frozen and map-based distances are
+// asserted bit-identical. Instead of maps it writes every item's key into
+// one buffer and stable-sorts the items by key, so each template's items
+// stay in item order (its first item is its first occurrence, and its
+// weights sum in item order), and a build makes a fixed handful of
+// allocations, not two or more per item. The distinct keys are copied into
+// one string of their own, so the vector does not keep every item's key.
 func (w *Workload) buildFrozen(m ClauseMask) *FrozenVector {
 	total := w.TotalWeight()
 	fv := &FrozenVector{}
 	if total <= 0 {
 		return fv
 	}
-	freqs := make(map[string]float64, len(w.Items))
-	sets := make(map[string]ColSet, len(w.Items))
-	for _, it := range w.Items {
-		cols := it.Q.MaskedColumns(m)
-		key := cols.Key()
-		freqs[key] += it.Weight
-		if _, ok := sets[key]; !ok {
-			sets[key] = cols
+	n := len(w.Items)
+	buf := make([]byte, 0, 24*n)
+	ends := make([]int, n)
+	for i, it := range w.Items {
+		buf = it.Q.AppendTemplateKey(buf, m)
+		ends[i] = len(buf)
+	}
+	key := func(i int32) []byte {
+		start := 0
+		if i > 0 {
+			start = ends[i-1]
+		}
+		return buf[start:ends[i]]
+	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
+
+	groups, words, keyBytes := 0, 0, 0
+	for g, x := range order {
+		if g == 0 || !bytes.Equal(key(x), key(order[g-1])) {
+			groups++
+			words += w.Items[x].Q.maskedWords(m)
+			keyBytes += len(key(x))
 		}
 	}
-	for k := range freqs {
-		freqs[k] /= total
-	}
-	fv.Keys = make([]string, 0, len(freqs))
-	for k := range freqs {
-		fv.Keys = append(fv.Keys, k)
-	}
-	sort.Strings(fv.Keys)
-	fv.Freqs = make([]float64, len(fv.Keys))
-	fv.Sets = make([]ColSet, len(fv.Keys))
-	for i, k := range fv.Keys {
-		fv.Freqs[i] = freqs[k]
-		fv.Sets[i] = sets[k]
+	var keys strings.Builder
+	keys.Grow(keyBytes)
+	fv.Keys = make([]string, 0, groups)
+	fv.Freqs = make([]float64, 0, groups)
+	fv.Sets = make([]ColSet, 0, groups)
+	arena := make([]uint64, 0, words)
+	for g := 0; g < n; {
+		first := order[g]
+		k := key(first)
+		var sum float64
+		for ; g < n && bytes.Equal(key(order[g]), k); g++ {
+			sum += w.Items[order[g]].Weight
+		}
+		var set ColSet
+		set, arena = w.Items[first].Q.appendMasked(arena, m)
+		// keys was grown to hold every distinct key, so each key is a
+		// substring of its one array.
+		start := keys.Len()
+		keys.Write(k)
+		fv.Keys = append(fv.Keys, keys.String()[start:])
+		fv.Freqs = append(fv.Freqs, sum/total)
+		fv.Sets = append(fv.Sets, set)
 	}
 	return fv
 }

@@ -151,23 +151,7 @@ type Query struct {
 // mutated afterwards (ID, Timestamp and SQL excepted: the hash ignores them).
 func FromSpec(id int64, ts time.Time, spec *Spec) *Query {
 	q := &Query{ID: id, Timestamp: ts, Spec: spec}
-	for _, c := range spec.SelectCols {
-		q.Select.Add(c)
-	}
-	for _, a := range spec.Aggs {
-		if a.Col >= 0 {
-			q.Select.Add(a.Col)
-		}
-	}
-	for _, p := range spec.Preds {
-		q.Where.Add(p.Col)
-	}
-	for _, c := range spec.GroupBy {
-		q.GroupBy.Add(c)
-	}
-	for _, o := range spec.OrderBy {
-		q.OrderBy.Add(o.Col)
-	}
+	q.fillSets()
 	q.hash = computeHash(q)
 	return q
 }
@@ -295,13 +279,36 @@ func (q *Query) ClauseSet(c Clause) ColSet {
 
 // MaskedColumns returns the union of the clause sets selected by the mask.
 func (q *Query) MaskedColumns(m ClauseMask) ColSet {
-	var s ColSet
+	s, _ := q.appendMasked(nil, m)
+	return s
+}
+
+// maskedWords is the word count of MaskedColumns(m): the longest masked
+// clause set's.
+func (q *Query) maskedWords(m ClauseMask) int {
+	n := 0
 	for c := ClauseSelect; c < numClauses; c++ {
 		if m.Has(c) {
-			s = s.Union(q.ClauseSet(c))
+			n = max(n, len(q.ClauseSet(c).words))
 		}
 	}
-	return s
+	return n
+}
+
+// appendMasked appends the words of MaskedColumns(m) to arena and returns
+// the union as a ColSet over the appended words, with the grown arena.
+func (q *Query) appendMasked(arena []uint64, m ClauseMask) (ColSet, []uint64) {
+	start := len(arena)
+	arena = append(arena, make([]uint64, q.maskedWords(m))...)
+	out := arena[start:len(arena):len(arena)]
+	for c := ClauseSelect; c < numClauses; c++ {
+		if m.Has(c) {
+			for i, w := range q.ClauseSet(c).words {
+				out[i] |= w
+			}
+		}
+	}
+	return ColSet{words: out}, arena
 }
 
 // TemplateKey returns the canonical template identity of the query under the

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -405,5 +406,35 @@ func TestAppendTemplateKeyMatchesMaskedKey(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = q.TemplateKey(MaskSWGO) }); n > 1 {
 		t.Fatalf("TemplateKey allocates %.0f times, want only its string", n)
+	}
+}
+
+// TestAppendHexMatchesStrconv: the key's hex words are strconv's base-16
+// rendering, so keys (and the order of frozen vectors' keys) are unchanged.
+func TestAppendHexMatchesStrconv(t *testing.T) {
+	vs := []uint64{0, 1, 9, 10, 15, 16, 255, 256, 1 << 63, math.MaxUint64, 0x0123456789abcdef}
+	for i := 0; i < 64; i++ {
+		vs = append(vs, 1<<i, 1<<i-1, 0x9e3779b97f4a7c15>>i)
+	}
+	for _, v := range vs {
+		if got, want := string(appendHex([]byte("x"), v)), "x"+strconv.FormatUint(v, 16); got != want {
+			t.Errorf("appendHex(%#x) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// BenchmarkAppendTemplateKey keys queries of one to three words into a
+// reused buffer: the work behind every frozen-vector build, template
+// compression and sampler filter.
+func BenchmarkAppendTemplateKey(b *testing.B) {
+	queries := []*Query{
+		FromSpec(0, time.Time{}, specOn("t", []int{1, 5, 9}, []int{3}, nil, nil)),
+		FromSpec(0, time.Time{}, specOn("t", []int{70, 75}, []int{66, 100}, []int{70}, nil)),
+		FromSpec(0, time.Time{}, specOn("t", []int{130, 150}, []int{140}, []int{131}, []int{150})),
+	}
+	buf := make([]byte, 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = queries[i%len(queries)].AppendTemplateKey(buf[:0], MaskSWGO)
 	}
 }
