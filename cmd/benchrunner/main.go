@@ -13,7 +13,7 @@
 // path), EVAL (the incremental-evaluation fast path), PORTFOLIO (the
 // designer race: advisor vs AutoAdmin vs ILP-exact), SCALE (the
 // million-query streaming-ingestion experiment), and ONLINE
-// (the sliding-window drift-detect + warm-started re-design experiment).
+// (the sliding-window drift-detect + incumbent-seeded re-design experiment).
 package main
 
 import (
@@ -492,19 +492,9 @@ func (r *runner) run(id string) (map[string]float64, map[string]float64) {
 		vals["redesigns"] = float64(res.Redesigns)
 		vals["published"] = float64(res.Published)
 		vals["bootstrap_calls"] = float64(res.BootstrapCalls)
-		vals["steady_warm_calls"] = float64(res.SteadyWarmCalls)
-		vals["steady_cold_calls"] = float64(res.SteadyColdCalls)
-		vals["steady_warm_hits"] = float64(res.SteadyWarmHits)
-		vals["steady_match"] = b2f(res.SteadyMatch)
-		vals["repeat_cold_calls"] = float64(res.RepeatColdCalls)
-		vals["repeat_warm_calls"] = float64(res.RepeatWarmCalls)
-		vals["repeat_warm_hits"] = float64(res.RepeatWarmHits)
-		vals["repeat_match"] = b2f(res.RepeatMatch)
-		vals["repeat_speedup_ge5"] = b2f(res.RepeatSpeedupGE5)
+		// The key keeps its name from when a warm replay ran beside this one.
+		vals["steady_cold_calls"] = float64(res.SteadyCalls)
 		vals["safety_kept_incumbent"] = b2f(res.SafetyKeptIncumbent)
-		info = map[string]float64{
-			"cold_ms": res.ColdMs, "warm_ms": res.WarmMs, "speedup": res.Speedup,
-		}
 	default:
 		log.Fatalf("unknown experiment %q", id)
 	}

@@ -46,7 +46,7 @@ func main() {
 		outJSON = flag.String("out", "", "also write the design as JSON to this file")
 
 		onlineMode = flag.Bool("online", false,
-			"replay the workload through online mode: queries stream through a sliding window, drift past the threshold triggers warm-started re-designs guarded by the safety acceptance rule")
+			"replay the workload through online mode: queries stream through a sliding window, drift past the threshold triggers incumbent-seeded re-designs guarded by the safety acceptance rule")
 		driftFraction = flag.Float64("drift-fraction", 0,
 			"online: fire a re-design when delta(window, designed) exceeds this fraction of gamma (0 = 1.0)")
 		checkEvery = flag.Int("check-every", 0,
@@ -55,8 +55,6 @@ func main() {
 			"online: sliding-window ring capacity in buckets (0 = 8)")
 		bucketSize = flag.Int("bucket-size", 0,
 			"online: observations per window bucket (0 = 64)")
-		coldRedesign = flag.Bool("cold", false,
-			"online: disable the warm-start unit-cost handoff (every re-design repeats all cost-model calls; designs are bit-identical either way)")
 
 		events   = flag.String("events", "", "write the loop's event stream as JSONL to this file")
 		spans    = flag.String("spans", "", "write the wall-clock span side-channel as JSONL to this file (cliffreport summarize -spans)")
@@ -175,7 +173,7 @@ func main() {
 	if *onlineMode {
 		spec := serve.OnlineSpec{
 			RunRequest: req, DriftFraction: *driftFraction, CheckEvery: *checkEvery,
-			Buckets: *winBuckets, BucketSize: *bucketSize, DisableWarmStart: *coldRedesign,
+			Buckets: *winBuckets, BucketSize: *bucketSize,
 		}
 		if err := runOnline(ctx, eng, *budget<<20, spec, w, reg, observer, *verbose); err != nil {
 			log.Fatal(err)

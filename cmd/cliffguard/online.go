@@ -12,7 +12,7 @@ import (
 // runOnline replays the loaded workload through online mode: every query
 // streams into the sliding window in file order; the first full window
 // bootstraps the incumbent design, and each fired drift check triggers a
-// warm-started re-design guarded by the safety acceptance rule. This is the
+// incumbent-seeded re-design guarded by the safety acceptance rule. This is the
 // CLI twin of the server's /online endpoints — the controller comes from the
 // same constructor, with the same determinism — for replaying recorded query
 // logs offline.
@@ -32,9 +32,9 @@ func runOnline(ctx context.Context, eng cliffguard.Engine, budgetBytes int64, sp
 		if res.SafetyRejected {
 			verdict = "REJECTED by safety rule (kept incumbent)"
 		}
-		fmt.Printf("redesign @%-6d %-9s %s in %s: %d structures, worst-case %.0f ms, %d warm hits\n",
+		fmt.Printf("redesign @%-6d %-9s %s in %s: %d structures, worst-case %.0f ms\n",
 			at, reason, verdict, time.Since(start).Round(time.Millisecond),
-			res.Design.Len(), res.Stats.FinalWorst, res.WarmHits)
+			res.Design.Len(), res.Stats.FinalWorst)
 		if verbose {
 			for _, tr := range res.Traces {
 				fmt.Printf("  iter %2d: alpha=%.3f worst-case %.0f -> candidate %.0f improved=%v\n",

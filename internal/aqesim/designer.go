@@ -17,16 +17,19 @@ import (
 type Designer struct {
 	DB     *DB
 	Budget int64
-	// BaseFraction is the sampling rate proposed per candidate before the
-	// per-stratum row floor raises it (default 0.01).
-	BaseFraction float64
-	// MaxCandidates caps the candidate pool.
-	MaxCandidates int
 }
+
+const (
+	// baseFraction is the sampling rate proposed per candidate before the
+	// per-stratum row floor raises it.
+	baseFraction = 0.01
+	// maxCandidates caps the candidate pool.
+	maxCandidates = 256
+)
 
 // NewDesigner returns a nominal sample designer.
 func NewDesigner(db *DB, budget int64) *Designer {
-	return &Designer{DB: db, Budget: budget, BaseFraction: 0.01, MaxCandidates: 256}
+	return &Designer{DB: db, Budget: budget}
 }
 
 // Name implements designer.Designer.
@@ -50,15 +53,6 @@ func (d *Designer) Candidates(w *workload.Workload) []designer.Structure {
 
 // candidates is Candidates over an already template-compressed workload.
 func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
-	frac := d.BaseFraction
-	if frac <= 0 {
-		frac = 0.01
-	}
-	maxCand := d.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = 256
-	}
-
 	type wq struct {
 		q      *workload.Query
 		weight float64
@@ -75,7 +69,7 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 	var out []designer.Structure
 	seen := make(map[string]bool)
 	add := func(sm *Sample, err error) {
-		if err != nil || sm == nil || seen[sm.Key()] || len(out) >= maxCand {
+		if err != nil || sm == nil || seen[sm.Key()] || len(out) >= maxCandidates {
 			return
 		}
 		seen[sm.Key()] = true
@@ -95,7 +89,7 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 	// Per-template candidates.
 	for _, e := range wqs {
 		if cols := strataOf(e.q.Spec); len(cols) > 0 {
-			add(NewSample(d.DB.Schema, e.q.Spec.Table, cols, frac))
+			add(NewSample(d.DB.Schema, e.q.Spec.Table, cols, baseFraction))
 		}
 	}
 
@@ -135,8 +129,8 @@ func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 		best.members++
 	}
 	for _, cl := range clusters {
-		if cl.members >= 2 && len(out) < maxCand {
-			add(NewSample(d.DB.Schema, cl.table, cl.cols.IDs(), frac))
+		if cl.members >= 2 && len(out) < maxCandidates {
+			add(NewSample(d.DB.Schema, cl.table, cl.cols.IDs(), baseFraction))
 		}
 	}
 	return out

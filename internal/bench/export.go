@@ -219,17 +219,14 @@ func WritePortfolioCSV(w io.Writer, r *PortfolioResult) error {
 	return cw.Error()
 }
 
-// WriteOnlineCSV exports the ONLINE drift-detect + warm-re-design experiment.
+// WriteOnlineCSV exports the ONLINE drift-detect + re-design experiment.
+// steady_cold_calls keeps the name of its BENCH_ONLINE.json key.
 func WriteOnlineCSV(w io.Writer, r *OnlineResult) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"workload", "samples", "iterations",
 		"observed", "evicted", "drift_checks", "drift_fires", "drift_fired",
-		"redesigns", "published",
-		"bootstrap_calls", "steady_warm_calls", "steady_cold_calls",
-		"steady_warm_hits", "steady_match",
-		"repeat_cold_calls", "repeat_warm_calls", "repeat_warm_hits",
-		"repeat_match", "repeat_speedup_ge5", "safety_kept_incumbent",
-		"cold_ms", "warm_ms", "speedup"}); err != nil {
+		"redesigns", "published", "bootstrap_calls", "steady_cold_calls",
+		"safety_kept_incumbent"}); err != nil {
 		return err
 	}
 	if err := cw.Write([]string{
@@ -238,14 +235,8 @@ func WriteOnlineCSV(w io.Writer, r *OnlineResult) error {
 		strconv.FormatUint(r.DriftChecks, 10), strconv.FormatUint(r.DriftFires, 10),
 		strconv.FormatBool(r.DriftFired),
 		strconv.FormatUint(r.Redesigns, 10), strconv.FormatUint(r.Published, 10),
-		strconv.FormatUint(r.BootstrapCalls, 10), strconv.FormatUint(r.SteadyWarmCalls, 10),
-		strconv.FormatUint(r.SteadyColdCalls, 10), strconv.FormatUint(r.SteadyWarmHits, 10),
-		strconv.FormatBool(r.SteadyMatch),
-		strconv.FormatUint(r.RepeatColdCalls, 10), strconv.FormatUint(r.RepeatWarmCalls, 10),
-		strconv.FormatUint(r.RepeatWarmHits, 10),
-		strconv.FormatBool(r.RepeatMatch), strconv.FormatBool(r.RepeatSpeedupGE5),
+		strconv.FormatUint(r.BootstrapCalls, 10), strconv.FormatUint(r.SteadyCalls, 10),
 		strconv.FormatBool(r.SafetyKeptIncumbent),
-		f(r.ColdMs), f(r.WarmMs), f(r.Speedup),
 	}); err != nil {
 		return err
 	}

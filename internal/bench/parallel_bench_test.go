@@ -106,7 +106,7 @@ func BenchmarkNeighborhoodEvalWarm(b *testing.B) {
 			db := vertsim.Open(schema)
 			shared := evalcache.NewShared()
 			pass := func() *evalcache.Layer {
-				l := &evalcache.Layer{Inner: db, Read: shared, Write: shared}
+				l := &evalcache.Layer{Inner: db, Store: shared}
 				if _, err := core.New(nil, l, nil, core.Options{Parallelism: p}).NeighborhoodCosts(context.Background(), neighborhood, design); err != nil {
 					b.Fatal(err)
 				}

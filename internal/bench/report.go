@@ -176,20 +176,14 @@ func PrintScale(w io.Writer, r *ScaleResult) {
 		r.IngestMs, r.DesignMs, r.HeapMB, r.SysMB)
 }
 
-// PrintOnline renders the ONLINE drift-detect + warm-re-design experiment:
-// the drift replay's counters, the steady-state and repeat-window
-// warm-vs-cold call counts, and the safety/equivalence bits.
+// PrintOnline renders the ONLINE drift-detect + re-design experiment: the
+// drift replay's counters and cost-model calls, and the safety bit.
 func PrintOnline(w io.Writer, r *OnlineResult) {
 	fmt.Fprintf(w, "%-10s %7s %5s %9s %9s %7s %6s %9s %9s\n",
 		"Workload", "Samples", "Iters", "Observed", "Evicted", "Checks", "Fires", "Redesigns", "Published")
 	fmt.Fprintf(w, "%-10s %7d %5d %9d %9d %7d %6d %9d %9d\n",
 		r.Workload, r.Samples, r.Iterations, r.Observed, r.Evicted,
 		r.DriftChecks, r.DriftFires, r.Redesigns, r.Published)
-	fmt.Fprintf(w, "steady-state calls: bootstrap %d, re-designs warm %d vs cold %d (%d warm hits), match=%v\n",
-		r.BootstrapCalls, r.SteadyWarmCalls, r.SteadyColdCalls, r.SteadyWarmHits, r.SteadyMatch)
-	fmt.Fprintf(w, "repeat window: cold %d calls vs warm %d (%d warm hits), match=%v, >=5x=%v\n",
-		r.RepeatColdCalls, r.RepeatWarmCalls, r.RepeatWarmHits, r.RepeatMatch, r.RepeatSpeedupGE5)
+	fmt.Fprintf(w, "cost-model calls: bootstrap %d, re-designs %d\n", r.BootstrapCalls, r.SteadyCalls)
 	fmt.Fprintf(w, "safety: injected regression kept incumbent=%v\n", r.SafetyKeptIncumbent)
-	fmt.Fprintf(w, "wall-clock: repeat cold %.1f ms, warm %.1f ms (%.2fx, informational)\n",
-		r.ColdMs, r.WarmMs, r.Speedup)
 }

@@ -484,7 +484,7 @@ func BenchmarkIndexedPass(b *testing.B) {
 			cg.Cost = db
 			if c.warm {
 				shared := evalcache.NewShared()
-				cg.Cost = &evalcache.Layer{Inner: db, Read: shared, Write: shared}
+				cg.Cost = &evalcache.Layer{Inner: db, Store: shared}
 				indexedRound(b, cg.newRunEval(Options{}, w0, nbrs), d, designer.NewDesign())
 			}
 			re := cg.newRunEval(Options{}, w0, nbrs)
@@ -525,7 +525,7 @@ func TestKernelFillMatchesFullPass(t *testing.T) {
 		for _, p := range []int{1, 4} {
 			cg.Opts.Parallelism, cg.Cost = p, db
 			if layer {
-				cg.Cost = &evalcache.Layer{Inner: db, Read: shared, Write: shared}
+				cg.Cost = &evalcache.Layer{Inner: db, Store: shared}
 			}
 			re := cg.newRunEval(Options{}, w0, nbrs)
 			if re.kernel == nil || len(re.u.queries) < 2*kernelBlocks*64 {

@@ -10,11 +10,10 @@ import (
 )
 
 // RunStats are a run's scalar outcomes beyond the design itself: the
-// worst-case costs of the initial competitors and of the returned design,
-// plus the online warm-start tally. All cost fields are worst-case costs
-// over the run's sampled Gamma-neighborhood; they are meaningful only for
-// Gamma > 0 (a Gamma = 0 run never samples a neighborhood and returns zero
-// stats).
+// worst-case costs of the initial competitors and of the returned design.
+// All cost fields are worst-case costs over the run's sampled
+// Gamma-neighborhood; they are meaningful only for Gamma > 0 (a Gamma = 0
+// run never samples a neighborhood and returns zero stats).
 type RunStats struct {
 	// NominalWorst is the initial nominal design's worst-case cost.
 	NominalWorst float64
@@ -32,9 +31,9 @@ type RunStats struct {
 	// from the better of the two initial designs and only ever accepts
 	// strictly improving moves.
 	FinalWorst float64
-	// WarmHits counts the unit costs an online re-design's cost model served
-	// from the previous run's store. The online controller sets it; core
-	// never does.
+	// WarmHits is always 0: no run reads an earlier run's unit costs through
+	// a memo of its own. It stays while perfbench reads it (its
+	// evalcache.warm_hits metric; ROADMAP item 13 retires both).
 	WarmHits uint64
 	// UniverseQueries is the number of distinct queries the run numbered in
 	// its neighborhood; UniverseCells counts the unit-cost entries its live

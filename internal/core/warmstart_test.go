@@ -37,21 +37,22 @@ func newTallyGuard(s *schema.Schema, opts Options) (*CliffGuard, *tallyCost) {
 	return New(nominal, counting, sampler, opts), counting
 }
 
-// TestWarmStartBitIdenticalAndSilent pins the online warm-start contract on
-// the evalcache.Layer wiring: a run that reads the identical previous run's
-// store must produce bit-identical designs and traces while making zero
-// cost-model calls — every unit cost it needs is in the store, and the
-// stored values are the exact model outputs. Each hit is copied into the
-// run's own store, so the next handoff is as complete as this one.
+// TestWarmStartBitIdenticalAndSilent pins the unit-cost store's contract on
+// the evalcache.Layer wiring: a run over a store that an identical earlier
+// run filled must produce bit-identical designs, traces and stats while
+// making zero cost-model calls — every unit cost it needs is in the store,
+// and the stored values are the exact model outputs — and must add nothing
+// to the store.
 func TestWarmStartBitIdenticalAndSilent(t *testing.T) {
 	s := testSchema()
 	rng := rand.New(rand.NewSource(3))
 	w := testWorkload(s, rng, 10)
 	opts := Options{Gamma: 0.004, Samples: 10, Iterations: 4, Seed: 11, Parallelism: 1}
 
-	run := func(read, write *evalcache.Shared) (*designer.Design, []Trace, RunStats, *tallyCost, *evalcache.Layer) {
+	store := evalcache.NewShared()
+	run := func() (*designer.Design, []Trace, RunStats, *tallyCost, *evalcache.Layer) {
 		cg, counting := newTallyGuard(s, opts)
-		layer := &evalcache.Layer{Inner: counting, Read: read, Write: write}
+		layer := &evalcache.Layer{Inner: counting, Store: store}
 		cg.Cost = layer
 		h := cg.Start(context.Background(), w.Clone())
 		d, traces, err := h.Await(context.Background())
@@ -61,29 +62,25 @@ func TestWarmStartBitIdenticalAndSilent(t *testing.T) {
 		return d, traces, h.Stats(), counting, layer
 	}
 
-	prev := evalcache.NewShared()
-	coldD, coldTraces, coldStats, coldCount, coldLayer := run(nil, prev)
-	if prev.Len() == 0 {
+	coldD, coldTraces, coldStats, coldCount, coldLayer := run()
+	filled := store.Len()
+	if filled == 0 {
 		t.Fatal("cold run stored no unit costs")
 	}
-	if coldLayer.Hits() != 0 {
-		t.Fatalf("cold run reported %d warm hits", coldLayer.Hits())
-	}
-	if coldCount.calls.Load() == 0 {
-		t.Fatal("cold run made no cost-model calls")
+	if coldCount.calls.Load() == 0 || coldLayer.Misses() != coldCount.calls.Load() {
+		t.Fatalf("cold run made %d cost-model calls, %d store misses", coldCount.calls.Load(), coldLayer.Misses())
 	}
 
-	next := evalcache.NewShared()
-	warmD, warmTraces, warmStats, warmCount, warmLayer := run(prev, next)
+	warmD, warmTraces, warmStats, warmCount, warmLayer := run()
 
 	if got := warmCount.calls.Load(); got != 0 {
 		t.Errorf("warm run made %d cost-model calls, want 0 (identical trajectory is fully memoized)", got)
 	}
-	if warmLayer.Hits() == 0 {
-		t.Error("warm run served no lookups from the previous store")
+	if cold, warm := coldLayer.Hits()+coldLayer.Misses(), warmLayer.Hits(); warm != cold || warmLayer.Misses() != 0 {
+		t.Errorf("warm run: %d store hits and %d misses, want a hit for each of the cold run's %d lookups", warm, warmLayer.Misses(), cold)
 	}
-	if next.Len() != prev.Len() {
-		t.Errorf("warm run's store holds %d entries, want the %d it read", next.Len(), prev.Len())
+	if store.Len() != filled {
+		t.Errorf("the store holds %d entries after the warm run, want the %d the cold run left", store.Len(), filled)
 	}
 	if warmD.Fingerprint() != coldD.Fingerprint() || warmD.String() != coldD.String() {
 		t.Errorf("warm design differs from cold:\n  cold: %s\n  warm: %s", coldD, warmD)
@@ -183,15 +180,15 @@ func TestInitialDesignMatchingNominal(t *testing.T) {
 }
 
 // TestGammaZeroWritesNoUnitCosts: a Gamma=0 run takes the nominal early
-// return and never calls the loop's cost model, so a warm-start layer under
-// it stores nothing.
+// return and never calls the loop's cost model, so a layer under it stores
+// nothing.
 func TestGammaZeroWritesNoUnitCosts(t *testing.T) {
 	s := testSchema()
 	rng := rand.New(rand.NewSource(1))
 	w := testWorkload(s, rng, 8)
 	cg, counting := newTallyGuard(s, Options{Gamma: 0, Seed: 1})
 	store := evalcache.NewShared()
-	cg.Cost = &evalcache.Layer{Inner: counting, Write: store}
+	cg.Cost = &evalcache.Layer{Inner: counting, Store: store}
 	if _, _, err := cg.Start(context.Background(), w).Await(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -10,124 +10,86 @@ import (
 	"cliffguard/internal/workload"
 )
 
-// Layer is a designer.CostModel that memoizes Inner's unit costs in
-// content-keyed Shared stores, keyed (Class, design fingerprint,
+// Layer is a designer.CostModel that memoizes Inner's unit costs in a
+// content-keyed Shared store, keyed (Class, design fingerprint,
 // workload.ContentHash). Memoized values are exactly what Inner returned, so
-// a run is bit-identical with or without the layer. It is the one mechanism
-// behind both kinds of reuse beyond a single run:
-//
-//   - Cross-tenant sharing (cliffguardd): Read and Write are the same
-//     process-wide store, so every run of every tenant whose engine class,
-//     query content and design coincide reuses the others' values.
-//   - Online warm starts: each re-design reads the previous run's store and
-//     writes a fresh one, which becomes the next run's Read. A Read hit is
-//     copied into Write, so Write ends up holding every unit cost the run
-//     asked for — the previous run's included (unless Write's cap evicted
-//     it).
-//
-// When Read != Write only Read is consulted: a value the run itself computed
-// earlier is its unit-cost vectors' to serve (internal/core), not the
-// layer's. Probing Read never creates a table in it.
+// a run is bit-identical with or without the layer. cliffguardd puts one
+// process-wide Store beneath every tenant's runs, batch and online alike, so
+// every run whose engine class, query content and design coincide with an
+// earlier one's reuses its values. Within a run, the run's unit-cost vectors
+// (internal/core) serve repeats, so the layer sees the (query, design) pairs
+// the run fills.
 //
 // A call is one read of the query's stored hash and one probe of a design
-// table: the layer keeps the tables of the last design it saw, and a vector
+// table: the layer keeps the table of the last design it saw, and a vector
 // fill costs one design across the run's whole query universe.
 //
 // designer.ErrUnsupported verdicts are memoized (they are as deterministic as
 // costs); hard errors are returned but never stored. Values must only ever
 // be shared between identical pure cost functions: Class separates engines
-// in a shared store, and an online controller's stores never leave it.
+// in a shared store.
 type Layer struct {
 	// Inner is the cost model underneath; Class identifies it in the key
 	// (engine.Engine.Class for served engines, 0 for a private store).
 	Inner designer.CostModel
 	Class uint64
-	// Read is consulted on every call (nil: never); Write receives every
-	// computed value and every Read hit. Write is required.
-	Read, Write *Shared
+	// Store answers every call it holds and receives every value Inner
+	// computes. It is required.
+	Store *Shared
 
-	// hits and misses count the calls Read answered and the calls it did
+	// hits and misses count the calls Store answered and the calls it did
 	// not; the serving layer attributes both to the run's tenant once, when
 	// the run ends.
 	hits, misses atomic.Uint64
-	// last holds the tables of the last design fingerprint Cost saw.
-	last atomic.Pointer[designTables]
+	// last is the table of the last design fingerprint the layer saw.
+	last atomic.Pointer[table]
 }
 
-// designTables is a Layer's view of one design: its table in Write and in
-// Read (nil when Read has none; the same table when Read == Write).
-type designTables struct {
-	key         TableKey
-	read, write *table
-}
-
-// live reports whether neither table has been evicted since it was looked
-// up.
-func (d *designTables) live() bool {
-	return !d.write.dead.Load() && (d.read == nil || !d.read.dead.Load())
-}
-
-// Hits returns how many calls Read answered without invoking Inner.
+// Hits returns how many calls Store answered without invoking Inner.
 func (l *Layer) Hits() uint64 { return l.hits.Load() }
 
-// Misses returns how many calls Read did not answer (all of them when Read
-// is nil).
+// Misses returns how many calls Store did not answer.
 func (l *Layer) Misses() uint64 { return l.misses.Load() }
 
-// tables returns the design's tables, reusing the last ones while they are
-// for the same design and live.
-func (l *Layer) tables(design uint64) *designTables {
-	if d := l.last.Load(); d != nil && d.key.Design == design && d.live() {
-		return d
+// table returns the design's table, reusing the last one while it is for
+// the same design and has not been evicted.
+func (l *Layer) table(design uint64) *table {
+	if t := l.last.Load(); t != nil && t.key.Design == design && !t.dead.Load() {
+		return t
 	}
-	d := &designTables{key: TableKey{Class: l.Class, Design: design}}
-	d.write = l.Write.table(d.key, true)
-	switch {
-	case l.Read == l.Write:
-		d.read = d.write
-	case l.Read != nil:
-		d.read = l.Read.table(d.key, false)
-	}
-	l.last.Store(d)
-	return d
+	t := l.Store.table(TableKey{Class: l.Class, Design: design}, true)
+	l.last.Store(t)
+	return t
 }
 
 // Cost implements designer.CostModel.
 func (l *Layer) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (float64, error) {
-	t := l.tables(d.Fingerprint())
+	t := l.table(d.Fingerprint())
 	h := workload.ContentHash(q)
-	if l.Read != nil {
-		if e, ok := l.Read.probe(t.read, h); ok {
-			l.hits.Add(1)
-			if l.Write != l.Read {
-				l.Write.put(t.write, h, e)
-			}
-			if e.unsupported {
-				return 0, designer.ErrUnsupported
-			}
-			return e.cost, nil
-		}
+	if e, ok := l.Store.probe(t, h); ok {
+		l.hits.Add(1)
+		return e.result()
 	}
 	l.misses.Add(1)
 	cost, err := l.Inner.Cost(ctx, q, d)
 	switch {
 	case err == nil:
-		l.Write.put(t.write, h, entry{cost: cost})
+		l.Store.put(t, h, entry{cost: cost})
 	case errors.Is(err, designer.ErrUnsupported):
-		l.Write.put(t.write, h, entry{unsupported: true})
+		l.Store.put(t, h, entry{unsupported: true})
 	}
 	return cost, err
 }
 
 // PrepareVector implements designer.VectorCoster when Inner does (it returns
-// nil otherwise): the layer's kernel answers each entry from Read or from
+// nil otherwise): the layer's kernel answers each entry from Store or from
 // Inner's kernel, with Cost's semantics. Per 64-entry block it resolves the
-// design's tables once, probes Read and stores into Write under one lock
-// each, and adds the block's hits and misses to the counters once, so
-// workers filling one design do not contend entry by entry. One difference
-// from Cost, in the counts only: with Read == Write, two queries of equal
-// content in one block both miss and both reach Inner, where Cost, one
-// entry at a time, would answer the second from the first's store.
+// design's table once, probes and stores under one lock each, and adds the
+// block's hits and misses to the counters once, so workers filling one
+// design do not contend entry by entry. One difference from Cost, in the
+// counts only: two queries of equal content in one block both miss and
+// both reach Inner, where Cost, one entry at a time, would answer the
+// second from the first's store.
 func (l *Layer) PrepareVector(queries []*workload.Query) designer.VectorKernel {
 	vc, ok := l.Inner.(designer.VectorCoster)
 	if !ok {
@@ -185,60 +147,48 @@ func (k *layerKernel) Fill(xs []int32, cost []float64, errs []error) {
 }
 
 // fill is Fill over at most 64 entries: Cost's semantics, entry by entry,
-// with one probe of Read and one store into Write.
+// with one probe of Store and one store into it.
 func (k *layerKernel) fill(b *layerBlock, xs []int32, cost []float64, errs []error) {
 	l, n := k.l, len(xs)
-	t := l.tables(k.design)
+	t := l.table(k.design)
 	hs, found := b.hs[:n], b.found[:n]
 	for i, x := range xs {
 		hs[i] = k.hashes[x]
 	}
-	hits := 0
-	if l.Read != nil {
-		hits = l.Read.probeBlock(t.read, hs, b.es[:n], found)
-	} else {
-		clear(found)
-	}
+	hits := l.Store.probeBlock(t, hs, b.es[:n], found)
 	if hits > 0 {
 		l.hits.Add(uint64(hits))
 	}
 	if hits < n {
 		l.misses.Add(uint64(n - hits))
 	}
-	puts, misses := 0, 0
+	misses := 0
 	for i, x := range xs {
-		if !found[i] {
-			b.pos[misses], b.xs[misses] = int32(i), x
-			misses++
+		if found[i] {
+			cost[i], errs[i] = b.es[i].result()
 			continue
 		}
-		e := b.es[i]
-		if e.unsupported {
-			cost[i], errs[i] = 0, designer.ErrUnsupported
-		} else {
-			cost[i], errs[i] = e.cost, nil
-		}
-		if l.Write != l.Read {
-			b.puts[puts], b.vals[puts] = hs[i], e
-			puts++
-		}
+		b.pos[misses], b.xs[misses] = int32(i), x
+		misses++
 	}
-	if misses > 0 {
-		k.inner.Fill(b.xs[:misses], b.cost[:misses], b.errs[:misses])
-		for j, i := range b.pos[:misses] {
-			c, err := b.cost[j], b.errs[j]
-			b.errs[j] = nil
-			cost[i], errs[i] = c, err
-			switch {
-			case err == nil:
-				b.puts[puts], b.vals[puts] = hs[i], entry{cost: c}
-			case errors.Is(err, designer.ErrUnsupported):
-				b.puts[puts], b.vals[puts] = hs[i], entry{unsupported: true}
-			default:
-				continue
-			}
-			puts++
-		}
+	if misses == 0 {
+		return
 	}
-	l.Write.putBlock(t.write, b.puts[:puts], b.vals[:puts])
+	k.inner.Fill(b.xs[:misses], b.cost[:misses], b.errs[:misses])
+	puts := 0
+	for j, i := range b.pos[:misses] {
+		c, err := b.cost[j], b.errs[j]
+		b.errs[j] = nil
+		cost[i], errs[i] = c, err
+		switch {
+		case err == nil:
+			b.puts[puts], b.vals[puts] = hs[i], entry{cost: c}
+		case errors.Is(err, designer.ErrUnsupported):
+			b.puts[puts], b.vals[puts] = hs[i], entry{unsupported: true}
+		default:
+			continue
+		}
+		puts++
+	}
+	l.Store.putBlock(t, b.puts[:puts], b.vals[:puts])
 }

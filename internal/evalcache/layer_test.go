@@ -85,89 +85,61 @@ type call struct {
 }
 
 type layerCase struct {
-	name string
-	// Store wiring: read "nil", "same" (Read == Write) or "separate".
-	read  string
+	name  string
 	class uint64
-	// Entries present before the calls, as (col, design) costed under
-	// primeClass: readPrime in Read, writePrime in Write only.
-	primeClass            uint64
-	readPrime, writePrime [][2]int
-	calls                 []call
-	wantWrite             int    // Write.Len() after the calls
-	wantHits              uint64 // every other call is a miss
+	// Entries in Store before the calls, as (col, design) costed under
+	// primeClass.
+	primeClass uint64
+	prime      [][2]int
+	calls      []call
+	wantLen    int    // Store.Len() after the calls
+	wantHits   uint64 // every other call is a miss
 }
 
 func TestLayer(t *testing.T) {
 	cases := []layerCase{{
-		name: "read_hit_copied_into_write", read: "separate",
-		readPrime: [][2]int{{0, 1}, {0, 2}},
-		calls:     []call{{0, 1, false}, {0, 2, false}, {0, 1, false}},
-		wantWrite: 2, wantHits: 3,
+		name:     "primed_store_answers",
+		prime:    [][2]int{{0, 1}, {0, 2}, {colUnsupported, 1}},
+		calls:    []call{{0, 1, false}, {0, 2, false}, {0, 1, false}, {colUnsupported, 1, false}},
+		wantLen:  3,
+		wantHits: 4,
 	}, {
-		// Write already holds (1, 1), but with Read != Write only Read is
-		// consulted: the per-run Cache above the layer serves repeats.
-		name: "write_never_read_when_separate", read: "separate",
-		writePrime: [][2]int{{1, 1}},
-		calls:      []call{{1, 1, true}, {1, 1, true}},
-		wantWrite:  1,
+		name:    "same_store_reads_its_own_writes",
+		calls:   []call{{1, 1, true}, {1, 1, false}, {2, 1, true}},
+		wantLen: 2, wantHits: 1,
 	}, {
-		name: "same_store_reads_its_own_writes", read: "same",
-		calls:     []call{{1, 1, true}, {1, 1, false}, {2, 1, true}},
-		wantWrite: 2, wantHits: 1,
+		name:    "misses_unknown_design_and_query",
+		prime:   [][2]int{{0, 1}},
+		calls:   []call{{0, 2, true}, {5, 1, true}, {0, 1, false}},
+		wantLen: 3, wantHits: 1,
 	}, {
-		name: "misses_unknown_design_and_query", read: "separate",
-		readPrime: [][2]int{{0, 1}},
-		calls:     []call{{0, 2, true}, {5, 1, true}, {0, 1, false}},
-		wantWrite: 3, wantHits: 1,
+		name:    "unsupported_memoized",
+		calls:   []call{{colUnsupported, 0, true}, {colUnsupported, 0, false}},
+		wantLen: 1, wantHits: 1,
 	}, {
-		name: "unsupported_memoized", read: "same",
-		calls:     []call{{colUnsupported, 0, true}, {colUnsupported, 0, false}},
-		wantWrite: 1, wantHits: 1,
-	}, {
-		name: "unsupported_read_hit_carried_forward", read: "separate",
-		readPrime: [][2]int{{colUnsupported, 1}},
-		calls:     []call{{colUnsupported, 1, false}},
-		wantWrite: 1, wantHits: 1,
-	}, {
-		name: "hard_error_returned_not_stored", read: "same",
+		name:  "hard_error_returned_not_stored",
 		calls: []call{{colHardError, 0, true}, {colHardError, 0, true}},
 	}, {
-		name: "class_isolation", read: "same", class: 2, primeClass: 1,
-		readPrime: [][2]int{{0, 1}},
-		calls:     []call{{0, 1, true}, {0, 1, false}},
-		wantWrite: 2, wantHits: 1,
-	}, {
-		name: "nil_read", read: "nil",
-		calls:     []call{{0, 0, true}, {0, 0, true}, {colUnsupported, 0, true}},
-		wantWrite: 2,
+		name: "class_isolation", class: 2, primeClass: 1,
+		prime:   [][2]int{{0, 1}},
+		calls:   []call{{0, 1, true}, {0, 1, false}},
+		wantLen: 2, wantHits: 1,
 	}, {
 		// The hit and miss counts the serving layer attributes to the run's
 		// tenant when the run ends.
-		name: "tenant_attribution", read: "same",
-		calls:     []call{{3, 0, true}, {3, 0, false}, {3, 0, false}, {4, 0, true}},
-		wantWrite: 2, wantHits: 2,
+		name:    "tenant_attribution",
+		calls:   []call{{3, 0, true}, {3, 0, false}, {3, 0, false}, {4, 0, true}},
+		wantLen: 2, wantHits: 2,
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			write := NewShared()
-			var read *Shared
-			switch tc.read {
-			case "same":
-				read = write
-			case "separate":
-				read = NewShared()
+			store := NewShared()
+			for _, e := range tc.prime {
+				cost, err := fakeValue(e[0], e[1])
+				store.Store(layerKey(tc.primeClass, e[0], e[1]), cost, errors.Is(err, designer.ErrUnsupported))
 			}
-			prime := func(s *Shared, entries [][2]int) {
-				for _, e := range entries {
-					cost, err := fakeValue(e[0], e[1])
-					s.Store(layerKey(tc.primeClass, e[0], e[1]), cost, errors.Is(err, designer.ErrUnsupported))
-				}
-			}
-			prime(read, tc.readPrime)
-			prime(write, tc.writePrime)
 			inner := &fakeCost{}
-			l := &Layer{Inner: inner, Class: tc.class, Read: read, Write: write}
+			l := &Layer{Inner: inner, Class: tc.class, Store: store}
 
 			for i, c := range tc.calls {
 				before := inner.calls.Load()
@@ -180,8 +152,8 @@ func TestLayer(t *testing.T) {
 					t.Fatalf("call %d (%d, %d) reached the inner model: %v, want %v", i, c.col, c.design, reached, c.inner)
 				}
 			}
-			if n := write.Len(); n != tc.wantWrite {
-				t.Errorf("Write holds %d entries, want %d", n, tc.wantWrite)
+			if n := store.Len(); n != tc.wantLen {
+				t.Errorf("Store holds %d entries, want %d", n, tc.wantLen)
 			}
 			if h := l.Hits(); h != tc.wantHits {
 				t.Errorf("Hits = %d, want %d", h, tc.wantHits)
@@ -189,29 +161,18 @@ func TestLayer(t *testing.T) {
 			if m, want := l.Misses(), uint64(len(tc.calls))-tc.wantHits; m != want {
 				t.Errorf("Misses = %d, want %d", m, want)
 			}
-			if tc.read == "separate" {
-				// Every Read entry the run asked for is in Write under the
-				// same key and value: the handoff chain never shrinks.
-				for _, e := range tc.readPrime {
-					k := layerKey(tc.primeClass, e[0], e[1])
-					rc, ru, _ := read.Lookup(k)
-					if wc, wu, ok := write.Lookup(k); !ok || wc != rc || wu != ru {
-						t.Errorf("Read entry %v carried into Write as (%v, %v, %v), want (%v, %v, true)", e, wc, wu, ok, rc, ru)
-					}
-				}
-			}
 		})
 	}
 }
 
-// TestGenerationExportAndWarmLookup walks one online handoff end to end: a
-// run's layer fills its Write store, and the next run's layer, reading that
-// store with fresh query pointers of the same content, is answered without
-// calling the inner model — memoized unsupported verdicts included — and
-// carries every hit into its own Write store for the run after it.
+// TestGenerationExportAndWarmLookup walks reuse across runs end to end: one
+// run's layer fills the store, and a later run's layer over the same store,
+// costing fresh query pointers of the same content, is answered without
+// calling the inner model — memoized unsupported verdicts included.
 func TestGenerationExportAndWarmLookup(t *testing.T) {
 	ctx := context.Background()
-	prev := &Layer{Inner: &fakeCost{}, Write: NewShared()}
+	store := NewShared()
+	prev := &Layer{Inner: &fakeCost{}, Store: store}
 	q0, q1 := layerQuery(0), layerQuery(colUnsupported)
 	for _, c := range []struct {
 		q *workload.Query
@@ -219,8 +180,8 @@ func TestGenerationExportAndWarmLookup(t *testing.T) {
 	}{{q0, 1}, {q0, 2}, {q1, 1}} {
 		_, _ = prev.Cost(ctx, c.q, layerDesigns[c.d])
 	}
-	if n := prev.Write.Len(); n != 3 {
-		t.Fatalf("previous run's store holds %d pairs, want 3", n)
+	if n := store.Len(); n != 3 {
+		t.Fatalf("the first run's store holds %d pairs, want 3", n)
 	}
 
 	// The next run sees fresh query pointers with the same content.
@@ -229,7 +190,7 @@ func TestGenerationExportAndWarmLookup(t *testing.T) {
 		t.Fatal("re-parsed query content hash differs — test premise broken")
 	}
 	inner := &fakeCost{}
-	next := &Layer{Inner: inner, Read: prev.Write, Write: NewShared()}
+	next := &Layer{Inner: inner, Store: store}
 
 	if cost, err := next.Cost(ctx, r0, layerDesigns[1]); err != nil || cost != 1.25 {
 		t.Fatalf("warm lookup (q0, 1) = (%g, %v), want (1.25, nil)", cost, err)
@@ -246,64 +207,61 @@ func TestGenerationExportAndWarmLookup(t *testing.T) {
 	if n := inner.calls.Load(); n != 0 {
 		t.Fatalf("inner model called %d times, want 0", n)
 	}
-	// Every hit is carried forward: the next handoff never shrinks.
-	if n := next.Write.Len(); n != 3 {
-		t.Fatalf("next run's store holds %d pairs, want 3", n)
+	if n := store.Len(); n != 3 {
+		t.Fatalf("the store holds %d pairs after the second run, want 3", n)
 	}
-	// All three lookups hit the previous run's store; none missed.
-	if st := prev.Write.Stats(); st.Hits != 3 || st.Misses != 0 {
-		t.Fatalf("previous store stats = %d hits / %d misses, want 3 / 0", st.Hits, st.Misses)
+	// The first run's three probes missed; the second run's three hit.
+	if st := store.Stats(); st.Hits != 3 || st.Misses != 3 {
+		t.Fatalf("store stats = %d hits / %d misses, want 3 / 3", st.Hits, st.Misses)
 	}
 }
 
-// TestExportOverwriteIsIdempotent: storing the same key twice, and copying
-// the same Read hit forward twice, leaves one entry with the original value.
+// TestExportOverwriteIsIdempotent: storing the same key twice, and a layer
+// answering the same key twice, leaves one entry with the original value.
 func TestExportOverwriteIsIdempotent(t *testing.T) {
-	read := NewShared()
+	store := NewShared()
 	k := layerKey(0, 2, 1)
-	read.Store(k, 3.25, false)
-	read.Store(k, 3.25, false) // duplicate store writes the identical entry
-	if n := read.Len(); n != 1 {
+	store.Store(k, 3.25, false)
+	store.Store(k, 3.25, false) // duplicate store writes the identical entry
+	if n := store.Len(); n != 1 {
 		t.Fatalf("store holds %d pairs after a duplicate store, want 1", n)
 	}
 
-	l := &Layer{Inner: &fakeCost{}, Read: read, Write: NewShared()}
+	l := &Layer{Inner: &fakeCost{}, Store: store}
 	for i := 0; i < 2; i++ {
 		if cost, err := l.Cost(context.Background(), layerQuery(2), layerDesigns[1]); err != nil || cost != 3.25 {
 			t.Fatalf("call %d = (%g, %v), want (3.25, nil)", i, cost, err)
 		}
 	}
-	if n := l.Write.Len(); n != 1 {
-		t.Fatalf("Write holds %d pairs after a repeated hit, want 1", n)
+	if n := store.Len(); n != 1 {
+		t.Fatalf("store holds %d pairs after a repeated hit, want 1", n)
 	}
-	cost, unsupported, ok := l.Write.Lookup(k)
+	cost, unsupported, ok := store.Lookup(k)
 	if !ok || unsupported || cost != 3.25 {
-		t.Fatalf("Write lookup = (%g, %v, %v), want (3.25, false, true)", cost, unsupported, ok)
+		t.Fatalf("store lookup = (%g, %v, %v), want (3.25, false, true)", cost, unsupported, ok)
 	}
 }
 
-// TestLayerConcurrentHammer races 16 goroutines through two layers over the
-// same key space: a shared-store layer (Read == Write, cliffguardd's wiring)
-// and a handoff layer reading a half-primed store (the online wiring). Run
+// TestLayerConcurrentHammer races 16 goroutines through two layers (two
+// tenants' runs) over one half-primed store and the same key space. Run
 // under -race; every returned value must be the pure function of its key,
-// and both stores end up holding the full key space.
+// the store ends up holding the full key space, and both layers hit.
 func TestLayerConcurrentHammer(t *testing.T) {
 	const cols = 8 // 0..7: no unsupported or failing queries
 	qs := make([]*workload.Query, cols)
 	for i := range qs {
 		qs[i] = layerQuery(i)
 	}
-	prev := NewShared()
+	shared := NewShared()
 	for col := 0; col < cols; col += 2 {
 		for d := range layerDesigns {
 			cost, _ := fakeValue(col, d)
-			prev.Store(layerKey(0, col, d), cost, false)
+			shared.Store(layerKey(0, col, d), cost, false)
 		}
 	}
-	shared := NewShared()
 	layers := []*Layer{
-		{Inner: &fakeCost{}, Read: shared, Write: shared},
-		{Inner: &fakeCost{}, Read: prev, Write: NewShared()},
+		{Inner: &fakeCost{}, Store: shared},
+		{Inner: &fakeCost{}, Store: shared},
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -319,34 +277,28 @@ func TestLayerConcurrentHammer(t *testing.T) {
 					return
 				}
 				if i%61 == 0 {
-					_ = l.Write.Stats()
+					_ = shared.Stats()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	full := cols * len(layerDesigns)
-	for i, l := range layers {
-		if n := l.Write.Len(); n != full {
-			t.Errorf("layer %d: Write holds %d entries, want %d", i, n, full)
-		}
+	if n, full := shared.Len(), cols*len(layerDesigns); n != full {
+		t.Errorf("the store holds %d entries, want %d", n, full)
 	}
 	if layers[0].Hits() == 0 || layers[1].Hits() == 0 {
-		t.Errorf("hits: shared %d, handoff %d, want both > 0", layers[0].Hits(), layers[1].Hits())
+		t.Errorf("hits: %d and %d, want both > 0", layers[0].Hits(), layers[1].Hits())
 	}
 }
 
-// TestStoreChurnHammer races 16 goroutines through layers over one capped
-// store, shared, so that its directory creates and evicts tables throughout:
-// layers with Read == Write == shared (cliffguardd's wiring), handoff layers
-// reading shared into a fresh store, and handoff layers reading a primed
-// store into shared (the online wiring). Stats and Len scrapes interleave.
-// Run under -race. Every value must be the pure function of its key; each
-// goroutine's successive Stats see a non-decreasing probe count; and at the
-// end every store has counted each probe of the layers reading it exactly
-// once, evicted tables' included, and holds Stats().Entries == Len() <= cap.
-// The shared layers store every (design, query) key in shared, many more
-// than its cap, so tables were evicted.
+// TestStoreChurnHammer races 16 goroutines through four layers over one
+// capped store, so that its directory creates and evicts tables throughout.
+// Stats and Len scrapes interleave. Run under -race. Every value must be the
+// pure function of its key; each goroutine's successive Stats see a
+// non-decreasing probe count; and at the end the store has counted each
+// probe of the layers exactly once, evicted tables' included, and holds
+// Stats().Entries == Len() <= cap. The layers store every (design, query)
+// key, many more than the cap, so tables were evicted.
 func TestStoreChurnHammer(t *testing.T) {
 	const (
 		cols    = 9 // 0..8: colUnsupported's verdict is memoized too
@@ -366,18 +318,10 @@ func TestStoreChurnHammer(t *testing.T) {
 		}
 		ds[i] = designer.NewDesign(ss...)
 	}
-	shared, prev := NewShared(), NewShared()
-	for i, d := range ds {
-		for col := i % 2; col < cols; col += 2 {
-			cost, err := fakeValue(col, d.Len())
-			prev.Store(SharedKey{Query: workload.ContentHash(qs[col]), Design: d.Fingerprint()}, cost, err != nil)
-		}
-	}
-	layers := []*Layer{
-		{Inner: &fakeCost{}, Read: shared, Write: shared},
-		{Inner: &fakeCost{}, Read: shared, Write: shared},
-		{Inner: &fakeCost{}, Read: shared, Write: NewShared()},
-		{Inner: &fakeCost{}, Read: prev, Write: shared},
+	shared := NewShared()
+	layers := make([]*Layer, 4)
+	for i := range layers {
+		layers[i] = &Layer{Inner: &fakeCost{}, Store: shared}
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -408,41 +352,16 @@ func TestStoreChurnHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for _, s := range []*Shared{shared, prev, layers[2].Write} {
-		var probes uint64
-		for _, l := range layers {
-			if l.Read == s {
-				probes += l.Hits() + l.Misses()
-			}
-		}
-		st := s.Stats()
-		if st.Hits+st.Misses != probes {
-			t.Errorf("store counts %d hits + %d misses, its layers made %d probes", st.Hits, st.Misses, probes)
-		}
-		if n := s.Len(); st.Entries != n || n > capN {
-			t.Errorf("Stats counts %d entries, Len %d, cap %d", st.Entries, n, capN)
-		}
+	var probes uint64
+	for _, l := range layers {
+		probes += l.Hits() + l.Misses()
 	}
-}
-
-// TestLayerProbeOfReadCreatesNoTable: with Read != Write, a design Read has
-// no table for misses there (and is counted) without creating one.
-func TestLayerProbeOfReadCreatesNoTable(t *testing.T) {
-	read, write := NewShared(), NewShared()
-	l := &Layer{Inner: &fakeCost{}, Read: read, Write: write}
-	for i := 0; i < 2; i++ {
-		if _, err := l.Cost(context.Background(), layerQuery(1), layerDesigns[1]); err != nil {
-			t.Fatal(err)
-		}
+	st := shared.Stats()
+	if st.Hits+st.Misses != probes {
+		t.Errorf("store counts %d hits + %d misses, its layers made %d probes", st.Hits, st.Misses, probes)
 	}
-	if n := len(read.tables); n != 0 {
-		t.Fatalf("Read holds %d tables after two probes, want 0", n)
-	}
-	if st := read.Stats(); st.Misses != 2 || st.Entries != 0 {
-		t.Fatalf("Read stats = %d misses, %d entries; want 2, 0", st.Misses, st.Entries)
-	}
-	if n := len(write.tables); n != 1 {
-		t.Fatalf("Write holds %d tables, want 1", n)
+	if n := shared.Len(); st.Entries != n || n > capN {
+		t.Errorf("Stats counts %d entries, Len %d, cap %d", st.Entries, n, capN)
 	}
 }
 
@@ -452,7 +371,7 @@ func TestLayerProbeOfReadCreatesNoTable(t *testing.T) {
 func TestLayerOutlivesEvictedTables(t *testing.T) {
 	defer SetEntryCap(5)()
 	shared := NewShared()
-	l := &Layer{Inner: &fakeCost{}, Read: shared, Write: shared}
+	l := &Layer{Inner: &fakeCost{}, Store: shared}
 	for round := 0; round < 3; round++ {
 		for d := range layerDesigns {
 			for col := 0; col < 8; col++ {
@@ -476,7 +395,7 @@ func TestLayerOutlivesEvictedTables(t *testing.T) {
 func TestLayerKeysLiteralQueries(t *testing.T) {
 	shared := NewShared()
 	inner := &fakeCost{}
-	l := &Layer{Inner: inner, Read: shared, Write: shared}
+	l := &Layer{Inner: inner, Store: shared}
 	built := layerQuery(4)
 	literal := &workload.Query{
 		Select: built.Select.Clone(), Where: built.Where.Clone(),
@@ -499,7 +418,7 @@ func TestLayerKeysLiteralQueries(t *testing.T) {
 // Shared is one field read and one table probe, with no allocation.
 func TestWarmLayerHitDoesNotAllocate(t *testing.T) {
 	shared := NewShared()
-	l := &Layer{Inner: &fakeCost{}, Read: shared, Write: shared}
+	l := &Layer{Inner: &fakeCost{}, Store: shared}
 	q, d := layerQuery(3), layerDesigns[2]
 	ctx := context.Background()
 	if _, err := l.Cost(ctx, q, d); err != nil {

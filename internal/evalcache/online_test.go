@@ -4,42 +4,41 @@ import (
 	"context"
 	"testing"
 
-	"cliffguard/internal/core"
 	"cliffguard/internal/datagen"
-	"cliffguard/internal/distance"
+	"cliffguard/internal/engine"
 	"cliffguard/internal/evalcache"
-	"cliffguard/internal/online"
-	"cliffguard/internal/sample"
-	"cliffguard/internal/vertsim"
+	"cliffguard/internal/serve"
 	"cliffguard/internal/wlgen"
 	"cliffguard/internal/workload"
 )
 
-// onlineReplay is what one online replay published, and the most unit
-// costs its warm-start handoff store held after any re-design.
+// onlineReplay is what one online replay published, the calls its process
+// store answered, and the most unit costs the store held after any
+// re-design.
 type onlineReplay struct {
 	designs   []uint64 // fingerprints of each re-design's candidate
 	published []bool
-	warmHits  uint64
+	hits      uint64
 	peak      int
 }
 
-// replayOnline drives a vertica online controller over months, bootstrapping
-// on the first window rotation and re-designing whenever drift fires.
+// replayOnline drives a served vertica online controller, costing through a
+// Layer over a fresh process store as cliffguardd wires it, over months:
+// it bootstraps on the first window rotation and re-designs whenever drift
+// fires.
 func replayOnline(t *testing.T, months []*workload.Workload) onlineReplay {
 	t.Helper()
-	s := datagen.Warehouse(1)
-	db := vertsim.Open(s)
-	metric := distance.NewEuclidean(s.NumColumns())
-	ctrl, err := online.New(online.Config{
-		Designer:      vertsim.NewDesigner(db, 2560<<20),
-		Cost:          db,
-		Sampler:       sample.New(metric, sample.NewMutator(s)),
-		Metric:        metric,
-		Options:       core.Options{Gamma: 0.002, Samples: 4, Iterations: 2, Seed: 3, Parallelism: 1},
+	eng, err := engine.Open(engine.Spec{Kind: engine.KindVertica, Schema: datagen.Warehouse(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := evalcache.NewShared()
+	ctrl, layer, err := serve.NewOnline(eng, 2560<<20, serve.OnlineSpec{
+		RunRequest:    serve.RunRequest{Gamma: 0.002, Samples: 4, Iterations: 2, Seed: 3, Parallelism: 1},
 		DriftFraction: 0.5,
-		Window:        online.WindowConfig{Buckets: 4, BucketSize: 48},
-	})
+		Buckets:       4,
+		BucketSize:    48,
+	}, store, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,20 +57,19 @@ func replayOnline(t *testing.T, months []*workload.Workload) onlineReplay {
 			}
 			out.designs = append(out.designs, r.Design.Fingerprint())
 			out.published = append(out.published, r.Published)
-			out.warmHits += r.WarmHits
-			out.peak = max(out.peak, ctrl.Status().HandoffEntries)
+			out.peak = max(out.peak, store.Len())
 		}
 	}
+	out.hits = layer.Hits()
 	return out
 }
 
-// TestOnlineHandoffPastCap replays three R1 months through an online
-// controller twice: with the default entry cap, and with a cap a quarter of
-// the most unit costs the first replay's handoff store held. The capped
-// controller's stores evict, so it serves fewer warm hits, yet every
-// re-design produces and publishes the same design, and no handoff store
-// holds more than the cap.
-func TestOnlineHandoffPastCap(t *testing.T) {
+// TestOnlineRedesignsPastCap replays three R1 months through a served
+// online controller twice: with the default entry cap, and with a cap an
+// eighth of the most unit costs the first replay's store held. The capped
+// store evicts, so it answers fewer calls, yet every re-design produces and
+// publishes the same design, and the store never holds more than the cap.
+func TestOnlineRedesignsPastCap(t *testing.T) {
 	cfg := wlgen.R1Config(datagen.Warehouse(1), 1)
 	cfg.Months = 3
 	cfg.DriftTargets = cfg.DriftTargets[:2]
@@ -80,20 +78,20 @@ func TestOnlineHandoffPastCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	uncapped := replayOnline(t, set.Months)
-	if len(uncapped.designs) < 3 || uncapped.warmHits == 0 {
-		t.Fatalf("%d re-designs, %d warm hits: the replay must re-design warm", len(uncapped.designs), uncapped.warmHits)
+	if len(uncapped.designs) < 3 || uncapped.hits == 0 {
+		t.Fatalf("%d re-designs, %d store hits: the replay must re-design and reuse unit costs", len(uncapped.designs), uncapped.hits)
 	}
-	entryCap := uncapped.peak / 4
+	entryCap := uncapped.peak / 8
 	restore := evalcache.SetEntryCap(entryCap)
 	defer restore()
 	capped := replayOnline(t, set.Months)
-	t.Logf("%d re-designs; handoff peak %d uncapped, %d under cap %d; warm hits %d uncapped, %d capped",
-		len(uncapped.designs), uncapped.peak, capped.peak, entryCap, uncapped.warmHits, capped.warmHits)
+	t.Logf("%d re-designs; store peak %d uncapped, %d under cap %d; hits %d uncapped, %d capped",
+		len(uncapped.designs), uncapped.peak, capped.peak, entryCap, uncapped.hits, capped.hits)
 	if capped.peak > entryCap {
-		t.Fatalf("a capped handoff store held %d unit costs, cap %d", capped.peak, entryCap)
+		t.Fatalf("a capped store held %d unit costs, cap %d", capped.peak, entryCap)
 	}
-	if capped.warmHits >= uncapped.warmHits {
-		t.Fatalf("%d warm hits capped, %d uncapped: the cap evicted nothing a re-design reused", capped.warmHits, uncapped.warmHits)
+	if capped.hits >= uncapped.hits {
+		t.Fatalf("%d hits capped, %d uncapped: the cap evicted nothing a re-design reused", capped.hits, uncapped.hits)
 	}
 	if len(capped.designs) != len(uncapped.designs) {
 		t.Fatalf("%d re-designs capped, %d uncapped", len(capped.designs), len(uncapped.designs))

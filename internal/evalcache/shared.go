@@ -1,6 +1,6 @@
 // Package evalcache memoizes unit costs beyond a single run: Layer is a
 // designer.CostModel that stores (engine class, design fingerprint, query
-// content) -> cost in Shared stores. A Shared keeps one table per (engine
+// content) -> cost in a Shared store. A Shared keeps one table per (engine
 // class, design) in a map under its mutex; each table is a plain map keyed
 // by the query's content hash (workload.ContentHash, carried on the Query).
 // Resident entries are capped, and CLOCK eviction drops whole tables. Within
@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cliffguard/internal/designer"
 	"cliffguard/internal/obs"
 )
 
@@ -47,10 +48,9 @@ type TableKey struct {
 }
 
 // Shared is a content-keyed unit-cost store, read and written through a
-// Layer: cliffguardd keeps one per process beneath every tenant's runs, and
-// an online controller hands one from each re-design to the next. Values are
-// pure functions of their key, so concurrent redundant computation is
-// benign: every writer stores the same value.
+// Layer: cliffguardd keeps one per process beneath every tenant's runs,
+// batch and online. Values are pure functions of their key, so concurrent
+// redundant computation is benign: every writer stores the same value.
 //
 // The store holds at most entryCap entries. Past the cap, a CLOCK sweep
 // (second chance) over the tables drops whole tables: a hit sets a table's
@@ -95,6 +95,14 @@ type table struct {
 type entry struct {
 	cost        float64
 	unsupported bool
+}
+
+// result is the memoized outcome as the cost model returned it.
+func (e entry) result() (float64, error) {
+	if e.unsupported {
+		return 0, designer.ErrUnsupported
+	}
+	return e.cost, nil
 }
 
 // NewShared returns an empty shared memo.

@@ -85,7 +85,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	counter("cliffguard_ingest_queries_streamed_total", "Statements parsed off the ingestion stream, pre-fold.", m.IngestQueriesStreamed.Load())
 	counter("cliffguard_ingest_templates_compressed_total", "Parsed statements folded into an existing weighted item.", m.IngestTemplatesCompressed.Load())
 	counter("cliffguard_ingest_parse_skips_total", "Ingested statements that failed to parse.", m.IngestParseSkips.Load())
-	counter("cliffguard_eval_warm_hits_total", "Unit costs online re-designs served from the previous run's store.", m.EvalWarmHits.Load())
 	counter("cliffguard_workload_add_skips_total", "Workload Add calls dropped for non-positive weight.", m.WorkloadAddSkips.Load())
 	counter("cliffguard_online_observed_total", "Queries absorbed by online sliding windows.", m.OnlineObserved.Load())
 	counter("cliffguard_online_evicted_total", "Queries evicted by window-bucket rotation.", m.OnlineEvicted.Load())

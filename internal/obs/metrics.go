@@ -217,11 +217,10 @@ type Metrics struct {
 	IngestTemplatesCompressed Counter // parsed statements folded into an existing weighted item
 	IngestParseSkips          Counter // statements that failed to parse
 
-	// Online re-design (internal/online) and its run-to-run unit-cost
-	// handoff (an evalcache.Layer). WorkloadAddSkips counts Workload.Add
-	// calls dropped for a non-positive weight — a window-eviction bug that
-	// silently shrinks workloads shows up here instead of nowhere.
-	EvalWarmHits         Counter // unit costs an online re-design served from the previous run's store
+	// Online re-design (internal/online). WorkloadAddSkips counts
+	// Workload.Add calls dropped for a non-positive weight — a
+	// window-eviction bug that silently shrinks workloads shows up here
+	// instead of nowhere.
 	WorkloadAddSkips     Counter // workload Add calls dropped for non-positive weight
 	OnlineObserved       Counter // queries absorbed by online sliding windows
 	OnlineEvicted        Counter // queries evicted by window-bucket rotation
@@ -340,9 +339,8 @@ type MetricsSnapshot struct {
 	IngestTemplatesCompressed uint64 `json:"ingest_templates_compressed,omitempty"`
 	IngestParseSkips          uint64 `json:"ingest_parse_skips,omitempty"`
 
-	// Warm-start and online-mode families. Zero (and omitted) for offline
-	// cold runs, so pre-existing snapshots keep their exact shape.
-	EvalWarmHits         uint64 `json:"eval_warm_hits,omitempty"`
+	// Online-mode families. Zero (and omitted) for offline runs, so
+	// pre-existing snapshots keep their exact shape.
 	WorkloadAddSkips     uint64 `json:"workload_add_skips,omitempty"`
 	OnlineObserved       uint64 `json:"online_observed,omitempty"`
 	OnlineEvicted        uint64 `json:"online_evicted,omitempty"`
@@ -427,7 +425,6 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 		IngestTemplatesCompressed: m.IngestTemplatesCompressed.Load(),
 		IngestParseSkips:          m.IngestParseSkips.Load(),
 
-		EvalWarmHits:         m.EvalWarmHits.Load(),
 		WorkloadAddSkips:     m.WorkloadAddSkips.Load(),
 		OnlineObserved:       m.OnlineObserved.Load(),
 		OnlineEvicted:        m.OnlineEvicted.Load(),

@@ -11,7 +11,6 @@ import (
 	"cliffguard/internal/core"
 	"cliffguard/internal/designer"
 	"cliffguard/internal/distance"
-	"cliffguard/internal/evalcache"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/sample"
 	"cliffguard/internal/workload"
@@ -57,9 +56,6 @@ type Config struct {
 	// rule holds by construction (the seeded loop starts from the incumbent
 	// or better and only accepts improving moves).
 	DisableSeed bool
-	// DisableWarmStart stops the run-to-run unit-cost handoff: Cost is used
-	// unwrapped, so each re-design repeats every unit cost-model call.
-	DisableWarmStart bool
 	// Metrics/Observer instrument the window, the drift monitor, and every
 	// re-design run. Either may be nil.
 	Metrics  *obs.Metrics
@@ -109,8 +105,8 @@ type Result struct {
 	// rule compared (NaN when there was no incumbent to compare against).
 	IncumbentWorst float64
 	CandidateWorst float64
-	// WarmHits counts the unit costs the run served from the previous run's
-	// store instead of the cost model (Stats.WarmHits carries the same).
+	// WarmHits is always 0, as Stats.WarmHits is; it stays while perfbench
+	// reads it (ROADMAP item 13 retires both).
 	WarmHits uint64
 	// Target is the window snapshot the run designed for.
 	Target *workload.Workload
@@ -128,16 +124,12 @@ type Status struct {
 	Redesigns     uint64
 	Published     uint64
 	SafetyRejects uint64
-	// HandoffEntries counts the unit costs resident in the warm-start
-	// handoff store (0 with DisableWarmStart); the store's entry cap bounds
-	// it.
-	HandoffEntries int
-	Window         WindowStats
+	Window        WindowStats
 }
 
 // Controller owns one tenant's online state: the sliding window, the
-// incumbent design with the snapshot it was designed for, the last run's
-// unit-cost store (the warm-start handoff), and the drift/safety counters.
+// incumbent design with the snapshot it was designed for, and the
+// drift/safety counters.
 // All methods are safe for concurrent use; Redesign calls are serialized
 // (ErrRedesignInProgress).
 type Controller struct {
@@ -147,7 +139,6 @@ type Controller struct {
 	mu            sync.Mutex
 	incumbent     *designer.Design
 	designedAt    *workload.Workload // snapshot the incumbent was designed for
-	handoff       *evalcache.Shared
 	lastDelta     float64
 	lastThreshold float64
 	lastResult    *Result
@@ -210,7 +201,7 @@ func (c *Controller) LastResult() *Result {
 func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Status{
+	return Status{
 		HasIncumbent:  c.incumbent != nil,
 		LastDelta:     c.lastDelta,
 		LastThreshold: c.lastThreshold,
@@ -221,10 +212,6 @@ func (c *Controller) Status() Status {
 		SafetyRejects: c.safetyRejects,
 		Window:        c.window.Stats(),
 	}
-	if c.handoff != nil {
-		st.HandoffEntries = c.handoff.Len()
-	}
-	return st
 }
 
 // Observe absorbs one query into the window and runs the drift monitor at
@@ -276,11 +263,7 @@ func (c *Controller) Observe(q *workload.Query, weight float64) Decision {
 // publishes the candidate as the new incumbent. Whatever the verdict, the
 // drift baseline is re-anchored to the snapshot just designed for (so a
 // rejected candidate does not leave the monitor re-firing on every
-// observation) and the warm-start handoff is replaced by this run's store.
-//
-// The warm start is a cost-model wrapper: the run costs queries through an
-// evalcache.Layer that reads the previous run's store and writes a fresh one,
-// so core never sees more than one run.
+// observation).
 //
 // The safety rule: never publish a design whose worst-case cost over the
 // current window's Gamma-neighborhood regresses vs the incumbent's. When the
@@ -305,12 +288,6 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 	if !c.cfg.DisableSeed && incumbent != nil {
 		opts.InitialDesign = incumbent
 	}
-	var layer *evalcache.Layer
-	cost := c.cfg.Cost
-	if !c.cfg.DisableWarmStart {
-		layer = &evalcache.Layer{Inner: c.cfg.Cost, Read: c.handoff, Write: evalcache.NewShared()}
-		cost = layer
-	}
 	c.redesigns++
 	if c.cfg.Metrics != nil {
 		c.cfg.Metrics.OnlineRedesigns.Inc()
@@ -327,24 +304,17 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 		return nil, errors.New("online: the window is empty, nothing to design for")
 	}
 
-	h := core.New(c.cfg.Designer, cost, c.cfg.Sampler, opts).Start(ctx, target)
+	h := core.New(c.cfg.Designer, c.cfg.Cost, c.cfg.Sampler, opts).Start(ctx, target)
 	d, traces, err := h.Await(ctx)
 	if err != nil {
 		return nil, err
 	}
 	stats := h.Stats()
-	if layer != nil {
-		stats.WarmHits = layer.Hits()
-		if c.cfg.Metrics != nil && stats.WarmHits > 0 {
-			c.cfg.Metrics.EvalWarmHits.Add(stats.WarmHits)
-		}
-	}
 
 	res := &Result{
 		Design:         d,
 		Traces:         traces,
 		Stats:          stats,
-		WarmHits:       stats.WarmHits,
 		Target:         target,
 		IncumbentWorst: math.NaN(),
 		CandidateWorst: stats.FinalWorst,
@@ -398,9 +368,6 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 	// candidate would leave it firing on every subsequent observation.
 	c.designedAt = target
 	c.sinceCheck = 0
-	if layer != nil {
-		c.handoff = layer.Write
-	}
 	c.lastResult = res
 	c.mu.Unlock()
 	return res, nil
@@ -409,9 +376,7 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 // compareWorst scores incumbent and candidate on a fresh deterministic
 // sample of the run's neighborhood (same seed, gamma, and sample count as
 // the run itself, target appended as the distance-0 member) and returns the
-// worst-case costs. A design with no costable workload yields NaN. It costs
-// through the unwrapped Config.Cost: the safety check is not part of the run
-// and neither reads nor extends the warm-start handoff.
+// worst-case costs. A design with no costable workload yields NaN.
 func (c *Controller) compareWorst(ctx context.Context, opts core.Options, target *workload.Workload, incumbent, candidate *designer.Design) (incWorst, candWorst float64, err error) {
 	norm := opts.Normalized()
 	rng := rand.New(rand.NewSource(norm.Seed))

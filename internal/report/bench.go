@@ -65,8 +65,10 @@ func (b *BenchResult) WriteFile(path string) error {
 // CompareBench checks a new benchmark result against its baseline: every
 // baseline value must be reproduced within relTolPct percent (the experiment
 // values are seed-deterministic, so the tolerance only absorbs float
-// formatting), and no value may disappear. WallMs is informational and never
-// compared. The returned slice lists mismatches; empty means the gate passed.
+// formatting), and the two must name the same values: none may disappear,
+// and none may appear that the baseline lacks. WallMs and Info are
+// informational and never compared. The returned slice lists mismatches;
+// empty means the gate passed.
 func CompareBench(oldB, newB *BenchResult, relTolPct float64) []string {
 	var bad []string
 	if oldB.Name != newB.Name {
@@ -95,6 +97,16 @@ func CompareBench(oldB, newB *BenchResult, relTolPct float64) []string {
 		if math.Abs(got-want)/scale*100 > relTolPct {
 			bad = append(bad, fmt.Sprintf("%s: baseline %g, new %g (tolerance %g%%)", k, want, got, relTolPct))
 		}
+	}
+	extra := make([]string, 0, len(newB.Values))
+	for k := range newB.Values {
+		if _, ok := oldB.Values[k]; !ok {
+			extra = append(extra, k)
+		}
+	}
+	sort.Strings(extra)
+	for _, k := range extra {
+		bad = append(bad, fmt.Sprintf("%s: new run has %g, baseline lacks it", k, newB.Values[k]))
 	}
 	return bad
 }

@@ -23,21 +23,15 @@ type Designer struct {
 	MaxKeyCols int
 	// MaxCandidates caps the candidate pool.
 	MaxCandidates int
-	// MinTemplateShare drops templates carrying less than this fraction of
-	// total workload weight during compression (default 0.2%).
-	MinTemplateShare float64
-	// DampWeights raises template weights to the 0.5 power during
-	// compression when true (default), flattening the frequency skew.
-	DampWeights bool
 }
+
+// minTemplateShare is the fraction of total workload weight below which
+// compression drops a template (0.2%).
+const minTemplateShare = 0.002
 
 // NewDesigner returns a nominal row-store designer with defaults.
 func NewDesigner(db *DB, budget int64) *Designer {
-	return &Designer{
-		DB: db, Budget: budget,
-		MaxKeyCols: 3, MaxCandidates: 512,
-		MinTemplateShare: 0.002, DampWeights: true,
-	}
+	return &Designer{DB: db, Budget: budget, MaxKeyCols: 3, MaxCandidates: 512}
 }
 
 // Name implements designer.Designer.
@@ -225,20 +219,17 @@ func (d *Designer) Compress(w *workload.Workload) *workload.Workload {
 }
 
 // compress applies the heuristics after the template collapse to cw, a
-// template-compressed workload.
+// template-compressed workload: it drops templates below minTemplateShare
+// and raises the remaining weights to the 0.5 power, flattening the
+// frequency skew.
 func (d *Designer) compress(cw *workload.Workload) *workload.Workload {
 	total := cw.TotalWeight()
 	out := &workload.Workload{}
-	minShare := d.MinTemplateShare
 	for _, it := range cw.Items {
-		if total > 0 && it.Weight/total < minShare {
+		if total > 0 && it.Weight/total < minTemplateShare {
 			continue
 		}
-		weight := it.Weight
-		if d.DampWeights {
-			weight = math.Sqrt(weight)
-		}
-		out.Add(it.Q, weight)
+		out.Add(it.Q, math.Sqrt(it.Weight))
 	}
 	if out.Len() == 0 {
 		return cw

@@ -422,7 +422,7 @@ func TestCompressDampsAndPrunes(t *testing.T) {
 	rare := q(&workload.Spec{Table: "f", SelectCols: []int{1}})
 	w := &workload.Workload{}
 	w.Add(heavy, 10_000)
-	w.Add(rare, 1) // below MinTemplateShare of the total
+	w.Add(rare, 1) // below minTemplateShare of the total
 
 	cw := d.Compress(w)
 	if cw.Len() != 1 {

@@ -152,26 +152,37 @@ func TestMutantsMatchReference(t *testing.T) {
 }
 
 // FuzzMutantsMatchReference diffs the scratch mutator against the reference
-// on fuzzed slices of R1 month 0 (seed 1) and one sampled neighbor of it
-// (sliced from its end, where its mutants are), with fuzzed weights,
-// generator seeds, draw counts and flip bounds.
+// on fuzzed slices of the first three R1 months (seed 1) and of the three
+// neighbors TestMutantsMatchReference samples from each (sliced from its
+// end, where its mutants are), with fuzzed weights, generator seeds, draw
+// counts and flip bounds. Month 0 has no query with more than 2 predicates;
+// months 1 and 2 and month 0's second and third neighbors (in their last
+// 14 items) do, and the seeds reach them.
 func FuzzMutantsMatchReference(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint16(200), uint8(12), uint8(2), false, 1.0)
-	f.Add(int64(7), uint16(40), uint16(3), uint8(40), uint8(0), true, 0.25)
-	f.Add(int64(-3), uint16(150), uint16(1), uint8(1), uint8(7), false, 3.5)
+	f.Add(int64(1), uint16(0), uint16(200), uint8(12), uint8(2), uint8(0), uint8(0), false, 1.0)
+	f.Add(int64(7), uint16(40), uint16(3), uint8(40), uint8(0), uint8(0), uint8(0), true, 0.25)
+	f.Add(int64(-3), uint16(150), uint16(1), uint8(1), uint8(7), uint8(1), uint8(0), false, 3.5)
+	f.Add(int64(5), uint16(20), uint16(60), uint8(24), uint8(2), uint8(0), uint8(1), true, 1.0)
+	f.Add(int64(2), uint16(12), uint16(120), uint8(30), uint8(2), uint8(0), uint8(2), true, 2.0)
+	f.Add(int64(11), uint16(0), uint16(200), uint8(16), uint8(3), uint8(1), uint8(0), false, 0.5)
+	f.Add(int64(9), uint16(900), uint16(300), uint8(20), uint8(2), uint8(2), uint8(2), true, 1.0)
 	s, months := r1Months(f, 1)
-	month := months[0]
 	sampler := New(distance.NewEuclidean(s.NumColumns()), NewMutator(s))
 	sampler.Parallelism = 1
-	nbrs, err := sampler.Neighborhood(rand.New(rand.NewSource(1)), month, 0.002, 1)
-	if err != nil {
-		f.Fatal(err)
+	nbrs := make([][]*workload.Workload, len(months))
+	known := make([]*workload.FrozenVector, len(months))
+	for mi, month := range months {
+		var err error
+		if nbrs[mi], err = sampler.Neighborhood(rand.New(rand.NewSource(1)), month, 0.002, 3); err != nil {
+			f.Fatal(err)
+		}
+		known[mi] = month.Frozen(workload.MaskSWGO)
 	}
-	known := month.Frozen(workload.MaskSWGO)
-	f.Fuzz(func(t *testing.T, seed int64, start, n uint16, k, flips uint8, neighbor bool, scale float64) {
-		src := month
+	f.Fuzz(func(t *testing.T, seed int64, start, n uint16, k, flips, month, nbr uint8, neighbor bool, scale float64) {
+		mi := int(month) % len(months)
+		src := months[mi]
 		if neighbor {
-			src = nbrs[0]
+			src = nbrs[mi][int(nbr)%len(nbrs[mi])]
 		}
 		lo := int(start) % src.Len()
 		if neighbor {
@@ -192,7 +203,7 @@ func FuzzMutantsMatchReference(f *testing.F) {
 		}
 		m := NewMutator(s)
 		m.MaxFlips = int(flips % 9)
-		if err := diffMutator(m, w, known, seed, 1+int(k%48)); err != nil {
+		if err := diffMutator(m, w, known[mi], seed, 1+int(k%48)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -10,16 +10,18 @@ import (
 	"cliffguard/internal/workload"
 )
 
-// Mutator is the default QuerySource: it perturbs templates drawn from W0 by
-// adding and removing columns within the same table. This models the paper's
+// Mutator is the sampler's query source: it perturbs templates drawn from
+// W0 by adding and removing columns within the same table. This models the paper's
 // uncertainty structure — future queries resemble past ones but reference
 // drifted column subsets — without using any knowledge of the actual future
 // workload.
 //
-// Candidates is safe for concurrent calls with distinct rng instances; the
-// popularity prior derived from w0 is cached per workload identity behind a
-// mutex, so the repeated operand of a neighborhood (always W0) pays the
-// O(items × columns) prior construction once rather than once per draw.
+// Candidates is safe for concurrent calls with distinct rng instances (the
+// parallel Neighborhood makes one call per in-flight draw) and retains no
+// rng past the call; the popularity prior derived from w0 is cached per
+// workload identity behind a mutex, so the repeated operand of a
+// neighborhood (always W0) pays the O(items × columns) prior construction
+// once rather than once per draw.
 //
 // Each call builds its mutants in pooled scratch (one scratch per
 // concurrent call) and then builds the queries it returns in one batch
@@ -117,8 +119,10 @@ func (m *Mutator) popModelFor(w0 *workload.Workload, total float64) *popModel {
 // NewMutator returns a mutator over the given schema.
 func NewMutator(s *schema.Schema) *Mutator { return &Mutator{Schema: s, MaxFlips: 2} }
 
-// Candidates implements QuerySource by mutating randomly chosen (weight-
-// proportional) queries of w0. Mutations pick replacement columns in
+// Candidates draws up to k candidate queries by mutating randomly chosen
+// (weight-proportional) queries of w0, and returns, in draw order, those
+// whose TemplateKey(workload.MaskSWGO) is not a key of known (every
+// candidate when known is nil). Mutations pick replacement columns in
 // proportion to how often each column appears across w0 — the workload's own
 // hot columns are where drift is most likely to land, and no knowledge of
 // the actual future is used. The known filter reads the scratch mutant, so

@@ -40,28 +40,11 @@ import (
 	"cliffguard/internal/workload"
 )
 
-// QuerySource produces candidate perturbation queries "near" a workload.
-// Candidates should be plausible future queries: same tables and similar
-// column sets as W0's queries, but with templates not present in W0.
-//
-// Implementations must be safe for concurrent Candidates calls with distinct
-// rng instances: the parallel Neighborhood invokes one call per in-flight
-// draw. They must not retain rng past the call, because Neighborhood
-// re-seeds it for the worker's next draw. The built-in Mutator satisfies
-// both: each call takes its own pooled scratch.
-type QuerySource interface {
-	// Candidates draws up to k candidate queries and returns, in draw order,
-	// those whose TemplateKey(workload.MaskSWGO) is not a key of known
-	// (every candidate when known is nil). Implementations may return fewer
-	// if they cannot generate enough distinct templates. The filter must
-	// not change how the call consumes rng.
-	Candidates(rng *rand.Rand, w0 *workload.Workload, k int, known *workload.FrozenVector) []*workload.Query
-}
-
 // Sampler samples workloads in the Gamma-neighborhood of a target workload.
 type Sampler struct {
 	Metric distance.Metric
-	Source QuerySource
+	// Source draws the candidate perturbation queries.
+	Source *Mutator
 	// MaxTries bounds the search for a perturbation set with beta > alpha
 	// (the paper reports success within a few tries for k <= 5).
 	MaxTries int
@@ -84,7 +67,7 @@ type Sampler struct {
 }
 
 // New returns a sampler with the paper-informed defaults.
-func New(m distance.Metric, src QuerySource) *Sampler {
+func New(m distance.Metric, src *Mutator) *Sampler {
 	return &Sampler{Metric: m, Source: src, MaxTries: 24, Tolerance: 0.05}
 }
 

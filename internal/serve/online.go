@@ -48,10 +48,8 @@ type OnlineSpec struct {
 	// Buckets and BucketSize size the sliding window ring.
 	Buckets    int `json:"buckets,omitempty"`
 	BucketSize int `json:"bucket_size,omitempty"`
-	// DisableSeed / DisableWarmStart switch off incumbent seeding and the
-	// run-to-run unit-cost handoff (see online.Config).
-	DisableSeed      bool `json:"disable_seed,omitempty"`
-	DisableWarmStart bool `json:"disable_warm_start,omitempty"`
+	// DisableSeed switches off incumbent seeding (see online.Config).
+	DisableSeed bool `json:"disable_seed,omitempty"`
 	// AutoRedesign starts an asynchronous re-design (through the server's
 	// worker pool) whenever an observe call's drift check fires.
 	AutoRedesign bool `json:"auto_redesign,omitempty"`
@@ -109,7 +107,6 @@ type OnlineRedesignInfo struct {
 	SafetyRejected bool       `json:"safety_rejected,omitempty"`
 	IncumbentWorst float64    `json:"incumbent_worst,omitempty"`
 	CandidateWorst float64    `json:"candidate_worst,omitempty"`
-	WarmHits       uint64     `json:"warm_hits,omitempty"`
 	Iterations     int        `json:"iterations"`
 	Design         DesignInfo `json:"design"`
 }
@@ -136,10 +133,8 @@ func (s *Server) onlineOrErr(r *http.Request) (*tenant, *onlineState, error) {
 // NewOnline builds the online controller of spec against an opened engine,
 // through the same assembly as StartRun. With shared set, its re-designs
 // cost queries through a Layer over it, which is returned so that callers can
-// attribute its hits; the controller layers its own run-to-run handoff on top
-// (values are identical to the raw engine either way, so the handoff's
-// contract, one cost model across a controller's runs, holds). met and ob
-// instrument the controller; either may be nil.
+// attribute its hits. met and ob instrument the controller; either may be
+// nil.
 func NewOnline(eng engine.Engine, budgetBytes int64, spec OnlineSpec, shared *evalcache.Shared, met *obs.Metrics, ob obs.Observer) (*online.Controller, *evalcache.Layer, error) {
 	cfg, layer, err := onlineConfig(eng, budgetBytes, spec, shared, met, ob)
 	if err != nil {
@@ -162,18 +157,17 @@ func onlineConfig(eng engine.Engine, budgetBytes int64, spec OnlineSpec, shared 
 		return online.Config{}, nil, err
 	}
 	return online.Config{
-		Designer:         a.nominal,
-		Cost:             a.cost,
-		Sampler:          a.sampler,
-		Metric:           a.metric,
-		Options:          a.opts,
-		DriftFraction:    spec.DriftFraction,
-		CheckEvery:       spec.CheckEvery,
-		Window:           online.WindowConfig{Buckets: spec.Buckets, BucketSize: spec.BucketSize},
-		DisableSeed:      spec.DisableSeed,
-		DisableWarmStart: spec.DisableWarmStart,
-		Metrics:          met,
-		Observer:         ob,
+		Designer:      a.nominal,
+		Cost:          a.cost,
+		Sampler:       a.sampler,
+		Metric:        a.metric,
+		Options:       a.opts,
+		DriftFraction: spec.DriftFraction,
+		CheckEvery:    spec.CheckEvery,
+		Window:        online.WindowConfig{Buckets: spec.Buckets, BucketSize: spec.BucketSize},
+		DisableSeed:   spec.DisableSeed,
+		Metrics:       met,
+		Observer:      ob,
 	}, a.layer, nil
 }
 
@@ -435,7 +429,6 @@ func redesignInfo(res *online.Result) OnlineRedesignInfo {
 	info := OnlineRedesignInfo{
 		Published:      res.Published,
 		SafetyRejected: res.SafetyRejected,
-		WarmHits:       res.WarmHits,
 		Iterations:     len(res.Traces),
 		Design:         designInfo(res.Design),
 	}

@@ -65,9 +65,10 @@ type RunSpec struct {
 
 	// Shared, when set, layers the cross-tenant unit-cost memo under the
 	// engine's cost model for the loop's neighborhood evaluations through an
-	// evalcache.Layer that reads and writes it (designers keep the raw
-	// engine; values are identical either way, so designs stay
-	// bit-identical). The server installs its process-wide memo here.
+	// evalcache.Layer over it (designers keep the raw engine; values are
+	// identical either way, so designs stay bit-identical). The server
+	// installs its process-wide memo here, for batch runs and online
+	// re-designs alike.
 	Shared *evalcache.Shared
 
 	// Telemetry context, set by the server. All three ride only the span
@@ -214,7 +215,7 @@ func assemble(spec RunSpec) (*assembly, error) {
 	a := &assembly{nominal: members[0], cost: eng, metric: metric, opts: spec.Options}
 	a.opts.Portfolio = members[1:]
 	if spec.Shared != nil {
-		a.layer = &evalcache.Layer{Inner: eng, Class: eng.Class(), Read: spec.Shared, Write: spec.Shared}
+		a.layer = &evalcache.Layer{Inner: eng, Class: eng.Class(), Store: spec.Shared}
 		a.cost = a.layer
 	}
 	a.sampler = sample.New(metric, sample.NewMutator(eng.Schema()))

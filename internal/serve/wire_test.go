@@ -83,6 +83,22 @@ func TestRunRequestShardsAlias(t *testing.T) {
 	}
 }
 
+// TestOnlineSpecWarmStartRetired: "disable_warm_start" switched off a
+// run-to-run unit-cost memo that online re-designs no longer keep. A spec
+// naming it, true or false, is rejected at decode.
+func TestOnlineSpecWarmStartRetired(t *testing.T) {
+	for _, body := range []string{
+		`{"gamma":0.002,"disable_warm_start":true}`,
+		`{"gamma":0.002,"disable_seed":true,"disable_warm_start":false}`,
+	} {
+		var spec OnlineSpec
+		err := decodeJSON(strings.NewReader(body), &spec)
+		if ae := (*apiError)(nil); !errors.As(err, &ae) || ae.status != http.StatusBadRequest {
+			t.Fatalf("%s: decode = %v, want a 400 bad_request", body, err)
+		}
+	}
+}
+
 // TestNegativeShardsRejectedOverHTTP: the retired "shards" key, negative or
 // not, is a 400 bad_request on run submission.
 func TestNegativeShardsRejectedOverHTTP(t *testing.T) {
@@ -167,7 +183,7 @@ func FuzzOnlineSpec(f *testing.F) {
 		`{"gamma":0.002}`,
 		`{"gamma":0.0008,"samples":8,"iterations":2,"seed":7,"parallelism":1,"buckets":2,"bucket_size":16,"drift_fraction":0.25}`,
 		`{"gamma":0.002,"metric":"separate","designers":["advisor","autoadmin","ilp"],"check_every":3,` +
-			`"disable_seed":true,"disable_warm_start":true,"auto_redesign":true}`,
+			`"disable_seed":true,"auto_redesign":true}`,
 		`{"gamma":0}`,
 		`{"gamma":-1,"samples":-3,"buckets":-2}`,
 		`{"gamma":0.002,"metric":"bogus"}`,

@@ -10,11 +10,7 @@ import (
 // stream into a count-bucketed ring; the controller measures
 // delta(W_window, W_designed) with the run's own distance metric and — when
 // the drift exceeds a configured fraction of Gamma — re-runs the robust loop
-// warm: seeded with the incumbent design (Options.InitialDesign), and with
-// its cost model reading the unit costs the previous run computed (the
-// controller wraps OnlineConfig.Cost; OnlineConfig.DisableWarmStart turns
-// that off), so a re-design over an overlapping window repeats almost no
-// cost-model calls while producing bit-identical designs to a cold run. A safety
+// seeded with the incumbent design (Options.InitialDesign). A safety
 // acceptance rule guarantees a published design never regresses the
 // worst-case neighborhood cost vs the incumbent on the current window.
 type (
@@ -27,7 +23,7 @@ type (
 	// OnlineConfig assembles a drift-triggered re-design controller.
 	OnlineConfig = online.Config
 	// OnlineController owns one workload's online state: window, incumbent
-	// design, the previous run's unit costs, drift and safety counters.
+	// design, drift and safety counters.
 	OnlineController = online.Controller
 	// OnlineDecision reports what one Observe call did (accepted? drift
 	// checked? fired?).
@@ -39,8 +35,8 @@ type (
 	OnlineStatus = online.Status
 
 	// RunStats are one robust run's scalar outcomes (worst-case costs of
-	// the initial competitors and the returned design, online warm-start
-	// hits) — what the safety rule reads off a seeded run.
+	// the initial competitors and the returned design) — what the safety
+	// rule reads off a seeded run.
 	RunStats = core.RunStats
 )
 
