@@ -98,11 +98,19 @@ type layerCase struct {
 
 func TestLayer(t *testing.T) {
 	cases := []layerCase{{
-		name:     "primed_store_answers",
-		prime:    [][2]int{{0, 1}, {0, 2}, {colUnsupported, 1}},
-		calls:    []call{{0, 1, false}, {0, 2, false}, {0, 1, false}, {colUnsupported, 1, false}},
-		wantLen:  3,
-		wantHits: 4,
+		// A hit answers from the store and leaves the entry there for the
+		// next run's layer over the same store.
+		name:    "read_hit_copied_into_write",
+		prime:   [][2]int{{0, 1}, {0, 2}},
+		calls:   []call{{0, 1, false}, {0, 2, false}, {0, 1, false}},
+		wantLen: 2, wantHits: 3,
+	}, {
+		// A memoized unsupported verdict answers without the inner model
+		// and stays in the store as well.
+		name:    "unsupported_read_hit_carried_forward",
+		prime:   [][2]int{{colUnsupported, 1}},
+		calls:   []call{{colUnsupported, 1, false}},
+		wantLen: 1, wantHits: 1,
 	}, {
 		name:    "same_store_reads_its_own_writes",
 		calls:   []call{{1, 1, true}, {1, 1, false}, {2, 1, true}},
@@ -160,6 +168,15 @@ func TestLayer(t *testing.T) {
 			}
 			if m, want := l.Misses(), uint64(len(tc.calls))-tc.wantHits; m != want {
 				t.Errorf("Misses = %d, want %d", m, want)
+			}
+			// Every primed entry is still in the store under its key and
+			// value: a hit never drops what the next run reads.
+			for _, e := range tc.prime {
+				cost, err := fakeValue(e[0], e[1])
+				c, u, ok := store.Lookup(layerKey(tc.primeClass, e[0], e[1]))
+				if want := errors.Is(err, designer.ErrUnsupported); !ok || c != cost || u != want {
+					t.Errorf("primed entry %v held as (%v, %v, %v), want (%v, %v, true)", e, c, u, ok, cost, want)
+				}
 			}
 		})
 	}
