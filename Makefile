@@ -50,7 +50,8 @@ allocs:
 # splitting (pipelined reader vs the line-at-a-time reference), the JSONL
 # stream decoders, the ILP solver's brute-force cross-check, the pair-table
 # designers (budget, Exact ILP vs brute force and the greedy designers, and
-# the sparse table and search steps vs their dense references), both
+# the sparse table and search steps vs their dense references), the lazy
+# greedy search vs the rescanning reference, both
 # engines' vector kernels against Cost on fuzzed queries and designs, the
 # scratch mutator and both engines' candidate generators against their
 # reference copies (reference_test.go) on fuzzed R1 slices, the /v1
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeSpans -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzILPSolve -fuzztime=5s ./internal/ilp/
 	$(GO) test -fuzz=FuzzPairTable -fuzztime=5s ./internal/portfolio/
+	$(GO) test -fuzz=FuzzGreedyMatchesReference -fuzztime=5s ./internal/designer/
 	$(GO) test -fuzz=FuzzVectorKernel -fuzztime=5s ./internal/engine/
 	$(GO) test -fuzz=FuzzMutantsMatchReference -fuzztime=5s ./internal/sample/
 	$(GO) test -fuzz=FuzzCandidatesMatchReference -fuzztime=5s ./internal/vertsim/
@@ -97,7 +99,8 @@ report-check:
 #   PORTFOLIO advisor vs AutoAdmin vs ILP-exact raced by the portfolio
 #   SCALE     a 1M-statement log through template-compressing ingestion,
 #             then a robust design of the folded workload
-#   ONLINE    drift replay warm vs cold, repeat-window and safety probes
+#   ONLINE    a two-month drift replay through the online controller
+#             (drift checks, fires, re-design calls) and a safety probe
 bench-gates:
 	@mkdir -p /tmp/cliffguard-bench-gates
 	$(GO) run ./cmd/benchrunner -experiment T1,SAMPLER,EVAL,PORTFOLIO,SCALE,ONLINE -bench-json /tmp/cliffguard-bench-gates > /dev/null
@@ -114,13 +117,16 @@ serve-smoke:
 # Parallel neighborhood-evaluation benchmarks (cold and warm cache), then
 # the vertsim what-if kernel: one Cost, then on both vertsim and rowsim the
 # nominal designer's pair table, one nominal Design and one session's five
-# calls (DesignRun) on R1's first month, then the sampler's Neighborhood
-# draw and mutator, core's indexed pass over a run's universe, and ingest: a
-# 1M-line timestamped log and the fixed cost of a one-line call.
+# calls (DesignRun) on R1's first month, and the greedy search over that
+# pair table, lazy and the rescanning reference (Greedy), then the sampler's
+# Neighborhood draw and mutator, core's indexed pass over a run's universe,
+# and ingest: a 1M-line timestamped log and the fixed cost of a one-line
+# call.
 bench:
 	$(GO) test ./internal/bench/ -run '^$$' -bench BenchmarkNeighborhoodEval -benchmem
 	$(GO) test ./internal/vertsim -run '^$$' -bench 'WhatIfCost|BuildPairTable|Design' -benchmem
 	$(GO) test ./internal/rowsim -run '^$$' -bench 'BuildPairTable|Design' -benchmem
+	$(GO) test ./internal/designer -run '^$$' -bench Greedy -benchmem
 	$(GO) test ./internal/sample -run '^$$' -bench 'Neighborhood|Mutate' -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench IndexedPass -benchmem
 	$(GO) test ./internal/ingest -run '^$$' -bench 'Reader1M|ReaderOneLine' -benchmem

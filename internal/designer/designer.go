@@ -356,10 +356,11 @@ func GreedySelect(ctx context.Context, cm CostModel, w *workload.Workload, candi
 	return t.greedyDesign(ctx, budget)
 }
 
-// greedyDesign is GreedySelect's search over a built table.
+// greedyDesign is GreedySelect's search over a built table: Greedy over
+// every pool index from Base.
 func (t *PairTable) greedyDesign(ctx context.Context, budget int64) (*Design, error) {
 	cur := append([]float64(nil), t.Base...)
-	sel, err := t.Greedy(ctx, t.Indices(), make([]bool, len(t.Pool)), cur, 0, budget)
+	sel, err := t.greedy(ctx, nil, make([]bool, len(t.Pool)), cur, 0, budget)
 	if err != nil {
 		return nil, err
 	}

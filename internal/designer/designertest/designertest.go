@@ -173,13 +173,35 @@ func DensePairTable(ctx context.Context, cm designer.CostModel, w *workload.Work
 	return dense(ctx, cm, t, w, candidates)
 }
 
-// DensePairRows builds the tables of ws[i] over pools[i] in order through
-// one designer.PairRows, with the pool deduplicated by slot in one
-// designer.Interner, as a designer session does across a run's calls, and
-// checks each against the dense oracle of DensePairTable and against
-// designer.BuildPairTable's table, bit for bit.
+// DensePairRows builds the tables of ws[i] over pools[i] through
+// SessionTables and checks each against the dense oracle of DensePairTable
+// and against designer.BuildPairTable's table, bit for bit.
 func DensePairRows(ctx context.Context, cm designer.CostModel, ws []*workload.Workload, pools [][]designer.Structure) error {
+	tables, err := SessionTables(ctx, cm, ws, pools)
+	if err != nil {
+		return err
+	}
+	for i, t := range tables {
+		if err := dense(ctx, cm, t, ws[i], pools[i]); err != nil {
+			return fmt.Errorf("table %d: %w", i, err)
+		}
+		want, err := designer.BuildPairTable(ctx, cm, ws[i], pools[i])
+		if err != nil {
+			return err
+		}
+		if !sameTable(t, want) || !slices.Equal(t.Weights, want.Weights) {
+			return fmt.Errorf("table %d differs from BuildPairTable's", i)
+		}
+	}
+	return nil
+}
+
+// SessionTables builds the tables of ws[i] over pools[i] in order through
+// one designer.PairRows, with the pool deduplicated by slot in one
+// designer.Interner, as a designer session does across a run's calls.
+func SessionTables(ctx context.Context, cm designer.CostModel, ws []*workload.Workload, pools [][]designer.Structure) ([]*designer.PairTable, error) {
 	rows, in := designer.NewPairRows(cm), designer.NewInterner()
+	tables := make([]*designer.PairTable, len(ws))
 	for i, w := range ws {
 		var pool []designer.Structure
 		var slots []int32
@@ -194,20 +216,11 @@ func DensePairRows(ctx context.Context, cm designer.CostModel, ws []*workload.Wo
 		}
 		t, err := rows.Table(ctx, w, pool, slots)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := dense(ctx, cm, t, w, pools[i]); err != nil {
-			return fmt.Errorf("table %d: %w", i, err)
-		}
-		want, err := designer.BuildPairTable(ctx, cm, w, pools[i])
-		if err != nil {
-			return err
-		}
-		if !sameTable(t, want) || !slices.Equal(t.Weights, want.Weights) {
-			return fmt.Errorf("table %d differs from BuildPairTable's", i)
-		}
+		tables[i] = t
 	}
-	return nil
+	return tables, nil
 }
 
 // dense checks t, built from w and candidates, against the dense oracle.

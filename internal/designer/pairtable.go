@@ -280,47 +280,155 @@ func (t *PairTable) Top(idx []int, k int) []int {
 // of idx that fit the budget, repeatedly take the one whose reduction of
 // the per-query running minimum cur, per byte, is largest (ties to the
 // earliest in idx), until nothing fits or helps. cur must not exceed Base
-// anywhere. It updates taken and cur in place and returns the picks in
-// order.
+// anywhere, the weights must be positive and finite (as workload.Add keeps
+// them), and no size may be negative. It updates taken and cur in place and
+// returns the picks in order.
+//
+// The search is lazy (CELF): each entry of idx is scored once, into a heap
+// ordered by score, then by position in idx; each round re-scores only the
+// entries that reach the top with an earlier round's score, and takes the
+// top once its score is the round's own. That picks what rescoring every
+// entry each round picks, bit for bit: cur only decreases, so each term
+// w·(cur−c) of a gain can only shrink or drop out, and float rounding is
+// monotone, so a sum of non-negative terms cannot grow either. An earlier
+// round's score thus bounds the entry's current one from above, and a top
+// scored this round beats every other entry or ties it from an earlier
+// position. used only grows and a gain only shrinks, so an entry that no
+// longer fits or helps leaves the heap for good.
 func (t *PairTable) Greedy(ctx context.Context, idx []int, taken []bool, cur []float64, used, budget int64) ([]int, error) {
+	if idx == nil {
+		idx = []int{} // greedy reads a nil idx as every pool index
+	}
+	return t.greedy(ctx, idx, taken, cur, used, budget)
+}
+
+// greedy is Greedy, with a nil idx standing for every pool index, in
+// order.
+func (t *PairTable) greedy(ctx context.Context, idx []int, taken []bool, cur []float64, used, budget int64) ([]int, error) {
+	h := greedyPool.Get().(*greedyHeap)
+	defer greedyPool.Put(h)
+	n := len(idx)
+	if idx == nil {
+		n = len(t.Pool)
+	}
+	if cap(h.es) < n {
+		h.es = make([]greedyEntry, 0, n)
+	}
+	h.es = h.es[:0]
+	for pos := range n {
+		si := pos
+		if idx != nil {
+			si = idx[pos]
+		}
+		if taken[si] {
+			continue
+		}
+		if score, ok := t.score(si, cur, used, budget); ok {
+			h.es = append(h.es, greedyEntry{score: score, si: int32(si), pos: int32(pos)})
+		}
+	}
+	h.init()
 	var picks []int
-	for {
+	for round := int32(0); ; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		bestIdx := -1
-		bestScore := 0.0
-		for _, si := range idx {
-			if taken[si] {
+		for len(h.es) > 0 && h.es[0].round != round {
+			top := &h.es[0]
+			score, ok := t.score(int(top.si), cur, used, budget)
+			if !ok || taken[top.si] { // taken: a later duplicate in idx
+				h.pop()
 				continue
 			}
-			sz := t.Pool[si].SizeBytes()
-			if used+sz > budget {
-				continue
-			}
-			var gain float64
-			costs := t.HelpCost[si]
-			for k, qi := range t.Helps[si] {
-				if c := costs[k]; c < cur[qi] {
-					gain += t.Weights[qi] * (cur[qi] - c)
-				}
-			}
-			if gain <= 0 {
-				continue
-			}
-			score := gain / float64(max(sz, 1))
-			if bestIdx < 0 || score > bestScore {
-				bestIdx, bestScore = si, score
-			}
+			top.score, top.round = score, round
+			h.down(0)
 		}
-		if bestIdx < 0 {
+		if len(h.es) == 0 {
 			return picks, nil
 		}
-		taken[bestIdx] = true
-		t.Lower(cur, bestIdx)
-		used += t.Pool[bestIdx].SizeBytes()
-		picks = append(picks, bestIdx)
+		si := int(h.es[0].si)
+		h.pop()
+		taken[si] = true
+		t.Lower(cur, si)
+		used += t.Pool[si].SizeBytes()
+		picks = append(picks, si)
 	}
+}
+
+// score returns Pool[si]'s reduction of the running minimum cur per byte,
+// and whether it fits the budget and reduces cur at all.
+func (t *PairTable) score(si int, cur []float64, used, budget int64) (float64, bool) {
+	sz := t.Pool[si].SizeBytes()
+	if used+sz > budget {
+		return 0, false
+	}
+	var gain float64
+	costs := t.HelpCost[si]
+	for k, qi := range t.Helps[si] {
+		if c := costs[k]; c < cur[qi] {
+			gain += t.Weights[qi] * (cur[qi] - c)
+		}
+	}
+	if gain <= 0 {
+		return 0, false
+	}
+	return gain / float64(max(sz, 1)), true
+}
+
+// greedyEntry is one candidate of Greedy's heap: Pool[si], at position pos
+// of idx, scored in round.
+type greedyEntry struct {
+	score float64
+	si    int32
+	pos   int32
+	round int32
+}
+
+// greedyHeap is Greedy's max-heap of entries by score, then earliest
+// position, whose memory greedyPool keeps across calls. It is not a
+// container/heap, whose Pop would box every entry it removes.
+type greedyHeap struct{ es []greedyEntry }
+
+var greedyPool = sync.Pool{New: func() any { return new(greedyHeap) }}
+
+// before reports whether entry i orders before entry j.
+func (h *greedyHeap) before(i, j int) bool {
+	a, b := &h.es[i], &h.es[j]
+	return a.score > b.score || a.score == b.score && a.pos < b.pos
+}
+
+// init orders the entries into a heap.
+func (h *greedyHeap) init() {
+	for i := len(h.es)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts entry i down to its place.
+func (h *greedyHeap) down(i int) {
+	n := len(h.es)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.before(r, c) {
+			c = r
+		}
+		if !h.before(c, i) {
+			return
+		}
+		h.es[i], h.es[c] = h.es[c], h.es[i]
+		i = c
+	}
+}
+
+// pop removes the top entry.
+func (h *greedyHeap) pop() {
+	n := len(h.es) - 1
+	h.es[0] = h.es[n]
+	h.es = h.es[:n]
+	h.down(0)
 }
 
 // Lower adds structure si to the running per-query minimum cur, which must
